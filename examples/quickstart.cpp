@@ -2,8 +2,9 @@
 //
 // Builds a 4-slave simulated Hadoop cluster, trains a tiny black-box
 // model, writes an fpt-core configuration *file* (the Figure 3 format)
-// wiring sadc -> knn -> ibuffer -> analysis_bb -> print, and runs the
-// online fingerpointer against a CPU hog for five simulated minutes.
+// wiring sadc -> knn -> ibuffer -> agg_bb -> analysis_bb_merge -> print
+// (one group of all four slaves), and runs the online fingerpointer
+// against a CPU hog for five simulated minutes.
 //
 //   ./quickstart [--realtime]
 //

@@ -158,7 +158,7 @@ std::size_t summaryDims(const GroupSummary* const* groups,
 
 // Walks every group's members in concatenated order, scoring survivor
 // rows with `score`; non-survivors are skipped (callers pre-zero the
-// output arrays), mirroring the flat modules' scatter-back.
+// output arrays).
 template <typename ScoreFn>
 std::size_t scoreSurvivors(const GroupSummary* const* groups,
                            std::size_t ngroups, double* flags,

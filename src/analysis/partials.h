@@ -1,11 +1,12 @@
-// Pre-reduced peer-comparison partials — the kernel split behind the
-// hierarchical aggregation tier (ROADMAP item 1).
+// Pre-reduced peer-comparison partials — the kernel split every
+// fingerpointer runs on (a flat deployment is one group).
 //
-// The flat fingerpointers compute a cross-node median over per-node
-// rows (StateVector histograms for black-box, per-metric window means
-// and stddevs for white-box) and then score each node against that
-// median. Both steps are rank selections and per-row arithmetic, so
-// they factor exactly into:
+// Peer comparison computes a cross-node median over per-node rows
+// (StateVector histograms for black-box, per-metric window means and
+// stddevs for white-box) and then scores each node against that
+// median, as the direct kernels in peercompare.h do. Both steps are
+// rank selections and per-row arithmetic, so they factor exactly
+// into:
 //
 //   reduce (per group, near the leaves):
 //     sort each component's column of the group's survivor rows —
@@ -15,7 +16,7 @@
 //     per component, count-and-select across the groups' sorted
 //     columns to the ranks medianInPlace() would pick over the
 //     concatenated multiset, then score every survivor row against
-//     the merged medians with the *same* scoring helpers the flat
+//     the merged medians with the *same* scoring helpers the direct
 //     kernels use.
 //
 // Determinism argument: medianInPlace() is a pure rank selection —
@@ -25,7 +26,7 @@
 // sorted columns to the same two ranks yields bit-identical medians,
 // and identical per-row arithmetic yields bit-identical flags and
 // scores. Groups cover contiguous ascending node ranges, so the
-// concatenated survivor order equals the flat iteration order.
+// concatenated survivor order equals the global node order.
 //
 // What does NOT travel in a summary: raw window sums. SlidingWindow
 // sums its ring buffer in storage order, so re-summing transmitted
@@ -117,8 +118,7 @@ struct TieredScratch {
 };
 
 /// Total survivor count across groups — the quantity quorum gating
-/// compares (callers suppress the merge entirely below quorum, like
-/// the flat modules do).
+/// compares (callers suppress the merge entirely below quorum).
 std::size_t totalSurvivors(const GroupSummary* const* groups,
                            std::size_t ngroups);
 
@@ -134,7 +134,7 @@ std::size_t mergeBlackBoxSummaries(const GroupSummary* const* groups,
                                    double* scores);
 
 /// Root merge of white-box summaries: merged medians of means and of
-/// stddevs, then the flat kernel's critical-k scoring per survivor.
+/// stddevs, then whiteBoxCriticalK() scoring per survivor.
 /// Same output conventions as mergeBlackBoxSummaries().
 std::size_t mergeWhiteBoxSummaries(const GroupSummary* const* groups,
                                    std::size_t ngroups, double k,

@@ -19,11 +19,13 @@
 // threshold sweeps (Figures 6a/6b) replay recorded windows without
 // re-running the cluster.
 //
-// The *Into forms are the online hot path: they take row-pointer views
-// plus a caller-owned PeerScratch, write flags/scores into caller
-// buffers, and allocate nothing once the scratch is warm. The
-// vector-of-vectors forms are retained as the reference surface
-// (tests, offline sweeps) and share the same arithmetic.
+// The online path does not call these comparisons directly: it runs
+// the reduce/merge split in analysis/partials.h, which shares their
+// scoring helpers. The *Into forms (row-pointer views, a caller-owned
+// PeerScratch, no allocation once warm) are the reference that the
+// partials, zero-allocation and SIMD tests compare against; the
+// vector-of-vectors forms serve tests and offline sweeps and share the
+// same arithmetic.
 #pragma once
 
 #include <cstddef>
@@ -84,8 +86,8 @@ void whiteBoxCompareInto(const double* const* means,
 
 /// One node's white-box score given already-computed medians: the
 /// critical k above which the node is no longer flagged. Shared by
-/// the flat kernel and the tiered merge (analysis/partials.h) so the
-/// two topologies are arithmetic-identical by construction.
+/// whiteBoxCompareInto() and the merge (analysis/partials.h) so the
+/// two are arithmetic-identical by construction.
 double whiteBoxCriticalK(const double* mean, const double* median,
                          const double* sigmaMedian, std::size_t dims);
 

@@ -1,5 +1,5 @@
 // Module type registry: maps the section names appearing in fpt-core
-// configuration files ("[sadc]", "[knn]", "[analysis_bb]", ...) to
+// configuration files ("[sadc]", "[knn]", "[agg_bb]", ...) to
 // factories. Users plug in custom modules by registering a factory
 // before configuring the core — no core changes required.
 #pragma once

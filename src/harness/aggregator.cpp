@@ -14,6 +14,7 @@
 #include "core/fpt_core.h"
 #include "core/realtime.h"
 #include "modules/modules.h"
+#include "modules/merge.h"
 #include "net/agg_client.h"
 #include "net/agg_server.h"
 #include "net/fanout_collector.h"
@@ -171,14 +172,6 @@ struct RootGroup {
   }
 };
 
-/// Per-channel merge workspace mirroring the sim merge modules'
-/// transition tracking (merge_bb_module.cpp).
-struct ChannelMerge {
-  analysis::TieredScratch scratch;
-  std::vector<std::string> lastUnmonitorable;
-  bool lastBelowQuorum = false;
-};
-
 void sortEvents(std::vector<core::MonitoringEvent>& events) {
   std::stable_sort(events.begin(), events.end(),
                    [](const core::MonitoringEvent& a,
@@ -199,26 +192,28 @@ ExperimentResult runTieredLiveExperiment(const ExperimentSpec& spec) {
         strformat("tiered live: tier groups cover %d slaves, expected %d",
                   totalNodes, spec.slaves));
   }
-  if (totalNodes < 3) {
-    throw ConfigError("tiered live: need at least 3 nodes across groups");
-  }
   if (spec.aggEndpoints.size() != groups.size()) {
     throw ConfigError(strformat(
         "tiered live: %zu aggregator endpoints for %zu groups "
         "(need exactly one per group, in topology order)",
         spec.aggEndpoints.size(), groups.size()));
   }
-  const int quorum =
-      spec.pipeline.quorum > 0 ? spec.pipeline.quorum
-                               : std::max(3, totalNodes / 2 + 1);
 
   // Per-node labels matching the generated configuration's origins
-  // (sadc/hadoop_log emit "slave<node>"), so MonitoringEvents name the
-  // same nodes a sim tiered run would.
+  // (sadc/hadoop_log emit "slave<node>") and merge instance ids, so
+  // MonitoringEvents read exactly as a sim run's would.
   std::vector<std::string> labels(static_cast<std::size_t>(totalNodes));
   for (int i = 0; i < totalNodes; ++i) {
     labels[static_cast<std::size_t>(i)] = strformat("slave%d", i + 1);
   }
+  const std::vector<std::size_t> sizes(groups.begin(), groups.end());
+  modules::RootMerge merges[rpc::kSummaryChannelCount] = {
+      modules::RootMerge("analysis_bb", modules::PeerAnalysis::kBlackBox,
+                         spec.pipeline.bbThreshold, labels, sizes,
+                         spec.pipeline.quorum),
+      modules::RootMerge("analysis_wb", modules::PeerAnalysis::kWhiteBox,
+                         spec.pipeline.wbK, labels, sizes,
+                         spec.pipeline.quorum)};
 
   std::vector<RootGroup> regions(groups.size());
   for (std::size_t g = 0; g < groups.size(); ++g) {
@@ -245,7 +240,6 @@ ExperimentResult runTieredLiveExperiment(const ExperimentSpec& spec) {
   chan[1]->setTier(2);
 
   ExperimentResult result;
-  ChannelMerge merges[rpc::kSummaryChannelCount];
   std::vector<analysis::GroupSummary> synth(groups.size());
   std::vector<const analysis::GroupSummary*> ptrs(groups.size());
   std::vector<char> fromQueue(groups.size());
@@ -262,8 +256,8 @@ ExperimentResult runTieredLiveExperiment(const ExperimentSpec& spec) {
   // window queued; a down or still-rejoining region with a drained
   // backlog joins as an all-unmonitorable synthetic summary — exactly
   // the shape a live aggregator publishes when all its leaves are
-  // down — so quorum gating and degraded analysis follow the flat
-  // semantics, and a down region never stalls the others' rounds.
+  // down — so quorum gating and degraded analysis run exactly as in a
+  // sim run, and a down region never stalls the others' rounds.
   auto processChannel = [&](int c) {
     for (;;) {
       double t = 0.0;
@@ -306,67 +300,21 @@ ExperimentResult runTieredLiveExperiment(const ExperimentSpec& spec) {
         ptrs[g] = &s;
       }
 
-      std::vector<double> health(static_cast<std::size_t>(totalNodes));
-      std::vector<std::string> unmonitorable;
-      std::size_t offset = 0;
-      std::size_t survivors = 0;
-      for (std::size_t g = 0; g < regions.size(); ++g) {
-        const analysis::GroupSummary& s = *ptrs[g];
-        for (std::size_t m = 0; m < s.members; ++m) {
-          health[offset + m] = s.health[m];
-          if (s.health[m] == 2.0) {
-            unmonitorable.push_back(labels[offset + m]);
-          } else {
-            ++survivors;
-          }
-        }
-        offset += s.members;
-      }
-      const bool belowQuorum =
-          static_cast<int>(survivors) < std::max(quorum, 3);
-
-      std::vector<double> flags(static_cast<std::size_t>(totalNodes), 0.0);
-      std::vector<double> scores(static_cast<std::size_t>(totalNodes), 0.0);
-      if (!belowQuorum) {
-        if (c == static_cast<int>(rpc::SummaryChannel::kBlackBox)) {
-          analysis::mergeBlackBoxSummaries(
-              ptrs.data(), ptrs.size(), spec.pipeline.bbThreshold,
-              merges[c].scratch, flags.data(), scores.data());
-        } else {
-          analysis::mergeWhiteBoxSummaries(ptrs.data(), ptrs.size(),
-                                           spec.pipeline.wbK,
-                                           merges[c].scratch, flags.data(),
-                                           scores.data());
-        }
-      }
-
-      ChannelMerge& ms = merges[c];
-      if (unmonitorable != ms.lastUnmonitorable ||
-          belowQuorum != ms.lastBelowQuorum) {
-        ms.lastUnmonitorable = unmonitorable;
-        ms.lastBelowQuorum = belowQuorum;
-        core::MonitoringEvent event;
-        event.time = t;
-        event.channel =
-            c == static_cast<int>(rpc::SummaryChannel::kBlackBox)
-                ? "analysis_bb"
-                : "analysis_wb";
-        event.survivors = static_cast<int>(survivors);
-        event.quorum = quorum;
-        event.belowQuorum = belowQuorum;
-        event.unmonitorable = std::move(unmonitorable);
-        result.monitoringEvents.push_back(std::move(event));
-      }
-
+      // A window whose shapes disagree is dropped whole: its summaries
+      // are network input, and merging them would read past buffers.
       analysis::AlarmRecord record;
       record.time = t;
-      record.flags = std::move(flags);
-      record.scores = std::move(scores);
-      record.health = std::move(health);
-      if (c == static_cast<int>(rpc::SummaryChannel::kBlackBox)) {
-        result.blackBox.push_back(std::move(record));
+      if (merges[c].merge(ptrs.data(), t, record.flags, record.scores,
+                          record.health)) {
+        if (const core::MonitoringEvent* event = merges[c].transition()) {
+          result.monitoringEvents.push_back(*event);
+        }
+        (c == static_cast<int>(rpc::SummaryChannel::kBlackBox)
+             ? result.blackBox
+             : result.whiteBox)
+            .push_back(std::move(record));
       } else {
-        result.whiteBox.push_back(std::move(record));
+        logWarn("tiered live: dropping malformed summary window");
       }
 
       for (std::size_t g = 0; g < regions.size(); ++g) {

@@ -9,9 +9,9 @@
 //
 // runTieredLiveExperiment() is the root: it fetches summaries from
 // every aggregator, aligns windows across regions by virtual time,
-// merges them with the exact kernels the sim merge modules use
-// (analysis/partials.h), and applies the same quorum gating and
-// MonitoringEvent semantics. An aggregator that stops answering is
+// and merges them through the same modules::RootMerge the sim merge
+// modules run (quorum gating, MonitoringEvents, and the shape check
+// that drops a malformed window). An aggregator that stops answering is
 // marked down after a failure streak and its whole region merges as
 // unmonitorable — degraded analysis, not a crash — but down is
 // transient: the root keeps probing (redials are backoff-gated in

@@ -89,12 +89,13 @@ struct ExperimentSpec {
   std::size_t archiveSegmentBytes = 8u << 20;  // recorder rotation size
 
   /// Aggregation-tier topology (DESIGN.md §12), orthogonal to
-  /// `transport`. When `tiered` is set the analysis pipeline splits
-  /// into per-group reduce (agg_bb/agg_wb) and root merge stages;
-  /// alarms stay byte-identical to the flat topology on the same
-  /// seed. Groups cover the slaves in ascending contiguous ranges:
-  /// `tierGroups` gives explicit sizes, otherwise the slaves split
-  /// evenly across `aggregators` regions (0 = ~sqrt(slaves)).
+  /// `transport`. When `tiered` is set the reduce stage
+  /// (agg_bb/agg_wb) splits into several groups; a flat run is one
+  /// group of every slave. Alarms are byte-identical for every
+  /// grouping on the same seed. Groups cover the slaves in ascending
+  /// contiguous ranges: `tierGroups` gives explicit sizes, otherwise
+  /// the slaves split evenly across `aggregators` regions
+  /// (0 = ~sqrt(slaves)).
   bool tiered = false;
   int aggregators = 0;
   std::vector<int> tierGroups;

@@ -23,6 +23,11 @@ void checkTierGroups(const PipelineParams& p) {
   }
 }
 
+// Empty tierGroups is the flat deployment: one group of every slave.
+std::vector<int> groupsOf(const PipelineParams& p) {
+  return p.tierGroups.empty() ? std::vector<int>{p.slaves} : p.tierGroups;
+}
+
 void appendBlackBoxCollection(std::ostringstream& out,
                               const PipelineParams& p, int firstNode,
                               int count) {
@@ -63,37 +68,22 @@ void appendAggBb(std::ostringstream& out, int group, int firstNode,
 
 void appendBlackBox(std::ostringstream& out, const PipelineParams& p) {
   appendBlackBoxCollection(out, p, 1, p.slaves);
-  if (p.tierGroups.empty()) {
-    out << strformat(
-        "[analysis_bb]\n"
-        "id = analysis_bb\n"
-        "threshold = %g\n"
-        "window = %d\n"
-        "slide = %d\n"
-        "quorum = %d\n",
-        p.bbThreshold, p.windowSize, p.windowSlide, p.quorum);
-    for (int i = 1; i <= p.slaves; ++i) {
-      out << strformat("input[l%d] = buf%d.output0\n", i - 1, i);
-    }
-  } else {
-    int firstNode = 1;
-    for (std::size_t g = 0; g < p.tierGroups.size(); ++g) {
-      appendAggBb(out, static_cast<int>(g + 1), firstNode, p.tierGroups[g]);
-      firstNode += p.tierGroups[g];
-    }
-    // The merge instance keeps the flat id so alarm channels, origins
-    // and MonitoringEvents are byte-identical across topologies.
-    out << strformat(
-        "[analysis_bb_merge]\n"
-        "id = analysis_bb\n"
-        "threshold = %g\n"
-        "window = %d\n"
-        "slide = %d\n"
-        "quorum = %d\n",
-        p.bbThreshold, p.windowSize, p.windowSlide, p.quorum);
-    for (std::size_t g = 0; g < p.tierGroups.size(); ++g) {
-      out << strformat("input[s%zu] = aggbb%zu.summary\n", g, g + 1);
-    }
+  const std::vector<int> groups = groupsOf(p);
+  int firstNode = 1;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    appendAggBb(out, static_cast<int>(g + 1), firstNode, groups[g]);
+    firstNode += groups[g];
+  }
+  // The merge instance keeps the id "analysis_bb" so alarm channels,
+  // origins and MonitoringEvents are the same for every topology.
+  out << strformat(
+      "[analysis_bb_merge]\n"
+      "id = analysis_bb\n"
+      "threshold = %g\n"
+      "quorum = %d\n",
+      p.bbThreshold, p.quorum);
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    out << strformat("input[s%zu] = aggbb%zu.summary\n", g, g + 1);
   }
   out << strformat(
       "\n[print]\n"
@@ -138,32 +128,20 @@ void appendAggWb(std::ostringstream& out, int group, int firstNode,
 
 void appendWhiteBox(std::ostringstream& out, const PipelineParams& p) {
   appendWhiteBoxCollection(out, p, 1, p.slaves);
-  if (p.tierGroups.empty()) {
-    out << strformat(
-        "[analysis_wb]\n"
-        "id = analysis_wb\n"
-        "k = %g\n"
-        "quorum = %d\n",
-        p.wbK, p.quorum);
-    for (int i = 1; i <= p.slaves; ++i) {
-      out << strformat("input[a%d] = mavg%d.mean\n", i - 1, i);
-      out << strformat("input[d%d] = mavg%d.stddev\n", i - 1, i);
-    }
-  } else {
-    int firstNode = 1;
-    for (std::size_t g = 0; g < p.tierGroups.size(); ++g) {
-      appendAggWb(out, static_cast<int>(g + 1), firstNode, p.tierGroups[g]);
-      firstNode += p.tierGroups[g];
-    }
-    out << strformat(
-        "[analysis_wb_merge]\n"
-        "id = analysis_wb\n"
-        "k = %g\n"
-        "quorum = %d\n",
-        p.wbK, p.quorum);
-    for (std::size_t g = 0; g < p.tierGroups.size(); ++g) {
-      out << strformat("input[s%zu] = aggwb%zu.summary\n", g, g + 1);
-    }
+  const std::vector<int> groups = groupsOf(p);
+  int firstNode = 1;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    appendAggWb(out, static_cast<int>(g + 1), firstNode, groups[g]);
+    firstNode += groups[g];
+  }
+  out << strformat(
+      "[analysis_wb_merge]\n"
+      "id = analysis_wb\n"
+      "k = %g\n"
+      "quorum = %d\n",
+      p.wbK, p.quorum);
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    out << strformat("input[s%zu] = aggwb%zu.summary\n", g, g + 1);
   }
   out << strformat(
       "\n[print]\n"

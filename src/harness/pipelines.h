@@ -27,22 +27,23 @@ struct PipelineParams {
   bool nodeHealth = false;
   std::string nodeHealthCsv;  // empty = no csv_sink section
   /// Aggregation-tier topology (DESIGN.md §12): group sizes covering
-  /// the slaves in ascending contiguous ranges. Empty = flat analysis
-  /// (the default; byte-identical to pre-tier configurations). When
-  /// set, the builders interpose one agg_bb/agg_wb per group and the
-  /// analysis instances become analysis_bb_merge/analysis_wb_merge —
-  /// keeping the flat instance ids, so alarm channels, origins and
-  /// MonitoringEvents are unchanged. Sizes must sum to `slaves`.
+  /// the slaves in ascending contiguous ranges; sizes must sum to
+  /// `slaves`. Empty = flat analysis, which is one group of every
+  /// slave. Each group gets one agg_bb/agg_wb reduce instance; the
+  /// analysis_bb_merge/analysis_wb_merge instances (ids "analysis_bb"
+  /// and "analysis_wb") merge the groups' summaries, so alarm channels,
+  /// origins and MonitoringEvents are the same for every topology.
   std::vector<int> tierGroups;
 };
 
-/// Black-box pipeline: per slave sadc -> knn -> ibuffer, then one
-/// analysis_bb across all slaves feeding a print sink named
-/// "BlackBoxAlarm".
+/// Black-box pipeline: per slave sadc -> knn -> ibuffer, one agg_bb
+/// per tier group, then one analysis_bb_merge across all slaves
+/// feeding a print sink named "BlackBoxAlarm".
 std::string buildBlackBoxConfig(const PipelineParams& params);
 
-/// White-box pipeline: per slave hadoop_log -> mavgvec, then one
-/// analysis_wb across all slaves feeding "WhiteBoxAlarm".
+/// White-box pipeline: per slave hadoop_log -> mavgvec, one agg_wb
+/// per tier group, then one analysis_wb_merge across all slaves
+/// feeding "WhiteBoxAlarm".
 std::string buildWhiteBoxConfig(const PipelineParams& params);
 
 /// Both pipelines in one DAG (the deployment of Figure 4, which runs

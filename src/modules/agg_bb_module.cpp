@@ -1,8 +1,8 @@
 // [agg_bb] — the black-box reduce step of the aggregation tier
 // (DESIGN.md §12).
 //
-// Runs next to a *group* of leaves: consumes the same per-node ibuffer
-// windows [analysis_bb] would, builds each node's StateVector, reads
+// Runs next to a *group* of leaves: consumes each member's ibuffer
+// window of knn state indices, builds each node's StateVector, reads
 // the group's monitoring health, and publishes a GroupSummary — the
 // survivor histograms plus their sorted per-component median partial —
 // instead of flagging anyone. Flagging, quorum gating and
@@ -58,14 +58,14 @@ class AggBbModule final : public core::Module {
                         "] agg_bb needs at least one node input");
     }
 
-    std::string origins;
+    std::vector<std::string> labels;
     for (const auto& name : inputs_) {
-      if (!origins.empty()) origins += ";";
-      const std::string origin = ctx.inputOrigin(name, 0);
-      origins += origin;
-      nodeIds_.push_back(rpc::nodeIdFromOrigin(origin));
+      labels.push_back(ctx.inputOrigin(name, 0));
+      nodeIds_.push_back(rpc::nodeIdFromOrigin(labels.back()));
     }
-    outSummary_ = ctx.addOutput("summary", origins);
+    // One label per member, empty ones included: the root merge counts
+    // the group's members from this origin.
+    outSummary_ = ctx.addOutput("summary", join(labels, ";"));
     ctx.setInputTrigger(static_cast<int>(inputs_.size()));
 
     if (auto* transports =

@@ -53,14 +53,14 @@ class AggWbModule final : public core::Module {
                         "] agg_wb needs at least one node input");
     }
 
-    std::string origins;
+    std::vector<std::string> labels;
     for (const auto& name : meanInputs_) {
-      if (!origins.empty()) origins += ";";
-      const std::string origin = ctx.inputOrigin(name, 0);
-      origins += origin;
-      nodeIds_.push_back(rpc::nodeIdFromOrigin(origin));
+      labels.push_back(ctx.inputOrigin(name, 0));
+      nodeIds_.push_back(rpc::nodeIdFromOrigin(labels.back()));
     }
-    outSummary_ = ctx.addOutput("summary", origins);
+    // One label per member, empty ones included: the root merge counts
+    // the group's members from this origin.
+    outSummary_ = ctx.addOutput("summary", join(labels, ";"));
     ctx.setInputTrigger(
         static_cast<int>(meanInputs_.size() + devInputs_.size()));
 

@@ -1,6 +1,6 @@
 // [analysis_mad] — black-box fingerpointing with a self-calibrating
 // MAD decision rule (an alternative pluggable analysis; compare
-// [analysis_bb]'s fixed trained threshold).
+// [analysis_bb_merge]'s fixed trained threshold).
 //
 // Parameters:
 //   k = <MAD multiplier>  (default 6)

@@ -2,18 +2,19 @@
 //
 // These are the module types the paper describes: the sadc and
 // hadoop_log data-collection modules, the mavgvec / knn / ibuffer
-// processing modules, the analysis_bb / analysis_wb fingerpointers,
-// and the print alarm sink. registerBuiltinModules() installs them in
+// processing modules, the fingerpointers (agg_bb / agg_wb reduce each
+// group of nodes, analysis_bb_merge / analysis_wb_merge compare every
+// node with the median of its peers; modules/merge.h), and the
+// print alarm sink. registerBuiltinModules() installs them in
 // a registry (static libraries would otherwise drop the registration
 // objects); call it once at startup.
 //
 // Environment services the modules look up:
 //   "rpc"         rpc::RpcHub             — sadc, hadoop_log, strace
-//   "bb_model"    analysis::BlackBoxModel — knn, analysis_bb
+//   "bb_model"    analysis::BlackBoxModel — knn, agg_bb
 //   "hl_sync"     modules::HadoopLogSync  — hadoop_log (optional;
 //                                          created implicitly if absent)
 //   "rpc_client"  rpc::RpcClient          — sadc, hadoop_log, strace,
-//                                          analysis_bb, analysis_wb,
 //                                          agg_bb, agg_wb
 //                                          (optional; enables the
 //                                          fault-tolerant collection
@@ -26,8 +27,7 @@
 //                                          live aggregator processes
 //                                          publish windows upward)
 //   env.alarmSink                         — print
-//   env.monitoringSink                    — analysis_bb, analysis_wb,
-//                                          analysis_bb_merge,
+//   env.monitoringSink                    — analysis_bb_merge,
 //                                          analysis_wb_merge
 #pragma once
 

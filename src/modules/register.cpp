@@ -6,8 +6,7 @@ void registerAggBbModule(core::ModuleRegistry&);
 void registerAggWbModule(core::ModuleRegistry&);
 void registerAnalysisMadModule(core::ModuleRegistry&);
 void registerCsvSinkModule(core::ModuleRegistry&);
-void registerMergeBbModule(core::ModuleRegistry&);
-void registerMergeWbModule(core::ModuleRegistry&);
+void registerMergeModules(core::ModuleRegistry&);
 void registerMitigateModule(core::ModuleRegistry&);
 void registerStraceModule(core::ModuleRegistry&);
 void registerSadcModule(core::ModuleRegistry&);
@@ -15,8 +14,6 @@ void registerHadoopLogModule(core::ModuleRegistry&);
 void registerIBufferModule(core::ModuleRegistry&);
 void registerMavgvecModule(core::ModuleRegistry&);
 void registerKnnModule(core::ModuleRegistry&);
-void registerAnalysisBbModule(core::ModuleRegistry&);
-void registerAnalysisWbModule(core::ModuleRegistry&);
 void registerNodeHealthModule(core::ModuleRegistry&);
 void registerPrintModule(core::ModuleRegistry&);
 
@@ -28,12 +25,9 @@ void registerBuiltinModules(core::ModuleRegistry* registry) {
   registerIBufferModule(r);
   registerMavgvecModule(r);
   registerKnnModule(r);
-  registerAnalysisBbModule(r);
-  registerAnalysisWbModule(r);
   registerAggBbModule(r);
   registerAggWbModule(r);
-  registerMergeBbModule(r);
-  registerMergeWbModule(r);
+  registerMergeModules(r);
   registerAnalysisMadModule(r);
   registerNodeHealthModule(r);
   registerPrintModule(r);

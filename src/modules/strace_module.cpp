@@ -6,9 +6,9 @@
 // negative log-likelihood under the trained model, relative to the
 // model's own entropy baseline, scaled so that "clearly off-model"
 // lands above the white-box unit floor. The per-node score streams
-// compose with the stock mavgvec + analysis_wb modules for peer
-// comparison — a new data source plugged in without any new analysis
-// code, which is the framework's whole point.
+// compose with the stock mavgvec + agg_wb + analysis_wb_merge modules
+// for peer comparison — a new data source plugged in without any new
+// analysis code, which is the framework's whole point.
 //
 // Parameters:
 //   node   = <slave id>            (required)

@@ -37,7 +37,8 @@ class ExtensionTest : public ::testing::Test {
     return p;
   }
 
-  /// Config: per-slave strace -> mavgvec, one analysis_wb, print.
+  /// Config: per-slave strace -> mavgvec, one agg_wb group, the
+  /// white-box merge, print.
   std::string straceConfig(double k = 3.0) const {
     std::string config;
     for (int i = 1; i <= 4; ++i) {
@@ -48,11 +49,14 @@ class ExtensionTest : public ::testing::Test {
           "input[input] = st%d.output0\n\n",
           i, i);
     }
-    config += strformat("[analysis_wb]\nid = wb\nk = %g\n", k);
+    config += "[agg_wb]\nid = agg\n";
     for (int i = 1; i <= 4; ++i) {
       config += strformat("input[a%d] = m%d.mean\n", i - 1, i);
       config += strformat("input[d%d] = m%d.stddev\n", i - 1, i);
     }
+    config += strformat(
+        "\n[analysis_wb_merge]\nid = wb\nk = %g\ninput[s0] = agg.summary\n",
+        k);
     config += "\n[print]\nid = StraceAlarm\nquiet = 1\ninput[a] = @wb\n";
     return config;
   }

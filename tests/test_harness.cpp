@@ -48,10 +48,11 @@ TEST_F(HarnessTest, GeneratedConfigsParse) {
   PipelineParams params;
   params.slaves = 5;
   const IniFile bb = parseIni(buildBlackBoxConfig(params));
-  // Per slave: sadc + knn + ibuffer; plus analysis + print.
-  EXPECT_EQ(bb.sections.size(), 5u * 3u + 2u);
+  // Per slave: sadc + knn + ibuffer; plus one agg_bb group, the
+  // merge and print.
+  EXPECT_EQ(bb.sections.size(), 5u * 3u + 3u);
   const IniFile wb = parseIni(buildWhiteBoxConfig(params));
-  EXPECT_EQ(wb.sections.size(), 5u * 2u + 2u);
+  EXPECT_EQ(wb.sections.size(), 5u * 2u + 3u);
   const IniFile both = parseIni(buildCombinedConfig(params));
   EXPECT_EQ(both.sections.size(), bb.sections.size() + wb.sections.size());
 }

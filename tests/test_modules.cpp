@@ -125,8 +125,8 @@ class ModulesTest : public ::testing::Test {
 
 TEST_F(ModulesTest, RegisterBuiltinsCoversPaperModules) {
   for (const char* name :
-       {"sadc", "hadoop_log", "ibuffer", "mavgvec", "knn", "analysis_bb",
-        "analysis_wb", "print"}) {
+       {"sadc", "hadoop_log", "ibuffer", "mavgvec", "knn", "agg_bb", "agg_wb",
+        "analysis_bb_merge", "analysis_wb_merge", "print"}) {
     EXPECT_TRUE(registry_.has(name)) << name;
   }
 }
@@ -394,10 +394,13 @@ TEST_F(ModulesTest, AnalysisBbFlagsPlantedOutlier) {
         "nn%d.output0\n\n",
         i, i);
   }
-  config += "[analysis_bb]\nid = bb\nthreshold = 5\n";
+  config += "[agg_bb]\nid = agg\n";
   for (int i = 0; i < 4; ++i) {
     config += strformat("input[l%d] = buf%d.output0\n", i, i);
   }
+  config +=
+      "\n[analysis_bb_merge]\nid = bb\nthreshold = 5\n"
+      "input[s0] = agg.summary\n";
   config += "\n[print]\nid = Alarm\nquiet = 1\ninput[a] = @bb\n";
 
   core::FptCore core(engine_, env, &registry_);
@@ -433,9 +436,13 @@ dims = 1
 id = b0
 input[input] = f0.output0
 
-[analysis_bb]
-id = bb
+[agg_bb]
+id = agg
 input[l0] = b0.output0
+
+[analysis_bb_merge]
+id = bb
+input[s0] = agg.summary
 )"),
                ConfigError);
 }
@@ -457,11 +464,12 @@ TEST_F(ModulesTest, AnalysisWbFlagsDeviatingMean) {
         "f%d.output0\n\n",
         i, i);
   }
-  config += "[analysis_wb]\nid = wb\nk = 3\n";
+  config += "[agg_wb]\nid = agg\n";
   for (int i = 0; i < 4; ++i) {
     config += strformat("input[a%d] = m%d.mean\n", i, i);
     config += strformat("input[d%d] = m%d.stddev\n", i, i);
   }
+  config += "\n[analysis_wb_merge]\nid = wb\nk = 3\ninput[s0] = agg.summary\n";
   config += "\n[print]\nid = Alarm\nquiet = 1\ninput[a] = @wb\n";
 
   core::FptCore core(engine_, env, &registry_);
@@ -493,11 +501,12 @@ TEST_F(ModulesTest, AnalysisWbRespectsUnitFloor) {
         "f%d.output0\n\n",
         i, i);
   }
-  config += "[analysis_wb]\nid = wb\nk = 3\n";
+  config += "[agg_wb]\nid = agg\n";
   for (int i = 0; i < 3; ++i) {
     config += strformat("input[a%d] = m%d.mean\n", i, i);
     config += strformat("input[d%d] = m%d.stddev\n", i, i);
   }
+  config += "\n[analysis_wb_merge]\nid = wb\nk = 3\ninput[s0] = agg.summary\n";
   config += "\n[print]\nid = Alarm\nquiet = 1\ninput[a] = @wb\n";
   core::FptCore core(engine_, env, &registry_);
   core.configureFromText(config);

@@ -4,6 +4,8 @@
 // flat topology on the same seed — across group shapes, executors, the
 // fault-tolerant collection path, monitoring faults (unmonitorable
 // exclusion + quorum), and the replay transport. See DESIGN.md §12.
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "common/error.h"
 #include "harness/experiment.h"
 #include "harness/pipelines.h"
+#include "harness/scenario_matrix.h"
 #include "modules/modules.h"
 
 namespace asdf::harness {
@@ -65,6 +68,66 @@ void expectIdenticalResults(const ExperimentResult& flat,
     EXPECT_EQ(a.belowQuorum, b.belowQuorum) << label << " event " << i;
     EXPECT_EQ(a.unmonitorable, b.unmonitorable) << label << " event " << i;
   }
+}
+
+// FNV-1a 64 over what fingerprintAlarms() leaves out: the per-window
+// health codes and every MonitoringEvent field.
+std::uint64_t fingerprintMonitoring(const ExperimentResult& r) {
+  std::uint64_t h = 1469598103934665603ULL;
+  auto bytes = [&h](const void* data, std::size_t n) {
+    const unsigned char* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= 1099511628211ULL;
+    }
+  };
+  auto num = [&bytes](double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    bytes(&bits, sizeof bits);
+  };
+  for (const analysis::AlarmSeries* series : {&r.blackBox, &r.whiteBox}) {
+    for (const analysis::AlarmRecord& record : *series) {
+      for (const double code : record.health) num(code);
+    }
+  }
+  for (const core::MonitoringEvent& e : r.monitoringEvents) {
+    num(e.time);
+    bytes(e.channel.data(), e.channel.size());
+    num(e.survivors);
+    num(e.quorum);
+    num(e.belowQuorum ? 1.0 : 0.0);
+    for (const std::string& label : e.unmonitorable) {
+      bytes(label.data(), label.size());
+      bytes(";", 1);
+    }
+  }
+  return h;
+}
+
+// Fixed references for the flat (one-group) output. They were recorded
+// with the standalone per-node fingerpointers the merge path replaced,
+// so the one-group merge is held to an independent implementation, not
+// only to itself with more groups.
+TEST(Tiered, FlatOutputMatchesPinnedReference) {
+  ExperimentSpec spec = baseSpec();
+  const analysis::BlackBoxModel model = trainModel(spec);
+  const ExperimentResult plain = runExperiment(spec, model);
+  EXPECT_EQ(0x726be62e76390777ULL, fingerprintAlarms(plain.blackBox));
+  EXPECT_EQ(0x3d2f7e7ddbb68d3bULL, fingerprintAlarms(plain.whiteBox));
+  EXPECT_EQ(0xd16479eb9cc11e63ULL, fingerprintMonitoring(plain));
+
+  spec.faultTolerantRpc = true;
+  faults::MonitoringFaultSpec mf;
+  mf.kind = faults::MonitoringFaultKind::kCrash;
+  mf.node = 2;
+  mf.startTime = 70.0;
+  spec.monitoringFaults.push_back(mf);
+  const ExperimentResult degraded = runExperiment(spec, model);
+  EXPECT_FALSE(degraded.monitoringEvents.empty());
+  EXPECT_EQ(0x10dc1cb709cc9fbfULL, fingerprintAlarms(degraded.blackBox));
+  EXPECT_EQ(0x4d7f99e7efc25faeULL, fingerprintAlarms(degraded.whiteBox));
+  EXPECT_EQ(0x1f3235394866cbd3ULL, fingerprintMonitoring(degraded));
 }
 
 TEST(Tiered, AlarmsByteIdenticalToFlat) {
