@@ -1,7 +1,7 @@
 // ArchiveWriter — the flight recorder's append side.
 //
-// Implements rpc::CollectionObserver so it can be plugged into any of
-// the collection plane's taps (RpcHub, RpcClient, RpcdServer) and
+// Implements rpc::CollectionObserver so it can be plugged into either of
+// the collection plane's taps (RpcClient, RpcdServer) and
 // persists every observed collection round into segment files under
 // one directory (format.h). Durability contract:
 //

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "archive/collector.h"
 #include "harness/aggregator.h"
@@ -151,127 +153,105 @@ std::unique_ptr<archive::ArchiveWriter> makeRecorder(
                                                   metaFromSpec(spec, source));
 }
 
-/// Live transport: the monitored cluster lives inside asdf_rpcd; the
-/// control node here runs only fpt-core + the RpcClient over real
-/// sockets, pumped by a RealTimeDriver. Monitoring-fault injectors are
-/// a sim-transport concept (the board is not consulted on real
-/// attempts) and are ignored in this mode — live failures are real
-/// timeouts and refused connections.
-ExperimentResult runLiveExperiment(const ExperimentSpec& spec,
-                                   const analysis::BlackBoxModel& model) {
-  net::LiveTransport::Options topts;
-  topts.host = spec.liveHost;
-  topts.port = spec.livePort;
-  topts.timeoutSeconds = spec.rpcPolicy.timeoutSeconds;
-  topts.backoffSeed = spec.seed * 2654435761ULL + 211;
-  net::LiveTransport transport(topts);
-  if (transport.slaves() != spec.slaves) {
-    logWarn("live transport: daemon serves " +
-            std::to_string(transport.slaves()) + " slaves but the spec says " +
-            std::to_string(spec.slaves));
+/// The parts of a control-node run that differ by transport: where
+/// the samples come from, how the pipeline is pumped, and where ground
+/// truth and Table 3 come from. runControlNode does everything else.
+struct Plane {
+  rpc::LiveCollector* collector = nullptr;
+  /// Sim fault gate for the client; null = fault-free collection.
+  hadoop::Cluster* faultGate = nullptr;
+  /// Live sockets sleep each backoff in wall time.
+  bool realBackoff = false;
+  /// Recorder meta source; null for replay, whose archiveDir is the
+  /// archive being played.
+  const char* recordAs = nullptr;
+  /// Runs once fpt-core is configured, before the pipeline is pumped.
+  std::function<void(rpc::RpcClient&)> arm;
+  /// Advances the pipeline through spec.duration.
+  std::function<void()> drive;
+  /// Cluster-side accounting after the run: daemon costs (Table 3),
+  /// fault end time and job counters; nullopt when unavailable. Unset
+  /// for replay, whose archive carries no daemon costs.
+  std::function<std::optional<net::ClusterStatsWire>()> stats;
+  /// Replaces the spec's ground truth where the plane knows better.
+  std::function<void(ExperimentResult&)> truth;
+};
+
+/// Applies a cluster-side snapshot: the observed fault end, Table 3
+/// daemon costs and job counters.
+void recordClusterStats(ExperimentResult& result,
+                        const net::ClusterStatsWire& stats,
+                        const ExperimentSpec& spec) {
+  // A fault can end before the run does (a scheduled endTime, or the
+  // DiskHog completing its 20 GB write); windows after that are
+  // negatives.
+  if (stats.faultEndedAt != kNoTime) {
+    result.truth.faultEnd = stats.faultEndedAt;
   }
-  rpc::RpcClient client(transport, spec.rpcPolicy,
-                        spec.seed * 2654435761ULL + 97);
-  std::unique_ptr<archive::ArchiveWriter> recorder =
-      makeRecorder(spec, "live");
-  if (recorder != nullptr) client.setObserver(recorder.get());
-
-  sim::SimEngine engine;
-  modules::HadoopLogSync sync;
-  ExperimentResult result;
-
-  core::Environment env;
-  env.provide("bb_model", const_cast<analysis::BlackBoxModel*>(&model));
-  env.provide("hl_sync", &sync);
-  env.provide("rpc_client", &client);
-  env.provide("node_health", &client.health());
-  std::mutex eventMutex;
-  wireSinks(env, result, eventMutex);
-
-  core::FptCore fpt(engine, env);
-  fpt.setExecutor(core::makeExecutor(spec.threads));
-  PipelineParams pipeline = spec.pipeline;
-  pipeline.slaves = spec.slaves;
-  fpt.configureFromText(buildCombinedConfig(pipeline));
-
-  core::RealTimeDriver driver(engine, spec.realtimeScale);
-  driver.run(spec.duration / spec.realtimeScale);
-
-  sortMonitoringEvents(result);
-
-  // Ground truth comes from the spec (the caller started asdf_rpcd
-  // with the same fault); the daemon reports the observed end time.
-  result.truth.slaveIndex =
-      spec.fault.type == faults::FaultType::kNone ? -1 : spec.fault.node - 1;
-  result.truth.faultStart = spec.fault.startTime;
-  result.truth.faultEnd = spec.fault.endTime;
-  result.simulatedSeconds = spec.duration;
-
-  net::ClusterStatsWire stats;
-  if (transport.fetchStats(spec.duration, stats)) {
-    if (stats.faultEndedAt != kNoTime) {
-      result.truth.faultEnd = stats.faultEndedAt;
-    }
-    const double nodeSeconds = spec.duration * spec.slaves;
-    result.sadcRpcdCpuPct = 100.0 * stats.sadcCpuSeconds / nodeSeconds;
-    result.hadoopLogRpcdCpuPct =
-        100.0 * stats.hadoopLogCpuSeconds / nodeSeconds;
-    result.straceRpcdCpuPct = 100.0 * stats.straceCpuSeconds / nodeSeconds;
-    result.sadcRpcdMemMb =
-        static_cast<double>(stats.sadcMemoryBytes) / spec.slaves / 1.0e6;
-    result.hadoopLogRpcdMemMb =
-        static_cast<double>(stats.hadoopLogMemoryBytes) / spec.slaves / 1.0e6;
-    result.straceRpcdMemMb =
-        static_cast<double>(stats.straceMemoryBytes) / spec.slaves / 1.0e6;
-    result.jobsSubmitted = stats.jobsSubmitted;
-    result.jobsCompleted = stats.jobsCompleted;
-    result.tasksCompleted = stats.tasksCompleted;
-    result.tasksFailed = stats.tasksFailed;
-    result.speculativeLaunches = stats.speculativeLaunches;
-  } else {
-    logWarn("live transport: final kStats fetch failed; cluster-side "
-            "accounting unavailable");
-  }
-  result.fptCoreCpuPct = 100.0 * fpt.cpuSeconds() / spec.duration;
-  result.fptCoreMemMb =
-      static_cast<double>(fpt.memoryFootprintBytes()) / 1.0e6;
-
-  recordChannelReports(result, client.transports(), spec);
-  result.syncDroppedSeconds = sync.droppedSeconds();
-  recordClientCounters(result, client);
-  if (recorder != nullptr) {
-    recorder->writeTruth(truthFromResult(result));
-    recorder->close();
-  }
-  return result;
+  // Table 3: CPU percentages are of one core per node, relative to the
+  // simulated wall-clock.
+  const double nodeSeconds = spec.duration * spec.slaves;
+  result.sadcRpcdCpuPct = 100.0 * stats.sadcCpuSeconds / nodeSeconds;
+  result.hadoopLogRpcdCpuPct = 100.0 * stats.hadoopLogCpuSeconds / nodeSeconds;
+  result.straceRpcdCpuPct = 100.0 * stats.straceCpuSeconds / nodeSeconds;
+  result.sadcRpcdMemMb =
+      static_cast<double>(stats.sadcMemoryBytes) / spec.slaves / 1.0e6;
+  result.hadoopLogRpcdMemMb =
+      static_cast<double>(stats.hadoopLogMemoryBytes) / spec.slaves / 1.0e6;
+  result.straceRpcdMemMb =
+      static_cast<double>(stats.straceMemoryBytes) / spec.slaves / 1.0e6;
+  result.jobsSubmitted = stats.jobsSubmitted;
+  result.jobsCompleted = stats.jobsCompleted;
+  result.tasksCompleted = stats.tasksCompleted;
+  result.tasksFailed = stats.tasksFailed;
+  result.speculativeLaunches = stats.speculativeLaunches;
 }
 
-/// Replay transport: no cluster, no daemons — an ArchiveCollector
-/// serves the recorded rounds to the same RpcClient the live path
-/// uses, and the pipeline runs on the sim clock. The module schedule
-/// is deterministic, so every fetch finds its archived record and the
-/// run reproduces the recording run's alarms byte-for-byte.
-ExperimentResult runReplayExperiment(const ExperimentSpec& spec,
-                                     const analysis::BlackBoxModel& model) {
-  archive::ArchiveCollector collector(spec.archiveDir);
-  if (collector.slaves() != spec.slaves) {
-    logWarn("replay: archive holds " + std::to_string(collector.slaves()) +
-            " slaves but the spec says " + std::to_string(spec.slaves));
+/// The control node: one RpcClient over the plane's collector (plus the
+/// flight recorder), fpt-core running the generated pipeline, and the
+/// result's alarms, Table 3/4 accounting and robustness counters.
+ExperimentResult runControlNode(const ExperimentSpec& spec,
+                                const analysis::BlackBoxModel& model,
+                                sim::SimEngine& engine, const Plane& plane) {
+  rpc::LiveCollector& collector = *plane.collector;
+  // The client tracks nodes 1..collector.slaves(); polling a node past
+  // that would fail mid-run, so refuse before anything starts.
+  if (collector.slaves() < spec.slaves) {
+    throw ConfigError("collector serves " +
+                      std::to_string(collector.slaves()) +
+                      " slaves but the spec monitors " +
+                      std::to_string(spec.slaves));
   }
-  rpc::RpcClient client(collector, spec.rpcPolicy,
-                        spec.seed * 2654435761ULL + 97,
-                        /*realBackoff=*/false);
+  if (collector.slaves() > spec.slaves) {
+    logWarn("collector serves " + std::to_string(collector.slaves()) +
+            " slaves but the spec monitors only " +
+            std::to_string(spec.slaves));
+  }
+  const std::uint64_t clientSeed = spec.seed * 2654435761ULL + 97;
+  std::unique_ptr<rpc::RpcClient> client =
+      plane.faultGate != nullptr
+          ? std::make_unique<rpc::RpcClient>(*plane.faultGate, collector,
+                                             spec.rpcPolicy, clientSeed)
+          : std::make_unique<rpc::RpcClient>(collector, spec.rpcPolicy,
+                                             clientSeed, plane.realBackoff);
+  std::unique_ptr<archive::ArchiveWriter> recorder =
+      plane.recordAs != nullptr ? makeRecorder(spec, plane.recordAs)
+                                : nullptr;
+  if (recorder != nullptr) client->setObserver(recorder.get());
 
-  sim::SimEngine engine;
   modules::HadoopLogSync sync;
   ExperimentResult result;
 
   core::Environment env;
   env.provide("bb_model", const_cast<analysis::BlackBoxModel*>(&model));
   env.provide("hl_sync", &sync);
-  env.provide("rpc_client", &client);
-  env.provide("node_health", &client.health());
-  if (spec.tiered) env.provide("transports", &client.transports());
+  env.provide("rpc_client", client.get());
+  env.provide("node_health", &client->health());
+  // Tiered analysis reduces per group before the root merge; the agg
+  // modules charge the summary traffic to tier-2 channels in the
+  // client's registry so Table 4 reports bandwidth per tier. (FptCore
+  // copies the environment, so this must precede its construction.)
+  if (spec.tiered) env.provide("transports", &client->transports());
   std::mutex eventMutex;
   wireSinks(env, result, eventMutex);
 
@@ -282,40 +262,165 @@ ExperimentResult runReplayExperiment(const ExperimentSpec& spec,
   if (spec.tiered) pipeline.tierGroups = tierGroupsFor(spec);
   fpt.configureFromText(buildCombinedConfig(pipeline));
 
-  engine.runUntil(spec.duration);
+  if (plane.arm) plane.arm(*client);
+  plane.drive();
 
   sortMonitoringEvents(result);
+  result.simulatedSeconds = spec.duration;
+  result.truth.slaveIndex =
+      spec.fault.type == faults::FaultType::kNone ? -1 : spec.fault.node - 1;
+  result.truth.faultStart = spec.fault.startTime;
+  result.truth.faultEnd = spec.fault.endTime;
+  if (plane.stats) {
+    if (const std::optional<net::ClusterStatsWire> stats = plane.stats()) {
+      recordClusterStats(result, *stats, spec);
+    }
+  }
+  if (plane.truth) plane.truth(result);
+  result.fptCoreCpuPct = 100.0 * fpt.cpuSeconds() / spec.duration;
+  result.fptCoreMemMb =
+      static_cast<double>(fpt.memoryFootprintBytes()) / 1.0e6;
+  // Table 4 accounting. Channels that never carried a call (e.g. the
+  // strace extension when its module is not configured) are omitted.
+  recordChannelReports(result, client->transports(), spec);
+  result.syncDroppedSeconds = sync.droppedSeconds();
+  recordClientCounters(result, *client);
+  if (recorder != nullptr) {
+    recorder->writeTruth(truthFromResult(result));
+    recorder->close();
+  }
+  return result;
+}
 
+/// Sim transport: the simulated cluster, its RpcHub daemons and the
+/// fault injectors all run on the engine that pumps fpt-core.
+ExperimentResult runSimExperiment(const ExperimentSpec& spec,
+                                  const analysis::BlackBoxModel& model) {
+  sim::SimEngine engine;
+  hadoop::Cluster cluster(hadoopParamsFor(spec), spec.seed * 6151 + 3,
+                          engine);
+  workload::GridMixGenerator gridmix(cluster, gridmixParamsFor(spec),
+                                     spec.seed * 7411 + 1);
+  cluster.start();
+  gridmix.start();
+  rpc::RpcHub hub(cluster, /*attachTime=*/0.0);
+
+  faults::FaultInjector injector(cluster, spec.fault);
+  std::unique_ptr<faults::ScenarioInjector> scenario;
+  std::vector<std::unique_ptr<faults::MonitoringFaultInjector>> monInjectors;
+
+  Plane plane;
+  plane.collector = &hub;
+  // Collection failures (the fault gate) are opt-in; injecting a
+  // monitoring fault implies them.
+  if (spec.faultTolerantRpc || !spec.monitoringFaults.empty()) {
+    plane.faultGate = &cluster;
+  }
+  plane.recordAs = "sim";
+  plane.arm = [&](rpc::RpcClient& client) {
+    injector.arm();
+    if (spec.scenario.cls != faults::ScenarioClass::kNone) {
+      scenario =
+          std::make_unique<faults::ScenarioInjector>(cluster, spec.scenario);
+      scenario->arm();
+    }
+    for (const faults::MonitoringFaultSpec& mf : spec.monitoringFaults) {
+      monInjectors.push_back(
+          std::make_unique<faults::MonitoringFaultInjector>(
+              engine, client.faults(), mf));
+      monInjectors.back()->arm();
+    }
+  };
+  plane.drive = [&] { engine.runUntil(spec.duration); };
+  plane.stats = [&] {
+    return std::optional(
+        net::simClusterStats(cluster, hub, injector.endedAt()));
+  };
+  plane.truth = [&](ExperimentResult& result) {
+    if (scenario == nullptr) return;
+    result.truth.culprits = scenario->culpritIndices();
+    result.truth.slaveIndex =
+        result.truth.culprits.empty() ? -1 : result.truth.culprits.front();
+    result.truth.faultStart = scenario->spec().startTime;
+    result.truth.faultEnd = scenario->endedAt() != kNoTime
+                                ? scenario->endedAt()
+                                : scenario->spec().endTime;
+    result.scenarioEvents = scenario->events();
+  };
+  return runControlNode(spec, model, engine, plane);
+}
+
+/// Live transport: the monitored cluster lives inside asdf_rpcd; the
+/// control node here runs only fpt-core + the RpcClient over real
+/// sockets, pumped by a RealTimeDriver. Monitoring-fault injectors are
+/// a sim-transport concept (there is no fault gate on real attempts)
+/// and are ignored in this mode — live failures are real timeouts and
+/// refused connections.
+ExperimentResult runLiveExperiment(const ExperimentSpec& spec,
+                                   const analysis::BlackBoxModel& model) {
+  net::LiveTransport::Options topts;
+  topts.host = spec.liveHost;
+  topts.port = spec.livePort;
+  topts.timeoutSeconds = spec.rpcPolicy.timeoutSeconds;
+  topts.backoffSeed = spec.seed * 2654435761ULL + 211;
+  net::LiveTransport transport(topts);
+  sim::SimEngine engine;
+
+  Plane plane;
+  plane.collector = &transport;
+  plane.realBackoff = true;
+  plane.recordAs = "live";
+  plane.drive = [&] {
+    core::RealTimeDriver driver(engine, spec.realtimeScale);
+    driver.run(spec.duration / spec.realtimeScale);
+  };
+  // Ground truth comes from the spec (the caller started asdf_rpcd
+  // with the same fault); the daemon reports the observed end time.
+  plane.stats = [&]() -> std::optional<net::ClusterStatsWire> {
+    net::ClusterStatsWire stats;
+    if (transport.fetchStats(spec.duration, stats)) return stats;
+    logWarn("live transport: final kStats fetch failed; cluster-side "
+            "accounting unavailable");
+    return std::nullopt;
+  };
+  return runControlNode(spec, model, engine, plane);
+}
+
+/// Replay transport: no cluster, no daemons — an ArchiveCollector
+/// serves the recorded rounds to the control node's RpcClient, and the
+/// pipeline runs on the sim clock. The module schedule is
+/// deterministic, so every fetch finds its archived record and the run
+/// reproduces the recording run's alarms byte-for-byte.
+ExperimentResult runReplayExperiment(const ExperimentSpec& spec,
+                                     const analysis::BlackBoxModel& model) {
+  archive::ArchiveCollector collector(spec.archiveDir);
+  sim::SimEngine engine;
+
+  Plane plane;
+  plane.collector = &collector;
+  plane.drive = [&] { engine.runUntil(spec.duration); };
   // Ground truth: the recorded run's truth record when the recorder
-  // shut down cleanly, else the meta frame's fault parameters (a
-  // killed recorder still leaves a localizable archive).
-  if (collector.truth().has_value()) {
-    const archive::TruthRecord& truth = *collector.truth();
-    result.truth.slaveIndex = truth.slaveIndex;
-    result.truth.faultStart = truth.faultStart;
-    result.truth.faultEnd = truth.faultEnd;
-    result.jobsSubmitted = truth.jobsSubmitted;
-    result.jobsCompleted = truth.jobsCompleted;
-    result.tasksCompleted = truth.tasksCompleted;
-    result.tasksFailed = truth.tasksFailed;
-    result.speculativeLaunches = truth.speculativeLaunches;
-  } else {
+  // shut down cleanly, else the meta frame's fault parameters (a killed
+  // recorder still leaves a localizable archive).
+  plane.truth = [&](ExperimentResult& result) {
+    if (const std::optional<archive::TruthRecord>& truth = collector.truth()) {
+      result.truth.slaveIndex = truth->slaveIndex;
+      result.truth.faultStart = truth->faultStart;
+      result.truth.faultEnd = truth->faultEnd;
+      result.jobsSubmitted = truth->jobsSubmitted;
+      result.jobsCompleted = truth->jobsCompleted;
+      result.tasksCompleted = truth->tasksCompleted;
+      result.tasksFailed = truth->tasksFailed;
+      result.speculativeLaunches = truth->speculativeLaunches;
+      return;
+    }
     const archive::ArchiveMeta& meta = collector.meta();
     result.truth.slaveIndex =
         meta.faultType == 0 ? -1 : static_cast<int>(meta.faultNode) - 1;
     result.truth.faultStart = meta.faultStart;
     result.truth.faultEnd = meta.faultEnd;
-  }
-  result.simulatedSeconds = spec.duration;
-
-  result.fptCoreCpuPct = 100.0 * fpt.cpuSeconds() / spec.duration;
-  result.fptCoreMemMb =
-      static_cast<double>(fpt.memoryFootprintBytes()) / 1.0e6;
-
-  recordChannelReports(result, client.transports(), spec);
-  result.syncDroppedSeconds = sync.droppedSeconds();
-  recordClientCounters(result, client);
-  return result;
+  };
+  return runControlNode(spec, model, engine, plane);
 }
 
 }  // namespace
@@ -437,145 +542,7 @@ ExperimentResult runExperiment(const ExperimentSpec& spec,
   if (spec.transport == TransportMode::kReplay) {
     return runReplayExperiment(spec, model);
   }
-  sim::SimEngine engine;
-  hadoop::Cluster cluster(hadoopParamsFor(spec), spec.seed * 6151 + 3,
-                          engine);
-  workload::GridMixGenerator gridmix(cluster, gridmixParamsFor(spec),
-                                     spec.seed * 7411 + 1);
-  cluster.start();
-  gridmix.start();
-
-  rpc::RpcHub hub(cluster, /*attachTime=*/0.0);
-  modules::HadoopLogSync sync;
-
-  ExperimentResult result;
-
-  // The fault-tolerant collection layer is opt-in; injecting a
-  // monitoring fault implies it.
-  const bool ftRpc = spec.faultTolerantRpc || !spec.monitoringFaults.empty();
-  std::unique_ptr<rpc::RpcClient> client;
-  if (ftRpc) {
-    client = std::make_unique<rpc::RpcClient>(
-        cluster, hub, spec.rpcPolicy, spec.seed * 2654435761ULL + 97);
-  }
-
-  // Flight recorder: fault-tolerant runs tap the client (round
-  // outcomes included); the plain path taps the hub's daemons.
-  std::unique_ptr<archive::ArchiveWriter> recorder =
-      makeRecorder(spec, "sim");
-  if (recorder != nullptr) {
-    if (client != nullptr) {
-      client->setObserver(recorder.get());
-    } else {
-      hub.setObserver(recorder.get(), [&engine] { return engine.now(); });
-    }
-  }
-
-  core::Environment env;
-  env.provide("rpc", &hub);
-  env.provide("bb_model", const_cast<analysis::BlackBoxModel*>(&model));
-  env.provide("hl_sync", &sync);
-  if (client != nullptr) {
-    env.provide("rpc_client", client.get());
-    env.provide("node_health", &client->health());
-  }
-  // Tiered analysis reduces per group before the root merge; the agg
-  // modules charge the summary traffic to tier-2 channels in the
-  // hub's registry so Table 4 reports bandwidth per tier. (FptCore
-  // copies the environment, so this must precede its construction.)
-  if (spec.tiered) env.provide("transports", &hub.transports());
-  std::mutex eventMutex;
-  wireSinks(env, result, eventMutex);
-
-  core::FptCore fpt(engine, env);
-  fpt.setExecutor(core::makeExecutor(spec.threads));
-  PipelineParams pipeline = spec.pipeline;
-  pipeline.slaves = spec.slaves;
-  if (spec.tiered) pipeline.tierGroups = tierGroupsFor(spec);
-  fpt.configureFromText(buildCombinedConfig(pipeline));
-
-  faults::FaultInjector injector(cluster, spec.fault);
-  injector.arm();
-
-  std::unique_ptr<faults::ScenarioInjector> scenario;
-  if (spec.scenario.cls != faults::ScenarioClass::kNone) {
-    scenario =
-        std::make_unique<faults::ScenarioInjector>(cluster, spec.scenario);
-    scenario->arm();
-  }
-
-  std::vector<std::unique_ptr<faults::MonitoringFaultInjector>> monInjectors;
-  for (const faults::MonitoringFaultSpec& mf : spec.monitoringFaults) {
-    monInjectors.push_back(std::make_unique<faults::MonitoringFaultInjector>(
-        engine, client->faults(), mf));
-    monInjectors.back()->arm();
-  }
-
-  engine.runUntil(spec.duration);
-
-  sortMonitoringEvents(result);
-
-  // Ground truth.
-  result.truth.slaveIndex =
-      spec.fault.type == faults::FaultType::kNone ? -1 : spec.fault.node - 1;
-  result.truth.faultStart = spec.fault.startTime;
-  // A fault can end before the run does (a scheduled endTime, or the
-  // DiskHog completing its 20 GB write); windows after that are
-  // negatives.
-  result.truth.faultEnd =
-      injector.endedAt() != kNoTime ? injector.endedAt() : spec.fault.endTime;
-  if (scenario != nullptr) {
-    result.truth.culprits = scenario->culpritIndices();
-    result.truth.slaveIndex =
-        result.truth.culprits.empty() ? -1 : result.truth.culprits.front();
-    result.truth.faultStart = scenario->spec().startTime;
-    result.truth.faultEnd = scenario->endedAt() != kNoTime
-                                ? scenario->endedAt()
-                                : scenario->spec().endTime;
-    result.scenarioEvents = scenario->events();
-  }
-  result.simulatedSeconds = spec.duration;
-
-  // Table 3 accounting. CPU percentages are of one core, per node for
-  // the daemons (divide by slave count) and for the single control
-  // node for fpt-core, relative to the simulated wall-clock.
-  const double nodeSeconds = spec.duration * spec.slaves;
-  result.sadcRpcdCpuPct = 100.0 * hub.sadcCpuSeconds() / nodeSeconds;
-  result.hadoopLogRpcdCpuPct =
-      100.0 * hub.hadoopLogCpuSeconds() / nodeSeconds;
-  result.straceRpcdCpuPct = 100.0 * hub.straceCpuSeconds() / nodeSeconds;
-  result.fptCoreCpuPct = 100.0 * fpt.cpuSeconds() / spec.duration;
-  result.sadcRpcdMemMb =
-      static_cast<double>(hub.sadcMemoryBytes()) / spec.slaves / 1.0e6;
-  result.hadoopLogRpcdMemMb =
-      static_cast<double>(hub.hadoopLogMemoryBytes()) / spec.slaves / 1.0e6;
-  result.straceRpcdMemMb =
-      static_cast<double>(hub.straceMemoryBytes()) / spec.slaves / 1.0e6;
-  result.fptCoreMemMb =
-      static_cast<double>(fpt.memoryFootprintBytes()) / 1.0e6;
-
-  // Table 4 accounting. Channels that never carried a call (e.g. the
-  // strace extension when its module is not configured) are omitted.
-  recordChannelReports(result, hub.transports(), spec);
-
-  // Cluster health.
-  result.jobsSubmitted = cluster.jobTracker().jobsSubmitted();
-  result.jobsCompleted = cluster.jobTracker().jobsCompleted();
-  for (int i = 1; i <= spec.slaves; ++i) {
-    result.tasksCompleted += cluster.taskTracker(i).completedTasks();
-    result.tasksFailed += cluster.taskTracker(i).failedTasks();
-  }
-  result.speculativeLaunches = cluster.jobTracker().speculativeLaunches();
-  result.syncDroppedSeconds = sync.droppedSeconds();
-
-  if (client != nullptr) {
-    recordClientCounters(result, *client);
-  }
-  if (recorder != nullptr) {
-    recorder->writeTruth(truthFromResult(result));
-    recorder->close();
-  }
-  return result;
+  return runSimExperiment(spec, model);
 }
 
 ExperimentSummary summarize(const ExperimentResult& result) {

@@ -33,12 +33,13 @@ namespace asdf::harness {
 
 /// How the collection plane reaches the monitored cluster.
 ///   kSim    — in-process RpcHub daemons on the simulated clock (the
-///             default; byte-identical to the pre-live-transport runs).
+///             default).
 ///   kLive   — real framed-TCP sockets to an asdf_rpcd daemon; module
 ///             cadence is driven by a RealTimeDriver against wall time.
 ///   kReplay — an ArchiveCollector serving recorded rounds from
 ///             `archiveDir`; the pipeline runs on the sim clock and
 ///             reproduces the recording run's alarms byte-identically.
+/// Every transport collects through one rpc::RpcClient.
 enum class TransportMode : int { kSim = 0, kLive = 1, kReplay = 2 };
 
 struct ExperimentSpec {
@@ -64,10 +65,11 @@ struct ExperimentSpec {
   /// When >= 0, the GridMix mix flips at this time (workload change).
   double mixChangeTime = -1.0;
 
-  /// Routes all daemon fetches through the fault-tolerant RpcClient
-  /// (timeout/retry/breaker, health registry, degraded analysis).
-  /// Implied when monitoringFaults is non-empty. Off by default: the
-  /// legacy infallible path matches the paper's assumptions.
+  /// Gives the collection client the simulated fault gate, so fetches
+  /// can fail (timeout/retry/breaker under monitoring faults and packet
+  /// loss, degraded analysis). Implied when monitoringFaults is
+  /// non-empty. Off by default: without the gate the client never
+  /// fails, matching the paper's infallible collection.
   bool faultTolerantRpc = false;
   rpc::RpcPolicy rpcPolicy;
   std::vector<faults::MonitoringFaultSpec> monitoringFaults;
@@ -155,7 +157,8 @@ struct ExperimentResult {
   // Bandwidth (Table 4).
   std::vector<RpcChannelReport> rpcChannels;
 
-  // Monitoring-plane robustness (faultTolerantRpc runs only).
+  // Monitoring-plane robustness (zero retries and failures unless the
+  // run can fail collections).
   long rpcRounds = 0;
   long rpcRetries = 0;
   long rpcFailedRounds = 0;

@@ -21,15 +21,18 @@
 // are newly available for its node — typically one per poll, one or
 // two iterations behind real time, exactly like the original.
 //
-// Degraded mode: when the environment provides an "rpc_client" service
-// and a fetch round fails (daemon crash, hang, partition, packet loss,
-// open breaker), the module must still feed the sync — a silent node
-// would hold back *every* peer's release forever. It synthesizes rows
-// from the last known state halves (zeros when nothing was ever
-// fetched) for the seconds the daemon should have finalized by now
-// (watermark minus a small finalization lag), so the cross-node
-// release cadence survives a dead collector. Real rows for seconds
-// already synthesized are discarded when the daemon recovers.
+// Polls go through the "rpc_client" service, else the "rpc" hub's own
+// fault-free client, which never fails a round, as in the paper.
+//
+// Degraded mode: when a fetch round fails (daemon crash, hang,
+// partition, packet loss, open breaker), the module must still feed
+// the sync — a silent node would hold back *every* peer's release
+// forever. It synthesizes rows from the last known state halves (zeros
+// when nothing was ever fetched) for the seconds the daemon should
+// have finalized by now (watermark minus a small finalization lag), so
+// the cross-node release cadence survives a dead collector. Real rows
+// for seconds already synthesized are discarded when the daemon
+// recovers.
 #include <map>
 
 #include "common/error.h"
@@ -59,12 +62,10 @@ class HadoopLogModule final : public core::Module {
                         "] hadoop_log requires a 'node' parameter >= 1");
     }
     const double interval = ctx.numParam("interval", 1.0);
-    // Live-transport runs have no in-process hub (see sadc_module).
-    hub_ = ctx.env().get<rpc::RpcHub>("rpc");
+    // Without an "rpc_client", fetch through the hub's fault-free one.
     client_ = ctx.env().get<rpc::RpcClient>("rpc_client");
-    if (hub_ == nullptr && client_ == nullptr) {
-      throw ConfigError("[" + ctx.instanceId() +
-                        "] hadoop_log needs an 'rpc' hub or an 'rpc_client'");
+    if (client_ == nullptr) {
+      client_ = &ctx.env().require<rpc::RpcHub>("rpc").client();
     }
     sync_ = &ctx.env().require<HadoopLogSync>("hl_sync");
     sync_->registerNode(node_);
@@ -80,24 +81,18 @@ class HadoopLogModule final : public core::Module {
 
   void run(core::ModuleContext& ctx, core::RunReason) override {
     const SimTime watermark = ctx.now();
-    rpc::NodeHealth health = rpc::NodeHealth::kHealthy;
-    if (client_ == nullptr) {
-      ingestTt(hub_->hadoopLog(node_).fetchTt(watermark));
-      ingestDn(hub_->hadoopLog(node_).fetchDn(watermark));
+    rpc::NodeHealth health = rpc::NodeHealth::kUnmonitorable;
+    auto tt = client_->fetchTt(node_, watermark, watermark);
+    auto dn = tt.ok ? client_->fetchDn(node_, watermark, watermark)
+                    : decltype(tt){};
+    if (tt.ok && dn.ok) {
+      ingestTt(tt.value);
+      ingestDn(dn.value);
+      health = (tt.retried || dn.retried) ? rpc::NodeHealth::kDegraded
+                                          : rpc::NodeHealth::kHealthy;
     } else {
-      auto tt = client_->fetchTt(node_, watermark, watermark);
-      auto dn = tt.ok ? client_->fetchDn(node_, watermark, watermark)
-                      : decltype(tt){};
-      if (tt.ok && dn.ok) {
-        ingestTt(tt.value);
-        ingestDn(dn.value);
-        health = (tt.retried || dn.retried) ? rpc::NodeHealth::kDegraded
-                                            : rpc::NodeHealth::kHealthy;
-      } else {
-        health = rpc::NodeHealth::kUnmonitorable;
-        synthesizeThrough(static_cast<long>(watermark) -
-                          kSynthesisLagSeconds);
-      }
+      synthesizeThrough(static_cast<long>(watermark) -
+                        kSynthesisLagSeconds);
     }
     for (auto& [second, wb] : sync_->drain(node_)) {
       (void)second;  // Sample time is the write time; the row order is
@@ -186,7 +181,6 @@ class HadoopLogModule final : public core::Module {
   }
 
   NodeId node_ = kInvalidNode;
-  rpc::RpcHub* hub_ = nullptr;
   rpc::RpcClient* client_ = nullptr;
   HadoopLogSync* sync_ = nullptr;
   int out_ = -1;

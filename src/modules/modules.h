@@ -11,14 +11,15 @@
 //
 // Environment services the modules look up:
 //   "rpc"         rpc::RpcHub             — sadc, hadoop_log, strace
+//                                          (without "rpc_client" they
+//                                          fetch through its client)
 //   "bb_model"    analysis::BlackBoxModel — knn, agg_bb
 //   "hl_sync"     modules::HadoopLogSync  — hadoop_log (optional;
 //                                          created implicitly if absent)
-//   "rpc_client"  rpc::RpcClient          — sadc, hadoop_log, strace,
-//                                          agg_bb, agg_wb
-//                                          (optional; enables the
-//                                          fault-tolerant collection
-//                                          path and degraded analysis)
+//   "rpc_client"  rpc::RpcClient          — sadc, hadoop_log, strace
+//                                          (the client they fetch
+//                                          through), agg_bb, agg_wb
+//                                          (optional; per-node health)
 //   "node_health" rpc::NodeHealthRegistry — node_health
 //   "transports"  rpc::TransportRegistry  — agg_bb, agg_wb (optional;
 //                                          Table 4 accounting of the

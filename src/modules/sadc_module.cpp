@@ -10,14 +10,14 @@
 //   health   — monitoring health of the fetch (rpc::NodeHealth code:
 //              0 healthy, 1 degraded/retried, 2 unmonitorable).
 //
-// When the environment provides an "rpc_client" service, fetches go
-// through the fault-tolerant RpcClient: a failed round (daemon crash,
-// hang, partition, packet loss, open breaker) does NOT block the
-// pipeline — the module re-emits the last known vector (zeros when
-// nothing was ever fetched) tagged health=2, so downstream windowing
-// keeps its cadence and the analysis modules can exclude the stale
-// stream. Without the service the fetch is direct and infallible, as
-// in the paper.
+// Fetches go through the "rpc_client" service, else the "rpc" hub's
+// own fault-free client. A failed round (daemon crash, hang,
+// partition, packet loss, open breaker) does NOT block the pipeline —
+// the module re-emits the last known vector (zeros when nothing was
+// ever fetched) tagged health=2, so downstream windowing keeps its
+// cadence and the analysis modules can exclude the stale stream. A
+// fault-free client never fails a round: the paper's infallible
+// collection.
 #include "common/error.h"
 #include "common/strings.h"
 #include "core/module.h"
@@ -37,14 +37,10 @@ class SadcModule final : public core::Module {
                         "] sadc requires a 'node' parameter >= 1");
     }
     const double interval = ctx.numParam("interval", 1.0);
-    // Live-transport runs have no in-process hub — the RpcClient talks
-    // to asdf_rpcd over a socket — so the hub is required only when no
-    // client is available to fetch through.
-    hub_ = ctx.env().get<rpc::RpcHub>("rpc");
+    // Without an "rpc_client", fetch through the hub's fault-free one.
     client_ = ctx.env().get<rpc::RpcClient>("rpc_client");
-    if (hub_ == nullptr && client_ == nullptr) {
-      throw ConfigError("[" + ctx.instanceId() +
-                        "] sadc needs an 'rpc' hub or an 'rpc_client'");
+    if (client_ == nullptr) {
+      client_ = &ctx.env().require<rpc::RpcHub>("rpc").client();
     }
     out_ = ctx.addOutput("output0", strformat("slave%d", node_));
     healthOut_ = ctx.addOutput("health", strformat("slave%d", node_));
@@ -55,18 +51,12 @@ class SadcModule final : public core::Module {
   }
 
   void run(core::ModuleContext& ctx, core::RunReason) override {
-    rpc::NodeHealth health = rpc::NodeHealth::kHealthy;
-    if (client_ == nullptr) {
-      lastKnown_ = metrics::flattenNodeVector(hub_->sadc(node_).fetch());
-    } else {
-      auto fetched = client_->fetchSadc(node_, ctx.now());
-      if (fetched.ok) {
-        lastKnown_ = metrics::flattenNodeVector(fetched.value);
-        health = fetched.retried ? rpc::NodeHealth::kDegraded
-                                 : rpc::NodeHealth::kHealthy;
-      } else {
-        health = rpc::NodeHealth::kUnmonitorable;
-      }
+    rpc::NodeHealth health = rpc::NodeHealth::kUnmonitorable;
+    auto fetched = client_->fetchSadc(node_, ctx.now());
+    if (fetched.ok) {
+      lastKnown_ = metrics::flattenNodeVector(fetched.value);
+      health = fetched.retried ? rpc::NodeHealth::kDegraded
+                               : rpc::NodeHealth::kHealthy;
     }
     if (lastKnown_.empty()) {
       lastKnown_.assign(metrics::kFlatNodeVectorSize, 0.0);
@@ -82,7 +72,6 @@ class SadcModule final : public core::Module {
 
  private:
   NodeId node_ = kInvalidNode;
-  rpc::RpcHub* hub_ = nullptr;
   rpc::RpcClient* client_ = nullptr;
   int out_ = -1;
   int healthOut_ = -1;

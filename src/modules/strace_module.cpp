@@ -37,12 +37,10 @@ class StraceModule final : public core::Module {
     }
     warmup_ = ctx.intParam("warmup", 120);
     scale_ = ctx.numParam("scale", 4.0);
-    // Live-transport runs have no in-process hub (see sadc_module).
-    hub_ = ctx.env().get<rpc::RpcHub>("rpc");
+    // Without an "rpc_client", fetch through the hub's fault-free one.
     client_ = ctx.env().get<rpc::RpcClient>("rpc_client");
-    if (hub_ == nullptr && client_ == nullptr) {
-      throw ConfigError("[" + ctx.instanceId() +
-                        "] strace needs an 'rpc' hub or an 'rpc_client'");
+    if (client_ == nullptr) {
+      client_ = &ctx.env().require<rpc::RpcHub>("rpc").client();
     }
     out_ = ctx.addOutput("output0", strformat("slave%d", node_));
     ctx.requestPeriodic(ctx.numParam("interval", 1.0));
@@ -52,24 +50,18 @@ class StraceModule final : public core::Module {
   }
 
   void run(core::ModuleContext& ctx, core::RunReason) override {
-    syscalls::TraceSecond trace;
-    if (client_ == nullptr) {
-      trace = hub_->strace(node_).fetch();
-    } else {
-      auto fetched = client_->fetchStrace(node_, ctx.now());
-      if (!fetched.ok) {
-        // Keep the stream's cadence for downstream windowing: re-emit
-        // the last known score while the daemon is unreachable (no
-        // score at all during warmup — there is nothing to train on).
-        ++seconds_;
-        if (seconds_ > warmup_) {
-          ctx.write(out_, core::VecBuf{lastScore_});  // inline, no alloc
-        }
-        return;
-      }
-      trace = std::move(fetched.value);
-    }
+    auto fetched = client_->fetchStrace(node_, ctx.now());
     ++seconds_;
+    if (!fetched.ok) {
+      // Keep the stream's cadence for downstream windowing: re-emit
+      // the last known score while the daemon is unreachable (no score
+      // at all during warmup — there is nothing to train on).
+      if (seconds_ > warmup_) {
+        ctx.write(out_, core::VecBuf{lastScore_});  // inline, no alloc
+      }
+      return;
+    }
+    const syscalls::TraceSecond& trace = fetched.value;
     if (seconds_ <= warmup_) {
       model_.train(trace);
       return;
@@ -93,7 +85,6 @@ class StraceModule final : public core::Module {
   double scale_ = 4.0;
   long seconds_ = 0;
   double lastScore_ = 0.0;
-  rpc::RpcHub* hub_ = nullptr;
   rpc::RpcClient* client_ = nullptr;
   syscalls::MarkovModel model_;
   int out_ = -1;

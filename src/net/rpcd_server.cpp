@@ -88,33 +88,39 @@ void RpcdServer::observeSample(rpc::CollectKind kind, NodeId node,
   opts_.observer->onSample(sample);
 }
 
+ClusterStatsWire simClusterStats(hadoop::Cluster& cluster,
+                                 const rpc::RpcHub& hub,
+                                 SimTime faultEndedAt) {
+  ClusterStatsWire stats;
+  stats.simNow = cluster.engine().now();
+  stats.faultEndedAt = faultEndedAt;
+  stats.sadcCpuSeconds = hub.sadcCpuSeconds();
+  stats.hadoopLogCpuSeconds = hub.hadoopLogCpuSeconds();
+  stats.straceCpuSeconds = hub.straceCpuSeconds();
+  stats.sadcMemoryBytes = static_cast<std::int64_t>(hub.sadcMemoryBytes());
+  stats.hadoopLogMemoryBytes =
+      static_cast<std::int64_t>(hub.hadoopLogMemoryBytes());
+  stats.straceMemoryBytes =
+      static_cast<std::int64_t>(hub.straceMemoryBytes());
+  stats.jobsSubmitted = cluster.jobTracker().jobsSubmitted();
+  stats.jobsCompleted = cluster.jobTracker().jobsCompleted();
+  stats.speculativeLaunches = cluster.jobTracker().speculativeLaunches();
+  for (int i = 1; i <= cluster.slaveCount(); ++i) {
+    stats.tasksCompleted += cluster.taskTracker(i).completedTasks();
+    stats.tasksFailed += cluster.taskTracker(i).failedTasks();
+  }
+  return stats;
+}
+
 ClusterStatsWire RpcdServer::snapshotStats(double now) {
   std::lock_guard<std::mutex> lock(stateMutex_);
   advanceTo(now);
-  ClusterStatsWire stats;
   if (engine_ != nullptr) {
-    stats.simNow = engine_->now();
-    stats.faultEndedAt = injector_->endedAt();
-    stats.sadcCpuSeconds = hub_->sadcCpuSeconds();
-    stats.hadoopLogCpuSeconds = hub_->hadoopLogCpuSeconds();
-    stats.straceCpuSeconds = hub_->straceCpuSeconds();
-    stats.sadcMemoryBytes =
-        static_cast<std::int64_t>(hub_->sadcMemoryBytes());
-    stats.hadoopLogMemoryBytes =
-        static_cast<std::int64_t>(hub_->hadoopLogMemoryBytes());
-    stats.straceMemoryBytes =
-        static_cast<std::int64_t>(hub_->straceMemoryBytes());
-    stats.jobsSubmitted = cluster_->jobTracker().jobsSubmitted();
-    stats.jobsCompleted = cluster_->jobTracker().jobsCompleted();
-    stats.speculativeLaunches = cluster_->jobTracker().speculativeLaunches();
-    for (int i = 1; i <= opts_.slaves; ++i) {
-      stats.tasksCompleted += cluster_->taskTracker(i).completedTasks();
-      stats.tasksFailed += cluster_->taskTracker(i).failedTasks();
-    }
-  } else {
-    stats.simNow = now;
-    stats.faultEndedAt = kNoTime;
+    return simClusterStats(*cluster_, *hub_, injector_->endedAt());
   }
+  ClusterStatsWire stats;
+  stats.simNow = now;
+  stats.faultEndedAt = kNoTime;
   return stats;
 }
 
@@ -163,7 +169,8 @@ void RpcdServer::handleFrame(TcpServer::Connection& conn,
         std::lock_guard<std::mutex> lock(stateMutex_);
         if (engine_ != nullptr) {
           advanceTo(now);
-          snap = hub_->sadc(node).fetch();
+          std::size_t bytes = 0;
+          snap = hub_->sadc(node).fetch(bytes);
         } else {
           snap = proc_->collect(node, now);
         }
@@ -190,8 +197,9 @@ void RpcdServer::handleFrame(TcpServer::Connection& conn,
         std::lock_guard<std::mutex> lock(stateMutex_);
         if (engine_ != nullptr) {
           advanceTo(now);
-          rows = tt ? hub_->hadoopLog(node).fetchTt(watermark)
-                    : hub_->hadoopLog(node).fetchDn(watermark);
+          std::size_t bytes = 0;
+          rows = tt ? hub_->hadoopLog(node).fetchTt(watermark, bytes)
+                    : hub_->hadoopLog(node).fetchDn(watermark, bytes);
         } else {
           rows = tt ? proc_->fetchTt(node, watermark)
                     : proc_->fetchDn(node, watermark);
@@ -220,7 +228,8 @@ void RpcdServer::handleFrame(TcpServer::Connection& conn,
       {
         std::lock_guard<std::mutex> lock(stateMutex_);
         advanceTo(now);
-        const syscalls::TraceSecond trace = hub_->strace(node).fetch();
+        std::size_t bytes = 0;
+        const syscalls::TraceSecond trace = hub_->strace(node).fetch(bytes);
         rpc::encodeTrace(enc, trace);
         observeSample(rpc::CollectKind::kStrace, node, now, kNoTime, enc);
       }

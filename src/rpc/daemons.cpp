@@ -14,38 +14,16 @@ void chargeNode(hadoop::Node& node, double cpuSeconds, double txBytes) {
   node.addNetRx(kCollectRequestBytes);
 }
 
-// Hands the encoded response to the flight recorder, timestamped by
-// the tap's clock. Hub-path fetches are infallible single attempts.
-void emitTap(const CollectionTap* tap, CollectKind kind, NodeId node,
-             SimTime watermark, const Encoder& enc) {
-  if (tap == nullptr || tap->observer == nullptr) return;
-  CollectSample sample;
-  sample.kind = kind;
-  sample.node = node;
-  sample.now = tap->clock ? tap->clock() : kNoTime;
-  sample.watermark = watermark;
-  sample.attempts = 1;
-  sample.ok = true;
-  sample.payload = enc.bytes().data();
-  sample.payloadSize = enc.size();
-  tap->observer->onSample(sample);
-}
-
 }  // namespace
 
-SadcDaemon::SadcDaemon(hadoop::Node& node, TransportRegistry& transports)
-    : node_(node), channel_(transports.channel("sadc-tcp")) {
-  channel_.recordConnect();
-}
+SadcDaemon::SadcDaemon(hadoop::Node& node) : node_(node) {}
 
-metrics::SadcSnapshot SadcDaemon::fetch() {
+metrics::SadcSnapshot SadcDaemon::fetch(std::size_t& responseBytes) {
   CpuMeter::Scope scope(cpu_);
-  ++calls_;
   Encoder enc;
   encodeSnapshot(enc, node_.sadcCollect());
-  channel_.recordCall(kCollectRequestBytes, enc.size());
+  responseBytes = enc.size();
   chargeNode(node_, 2.0e-5, static_cast<double>(enc.size()));
-  emitTap(tap_, CollectKind::kSadc, node_.id(), kNoTime, enc);
   Decoder dec(enc.bytes());
   return decodeSnapshot(dec);
 }
@@ -60,48 +38,37 @@ std::size_t SadcDaemon::memoryFootprintBytes() const {
          4096 /* /proc scratch */;
 }
 
-HadoopLogDaemon::HadoopLogDaemon(hadoop::Node& node,
-                                 TransportRegistry& transports,
-                                 SimTime attachTime)
-    : node_(node),
-      ttChannel_(transports.channel("hl-tt-tcp")),
-      dnChannel_(transports.channel("hl-dn-tcp")) {
-  ttChannel_.recordConnect();
-  dnChannel_.recordConnect();
+HadoopLogDaemon::HadoopLogDaemon(hadoop::Node& node, SimTime attachTime)
+    : node_(node) {
   ttParser_.startAt(static_cast<long>(attachTime));
   dnParser_.startAt(static_cast<long>(attachTime));
 }
 
 std::vector<hadooplog::StateSample> HadoopLogDaemon::roundTrip(
-    RpcChannelStats& channel, CollectKind kind, SimTime watermark,
-    const std::vector<hadooplog::StateSample>& samples) {
+    const std::vector<hadooplog::StateSample>& samples,
+    std::size_t& responseBytes) {
   Encoder enc;
   encodeSamples(enc, samples);
-  channel.recordCall(kCollectRequestBytes, enc.size());
+  responseBytes = enc.size();
   chargeNode(node_, 1.0e-5, static_cast<double>(enc.size()));
-  emitTap(tap_, kind, node_.id(), watermark, enc);
   Decoder dec(enc.bytes());
   return decodeSamples(dec);
 }
 
 std::vector<hadooplog::StateSample> HadoopLogDaemon::fetchTt(
-    SimTime watermark) {
+    SimTime watermark, std::size_t& responseBytes) {
   CpuMeter::Scope scope(cpu_);
-  ++calls_;
   ttParser_.consume(node_.ttLog().linesFrom(ttCursor_));
   ttCursor_ = node_.ttLog().lineCount();
-  return roundTrip(ttChannel_, CollectKind::kTt, watermark,
-                   ttParser_.poll(watermark));
+  return roundTrip(ttParser_.poll(watermark), responseBytes);
 }
 
 std::vector<hadooplog::StateSample> HadoopLogDaemon::fetchDn(
-    SimTime watermark) {
+    SimTime watermark, std::size_t& responseBytes) {
   CpuMeter::Scope scope(cpu_);
-  ++calls_;
   dnParser_.consume(node_.dnLog().linesFrom(dnCursor_));
   dnCursor_ = node_.dnLog().lineCount();
-  return roundTrip(dnChannel_, CollectKind::kDn, watermark,
-                   dnParser_.poll(watermark));
+  return roundTrip(dnParser_.poll(watermark), responseBytes);
 }
 
 std::size_t HadoopLogDaemon::memoryFootprintBytes() const {
@@ -111,26 +78,14 @@ std::size_t HadoopLogDaemon::memoryFootprintBytes() const {
          dnParser_.openTransferCount() * 96 + 4096 /* line scratch */;
 }
 
-StraceDaemon::StraceDaemon(hadoop::Node& node,
-                           TransportRegistry& transports)
-    : node_(node), channel_(transports.channel("strace-tcp")) {
-  channel_.recordConnect();
-}
+StraceDaemon::StraceDaemon(hadoop::Node& node) : node_(node) {}
 
-syscalls::TraceSecond StraceDaemon::fetch() {
+syscalls::TraceSecond StraceDaemon::fetch(std::size_t& responseBytes) {
   CpuMeter::Scope scope(cpu_);
-  ++calls_;
   const syscalls::TraceSecond& trace = node_.lastSyscallTrace();
   // Wire format: one byte per event plus a length prefix.
-  channel_.recordCall(kCollectRequestBytes, 4 + trace.size());
+  responseBytes = 4 + trace.size();
   chargeNode(node_, 1.0e-5, static_cast<double>(trace.size()) + 4.0);
-  if (tap_ != nullptr && tap_->observer != nullptr) {
-    // The sim path skips marshalling (accounting uses the 4 + size
-    // convention); the recorder still needs real payload bytes.
-    Encoder enc;
-    encodeTrace(enc, trace);
-    emitTap(tap_, CollectKind::kStrace, node_.id(), kNoTime, enc);
-  }
   return trace;
 }
 
@@ -143,24 +98,13 @@ std::size_t StraceDaemon::memoryFootprintBytes() const {
 
 RpcHub::RpcHub(hadoop::Cluster& cluster, SimTime attachTime) {
   for (hadoop::Node* node : cluster.slaveNodes()) {
-    sadcDaemons_.emplace(node->id(),
-                         std::make_unique<SadcDaemon>(*node, transports_));
-    logDaemons_.emplace(node->id(), std::make_unique<HadoopLogDaemon>(
-                                        *node, transports_, attachTime));
-    straceDaemons_.emplace(node->id(),
-                           std::make_unique<StraceDaemon>(*node,
-                                                          transports_));
+    sadcDaemons_.emplace(node->id(), std::make_unique<SadcDaemon>(*node));
+    logDaemons_.emplace(node->id(),
+                        std::make_unique<HadoopLogDaemon>(*node, attachTime));
+    straceDaemons_.emplace(node->id(), std::make_unique<StraceDaemon>(*node));
   }
-}
-
-void RpcHub::setObserver(CollectionObserver* observer,
-                         std::function<SimTime()> clock) {
-  tap_.observer = observer;
-  tap_.clock = std::move(clock);
-  const CollectionTap* tap = observer == nullptr ? nullptr : &tap_;
-  for (auto& [id, d] : sadcDaemons_) d->setTap(tap);
-  for (auto& [id, d] : logDaemons_) d->setTap(tap);
-  for (auto& [id, d] : straceDaemons_) d->setTap(tap);
+  client_ = std::make_unique<RpcClient>(*this, RpcPolicy{}, /*seed=*/0,
+                                        /*realBackoff=*/false);
 }
 
 SadcDaemon& RpcHub::sadc(NodeId node) { return *sadcDaemons_.at(node); }
@@ -171,6 +115,34 @@ HadoopLogDaemon& RpcHub::hadoopLog(NodeId node) {
 
 StraceDaemon& RpcHub::strace(NodeId node) {
   return *straceDaemons_.at(node);
+}
+
+int RpcHub::slaves() const { return static_cast<int>(sadcDaemons_.size()); }
+
+bool RpcHub::fetchSadc(NodeId node, SimTime, metrics::SadcSnapshot& out,
+                       std::size_t& responseBytes) {
+  out = sadc(node).fetch(responseBytes);
+  return true;
+}
+
+bool RpcHub::fetchTt(NodeId node, SimTime, SimTime watermark,
+                     std::vector<hadooplog::StateSample>& out,
+                     std::size_t& responseBytes) {
+  out = hadoopLog(node).fetchTt(watermark, responseBytes);
+  return true;
+}
+
+bool RpcHub::fetchDn(NodeId node, SimTime, SimTime watermark,
+                     std::vector<hadooplog::StateSample>& out,
+                     std::size_t& responseBytes) {
+  out = hadoopLog(node).fetchDn(watermark, responseBytes);
+  return true;
+}
+
+bool RpcHub::fetchStrace(NodeId node, SimTime, syscalls::TraceSecond& out,
+                         std::size_t& responseBytes) {
+  out = strace(node).fetch(responseBytes);
+  return true;
 }
 
 double RpcHub::sadcCpuSeconds() const {

@@ -6,11 +6,17 @@
 // wraps the log-parser library and returns the per-second Hadoop state
 // vectors derived from the TaskTracker and DataNode logs.
 //
-// Every fetch round-trips its payload through the wire codec (bytes
-// recorded per channel for Table 4), charges the host node a sliver of
-// CPU and network (the monitoring perturbation the paper measures in
-// Table 3), and accumulates the real CPU time this process spent
-// executing daemon code, which the Table 3 bench reports.
+// Every fetch round-trips its payload through the wire codec and
+// reports the marshalled size (Table 4 bytes, charged by the client),
+// charges the host node a sliver of CPU and network (the monitoring
+// perturbation the paper measures in Table 3), and accumulates the real
+// CPU time this process spent executing daemon code, which the Table 3
+// bench reports.
+//
+// RpcHub serves the daemons as an rpc::LiveCollector, so sim runs
+// collect through the same RpcClient loop as live and replay runs. A
+// hub also owns a fault-free client of its own — the paper's infallible
+// collection — for pipelines that provide only the "rpc" service.
 #pragma once
 
 #include <map>
@@ -22,111 +28,111 @@
 #include "hadoop/cluster.h"
 #include "hadooplog/parser.h"
 #include "metrics/os_model.h"
-#include "rpc/collection_tap.h"
+#include "rpc/live_collector.h"
+#include "rpc/rpc_client.h"
 #include "rpc/transport.h"
 
 namespace asdf::rpc {
 
 class SadcDaemon {
  public:
-  SadcDaemon(hadoop::Node& node, TransportRegistry& transports);
+  explicit SadcDaemon(hadoop::Node& node);
 
   /// One collection iteration: serialize the node's current snapshot,
-  /// account the bytes, decode and return it.
-  metrics::SadcSnapshot fetch();
-
-  /// Flight-recorder tap (RpcHub::setObserver); may be null.
-  void setTap(const CollectionTap* tap) { tap_ = tap; }
+  /// decode and return it. `responseBytes` is the marshalled size.
+  metrics::SadcSnapshot fetch(std::size_t& responseBytes);
 
   double cpuSeconds() const { return cpu_.seconds(); }
   std::size_t memoryFootprintBytes() const;
-  long calls() const { return calls_; }
 
  private:
   hadoop::Node& node_;
-  RpcChannelStats& channel_;
-  const CollectionTap* tap_ = nullptr;
   CpuMeter cpu_;
-  long calls_ = 0;
 };
 
 class HadoopLogDaemon {
  public:
   /// `attachTime` anchors the parsers' clocks (zero vectors are
   /// reported for quiet seconds from that point on).
-  HadoopLogDaemon(hadoop::Node& node, TransportRegistry& transports,
-                  SimTime attachTime);
+  HadoopLogDaemon(hadoop::Node& node, SimTime attachTime);
 
   /// Parses any new TaskTracker log lines and returns the finalized
   /// per-second TaskTracker state vectors.
-  std::vector<hadooplog::StateSample> fetchTt(SimTime watermark);
+  std::vector<hadooplog::StateSample> fetchTt(SimTime watermark,
+                                              std::size_t& responseBytes);
 
   /// Same for the DataNode log.
-  std::vector<hadooplog::StateSample> fetchDn(SimTime watermark);
-
-  void setTap(const CollectionTap* tap) { tap_ = tap; }
+  std::vector<hadooplog::StateSample> fetchDn(SimTime watermark,
+                                              std::size_t& responseBytes);
 
   double cpuSeconds() const { return cpu_.seconds(); }
   std::size_t memoryFootprintBytes() const;
-  long calls() const { return calls_; }
 
  private:
   std::vector<hadooplog::StateSample> roundTrip(
-      RpcChannelStats& channel, CollectKind kind, SimTime watermark,
-      const std::vector<hadooplog::StateSample>& samples);
+      const std::vector<hadooplog::StateSample>& samples,
+      std::size_t& responseBytes);
 
   hadoop::Node& node_;
-  RpcChannelStats& ttChannel_;
-  RpcChannelStats& dnChannel_;
-  const CollectionTap* tap_ = nullptr;
   hadooplog::TtLogParser ttParser_;
   hadooplog::DnLogParser dnParser_;
   std::size_t ttCursor_ = 0;
   std::size_t dnCursor_ = 0;
   CpuMeter cpu_;
-  long calls_ = 0;
 };
 
 /// strace_rpcd (Section 5 extension): ships the node's per-second
 /// syscall trace to the control node.
 class StraceDaemon {
  public:
-  StraceDaemon(hadoop::Node& node, TransportRegistry& transports);
+  explicit StraceDaemon(hadoop::Node& node);
 
-  /// Returns the most recent tick's syscall trace.
-  syscalls::TraceSecond fetch();
-
-  void setTap(const CollectionTap* tap) { tap_ = tap; }
+  /// Returns the most recent tick's syscall trace. The wire format is
+  /// one byte per event plus a length prefix (`responseBytes`).
+  syscalls::TraceSecond fetch(std::size_t& responseBytes);
 
   double cpuSeconds() const { return cpu_.seconds(); }
   std::size_t memoryFootprintBytes() const;
-  long calls() const { return calls_; }
 
  private:
   hadoop::Node& node_;
-  RpcChannelStats& channel_;
-  const CollectionTap* tap_ = nullptr;
   CpuMeter cpu_;
-  long calls_ = 0;
 };
 
 /// One hub per monitored cluster: owns the per-node daemons, like the
 /// boot-time daemon start-up the paper requires on all monitored nodes.
-class RpcHub {
+/// As a collector every call is one attempt that always succeeds;
+/// failures are injected by the fault gate of a client given the
+/// simulated Cluster.
+class RpcHub final : public LiveCollector {
  public:
   RpcHub(hadoop::Cluster& cluster, SimTime attachTime);
+  // The hub's own client refers back to it.
+  RpcHub(const RpcHub&) = delete;
+  RpcHub& operator=(const RpcHub&) = delete;
 
   SadcDaemon& sadc(NodeId node);
   HadoopLogDaemon& hadoopLog(NodeId node);
   StraceDaemon& strace(NodeId node);
-  TransportRegistry& transports() { return transports_; }
 
-  /// Attaches a flight-recorder observer to every daemon. `clock`
-  /// timestamps the samples (pass the engine's now()). Null observer
-  /// detaches. Plain-sim archive recording taps here; fault-tolerant
-  /// runs tap RpcClient instead so round outcomes are captured too.
-  void setObserver(CollectionObserver* observer,
-                   std::function<SimTime()> clock);
+  int slaves() const override;
+  bool fetchSadc(NodeId node, SimTime now, metrics::SadcSnapshot& out,
+                 std::size_t& responseBytes) override;
+  bool fetchTt(NodeId node, SimTime now, SimTime watermark,
+               std::vector<hadooplog::StateSample>& out,
+               std::size_t& responseBytes) override;
+  bool fetchDn(NodeId node, SimTime now, SimTime watermark,
+               std::vector<hadooplog::StateSample>& out,
+               std::size_t& responseBytes) override;
+  bool fetchStrace(NodeId node, SimTime now, syscalls::TraceSecond& out,
+                   std::size_t& responseBytes) override;
+
+  /// The hub's own fault-free client (default policy, no fault gate):
+  /// collector modules fall back to it when the environment provides
+  /// no "rpc_client".
+  RpcClient& client() { return *client_; }
+  /// Per-channel accounting of the hub's own client.
+  TransportRegistry& transports() { return client_->transports(); }
 
   /// Aggregate daemon CPU seconds (Table 3).
   double sadcCpuSeconds() const;
@@ -137,11 +143,10 @@ class RpcHub {
   std::size_t straceMemoryBytes() const;
 
  private:
-  TransportRegistry transports_;
-  CollectionTap tap_;
   std::map<NodeId, std::unique_ptr<SadcDaemon>> sadcDaemons_;
   std::map<NodeId, std::unique_ptr<HadoopLogDaemon>> logDaemons_;
   std::map<NodeId, std::unique_ptr<StraceDaemon>> straceDaemons_;
+  std::unique_ptr<RpcClient> client_;
 };
 
 }  // namespace asdf::rpc

@@ -1,12 +1,13 @@
-// Abstract socket backend for RpcClient's live mode.
+// The collection backend RpcClient fetches through.
 //
-// The rpc layer cannot depend on src/net/ (net already depends on rpc
-// for the wire codec), so the live transport is injected through this
-// interface: net::LiveTransport implements it over real framed TCP to
-// an asdf_rpcd daemon. Each call is one *attempt* — it either returns
-// the decoded value within the transport's timeout or reports failure;
-// retries, backoff, circuit breaking, health bookkeeping and byte
-// accounting all stay in RpcClient, identical to the simulated path.
+// Every transport implements this interface: the in-process RpcHub
+// (sim runs), net::LiveTransport over real framed TCP to an asdf_rpcd
+// daemon (the rpc layer cannot depend on src/net/, which already
+// depends on rpc for the wire codec), net::FanoutCollector, and
+// archive::ArchiveCollector (replay). Each call is one *attempt* — it
+// either returns the decoded value within the transport's timeout or
+// reports failure; retries, backoff, circuit breaking, health
+// bookkeeping and byte accounting all stay in RpcClient's single loop.
 #pragma once
 
 #include <cstddef>
@@ -23,13 +24,13 @@ class LiveCollector {
  public:
   virtual ~LiveCollector() = default;
 
-  /// Slave count the connected daemon serves (from the handshake).
+  /// Slave count the collector serves (nodes 1..slaves()).
   virtual int slaves() const = 0;
 
   /// One attempt each. On success fills `out` and sets `responseBytes`
-  /// to the response payload size as marshalled on the wire — the same
-  /// quantity the simulated daemons feed to RpcChannelStats, so Table 4
-  /// totals agree between transports.
+  /// to the response payload size as marshalled on the wire, which
+  /// RpcClient charges to the channel — so Table 4 totals agree
+  /// between transports.
   virtual bool fetchSadc(NodeId node, SimTime now,
                          metrics::SadcSnapshot& out,
                          std::size_t& responseBytes) = 0;

@@ -14,6 +14,13 @@ namespace {
 // without limit; the determinism tests only need the early schedule.
 constexpr std::size_t kMaxLoggedAttempts = 65536;
 
+// Channel names (Table 4's RPC types) and target daemons by
+// CollectKind.
+constexpr const char* kChannelNames[kCollectKindCount] = {
+    "sadc-tcp", "hl-tt-tcp", "hl-dn-tcp", "strace-tcp"};
+constexpr Daemon kDaemonOf[kCollectKindCount] = {
+    Daemon::kSadc, Daemon::kHadoopLog, Daemon::kHadoopLog, Daemon::kStrace};
+
 std::uint64_t mixSeed(std::uint64_t seed, NodeId node) {
   return seed + 0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(node + 1);
 }
@@ -195,29 +202,24 @@ std::vector<NodeId> NodeHealthRegistry::nodes() const {
 // ---------------------------------------------------------------------------
 // RpcClient
 
-RpcClient::RpcClient(hadoop::Cluster& cluster, RpcHub& hub, RpcPolicy policy,
-                     std::uint64_t seed)
-    : cluster_(&cluster), hub_(&hub), policy_(policy) {
-  for (hadoop::Node* node : cluster.slaveNodes()) {
-    states_.emplace(node->id(),
-                    NodeState(mixSeed(seed, node->id()), policy_));
-    registry_.registerNode(node->id());
+RpcClient::RpcClient(LiveCollector& collector, RpcPolicy policy,
+                     std::uint64_t seed, bool realBackoff)
+    : collector_(collector), realBackoff_(realBackoff), policy_(policy) {
+  for (int k = 0; k < kCollectKindCount; ++k) {
+    channels_[k] = &transports_.channel(kChannelNames[k]);
+  }
+  for (NodeId node = 1; node <= collector.slaves(); ++node) {
+    states_.emplace(node, NodeState(mixSeed(seed, node), policy_));
+    registry_.registerNode(node);
+    // One connection per node per channel (Table 4 static overhead).
+    for (RpcChannelStats* channel : channels_) channel->recordConnect();
   }
 }
 
-RpcClient::RpcClient(LiveCollector& live, RpcPolicy policy,
-                     std::uint64_t seed, bool realBackoff)
-    : live_(&live), realBackoff_(realBackoff), policy_(policy) {
-  for (NodeId node = 1; node <= live.slaves(); ++node) {
-    states_.emplace(node, NodeState(mixSeed(seed, node), policy_));
-    registry_.registerNode(node);
-    // One logical connection per node per channel, mirroring RpcHub's
-    // per-daemon connects so static-overhead accounting matches.
-    liveTransports_.channel("sadc-tcp").recordConnect();
-    liveTransports_.channel("hl-tt-tcp").recordConnect();
-    liveTransports_.channel("hl-dn-tcp").recordConnect();
-    liveTransports_.channel("strace-tcp").recordConnect();
-  }
+RpcClient::RpcClient(hadoop::Cluster& cluster, LiveCollector& collector,
+                     RpcPolicy policy, std::uint64_t seed)
+    : RpcClient(collector, policy, seed, /*realBackoff=*/false) {
+  cluster_ = &cluster;
 }
 
 RpcClient::NodeState& RpcClient::state(NodeId node) {
@@ -257,81 +259,36 @@ bool RpcClient::attemptSucceeds(NodeState& st, NodeId node, Daemon d,
   return true;
 }
 
-RpcClient::RoundOutcome RpcClient::round(NodeId node, Daemon d,
-                                         const std::string& channelName,
-                                         SimTime now) {
+template <typename T, typename Attempt>
+void RpcClient::round(NodeId node, CollectKind kind, SimTime now,
+                      Fetched<T>& out, Attempt&& attempt) {
+  const Daemon d = kDaemonOf[static_cast<int>(kind)];
   NodeState& st = state(node);
   ++st.rounds;
-  RoundOutcome out;
 
   if (!st.breaker.allowRound(now)) {
     ++st.fastFails;
     ++st.failedRounds;
     registry_.markFailure(node, d, now);
-    return out;  // attempts == 0: never touched the wire
+    return;  // attempts == 0: never touched the wire
   }
   // A HALF_OPEN breaker sends exactly one probe; retrying a probe would
   // defeat the point of easing back in.
   const bool probing = st.breaker.state(now) == CircuitBreaker::State::kHalfOpen;
   const int maxAttempts = probing ? 1 : 1 + policy_.maxRetries;
 
-  RpcChannelStats& channel = hub_->transports().channel(channelName);
+  RpcChannelStats& channel = *channels_[static_cast<int>(kind)];
   SimTime t = now;
-  for (int attempt = 0; attempt < maxAttempts; ++attempt) {
-    double cost = 0.0;
-    const bool ok = attemptSucceeds(st, node, d, cost);
-    if (st.log.size() < kMaxLoggedAttempts) {
-      st.log.push_back(AttemptRecord{t, d, attempt, ok});
-    }
-    out.attempts = attempt + 1;
-    if (ok) {
-      out.ok = true;
-      out.retried = attempt > 0;
-      st.retries += attempt;
-      st.breaker.onRoundSuccess(now);
-      registry_.markSuccess(node, d, now, out.retried);
-      return out;
-    }
-    channel.recordFailedCall(kCollectRequestBytes);
-    t += cost;
-    if (attempt + 1 < maxAttempts) {
-      const double backoff = std::min(
-          policy_.backoffMax, policy_.backoffBase * std::pow(2.0, attempt));
-      const double jitter =
-          1.0 + policy_.jitterFrac * (2.0 * st.rng.uniform() - 1.0);
-      t += backoff * jitter;
-    }
-  }
-  st.retries += maxAttempts - 1;
-  ++st.failedRounds;
-  st.breaker.onRoundFailure(now);
-  registry_.markFailure(node, d, now);
-  return out;
-}
-
-RpcClient::RoundOutcome RpcClient::liveRound(
-    NodeId node, Daemon d, const std::string& channelName, SimTime now,
-    const std::function<bool(std::size_t&)>& attempt) {
-  NodeState& st = state(node);
-  ++st.rounds;
-  RoundOutcome out;
-
-  if (!st.breaker.allowRound(now)) {
-    ++st.fastFails;
-    ++st.failedRounds;
-    registry_.markFailure(node, d, now);
-    return out;  // attempts == 0: never touched the wire
-  }
-  const bool probing =
-      st.breaker.state(now) == CircuitBreaker::State::kHalfOpen;
-  const int maxAttempts = probing ? 1 : 1 + policy_.maxRetries;
-
-  RpcChannelStats& channel = liveTransports_.channel(channelName);
   for (int i = 0; i < maxAttempts; ++i) {
+    // The fault gate draws first (its loss draw precedes any jitter
+    // draw); an attempt it passes goes to the collector.
+    double cost = 0.0;
     std::size_t responseBytes = 0;
-    const bool ok = attempt(responseBytes);
+    const bool ok =
+        (cluster_ == nullptr || attemptSucceeds(st, node, d, cost)) &&
+        attempt(responseBytes);
     if (st.log.size() < kMaxLoggedAttempts) {
-      st.log.push_back(AttemptRecord{now, d, i, ok});
+      st.log.push_back(AttemptRecord{t, d, i, ok});
     }
     out.attempts = i + 1;
     if (ok) {
@@ -341,135 +298,95 @@ RpcClient::RoundOutcome RpcClient::liveRound(
       st.breaker.onRoundSuccess(now);
       registry_.markSuccess(node, d, now, out.retried);
       channel.recordCall(kCollectRequestBytes, responseBytes);
-      return out;
+      return;
     }
     // A failed attempt still put the request (+ framing overhead) on
-    // the wire — charge it exactly like the simulated path.
+    // the wire.
     channel.recordFailedCall(kCollectRequestBytes);
-    if (realBackoff_ && i + 1 < maxAttempts) {
-      const double backoff = std::min(
-          policy_.backoffMax, policy_.backoffBase * std::pow(2.0, i));
-      const double jitter =
-          1.0 + policy_.jitterFrac * (2.0 * st.rng.uniform() - 1.0);
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(backoff * jitter));
+    t += cost;
+    if (i + 1 < maxAttempts) {
+      const double backoff =
+          std::min(policy_.backoffMax,
+                   policy_.backoffBase * std::pow(2.0, i)) *
+          (1.0 + policy_.jitterFrac * (2.0 * st.rng.uniform() - 1.0));
+      t += backoff;
+      if (realBackoff_) {
+        std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
+      }
     }
   }
   st.retries += maxAttempts - 1;
   ++st.failedRounds;
   st.breaker.onRoundFailure(now);
   registry_.markFailure(node, d, now);
-  return out;
 }
 
-void RpcClient::emitSample(CollectKind kind, NodeId node, SimTime now,
-                           SimTime watermark, const RoundOutcome& r,
-                           const std::function<void(Encoder&)>& encode) {
-  if (observer_ == nullptr) return;
-  Encoder enc;
-  if (r.ok) encode(enc);
-  CollectSample sample;
-  sample.kind = kind;
-  sample.node = node;
-  sample.now = now;
-  sample.watermark = watermark;
-  sample.attempts = r.attempts;
-  sample.ok = r.ok;
-  sample.payload = enc.bytes().data();
-  sample.payloadSize = enc.size();
-  observer_->onSample(sample);
+template <typename T, typename Call, typename Encode>
+Fetched<T> RpcClient::fetch(NodeId node, CollectKind kind, SimTime now,
+                            SimTime watermark, Call&& call,
+                            Encode&& encode) {
+  Fetched<T> out;
+  round(node, kind, now, out,
+        [&](std::size_t& bytes) { return call(out.value, bytes); });
+  if (observer_ != nullptr) {
+    Encoder enc;
+    if (out.ok) encode(enc, out.value);
+    CollectSample sample;
+    sample.kind = kind;
+    sample.node = node;
+    sample.now = now;
+    sample.watermark = watermark;
+    sample.attempts = out.attempts;
+    sample.ok = out.ok;
+    sample.payload = enc.bytes().data();
+    sample.payloadSize = enc.size();
+    observer_->onSample(sample);
+  }
+  return out;
 }
 
 Fetched<metrics::SadcSnapshot> RpcClient::fetchSadc(NodeId node,
                                                     SimTime now) {
-  Fetched<metrics::SadcSnapshot> out;
-  RoundOutcome r;
-  if (live_ != nullptr) {
-    r = liveRound(node, Daemon::kSadc, "sadc-tcp", now,
-                  [&](std::size_t& bytes) {
-                    return live_->fetchSadc(node, now, out.value, bytes);
-                  });
-  } else {
-    r = round(node, Daemon::kSadc, "sadc-tcp", now);
-    if (r.ok) out.value = hub_->sadc(node).fetch();
-  }
-  emitSample(CollectKind::kSadc, node, now, kNoTime, r,
-             [&](Encoder& enc) { encodeSnapshot(enc, out.value); });
-  out.ok = r.ok;
-  out.retried = r.retried;
-  out.attempts = r.attempts;
-  return out;
+  return fetch<metrics::SadcSnapshot>(
+      node, CollectKind::kSadc, now, kNoTime,
+      [&](metrics::SadcSnapshot& value, std::size_t& bytes) {
+        return collector_.fetchSadc(node, now, value, bytes);
+      },
+      encodeSnapshot);
 }
 
 Fetched<std::vector<hadooplog::StateSample>> RpcClient::fetchTt(
     NodeId node, SimTime now, SimTime watermark) {
-  Fetched<std::vector<hadooplog::StateSample>> out;
-  RoundOutcome r;
-  if (live_ != nullptr) {
-    r = liveRound(node, Daemon::kHadoopLog, "hl-tt-tcp", now,
-                  [&](std::size_t& bytes) {
-                    return live_->fetchTt(node, now, watermark, out.value,
-                                          bytes);
-                  });
-  } else {
-    r = round(node, Daemon::kHadoopLog, "hl-tt-tcp", now);
-    if (r.ok) out.value = hub_->hadoopLog(node).fetchTt(watermark);
-  }
-  emitSample(CollectKind::kTt, node, now, watermark, r,
-             [&](Encoder& enc) { encodeSamples(enc, out.value); });
-  out.ok = r.ok;
-  out.retried = r.retried;
-  out.attempts = r.attempts;
-  return out;
+  return fetch<std::vector<hadooplog::StateSample>>(
+      node, CollectKind::kTt, now, watermark,
+      [&](std::vector<hadooplog::StateSample>& value, std::size_t& bytes) {
+        return collector_.fetchTt(node, now, watermark, value, bytes);
+      },
+      encodeSamples);
 }
 
 Fetched<std::vector<hadooplog::StateSample>> RpcClient::fetchDn(
     NodeId node, SimTime now, SimTime watermark) {
-  Fetched<std::vector<hadooplog::StateSample>> out;
-  RoundOutcome r;
-  if (live_ != nullptr) {
-    r = liveRound(node, Daemon::kHadoopLog, "hl-dn-tcp", now,
-                  [&](std::size_t& bytes) {
-                    return live_->fetchDn(node, now, watermark, out.value,
-                                          bytes);
-                  });
-  } else {
-    r = round(node, Daemon::kHadoopLog, "hl-dn-tcp", now);
-    if (r.ok) out.value = hub_->hadoopLog(node).fetchDn(watermark);
-  }
-  emitSample(CollectKind::kDn, node, now, watermark, r,
-             [&](Encoder& enc) { encodeSamples(enc, out.value); });
-  out.ok = r.ok;
-  out.retried = r.retried;
-  out.attempts = r.attempts;
-  return out;
+  return fetch<std::vector<hadooplog::StateSample>>(
+      node, CollectKind::kDn, now, watermark,
+      [&](std::vector<hadooplog::StateSample>& value, std::size_t& bytes) {
+        return collector_.fetchDn(node, now, watermark, value, bytes);
+      },
+      encodeSamples);
 }
 
 Fetched<syscalls::TraceSecond> RpcClient::fetchStrace(NodeId node,
                                                       SimTime now) {
-  Fetched<syscalls::TraceSecond> out;
-  RoundOutcome r;
-  if (live_ != nullptr) {
-    r = liveRound(node, Daemon::kStrace, "strace-tcp", now,
-                  [&](std::size_t& bytes) {
-                    if (!live_->fetchStrace(node, now, out.value, bytes)) {
-                      return false;
-                    }
-                    // Account the sim convention — length prefix plus
-                    // one byte per event — not the padded frame payload.
-                    bytes = 4 + out.value.size();
-                    return true;
-                  });
-  } else {
-    r = round(node, Daemon::kStrace, "strace-tcp", now);
-    if (r.ok) out.value = hub_->strace(node).fetch();
-  }
-  emitSample(CollectKind::kStrace, node, now, kNoTime, r,
-             [&](Encoder& enc) { encodeTrace(enc, out.value); });
-  out.ok = r.ok;
-  out.retried = r.retried;
-  out.attempts = r.attempts;
-  return out;
+  return fetch<syscalls::TraceSecond>(
+      node, CollectKind::kStrace, now, kNoTime,
+      [&](syscalls::TraceSecond& value, std::size_t& bytes) {
+        if (!collector_.fetchStrace(node, now, value, bytes)) return false;
+        // Account the hub's convention — length prefix plus one byte
+        // per event — not a live transport's padded frame payload.
+        bytes = 4 + value.size();
+        return true;
+      },
+      encodeTrace);
 }
 
 CircuitBreaker::State RpcClient::breakerState(NodeId node,

@@ -12,17 +12,24 @@
 //   * a per-node circuit breaker: CLOSED -> OPEN after N consecutive
 //     failed rounds -> HALF_OPEN probe after a recovery interval.
 //
+// Every transport collects through this one retry loop: a
+// LiveCollector (the sim RpcHub, a live socket transport, an archive)
+// performs each attempt.
+//
 // All failure decisions are deterministic for a given seed: each node
 // owns its own Rng stream, and every collector for a node runs inside
 // that node's fpt-core exclusivity domain, so the draw sequence is
 // independent of the executor (serial or thread pool).
 //
-// Failures come from two sources: the MonitoringFaultBoard (flipped by
+// Simulated failures come from the fault gate of a client given the
+// Cluster: the MonitoringFaultBoard (flipped by
 // faults::MonitoringFaultInjector on an engine schedule — crash, hang,
-// slowdown, partition), and the node's NIC packet-loss rate (the Table 2
-// PacketLoss fault also degrades the monitoring RPCs: an attempt times
-// out with probability lossRate^2, i.e. two consecutive retransmission
-// losses blow the timeout).
+// slowdown, partition), and the node's NIC packet-loss rate (the Table
+// 2 PacketLoss fault also degrades the monitoring RPCs: an attempt
+// times out with probability lossRate^2, i.e. two consecutive
+// retransmission losses blow the timeout). Without the Cluster there
+// is no gate, and against the sim hub every attempt succeeds: the
+// paper's infallible collection.
 //
 // Every fetch outcome lands in the NodeHealthRegistry, which the
 // analysis modules consult to compute peer medians over *surviving*
@@ -31,7 +38,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -40,8 +46,9 @@
 #include "common/rng.h"
 #include "common/types.h"
 #include "hadoop/cluster.h"
-#include "rpc/daemons.h"
+#include "rpc/collection_tap.h"
 #include "rpc/live_collector.h"
+#include "rpc/transport.h"
 #include "rpc/wire.h"
 
 namespace asdf::rpc {
@@ -192,18 +199,18 @@ struct AttemptRecord {
 
 class RpcClient {
  public:
-  RpcClient(hadoop::Cluster& cluster, RpcHub& hub, RpcPolicy policy,
-            std::uint64_t seed);
-  /// Live mode: fetches go over a real socket transport instead of the
-  /// in-process hub. Timeout/retry/backoff/breaker behaviour, health
-  /// bookkeeping and per-channel byte accounting are identical to the
-  /// simulated constructor — the accounting lands in this client's own
-  /// TransportRegistry (see transports()) since there is no hub.
-  /// Backoffs between live attempts are real sleeps; pass
-  /// `realBackoff = false` for replay collectors, whose "attempts"
-  /// resolve instantly from the archive.
-  RpcClient(LiveCollector& live, RpcPolicy policy, std::uint64_t seed,
+  /// Collects through `collector` with no fault gate: every attempt is
+  /// one collector call. `realBackoff` sleeps each backoff in wall time
+  /// (live sockets); pass false for the sim hub and for replay, whose
+  /// attempts resolve instantly.
+  RpcClient(LiveCollector& collector, RpcPolicy policy, std::uint64_t seed,
             bool realBackoff = true);
+  /// Simulated fault-tolerant client: before each attempt the fault
+  /// gate consults faults() and the NIC loss rate of the node in
+  /// `cluster`; only attempts it passes reach `collector`. Backoffs
+  /// advance virtual time only.
+  RpcClient(hadoop::Cluster& cluster, LiveCollector& collector,
+            RpcPolicy policy, std::uint64_t seed);
   RpcClient(const RpcClient&) = delete;
   RpcClient& operator=(const RpcClient&) = delete;
 
@@ -227,13 +234,9 @@ class RpcClient {
   MonitoringFaultBoard& faults() { return board_; }
   NodeHealthRegistry& health() { return registry_; }
   const RpcPolicy& policy() const { return policy_; }
-  RpcHub& hub() { return *hub_; }
-  bool liveMode() const { return live_ != nullptr; }
-  /// Per-channel byte accounting: the hub's registry in sim mode, the
-  /// client's own in live mode.
-  TransportRegistry& transports() {
-    return hub_ != nullptr ? hub_->transports() : liveTransports_;
-  }
+  /// Per-channel byte accounting: one connect per node per channel,
+  /// then every attempt (failed attempts charge the request only).
+  TransportRegistry& transports() { return transports_; }
 
   CircuitBreaker::State breakerState(NodeId node, SimTime now) const;
 
@@ -261,44 +264,33 @@ class RpcClient {
         : rng(seed),
           breaker(p.breakerThreshold, p.breakerRecoverySeconds) {}
   };
-  struct RoundOutcome {
-    bool ok = false;
-    bool retried = false;
-    int attempts = 0;
-  };
-
   NodeState& state(NodeId node);
   const NodeState& state(NodeId node) const;
-  /// Runs the retry loop for one fetch round. Does not touch the daemon
-  /// itself — the caller invokes the real fetch iff the round succeeds.
-  RoundOutcome round(NodeId node, Daemon d, const std::string& channelName,
-                     SimTime now);
-  /// Decides one attempt: success flag plus the virtual seconds it
-  /// consumed (latency on success, timeout or refusal cost on failure).
+  /// One fetch round of `kind` and its report to the observer.
+  /// `call(value, responseBytes)` is one collector attempt.
+  template <typename T, typename Call, typename Encode>
+  Fetched<T> fetch(NodeId node, CollectKind kind, SimTime now,
+                   SimTime watermark, Call&& call, Encode&& encode);
+  /// The retry loop: breaker and probe handling, the fault gate (sim
+  /// clients only) then `attempt` per try, attempt log, byte charges,
+  /// and backoff plus jitter between tries. Sets out.ok/retried/attempts.
+  template <typename T, typename Attempt>
+  void round(NodeId node, CollectKind kind, SimTime now, Fetched<T>& out,
+             Attempt&& attempt);
+  /// The simulated fault gate for one attempt: success flag plus the
+  /// virtual seconds a failure consumed (timeout or refusal cost).
   bool attemptSucceeds(NodeState& st, NodeId node, Daemon d,
                        double& costSeconds);
-  /// Live-mode retry loop: `attempt` performs one real call and, on
-  /// success, reports the response bytes to account. Sleeps real
-  /// backoffs between attempts; charges kCollectRequestBytes per
-  /// failed attempt exactly as the simulated round() does.
-  RoundOutcome liveRound(NodeId node, Daemon d,
-                         const std::string& channelName, SimTime now,
-                         const std::function<bool(std::size_t&)>& attempt);
-  /// Reports one fetch round to the observer (no-op when detached).
-  /// `encode` marshals the fetched value; only called when ok.
-  void emitSample(CollectKind kind, NodeId node, SimTime now,
-                  SimTime watermark, const RoundOutcome& r,
-                  const std::function<void(Encoder&)>& encode);
 
-  hadoop::Cluster* cluster_ = nullptr;
-  RpcHub* hub_ = nullptr;
-  LiveCollector* live_ = nullptr;
+  LiveCollector& collector_;
+  hadoop::Cluster* cluster_ = nullptr;  // fault gate; null = fault-free
   CollectionObserver* observer_ = nullptr;
-  bool realBackoff_ = true;
+  bool realBackoff_;
   RpcPolicy policy_;
   MonitoringFaultBoard board_;
   NodeHealthRegistry registry_;
-  TransportRegistry liveTransports_;  // live mode only
+  TransportRegistry transports_;
+  std::array<RpcChannelStats*, kCollectKindCount> channels_{};
   std::map<NodeId, NodeState> states_;
 };
 

@@ -12,6 +12,7 @@
 
 #include "archive/collector.h"
 #include "archive/writer.h"
+#include "common/error.h"
 #include "harness/experiment.h"
 #include "modules/modules.h"
 #include "rpc/payloads.h"
@@ -70,8 +71,7 @@ void expectIdenticalSeries(const analysis::AlarmSeries& a,
 // Everything the recording run reported that a faithful replay must
 // reproduce bit-for-bit: alarms, truth, cluster counters, and the
 // Table-4 channel accounting. Robustness counters are compared
-// separately (plain-sim recordings report zeros there, replay always
-// routes through RpcClient).
+// separately.
 void expectReplayMatches(const ExperimentResult& rec,
                          const ExperimentResult& rep,
                          const std::string& label) {
@@ -126,7 +126,9 @@ TEST(ArchiveReplay, SimRecordThenReplayByteIdentical) {
 
   // A plain-sim recording has no collection failures, so its replay
   // must not invent any: every round served from the archive on the
-  // first attempt.
+  // first attempt. Both runs collect through a client, so the round
+  // counts agree too.
+  EXPECT_EQ(recorded.rpcRounds, serial.rpcRounds);
   EXPECT_EQ(serial.rpcRetries, 0);
   EXPECT_EQ(serial.rpcFailedRounds, 0);
   EXPECT_EQ(serial.rpcFastFails, 0);
@@ -179,6 +181,22 @@ TEST(ArchiveReplay, FtSimRecordThenReplayReproducesFailures) {
     EXPECT_EQ(a.belowQuorum, b.belowQuorum) << "event " << i;
     EXPECT_EQ(a.unmonitorable, b.unmonitorable) << "event " << i;
   }
+}
+
+// A replay that asks for more slaves than the archive holds is refused
+// before the run starts; polling the missing node used to throw out of
+// the fpt-core batch mid-run.
+TEST(ArchiveReplay, RejectsSpecWithMoreSlavesThanArchive) {
+  TempDir dir("asdf-replay-slaves");
+  ExperimentSpec spec = baseSpec(8, 31);
+  spec.duration = 30.0;
+  spec.archiveDir = dir.path;
+  const analysis::BlackBoxModel model = trainModel(spec);
+  runExperiment(spec, model);
+
+  ExperimentSpec wider = replaySpec(spec, dir.path, 1);
+  wider.slaves = 9;
+  EXPECT_THROW(runExperiment(wider, model), ConfigError);
 }
 
 // Byte-accounting parity across transports, pinned at the unit level:

@@ -38,7 +38,9 @@ TEST_F(DaemonTest, SadcFetchRoundTripsSnapshot) {
   RpcHub hub(cluster_, 0.0);
   engine_.runUntil(5.0);
   const metrics::SadcSnapshot direct = cluster_.node(1).sadcCollect();
-  const metrics::SadcSnapshot viaRpc = hub.sadc(1).fetch();
+  std::size_t bytes = 0;
+  const metrics::SadcSnapshot viaRpc = hub.sadc(1).fetch(bytes);
+  EXPECT_GT(bytes, 0u);
   ASSERT_EQ(viaRpc.node.size(), metrics::kNodeMetricCount);
   ASSERT_EQ(viaRpc.nic.size(), metrics::kNicMetricCount);
   EXPECT_DOUBLE_EQ(viaRpc.time, direct.time);
@@ -48,10 +50,14 @@ TEST_F(DaemonTest, SadcFetchRoundTripsSnapshot) {
   EXPECT_EQ(viaRpc.processes.size(), direct.processes.size());
 }
 
+// Call accounting lives in the client: the hub's own fault-free client
+// charges its registry once per call.
 TEST_F(DaemonTest, SadcChannelTracksTraffic) {
   RpcHub hub(cluster_, 0.0);
   engine_.runUntil(3.0);
-  for (int i = 0; i < 10; ++i) hub.sadc(1).fetch();
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(hub.client().fetchSadc(1, 3.0).ok);
+  }
   const RpcChannelStats& ch = hub.transports().channel("sadc-tcp");
   EXPECT_EQ(ch.calls(), 10);
   EXPECT_EQ(ch.connects(), 3);  // one per slave at hub construction
@@ -67,11 +73,12 @@ TEST_F(DaemonTest, HadoopLogDaemonProducesStateVectors) {
   std::size_t dnSamples = 0;
   for (int t = 1; t <= 120; ++t) {
     engine_.runUntil(t);
-    for (const auto& s : hub.hadoopLog(1).fetchTt(t)) {
+    std::size_t bytes = 0;
+    for (const auto& s : hub.hadoopLog(1).fetchTt(t, bytes)) {
       EXPECT_EQ(s.counts.size(), hadooplog::kTtStateCount);
       ++ttSamples;
     }
-    for (const auto& s : hub.hadoopLog(1).fetchDn(t)) {
+    for (const auto& s : hub.hadoopLog(1).fetchDn(t, bytes)) {
       EXPECT_EQ(s.counts.size(), hadooplog::kDnStateCount);
       ++dnSamples;
     }
@@ -87,7 +94,8 @@ TEST_F(DaemonTest, HadoopLogSamplesAreContiguousSeconds) {
   long expected = 0;
   for (int t = 1; t <= 60; ++t) {
     engine_.runUntil(t);
-    for (const auto& s : hub.hadoopLog(2).fetchTt(t)) {
+    std::size_t bytes = 0;
+    for (const auto& s : hub.hadoopLog(2).fetchTt(t, bytes)) {
       EXPECT_EQ(s.second, expected);
       ++expected;
     }
@@ -98,9 +106,10 @@ TEST_F(DaemonTest, HadoopLogSamplesAreContiguousSeconds) {
 TEST_F(DaemonTest, DaemonsMeterTheirCpu) {
   RpcHub hub(cluster_, 0.0);
   engine_.runUntil(5.0);
+  std::size_t bytes = 0;
   for (int i = 0; i < 100; ++i) {
-    hub.sadc(1).fetch();
-    hub.hadoopLog(1).fetchTt(5.0);
+    hub.sadc(1).fetch(bytes);
+    hub.hadoopLog(1).fetchTt(5.0, bytes);
   }
   EXPECT_GT(hub.sadcCpuSeconds(), 0.0);
   EXPECT_GT(hub.hadoopLogCpuSeconds(), 0.0);
@@ -113,7 +122,8 @@ TEST_F(DaemonTest, FetchChargesTheMonitoredNode) {
   engine_.runUntil(2.0);
   // Fetch repeatedly within one tick, then close the tick and check
   // that the node recorded monitoring traffic.
-  for (int i = 0; i < 50; ++i) hub.sadc(1).fetch();
+  std::size_t bytes = 0;
+  for (int i = 0; i < 50; ++i) hub.sadc(1).fetch(bytes);
   cluster_.node(1).endTick(3.0);
   const auto snap = cluster_.node(1).sadcCollect();
   EXPECT_GT(snap.nic[metrics::kNicTxKbPerSec], 10.0);
@@ -122,8 +132,8 @@ TEST_F(DaemonTest, FetchChargesTheMonitoredNode) {
 TEST_F(DaemonTest, SeparateChannelsForTtAndDn) {
   RpcHub hub(cluster_, 0.0);
   engine_.runUntil(10.0);
-  hub.hadoopLog(1).fetchTt(10.0);
-  hub.hadoopLog(1).fetchDn(10.0);
+  ASSERT_TRUE(hub.client().fetchTt(1, 10.0, 10.0).ok);
+  ASSERT_TRUE(hub.client().fetchDn(1, 10.0, 10.0).ok);
   EXPECT_EQ(hub.transports().channel("hl-tt-tcp").calls(), 1);
   EXPECT_EQ(hub.transports().channel("hl-dn-tcp").calls(), 1);
 }

@@ -70,8 +70,12 @@ class ExtensionTest : public ::testing::Test {
 
 TEST_F(ExtensionTest, StraceDaemonShipsTraces) {
   engine_.runUntil(30.0);
-  const auto trace = hub_->strace(1).fetch();
+  std::size_t bytes = 0;
+  const auto trace = hub_->strace(1).fetch(bytes);
   EXPECT_FALSE(trace.empty());
+  EXPECT_EQ(bytes, 4 + trace.size());
+  // The call is charged by the client, here the hub's own.
+  EXPECT_TRUE(hub_->client().fetchStrace(1, 30.0).ok);
   EXPECT_GT(hub_->transports().channel("strace-tcp").calls(), 0);
   EXPECT_GT(hub_->strace(1).cpuSeconds(), 0.0);
 }

@@ -139,7 +139,6 @@ TEST(LiveRpcClient, FailedAttemptsChargeBytesLikeSim) {
   policy.backoffBase = 0.001;  // real sleeps in live mode: keep them tiny
   policy.backoffMax = 0.002;
   rpc::RpcClient client(transport, policy, /*seed=*/99);
-  ASSERT_TRUE(client.liveMode());
 
   auto fetched = client.fetchSadc(1, 1.0);
   ASSERT_TRUE(fetched.ok);

@@ -4,13 +4,17 @@
 // monitoring-degraded event rather than a fault alarm, losing quorum
 // must suppress alarms entirely, and all of it must stay
 // bit-reproducible across executors.
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "harness/experiment.h"
+#include "harness/scenario_matrix.h"
 #include "modules/modules.h"
 
 namespace asdf::harness {
@@ -159,6 +163,29 @@ TEST(Robustness, BelowQuorumSuppressesAlarms) {
   EXPECT_TRUE(sawBelowQuorum);
 }
 
+// FNV-1a 64 over the per-node attempt timetable: node id, attempt
+// count, then the bits of every issue time.
+std::uint64_t digestAttemptTimes(
+    const std::map<NodeId, std::vector<double>>& times) {
+  std::uint64_t h = 1469598103934665603ULL;
+  auto word = [&h](std::uint64_t w) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (w >> (8 * i)) & 0xFFu;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const auto& [node, series] : times) {
+    word(static_cast<std::uint64_t>(node));
+    word(series.size());
+    for (const double t : series) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &t, sizeof bits);
+      word(bits);
+    }
+  }
+  return h;
+}
+
 // The robustness machinery must not perturb determinism: with a
 // monitoring fault injected (including a recovery, so breaker probes
 // and re-closure are exercised) the alarm series, health codes,
@@ -215,9 +242,31 @@ TEST(Robustness, DeterministicAcrossExecutorsUnderMonitoringFaults) {
   }
 }
 
-// Opting into the fault-tolerant layer on a healthy cluster is free:
-// with no monitoring faults and no packet loss the alarms are
-// byte-identical to the legacy infallible collection path.
+// Fixed references for the fault-tolerant retry schedule under packet
+// loss plus a collector crash with recovery. The run-to-run test above
+// only compares a run with itself; these values were recorded from the
+// separate sim retry loop that the single RpcClient loop replaced, so
+// a reordered per-node Rng draw (loss draw, then jitter) shows here.
+TEST(Robustness, FaultTolerantScheduleMatchesPinnedReference) {
+  ExperimentSpec spec = smallSpec();
+  spec.fault.type = faults::FaultType::kPacketLoss;
+  spec.monitoringFaults.push_back(crashCollectors(4, 70.0, 100.0));
+  const analysis::BlackBoxModel model = trainModel(spec);
+  const ExperimentResult r = runExperiment(spec, model);
+
+  EXPECT_EQ(0x5feb5d03b5827ceaULL, fingerprintAlarms(r.blackBox));
+  EXPECT_EQ(0xa1586a7ba2ca1695ULL, fingerprintAlarms(r.whiteBox));
+  EXPECT_EQ(1769, r.rpcRounds);
+  EXPECT_EQ(92, r.rpcRetries);
+  EXPECT_EQ(62, r.rpcFailedRounds);
+  EXPECT_EQ(57, r.rpcFastFails);
+  EXPECT_EQ(1, r.rpcBreakerOpens);
+  EXPECT_EQ(0xef030df4f3b141c0ULL, digestAttemptTimes(r.rpcAttemptTimes));
+}
+
+// Opting into the fault gate on a healthy cluster is free: with no
+// monitoring faults and no packet loss the alarms are byte-identical
+// to the fault-free client's.
 TEST(Robustness, FaultTolerantPathMatchesLegacyWhenHealthy) {
   ExperimentSpec spec = smallSpec();
   const analysis::BlackBoxModel model = trainModel(spec);

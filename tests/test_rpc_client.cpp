@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "hadoop/cluster.h"
+#include "rpc/daemons.h"
 #include "sim/engine.h"
 
 namespace asdf::rpc {
@@ -106,9 +107,9 @@ TEST_F(RpcClientTest, CrashedDaemonExhaustsRetries) {
   EXPECT_EQ(client.health().channelHealth(1, Daemon::kSadc),
             NodeHealth::kUnmonitorable);
   // Every failed attempt still cost request + framing bytes on the wire.
-  EXPECT_EQ(hub_.transports().channel("sadc-tcp").failedCalls(),
+  EXPECT_EQ(client.transports().channel("sadc-tcp").failedCalls(),
             1 + makePolicy().maxRetries);
-  EXPECT_EQ(hub_.transports().channel("sadc-tcp").calls(), 0);
+  EXPECT_EQ(client.transports().channel("sadc-tcp").calls(), 0);
   // Other nodes and channels are unaffected.
   EXPECT_TRUE(client.fetchSadc(2, 5.0).ok);
   EXPECT_TRUE(client.fetchStrace(1, 5.0).ok);
@@ -126,12 +127,12 @@ TEST_F(RpcClientTest, BreakerOpensThenFastFailsWithoutTouchingWire) {
   EXPECT_EQ(client.totalBreakerOpens(), 1);
 
   const long wireFailures =
-      hub_.transports().channel("sadc-tcp").failedCalls();
+      client.transports().channel("sadc-tcp").failedCalls();
   const auto got = client.fetchSadc(1, 9.0);
   EXPECT_FALSE(got.ok);
   EXPECT_EQ(got.attempts, 0);  // fast-failed
   EXPECT_EQ(client.totalFastFails(), 1);
-  EXPECT_EQ(hub_.transports().channel("sadc-tcp").failedCalls(),
+  EXPECT_EQ(client.transports().channel("sadc-tcp").failedCalls(),
             wireFailures);  // the wire was not touched
 }
 
@@ -222,14 +223,14 @@ TEST_F(RpcClientTest, PartitionBlocksEveryChannel) {
   EXPECT_FALSE(client.fetchTt(3, 20.0, 20.0).ok);
   EXPECT_FALSE(client.fetchDn(3, 20.0, 20.0).ok);
   for (const char* name : {"sadc-tcp", "hl-tt-tcp", "hl-dn-tcp"}) {
-    EXPECT_GT(hub_.transports().channel(name).failedCalls(), 0) << name;
+    EXPECT_GT(client.transports().channel(name).failedCalls(), 0) << name;
   }
   // The breaker is per *node*: three failed rounds (one per channel)
   // trip it, so the fourth channel fast-fails without wire traffic.
   const auto strace = client.fetchStrace(3, 20.0);
   EXPECT_FALSE(strace.ok);
   EXPECT_EQ(strace.attempts, 0);
-  EXPECT_EQ(hub_.transports().channel("strace-tcp").failedCalls(), 0);
+  EXPECT_EQ(client.transports().channel("strace-tcp").failedCalls(), 0);
   EXPECT_EQ(client.health().aggregate(3), NodeHealth::kUnmonitorable);
 
   // Healing the partition heals the node once the breaker's recovery
