@@ -437,7 +437,10 @@ void FptCore::dispatchWavefront() {
     tasks_.clear();
     for (std::size_t g = 0; g < groupCount_; ++g) {
       const std::vector<ReadyRun>* group = &groups_[g];
+      // Metered per task, not per run: a task is one serial group on
+      // one thread, and each scope costs two thread-CPU clock reads.
       tasks_.push_back([this, group] {
+        CpuMeter::Scope scope(cpu_);
         for (const ReadyRun& run : *group) {
           runInstance(*run.instance, run.reason);
         }
@@ -474,7 +477,6 @@ void FptCore::dispatchWavefront() {
 }
 
 void FptCore::runInstance(ModuleInstance& instance, RunReason reason) {
-  CpuMeter::Scope scope(cpu_);
   totalRuns_.fetch_add(1, std::memory_order_relaxed);
   ++instance.runs_;
   InstanceContext ctx(*this, instance);

@@ -94,7 +94,8 @@ class FptCore {
   Environment& env() { return env_; }
   sim::SimEngine& engine() { return engine_; }
 
-  /// Real CPU seconds spent executing module code (Table 3). Under a
+  /// Real CPU seconds spent executing module code (Table 3), metered
+  /// once per executor task (one serial group of runs). Under a
   /// parallel executor this sums CPU time across worker threads.
   double cpuSeconds() const { return cpu_.seconds(); }
   /// Approximate resident footprint of the graph (Table 3).

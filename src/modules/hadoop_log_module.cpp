@@ -94,7 +94,8 @@ class HadoopLogModule final : public core::Module {
       synthesizeThrough(static_cast<long>(watermark) -
                         kSynthesisLagSeconds);
     }
-    for (auto& [second, wb] : sync_->drain(node_)) {
+    sync_->drain(node_, drained_);
+    for (auto& [second, wb] : drained_) {
       (void)second;  // Sample time is the write time; the row order is
                      // the synchronized second order.
       ctx.write(out_, std::move(wb));
@@ -106,8 +107,9 @@ class HadoopLogModule final : public core::Module {
   void ingestTt(const std::vector<hadooplog::StateSample>& samples) {
     for (const auto& s : samples) {
       lastTt_ = s.counts;
-      partial_[s.second].first = s.counts;
-      partialHasTt_[s.second] = true;
+      Partial& p = partial_[s.second];
+      p.tt = s.counts;
+      p.hasTt = true;
       flushPartial();
     }
   }
@@ -115,8 +117,9 @@ class HadoopLogModule final : public core::Module {
   void ingestDn(const std::vector<hadooplog::StateSample>& samples) {
     for (const auto& s : samples) {
       lastDn_ = s.counts;
-      partial_[s.second].second = s.counts;
-      partialHasDn_[s.second] = true;
+      Partial& p = partial_[s.second];
+      p.dn = s.counts;
+      p.hasDn = true;
       flushPartial();
     }
   }
@@ -125,7 +128,8 @@ class HadoopLogModule final : public core::Module {
     // Push every second for which both halves arrived.
     for (auto it = partial_.begin(); it != partial_.end();) {
       const long second = it->first;
-      if (!partialHasTt_[second] || !partialHasDn_[second]) {
+      const Partial& p = it->second;
+      if (!p.hasTt || !p.hasDn) {
         ++it;
         continue;
       }
@@ -135,15 +139,12 @@ class HadoopLogModule final : public core::Module {
       // from the last pushed second instead of re-pushing history.
       if (!anchored_ || second > lastSynthesized_) {
         std::vector<double>& wb = rowBuilder_.acquire();
-        wb.assign(it->second.first.begin(), it->second.first.end());
-        wb.insert(wb.end(), it->second.second.begin(),
-                  it->second.second.end());
+        wb.assign(p.tt.begin(), p.tt.end());
+        wb.insert(wb.end(), p.dn.begin(), p.dn.end());
         sync_->push(node_, second, rowBuilder_.share());
         lastSynthesized_ = second;
         anchored_ = true;
       }
-      partialHasTt_.erase(second);
-      partialHasDn_.erase(second);
       it = partial_.erase(it);
     }
   }
@@ -161,21 +162,16 @@ class HadoopLogModule final : public core::Module {
     for (long s = lastSynthesized_ + 1; s <= uptoSecond; ++s) {
       // Prefer any real half that arrived before the daemon died.
       const auto it = partial_.find(s);
+      const Partial* p = it != partial_.end() ? &it->second : nullptr;
       const std::vector<double>& tt =
-          (it != partial_.end() && partialHasTt_[s]) ? it->second.first
-                                                     : lastTt_;
+          p != nullptr && p->hasTt ? p->tt : lastTt_;
       const std::vector<double>& dn =
-          (it != partial_.end() && partialHasDn_[s]) ? it->second.second
-                                                     : lastDn_;
+          p != nullptr && p->hasDn ? p->dn : lastDn_;
       std::vector<double>& wb = rowBuilder_.acquire();
       wb.assign(tt.begin(), tt.end());
       wb.insert(wb.end(), dn.begin(), dn.end());
       sync_->push(node_, s, rowBuilder_.share());
-      if (it != partial_.end()) {
-        partialHasTt_.erase(s);
-        partialHasDn_.erase(s);
-        partial_.erase(it);
-      }
+      if (p != nullptr) partial_.erase(it);
       lastSynthesized_ = s;
     }
   }
@@ -194,10 +190,15 @@ class HadoopLogModule final : public core::Module {
   core::VecBuilder rowBuilder_;
   std::vector<double> lastTt_;
   std::vector<double> lastDn_;
-  std::map<long, std::pair<std::vector<double>, std::vector<double>>>
-      partial_;
-  std::map<long, bool> partialHasTt_;
-  std::map<long, bool> partialHasDn_;
+  /// State halves by second, until both arrived (or were synthesized).
+  struct Partial {
+    std::vector<double> tt;
+    std::vector<double> dn;
+    bool hasTt = false;
+    bool hasDn = false;
+  };
+  std::map<long, Partial> partial_;
+  HadoopLogSync::Drained drained_;  // reused drain buffer
 };
 
 void registerHadoopLogModule(core::ModuleRegistry& registry) {
@@ -208,62 +209,107 @@ void registerHadoopLogModule(core::ModuleRegistry& registry) {
 // ---------------------------------------------------------------------------
 // HadoopLogSync
 
+int HadoopLogSync::slotOf(NodeId node) const {
+  const auto index = static_cast<std::size_t>(node);
+  return node >= 0 && index < slotOfNode_.size() ? slotOfNode_[index] : -1;
+}
+
+HadoopLogSync::RowPtr HadoopLogSync::takeRow(long second) {
+  RowPtr row;
+  if (spare_.empty()) {
+    row = std::make_unique<Row>();
+  } else {
+    row = std::move(spare_.back());
+    spare_.pop_back();
+  }
+  row->second = second;
+  row->cells.resize(cursor_.size());
+  return row;
+}
+
+void HadoopLogSync::recycle(RowPtr row) {
+  // Dropping the handles returns each buffer to its producer's pool.
+  for (Cell& cell : row->cells) cell = Cell{};
+  row->filled = 0;
+  row->undrained = 0;
+  spare_.push_back(std::move(row));
+}
+
 void HadoopLogSync::registerNode(NodeId node) {
+  if (node < 0) throw ConfigError("hl_sync: negative node id");
   std::lock_guard<std::mutex> lock(mutex_);
-  nodes_.insert(node);
-  drainCursor_.emplace(node, releasedBase_ + released_.size());
+  if (slotOf(node) >= 0) return;
+  const auto index = static_cast<std::size_t>(node);
+  if (index >= slotOfNode_.size()) slotOfNode_.resize(index + 1, -1);
+  slotOfNode_[index] = static_cast<int>(cursor_.size());
+  cursor_.push_back(releasedBase_ + released_.size());
+  for (RowPtr& row : pending_) row->cells.resize(cursor_.size());
 }
 
 void HadoopLogSync::push(NodeId node, long second, core::VecBuf wb) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto& row = pending_[second];
-  row[node] = std::move(wb);
-  if (row.size() < nodes_.size()) return;
+  const int slot = slotOf(node);
+  if (slot < 0) return;
+  // Pending seconds are few and pushes arrive mostly in order: search
+  // from the newest.
+  std::size_t pos = pending_.size();
+  while (pos > 0 && pending_[pos - 1]->second > second) --pos;
+  if (pos == 0 || pending_[pos - 1]->second != second) {
+    pending_.insert(pending_.begin() + static_cast<std::ptrdiff_t>(pos),
+                    takeRow(second));
+    ++pos;
+  }
+  const std::size_t index = pos - 1;
+  Row& row = *pending_[index];
+  Cell& cell = row.cells[static_cast<std::size_t>(slot)];
+  if (!cell.set) {
+    cell.set = true;
+    ++row.filled;
+  }
+  cell.wb = std::move(wb);
+  if (row.filled < cursor_.size()) return;
 
   // Complete: release this row and drop any older incomplete seconds —
   // they can no longer complete in order.
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    if (it->first > second) break;
-    if (it->first < second) {
-      ++dropped_;
-      it = pending_.erase(it);
-      continue;
-    }
-    released_.push_back(ReleasedRow{it->first, std::move(it->second)});
-    it = pending_.erase(it);
+  for (std::size_t i = 0; i < index; ++i) {
+    ++dropped_;
+    recycle(std::move(pending_[i]));
   }
+  row.undrained = cursor_.size();
+  released_.push_back(std::move(pending_[index]));
+  pending_.erase(pending_.begin(),
+                 pending_.begin() + static_cast<std::ptrdiff_t>(pos));
 }
 
-std::vector<std::pair<long, core::VecBuf>> HadoopLogSync::drain(
-    NodeId node) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::pair<long, core::VecBuf>> out;
-  auto& cursor = drainCursor_[node];
-  if (cursor < releasedBase_) cursor = releasedBase_;
-  const std::size_t end = releasedBase_ + released_.size();
-  while (cursor < end) {
-    const ReleasedRow& row = released_[cursor - releasedBase_];
-    const auto it = row.byNode.find(node);
-    if (it != row.byNode.end()) {
-      out.emplace_back(row.second, it->second);  // shares the buffer
-    }
-    ++cursor;
-  }
-  // Prune rows every registered node has drained: dropping the last
-  // handle releases each row's buffer back to its producer's pool.
-  std::size_t minCursor = end;
-  for (const NodeId n : nodes_) {
-    const auto it = drainCursor_.find(n);
-    const std::size_t c = it != drainCursor_.end() ? it->second : 0;
-    if (c < minCursor) minCursor = c;
-  }
-  if (minCursor > releasedBase_) {
-    released_.erase(released_.begin(),
-                    released_.begin() +
-                        static_cast<std::ptrdiff_t>(minCursor - releasedBase_));
-    releasedBase_ = minCursor;
-  }
+HadoopLogSync::Drained HadoopLogSync::drain(NodeId node) {
+  Drained out;
+  drain(node, out);
   return out;
+}
+
+void HadoopLogSync::drain(NodeId node, Drained& out) {
+  out.clear();
+  std::lock_guard<std::mutex> lock(mutex_);
+  const int slot = slotOf(node);
+  if (slot < 0) return;
+  // Every row past a registered node's cursor was released after the
+  // node registered, so it holds the node's cell and counts the node.
+  std::size_t& cursor = cursor_[static_cast<std::size_t>(slot)];
+  const std::size_t end = releasedBase_ + released_.size();
+  for (; cursor < end; ++cursor) {
+    Row& row = *released_[cursor - releasedBase_];
+    out.emplace_back(row.second, row.cells[static_cast<std::size_t>(slot)].wb);
+    --row.undrained;
+  }
+  // Prune the front rows every registered node has drained.
+  std::size_t done = 0;
+  while (done < released_.size() && released_[done]->undrained == 0) {
+    recycle(std::move(released_[done]));
+    ++done;
+  }
+  released_.erase(released_.begin(),
+                  released_.begin() + static_cast<std::ptrdiff_t>(done));
+  releasedBase_ += done;
 }
 
 }  // namespace asdf::modules

@@ -32,10 +32,9 @@
 //                                          analysis_wb_merge
 #pragma once
 
-#include <deque>
-#include <map>
+#include <memory>
 #include <mutex>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -63,6 +62,18 @@ class Mitigator {
 /// always sees rows from the same time point. Incomplete seconds that
 /// fall behind a completed one are dropped (and counted).
 ///
+/// Cost: push and drain are O(1) amortized in the number of registered
+/// nodes N. registerNode gives each node a dense slot, so a row is a
+/// slot-indexed vector plus a filled count and completion is one
+/// compare. A released row records how many registered nodes still
+/// have to drain it; drain decrements that count as the node's cursor
+/// passes the row and pops front rows that reach zero, so no call scans
+/// the node set. Releasing, dropping or pruning a row touches its N
+/// cells once, i.e. O(1) per push. Row storage is recycled: steady-state
+/// push, release and prune allocate nothing, and neither does drain
+/// into a reused vector. NodeIds index the slot table directly, so they
+/// are expected to be small dense slave numbers.
+///
 /// Operations are internally locked. Note that locking alone does not
 /// make release timing order-independent: which poll's push completes
 /// a row decides which instances drain it this tick. The hadoop_log
@@ -71,17 +82,27 @@ class Mitigator {
 /// order under any executor, keeping release timing deterministic.
 class HadoopLogSync {
  public:
+  using Drained = std::vector<std::pair<long, core::VecBuf>>;
+
+  /// Idempotent. A node registered after a release neither receives
+  /// the rows released before it nor holds them back.
   void registerNode(NodeId node);
 
   /// Adds node's white-box vector for `second`; may release rows.
   /// Rows are immutable COW buffers, so every instance draining the
-  /// same second shares one payload instead of copying it.
+  /// same second shares one payload instead of copying it. Rows hold
+  /// registered nodes only: a push by an unregistered node is ignored.
   void push(NodeId node, long second, core::VecBuf wb);
 
   /// Released (second, row) handles for this node that have not been
-  /// drained yet, in second order. Draining hands out cheap buffer
-  /// references; the payload bytes are never duplicated.
-  std::vector<std::pair<long, core::VecBuf>> drain(NodeId node);
+  /// drained yet, in release order. Draining hands out cheap buffer
+  /// references; the payload bytes are never duplicated. An
+  /// unregistered node drains nothing.
+  Drained drain(NodeId node);
+
+  /// The same, into `out` (cleared first): reusing `out` across calls
+  /// drains without allocating.
+  void drain(NodeId node, Drained& out);
 
   long droppedSeconds() const {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -89,25 +110,38 @@ class HadoopLogSync {
   }
   std::size_t registeredNodes() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return nodes_.size();
+    return cursor_.size();
   }
 
  private:
-  struct ReleasedRow {
-    long second;
-    std::map<NodeId, core::VecBuf> byNode;
+  struct Cell {
+    core::VecBuf wb;
+    bool set = false;
   };
+  struct Row {
+    long second = 0;
+    std::vector<Cell> cells;  // by slot
+    std::size_t filled = 0;
+    std::size_t undrained = 0;  // released: registered nodes yet to drain
+  };
+  using RowPtr = std::unique_ptr<Row>;
+
+  int slotOf(NodeId node) const;
+  RowPtr takeRow(long second);
+  void recycle(RowPtr row);
 
   mutable std::mutex mutex_;
-  std::set<NodeId> nodes_;
-  std::map<long, std::map<NodeId, core::VecBuf>> pending_;
+  std::vector<int> slotOfNode_;  // by NodeId; -1 = unregistered
+  /// Per slot: absolute index of the next released row to drain.
+  std::vector<std::size_t> cursor_;
+  std::vector<RowPtr> pending_;  // ascending second; few at a time
   /// Released rows not yet drained by every node. released_[i] holds
   /// absolute row index releasedBase_ + i; rows every cursor has
   /// passed are pruned so their buffers return to the producers'
   /// pools (zero steady-state allocations end to end).
-  std::vector<ReleasedRow> released_;
+  std::vector<RowPtr> released_;
   std::size_t releasedBase_ = 0;
-  std::map<NodeId, std::size_t> drainCursor_;  // absolute row indices
+  std::vector<RowPtr> spare_;  // recycled rows, cells empty
   long dropped_ = 0;
 };
 

@@ -517,36 +517,6 @@ TEST_F(ModulesTest, AnalysisWbRespectsUnitFloor) {
   }
 }
 
-TEST_F(ModulesTest, HadoopLogSyncReleasesOnlyCompleteRows) {
-  HadoopLogSync sync;
-  sync.registerNode(1);
-  sync.registerNode(2);
-  sync.push(1, 0, {1.0});
-  EXPECT_TRUE(sync.drain(1).empty());  // node 2 hasn't reported second 0
-  sync.push(2, 0, {2.0});
-  const auto rows1 = sync.drain(1);
-  ASSERT_EQ(rows1.size(), 1u);
-  EXPECT_EQ(rows1[0].first, 0);
-  EXPECT_DOUBLE_EQ(rows1[0].second[0], 1.0);
-  const auto rows2 = sync.drain(2);
-  ASSERT_EQ(rows2.size(), 1u);
-  EXPECT_DOUBLE_EQ(rows2[0].second[0], 2.0);
-  EXPECT_TRUE(sync.drain(1).empty());  // cursor advanced
-}
-
-TEST_F(ModulesTest, HadoopLogSyncDropsStaleIncompleteSeconds) {
-  HadoopLogSync sync;
-  sync.registerNode(1);
-  sync.registerNode(2);
-  sync.push(1, 0, {1.0});  // node 2 never reports second 0
-  sync.push(1, 1, {1.1});
-  sync.push(2, 1, {2.1});  // completes second 1 -> second 0 dropped
-  EXPECT_EQ(sync.droppedSeconds(), 1);
-  const auto rows = sync.drain(1);
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].first, 1);
-}
-
 TEST_F(ModulesTest, SadcModuleRequiresNodeParam) {
   core::Environment env;
   core::FptCore core(engine_, env, &registry_);

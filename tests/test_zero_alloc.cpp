@@ -22,6 +22,7 @@
 #include "common/matrix.h"
 #include "common/rng.h"
 #include "core/value.h"
+#include "modules/modules.h"
 #include "net/event_loop.h"
 #include "net/frame.h"
 #include "net/tcp_server.h"
@@ -145,6 +146,42 @@ TEST(ZeroAlloc, BuilderEmissionAndRetentionAllocateNothing) {
   }
   EXPECT_EQ(allochook::totals().allocs, 0u);
   EXPECT_LE(builder.poolSize(), 12u);
+}
+
+// The hl-sync barrier at 1000 nodes, driven the way the hadoop_log
+// instances drive it (each node pushes its pooled 8-wide row, then
+// drains into a reused vector): once row storage, the producers' pools
+// and the drain buffer are warm, push, release and prune allocate
+// nothing.
+TEST(ZeroAlloc, HadoopLogSyncPushSteadyStateAllocatesNothing) {
+  constexpr NodeId kSyncNodes = 1000;
+  constexpr long kWarmSeconds = 4;
+  constexpr long kMeasuredSeconds = 12;
+  modules::HadoopLogSync sync;
+  for (NodeId n = 1; n <= kSyncNodes; ++n) sync.registerNode(n);
+  std::vector<core::VecBuilder> builders(kSyncNodes);
+  modules::HadoopLogSync::Drained drained;
+  std::size_t rows = 0;
+  const auto second = [&](long s) {
+    for (NodeId n = 1; n <= kSyncNodes; ++n) {
+      core::VecBuilder& builder = builders[static_cast<std::size_t>(n - 1)];
+      builder.acquire().assign(8, static_cast<double>(s * 8 + n));
+      sync.push(n, s, builder.share());
+      sync.drain(n, drained);
+      rows += drained.size();
+    }
+  };
+  for (long s = 0; s < kWarmSeconds; ++s) second(s);
+
+  allochook::reset();
+  rows = 0;
+  for (long s = kWarmSeconds; s < kWarmSeconds + kMeasuredSeconds; ++s) {
+    second(s);
+  }
+  EXPECT_EQ(allochook::totals().allocs, 0u)
+      << "hl-sync push/release/prune allocated in steady state";
+  EXPECT_EQ(rows, static_cast<std::size_t>(kSyncNodes * kMeasuredSeconds));
+  EXPECT_EQ(sync.droppedSeconds(), 0);
 }
 
 // The net-plane claim (DESIGN.md §15): once a connection's decode
