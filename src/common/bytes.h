@@ -42,6 +42,11 @@ inline void storeU32(std::uint8_t* p, std::uint32_t v) {
   p[3] = static_cast<std::uint8_t>(v);
 }
 
+inline void storeU64(std::uint8_t* p, std::uint64_t v) {
+  storeU32(p, static_cast<std::uint32_t>(v >> 32));
+  storeU32(p + 4, static_cast<std::uint32_t>(v & 0xFFFFFFFFULL));
+}
+
 inline std::uint16_t readU16(const std::uint8_t* p) {
   return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
 }

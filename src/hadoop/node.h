@@ -113,7 +113,9 @@ class Node : public metrics::SadcProvider {
   }
 
   // --- monitoring --------------------------------------------------------
-  metrics::SadcSnapshot sadcCollect() const override { return lastSnapshot_; }
+  const metrics::SadcSnapshot& sadcCollect() const override {
+    return lastSnapshot_;
+  }
   SimTime lastSnapshotTime() const { return lastSnapshot_.time; }
   /// The syscall trace of the most recent tick (strace module).
   const syscalls::TraceSecond& lastSyscallTrace() const {

@@ -58,6 +58,7 @@ void TaskAttempt::start(SimTime now) {
         p.blockBytes * job_.spec().mapOutputRatio;
     enterPhase(Phase::kMapRead, now);
   } else {
+    fetched_.assign(static_cast<std::size_t>(cluster_.slaveCount()) + 1, 0.0);
     fetchedTotal_ = 0.0;
     sortTotal_ = sortRemaining_ = job_.shuffleBytesPerReduce();
     writeTotal_ = writeRemaining_ = job_.outputBytesPerReduce();
@@ -188,7 +189,8 @@ void TaskAttempt::requestResources(SimTime now) {
         const NodeId s =
             static_cast<NodeId>(1 + (nextSourceRotation_ + k) % slaves);
         ++examined;
-        const double avail = job_.shuffleAvailable(s) - fetched_[s];
+        const double avail = job_.shuffleAvailable(s) -
+                             fetched_[static_cast<std::size_t>(s)];
         if (avail <= kEps) continue;
         FetchStream stream;
         stream.source = s;
@@ -316,7 +318,7 @@ TaskOutcome TaskAttempt::advance(SimTime now, double dt) {
         src.addDnBytes(moved, 0.0);
         src.addNetTx(moved);
         host_.addNetRx(moved);
-        fetched_[s.source] += moved;
+        fetched_[static_cast<std::size_t>(s.source)] += moved;
         fetchedTotal_ += moved;
       }
       streams_.clear();

@@ -11,7 +11,6 @@
 // way the paper's injected problems slow real Hadoop tasks.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -129,7 +128,7 @@ class TaskAttempt {
     topology::UplinkFlow flow;  // cross-rack uplink share (inert if same rack)
     double requested = 0.0;
   };
-  std::map<NodeId, double> fetched_;  // bytes fetched per source node
+  std::vector<double> fetched_;  // bytes fetched, by source NodeId (reduces)
   double fetchedTotal_ = 0.0;
   std::vector<FetchStream> streams_;  // this tick's active fetches
   int nextSourceRotation_ = 0;

@@ -15,10 +15,9 @@ const std::string& LogBuffer::line(std::size_t index) const {
   return lines_[index];
 }
 
-std::vector<std::string> LogBuffer::linesFrom(std::size_t from) const {
+std::span<const std::string> LogBuffer::linesFrom(std::size_t from) const {
   if (from >= lines_.size()) return {};
-  return std::vector<std::string>(lines_.begin() + static_cast<long>(from),
-                                  lines_.end());
+  return std::span<const std::string>(lines_).subspan(from);
 }
 
 double LogBuffer::drainNewBytes() {

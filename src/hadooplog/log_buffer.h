@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,9 +26,10 @@ class LogBuffer {
   /// Returns the line at the given index (0-based).
   const std::string& line(std::size_t index) const;
 
-  /// Copies lines [from, lineCount()) — what a tail-reading daemon
-  /// would see since its cursor.
-  std::vector<std::string> linesFrom(std::size_t from) const;
+  /// Lines [from, lineCount()) in place — what a tail-reading daemon
+  /// would see since its cursor. The view is invalidated by the next
+  /// append().
+  std::span<const std::string> linesFrom(std::size_t from) const;
 
   /// Total bytes appended (including implied newlines); used to model
   /// the disk traffic of log writing.

@@ -111,15 +111,20 @@ void StateCounter::instant(long second, int state) {
 }
 
 std::vector<StateSample> StateCounter::drain(long beforeSecond) {
+  std::vector<StateSample> out;
+  drain(beforeSecond, out);
+  return out;
+}
+
+void StateCounter::drain(long beforeSecond, std::vector<StateSample>& out) {
+  out.clear();
   if (started_) {
     while (currentSecond_ < beforeSecond) finalizeCurrent();
   }
-  std::vector<StateSample> out;
   while (!ready_.empty() && ready_.front().second < beforeSecond) {
     out.push_back(std::move(ready_.front()));
     ready_.pop_front();
   }
-  return out;
 }
 
 double StateCounter::openCount(int state) const {
@@ -132,7 +137,7 @@ double StateCounter::openCount(int state) const {
 
 TtLogParser::TtLogParser() : counter_(kTtStateCount) {}
 
-void TtLogParser::consume(const std::vector<std::string>& lines) {
+void TtLogParser::consume(std::span<const std::string> lines) {
   for (const auto& line : lines) handleLine(line);
 }
 
@@ -224,11 +229,18 @@ void TtLogParser::handleLine(const std::string& line) {
   ++ignored_;
 }
 
-std::vector<StateSample> TtLogParser::poll(SimTime watermark,
-                                           double graceSeconds) {
+void TtLogParser::poll(SimTime watermark, std::vector<StateSample>& out,
+                       double graceSeconds) {
   const long logFinal = lastSeenSecond_;  // seconds < this are final
   const long graceFinal = toSecond(watermark - graceSeconds) + 1;
-  return counter_.drain(std::max(logFinal, graceFinal));
+  counter_.drain(std::max(logFinal, graceFinal), out);
+}
+
+std::vector<StateSample> TtLogParser::poll(SimTime watermark,
+                                           double graceSeconds) {
+  std::vector<StateSample> out;
+  poll(watermark, out, graceSeconds);
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -236,7 +248,7 @@ std::vector<StateSample> TtLogParser::poll(SimTime watermark,
 
 DnLogParser::DnLogParser() : counter_(kDnStateCount) {}
 
-void DnLogParser::consume(const std::vector<std::string>& lines) {
+void DnLogParser::consume(std::span<const std::string> lines) {
   for (const auto& line : lines) handleLine(line);
 }
 
@@ -299,11 +311,18 @@ void DnLogParser::handleLine(const std::string& line) {
   ++ignored_;
 }
 
-std::vector<StateSample> DnLogParser::poll(SimTime watermark,
-                                           double graceSeconds) {
+void DnLogParser::poll(SimTime watermark, std::vector<StateSample>& out,
+                       double graceSeconds) {
   const long logFinal = lastSeenSecond_;
   const long graceFinal = toSecond(watermark - graceSeconds) + 1;
-  return counter_.drain(std::max(logFinal, graceFinal));
+  counter_.drain(std::max(logFinal, graceFinal), out);
+}
+
+std::vector<StateSample> DnLogParser::poll(SimTime watermark,
+                                           double graceSeconds) {
+  std::vector<StateSample> out;
+  poll(watermark, out, graceSeconds);
+  return out;
 }
 
 }  // namespace asdf::hadooplog

@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <deque>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,8 @@ class StateCounter {
 
   /// Finalizes and returns every second strictly before `beforeSecond`.
   std::vector<StateSample> drain(long beforeSecond);
+  /// The same, moved into `out` (cleared first), reusing its capacity.
+  void drain(long beforeSecond, std::vector<StateSample>& out);
 
   /// Count of instances currently open (for tests / invariants).
   double openCount(int state) const;
@@ -79,11 +82,14 @@ class TtLogParser {
   void startAt(long second) { counter_.startAt(second); }
 
   /// Feeds raw log lines (in file order).
-  void consume(const std::vector<std::string>& lines);
+  void consume(std::span<const std::string> lines);
 
-  /// Returns finalized per-second vectors (kTtStateCount wide).
-  /// `watermark` is the caller's current time; seconds older than
-  /// watermark - grace are flushed even without a newer log line.
+  /// Finalized per-second vectors (kTtStateCount wide), into `out`
+  /// (cleared first). `watermark` is the caller's current time; seconds
+  /// older than watermark - grace are flushed even without a newer log
+  /// line.
+  void poll(SimTime watermark, std::vector<StateSample>& out,
+            double graceSeconds = 2.0);
   std::vector<StateSample> poll(SimTime watermark, double graceSeconds = 2.0);
 
   /// Number of tasks currently believed to be executing.
@@ -116,7 +122,9 @@ class DnLogParser {
   /// Anchors the per-second clock at the monitoring start time.
   void startAt(long second) { counter_.startAt(second); }
 
-  void consume(const std::vector<std::string>& lines);
+  void consume(std::span<const std::string> lines);
+  void poll(SimTime watermark, std::vector<StateSample>& out,
+            double graceSeconds = 2.0);
   std::vector<StateSample> poll(SimTime watermark, double graceSeconds = 2.0);
 
   std::size_t openTransferCount() const {

@@ -5,13 +5,17 @@
 namespace asdf::metrics {
 
 std::vector<double> flattenNodeVector(const SadcSnapshot& snap) {
+  std::vector<double> out;
+  flattenNodeVector(snap, out);
+  return out;
+}
+
+void flattenNodeVector(const SadcSnapshot& snap, std::vector<double>& out) {
   assert(snap.node.size() == kNodeMetricCount);
   assert(snap.nic.size() == kNicMetricCount);
-  std::vector<double> out;
   out.reserve(kFlatNodeVectorSize);
-  out.insert(out.end(), snap.node.begin(), snap.node.end());
+  out.assign(snap.node.begin(), snap.node.end());
   out.insert(out.end(), snap.nic.begin(), snap.nic.end());
-  return out;
 }
 
 std::vector<std::string> flattenedNodeVectorNames() {

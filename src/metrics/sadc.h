@@ -20,7 +20,7 @@ namespace asdf::metrics {
 class SadcProvider {
  public:
   virtual ~SadcProvider() = default;
-  virtual SadcSnapshot sadcCollect() const = 0;
+  virtual const SadcSnapshot& sadcCollect() const = 0;
 };
 
 /// Flattens a snapshot into a single vector: the 64 node-level metrics
@@ -28,6 +28,8 @@ class SadcProvider {
 /// separately per process and are not part of the black-box node
 /// vector, matching the paper's per-node analysis.)
 std::vector<double> flattenNodeVector(const SadcSnapshot& snap);
+/// The same, into `out` (its capacity is reused).
+void flattenNodeVector(const SadcSnapshot& snap, std::vector<double>& out);
 
 /// Names matching flattenNodeVector() order.
 std::vector<std::string> flattenedNodeVectorNames();

@@ -82,14 +82,14 @@ class HadoopLogModule final : public core::Module {
   void run(core::ModuleContext& ctx, core::RunReason) override {
     const SimTime watermark = ctx.now();
     rpc::NodeHealth health = rpc::NodeHealth::kUnmonitorable;
-    auto tt = client_->fetchTt(node_, watermark, watermark);
-    auto dn = tt.ok ? client_->fetchDn(node_, watermark, watermark)
-                    : decltype(tt){};
-    if (tt.ok && dn.ok) {
-      ingestTt(tt.value);
-      ingestDn(dn.value);
-      health = (tt.retried || dn.retried) ? rpc::NodeHealth::kDegraded
-                                          : rpc::NodeHealth::kHealthy;
+    client_->fetchTt(node_, watermark, watermark, tt_);
+    dn_.ok = false;
+    if (tt_.ok) client_->fetchDn(node_, watermark, watermark, dn_);
+    if (tt_.ok && dn_.ok) {
+      ingestTt(tt_.value);
+      ingestDn(dn_.value);
+      health = (tt_.retried || dn_.retried) ? rpc::NodeHealth::kDegraded
+                                            : rpc::NodeHealth::kHealthy;
     } else {
       synthesizeThrough(static_cast<long>(watermark) -
                         kSynthesisLagSeconds);
@@ -104,21 +104,21 @@ class HadoopLogModule final : public core::Module {
   }
 
  private:
-  void ingestTt(const std::vector<hadooplog::StateSample>& samples) {
-    for (const auto& s : samples) {
+  void ingestTt(std::vector<hadooplog::StateSample>& samples) {
+    for (auto& s : samples) {
       lastTt_ = s.counts;
       Partial& p = partial_[s.second];
-      p.tt = s.counts;
+      p.tt = std::move(s.counts);  // the fetch buffer is ours
       p.hasTt = true;
       flushPartial();
     }
   }
 
-  void ingestDn(const std::vector<hadooplog::StateSample>& samples) {
-    for (const auto& s : samples) {
+  void ingestDn(std::vector<hadooplog::StateSample>& samples) {
+    for (auto& s : samples) {
       lastDn_ = s.counts;
       Partial& p = partial_[s.second];
-      p.dn = s.counts;
+      p.dn = std::move(s.counts);  // the fetch buffer is ours
       p.hasDn = true;
       flushPartial();
     }
@@ -198,7 +198,10 @@ class HadoopLogModule final : public core::Module {
     bool hasDn = false;
   };
   std::map<long, Partial> partial_;
-  HadoopLogSync::Drained drained_;  // reused drain buffer
+  // Reused fetch and drain buffers.
+  rpc::Fetched<std::vector<hadooplog::StateSample>> tt_;
+  rpc::Fetched<std::vector<hadooplog::StateSample>> dn_;
+  HadoopLogSync::Drained drained_;
 };
 
 void registerHadoopLogModule(core::ModuleRegistry& registry) {

@@ -52,11 +52,11 @@ class SadcModule final : public core::Module {
 
   void run(core::ModuleContext& ctx, core::RunReason) override {
     rpc::NodeHealth health = rpc::NodeHealth::kUnmonitorable;
-    auto fetched = client_->fetchSadc(node_, ctx.now());
-    if (fetched.ok) {
-      lastKnown_ = metrics::flattenNodeVector(fetched.value);
-      health = fetched.retried ? rpc::NodeHealth::kDegraded
-                               : rpc::NodeHealth::kHealthy;
+    client_->fetchSadc(node_, ctx.now(), fetched_);
+    if (fetched_.ok) {
+      metrics::flattenNodeVector(fetched_.value, lastKnown_);
+      health = fetched_.retried ? rpc::NodeHealth::kDegraded
+                                : rpc::NodeHealth::kHealthy;
     }
     if (lastKnown_.empty()) {
       lastKnown_.assign(metrics::kFlatNodeVectorSize, 0.0);
@@ -75,6 +75,7 @@ class SadcModule final : public core::Module {
   rpc::RpcClient* client_ = nullptr;
   int out_ = -1;
   int healthOut_ = -1;
+  rpc::Fetched<metrics::SadcSnapshot> fetched_;  // reused across polls
   std::vector<double> lastKnown_;
   core::VecBuilder builder_;
 };

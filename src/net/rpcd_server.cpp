@@ -163,18 +163,16 @@ void RpcdServer::handleFrame(TcpServer::Connection& conn,
       // source and the archive observer (DESIGN.md §15): responses
       // depend only on (node, now), so which shard's request advances
       // the simulation first does not change any payload.
-      metrics::SadcSnapshot snap;
       rpc::Encoder enc;
       {
         std::lock_guard<std::mutex> lock(stateMutex_);
         if (engine_ != nullptr) {
           advanceTo(now);
           std::size_t bytes = 0;
-          snap = hub_->sadc(node).fetch(bytes);
+          rpc::encodeSnapshot(enc, hub_->sadc(node).fetch(bytes));
         } else {
-          snap = proc_->collect(node, now);
+          rpc::encodeSnapshot(enc, proc_->collect(node, now));
         }
-        rpc::encodeSnapshot(enc, snap);
         observeSample(rpc::CollectKind::kSadc, node, now, kNoTime, enc);
       }
       conn.send(MsgType::kSadcData, enc);
@@ -198,8 +196,12 @@ void RpcdServer::handleFrame(TcpServer::Connection& conn,
         if (engine_ != nullptr) {
           advanceTo(now);
           std::size_t bytes = 0;
-          rows = tt ? hub_->hadoopLog(node).fetchTt(watermark, bytes)
-                    : hub_->hadoopLog(node).fetchDn(watermark, bytes);
+          rpc::HadoopLogDaemon& daemon = hub_->hadoopLog(node);
+          if (tt) {
+            daemon.fetchTt(watermark, rows, bytes);
+          } else {
+            daemon.fetchDn(watermark, rows, bytes);
+          }
         } else {
           rows = tt ? proc_->fetchTt(node, watermark)
                     : proc_->fetchDn(node, watermark);
@@ -229,8 +231,7 @@ void RpcdServer::handleFrame(TcpServer::Connection& conn,
         std::lock_guard<std::mutex> lock(stateMutex_);
         advanceTo(now);
         std::size_t bytes = 0;
-        const syscalls::TraceSecond trace = hub_->strace(node).fetch(bytes);
-        rpc::encodeTrace(enc, trace);
+        rpc::encodeTrace(enc, hub_->strace(node).fetch(bytes));
         observeSample(rpc::CollectKind::kStrace, node, now, kNoTime, enc);
       }
       conn.send(MsgType::kStraceData, enc);

@@ -1,7 +1,6 @@
 #include "rpc/daemons.h"
 
 #include "rpc/payloads.h"
-#include "rpc/wire.h"
 
 namespace asdf::rpc {
 namespace {
@@ -18,14 +17,12 @@ void chargeNode(hadoop::Node& node, double cpuSeconds, double txBytes) {
 
 SadcDaemon::SadcDaemon(hadoop::Node& node) : node_(node) {}
 
-metrics::SadcSnapshot SadcDaemon::fetch(std::size_t& responseBytes) {
+const metrics::SadcSnapshot& SadcDaemon::fetch(std::size_t& responseBytes) {
   CpuMeter::Scope scope(cpu_);
-  Encoder enc;
-  encodeSnapshot(enc, node_.sadcCollect());
-  responseBytes = enc.size();
-  chargeNode(node_, 2.0e-5, static_cast<double>(enc.size()));
-  Decoder dec(enc.bytes());
-  return decodeSnapshot(dec);
+  const metrics::SadcSnapshot& snap = node_.sadcCollect();
+  responseBytes = encodedSize(snap);
+  chargeNode(node_, 2.0e-5, static_cast<double>(responseBytes));
+  return snap;
 }
 
 std::size_t SadcDaemon::memoryFootprintBytes() const {
@@ -44,31 +41,26 @@ HadoopLogDaemon::HadoopLogDaemon(hadoop::Node& node, SimTime attachTime)
   dnParser_.startAt(static_cast<long>(attachTime));
 }
 
-std::vector<hadooplog::StateSample> HadoopLogDaemon::roundTrip(
-    const std::vector<hadooplog::StateSample>& samples,
-    std::size_t& responseBytes) {
-  Encoder enc;
-  encodeSamples(enc, samples);
-  responseBytes = enc.size();
-  chargeNode(node_, 1.0e-5, static_cast<double>(enc.size()));
-  Decoder dec(enc.bytes());
-  return decodeSamples(dec);
-}
-
-std::vector<hadooplog::StateSample> HadoopLogDaemon::fetchTt(
-    SimTime watermark, std::size_t& responseBytes) {
+void HadoopLogDaemon::fetchTt(SimTime watermark,
+                              std::vector<hadooplog::StateSample>& out,
+                              std::size_t& responseBytes) {
   CpuMeter::Scope scope(cpu_);
   ttParser_.consume(node_.ttLog().linesFrom(ttCursor_));
   ttCursor_ = node_.ttLog().lineCount();
-  return roundTrip(ttParser_.poll(watermark), responseBytes);
+  ttParser_.poll(watermark, out);
+  responseBytes = encodedSize(out);
+  chargeNode(node_, 1.0e-5, static_cast<double>(responseBytes));
 }
 
-std::vector<hadooplog::StateSample> HadoopLogDaemon::fetchDn(
-    SimTime watermark, std::size_t& responseBytes) {
+void HadoopLogDaemon::fetchDn(SimTime watermark,
+                              std::vector<hadooplog::StateSample>& out,
+                              std::size_t& responseBytes) {
   CpuMeter::Scope scope(cpu_);
   dnParser_.consume(node_.dnLog().linesFrom(dnCursor_));
   dnCursor_ = node_.dnLog().lineCount();
-  return roundTrip(dnParser_.poll(watermark), responseBytes);
+  dnParser_.poll(watermark, out);
+  responseBytes = encodedSize(out);
+  chargeNode(node_, 1.0e-5, static_cast<double>(responseBytes));
 }
 
 std::size_t HadoopLogDaemon::memoryFootprintBytes() const {
@@ -80,7 +72,8 @@ std::size_t HadoopLogDaemon::memoryFootprintBytes() const {
 
 StraceDaemon::StraceDaemon(hadoop::Node& node) : node_(node) {}
 
-syscalls::TraceSecond StraceDaemon::fetch(std::size_t& responseBytes) {
+const syscalls::TraceSecond& StraceDaemon::fetch(
+    std::size_t& responseBytes) {
   CpuMeter::Scope scope(cpu_);
   const syscalls::TraceSecond& trace = node_.lastSyscallTrace();
   // Wire format: one byte per event plus a length prefix.
@@ -97,30 +90,29 @@ std::size_t StraceDaemon::memoryFootprintBytes() const {
 }
 
 RpcHub::RpcHub(hadoop::Cluster& cluster, SimTime attachTime) {
+  // slaveNodes() lists ids 1..N in order, so slot i holds node i + 1.
   for (hadoop::Node* node : cluster.slaveNodes()) {
-    sadcDaemons_.emplace(node->id(), std::make_unique<SadcDaemon>(*node));
-    logDaemons_.emplace(node->id(),
-                        std::make_unique<HadoopLogDaemon>(*node, attachTime));
-    straceDaemons_.emplace(node->id(), std::make_unique<StraceDaemon>(*node));
+    daemons_.push_back(std::make_unique<NodeDaemons>(*node, attachTime));
   }
   client_ = std::make_unique<RpcClient>(*this, RpcPolicy{}, /*seed=*/0,
                                         /*realBackoff=*/false);
 }
 
-SadcDaemon& RpcHub::sadc(NodeId node) { return *sadcDaemons_.at(node); }
-
-HadoopLogDaemon& RpcHub::hadoopLog(NodeId node) {
-  return *logDaemons_.at(node);
+RpcHub::NodeDaemons& RpcHub::daemons(NodeId node) {
+  return *daemons_.at(static_cast<std::size_t>(node) - 1);
 }
 
-StraceDaemon& RpcHub::strace(NodeId node) {
-  return *straceDaemons_.at(node);
-}
+SadcDaemon& RpcHub::sadc(NodeId node) { return daemons(node).sadc; }
 
-int RpcHub::slaves() const { return static_cast<int>(sadcDaemons_.size()); }
+HadoopLogDaemon& RpcHub::hadoopLog(NodeId node) { return daemons(node).log; }
+
+StraceDaemon& RpcHub::strace(NodeId node) { return daemons(node).strace; }
+
+int RpcHub::slaves() const { return static_cast<int>(daemons_.size()); }
 
 bool RpcHub::fetchSadc(NodeId node, SimTime, metrics::SadcSnapshot& out,
                        std::size_t& responseBytes) {
+  // Copy-assignment reuses the capacity of the caller's snapshot.
   out = sadc(node).fetch(responseBytes);
   return true;
 }
@@ -128,14 +120,14 @@ bool RpcHub::fetchSadc(NodeId node, SimTime, metrics::SadcSnapshot& out,
 bool RpcHub::fetchTt(NodeId node, SimTime, SimTime watermark,
                      std::vector<hadooplog::StateSample>& out,
                      std::size_t& responseBytes) {
-  out = hadoopLog(node).fetchTt(watermark, responseBytes);
+  hadoopLog(node).fetchTt(watermark, out, responseBytes);
   return true;
 }
 
 bool RpcHub::fetchDn(NodeId node, SimTime, SimTime watermark,
                      std::vector<hadooplog::StateSample>& out,
                      std::size_t& responseBytes) {
-  out = hadoopLog(node).fetchDn(watermark, responseBytes);
+  hadoopLog(node).fetchDn(watermark, out, responseBytes);
   return true;
 }
 
@@ -147,39 +139,37 @@ bool RpcHub::fetchStrace(NodeId node, SimTime, syscalls::TraceSecond& out,
 
 double RpcHub::sadcCpuSeconds() const {
   double total = 0.0;
-  for (const auto& [id, d] : sadcDaemons_) total += d->cpuSeconds();
+  for (const auto& d : daemons_) total += d->sadc.cpuSeconds();
   return total;
 }
 
 double RpcHub::hadoopLogCpuSeconds() const {
   double total = 0.0;
-  for (const auto& [id, d] : logDaemons_) total += d->cpuSeconds();
+  for (const auto& d : daemons_) total += d->log.cpuSeconds();
   return total;
 }
 
 double RpcHub::straceCpuSeconds() const {
   double total = 0.0;
-  for (const auto& [id, d] : straceDaemons_) total += d->cpuSeconds();
+  for (const auto& d : daemons_) total += d->strace.cpuSeconds();
   return total;
 }
 
 std::size_t RpcHub::sadcMemoryBytes() const {
   std::size_t total = 0;
-  for (const auto& [id, d] : sadcDaemons_) total += d->memoryFootprintBytes();
+  for (const auto& d : daemons_) total += d->sadc.memoryFootprintBytes();
   return total;
 }
 
 std::size_t RpcHub::hadoopLogMemoryBytes() const {
   std::size_t total = 0;
-  for (const auto& [id, d] : logDaemons_) total += d->memoryFootprintBytes();
+  for (const auto& d : daemons_) total += d->log.memoryFootprintBytes();
   return total;
 }
 
 std::size_t RpcHub::straceMemoryBytes() const {
   std::size_t total = 0;
-  for (const auto& [id, d] : straceDaemons_) {
-    total += d->memoryFootprintBytes();
-  }
+  for (const auto& d : daemons_) total += d->strace.memoryFootprintBytes();
   return total;
 }
 

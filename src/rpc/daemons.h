@@ -6,12 +6,14 @@
 // wraps the log-parser library and returns the per-second Hadoop state
 // vectors derived from the TaskTracker and DataNode logs.
 //
-// Every fetch round-trips its payload through the wire codec and
-// reports the marshalled size (Table 4 bytes, charged by the client),
-// charges the host node a sliver of CPU and network (the monitoring
-// perturbation the paper measures in Table 3), and accumulates the real
+// Every fetch hands its value to the caller in process, with no wire
+// round trip, and reports the size the codec would marshal it to
+// (rpc::encodedSize, Table 4 bytes, charged by the client). It charges
+// the host node a sliver of CPU and network (the monitoring
+// perturbation the paper measures in Table 3) and accumulates the real
 // CPU time this process spent executing daemon code, which the Table 3
-// bench reports.
+// bench reports; that time covers the collection itself, not a
+// marshal and unmarshal that no real daemon does in one process.
 //
 // RpcHub serves the daemons as an rpc::LiveCollector, so sim runs
 // collect through the same RpcClient loop as live and replay runs. A
@@ -19,7 +21,6 @@
 // collection — for pipelines that provide only the "rpc" service.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -38,9 +39,10 @@ class SadcDaemon {
  public:
   explicit SadcDaemon(hadoop::Node& node);
 
-  /// One collection iteration: serialize the node's current snapshot,
-  /// decode and return it. `responseBytes` is the marshalled size.
-  metrics::SadcSnapshot fetch(std::size_t& responseBytes);
+  /// One collection iteration: the node's current snapshot, by
+  /// reference (valid until the node's next tick). `responseBytes` is
+  /// its marshalled size.
+  const metrics::SadcSnapshot& fetch(std::size_t& responseBytes);
 
   double cpuSeconds() const { return cpu_.seconds(); }
   std::size_t memoryFootprintBytes() const;
@@ -56,23 +58,19 @@ class HadoopLogDaemon {
   /// reported for quiet seconds from that point on).
   HadoopLogDaemon(hadoop::Node& node, SimTime attachTime);
 
-  /// Parses any new TaskTracker log lines and returns the finalized
-  /// per-second TaskTracker state vectors.
-  std::vector<hadooplog::StateSample> fetchTt(SimTime watermark,
-                                              std::size_t& responseBytes);
+  /// Parses any new TaskTracker log lines and moves the finalized
+  /// per-second TaskTracker state vectors into `out` (cleared first).
+  void fetchTt(SimTime watermark, std::vector<hadooplog::StateSample>& out,
+               std::size_t& responseBytes);
 
   /// Same for the DataNode log.
-  std::vector<hadooplog::StateSample> fetchDn(SimTime watermark,
-                                              std::size_t& responseBytes);
+  void fetchDn(SimTime watermark, std::vector<hadooplog::StateSample>& out,
+               std::size_t& responseBytes);
 
   double cpuSeconds() const { return cpu_.seconds(); }
   std::size_t memoryFootprintBytes() const;
 
  private:
-  std::vector<hadooplog::StateSample> roundTrip(
-      const std::vector<hadooplog::StateSample>& samples,
-      std::size_t& responseBytes);
-
   hadoop::Node& node_;
   hadooplog::TtLogParser ttParser_;
   hadooplog::DnLogParser dnParser_;
@@ -87,9 +85,10 @@ class StraceDaemon {
  public:
   explicit StraceDaemon(hadoop::Node& node);
 
-  /// Returns the most recent tick's syscall trace. The wire format is
-  /// one byte per event plus a length prefix (`responseBytes`).
-  syscalls::TraceSecond fetch(std::size_t& responseBytes);
+  /// The most recent tick's syscall trace, by reference. The wire
+  /// format is one byte per event plus a length prefix
+  /// (`responseBytes`).
+  const syscalls::TraceSecond& fetch(std::size_t& responseBytes);
 
   double cpuSeconds() const { return cpu_.seconds(); }
   std::size_t memoryFootprintBytes() const;
@@ -143,9 +142,16 @@ class RpcHub final : public LiveCollector {
   std::size_t straceMemoryBytes() const;
 
  private:
-  std::map<NodeId, std::unique_ptr<SadcDaemon>> sadcDaemons_;
-  std::map<NodeId, std::unique_ptr<HadoopLogDaemon>> logDaemons_;
-  std::map<NodeId, std::unique_ptr<StraceDaemon>> straceDaemons_;
+  struct NodeDaemons {
+    NodeDaemons(hadoop::Node& node, SimTime attachTime)
+        : sadc(node), log(node, attachTime), strace(node) {}
+    SadcDaemon sadc;
+    HadoopLogDaemon log;
+    StraceDaemon strace;
+  };
+  NodeDaemons& daemons(NodeId node);
+
+  std::vector<std::unique_ptr<NodeDaemons>> daemons_;  // by NodeId - 1
   std::unique_ptr<RpcClient> client_;
 };
 

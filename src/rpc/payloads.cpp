@@ -1,6 +1,22 @@
 #include "rpc/payloads.h"
 
 namespace asdf::rpc {
+namespace {
+
+// XDR sizes: 4-byte counts and lengths, 8-byte doubles and i64s,
+// strings padded to a multiple of 4.
+constexpr std::size_t kCountBytes = 4;
+constexpr std::size_t kWordBytes = 8;
+
+std::size_t doubleVectorSize(const std::vector<double>& v) {
+  return kCountBytes + kWordBytes * v.size();
+}
+
+std::size_t stringSize(const std::string& s) {
+  return kCountBytes + (s.size() + 3) / 4 * 4;
+}
+
+}  // namespace
 
 void encodeSnapshot(Encoder& enc, const metrics::SadcSnapshot& snap) {
   enc.putDouble(snap.time);
@@ -27,6 +43,15 @@ metrics::SadcSnapshot decodeSnapshot(Decoder& dec) {
   return snap;
 }
 
+std::size_t encodedSize(const metrics::SadcSnapshot& snap) {
+  std::size_t n = kWordBytes + doubleVectorSize(snap.node) +
+                  doubleVectorSize(snap.nic) + kCountBytes;
+  for (const auto& [name, values] : snap.processes) {
+    n += stringSize(name) + doubleVectorSize(values);
+  }
+  return n;
+}
+
 void encodeSamples(Encoder& enc,
                    const std::vector<hadooplog::StateSample>& samples) {
   enc.putU32(static_cast<std::uint32_t>(samples.size()));
@@ -47,6 +72,12 @@ std::vector<hadooplog::StateSample> decodeSamples(Decoder& dec) {
     out.push_back(std::move(s));
   }
   return out;
+}
+
+std::size_t encodedSize(const std::vector<hadooplog::StateSample>& samples) {
+  std::size_t n = kCountBytes;
+  for (const auto& s : samples) n += kWordBytes + doubleVectorSize(s.counts);
+  return n;
 }
 
 void encodeTrace(Encoder& enc, const syscalls::TraceSecond& trace) {

@@ -6,6 +6,12 @@
 // (DESIGN.md §9) both depend on it. These helpers are the single
 // definition of how a sadc snapshot and a Hadoop state-vector row look
 // on the wire, layered on the XDR-style codec in wire.h.
+//
+// encodedSize() computes, without encoding, the byte count the matching
+// encoder would produce. The sim daemons report that size (they hand
+// the value itself over in process, with no marshalling a real daemon
+// would not do); Payloads.EncodedSizeMatchesEncoder and LiveE2E's
+// sim/live Table 4 equality pin it to the codec.
 #pragma once
 
 #include <cstddef>
@@ -26,10 +32,12 @@ inline constexpr std::size_t kCollectRequestBytes = 48;
 
 void encodeSnapshot(Encoder& enc, const metrics::SadcSnapshot& snap);
 metrics::SadcSnapshot decodeSnapshot(Decoder& dec);
+std::size_t encodedSize(const metrics::SadcSnapshot& snap);
 
 void encodeSamples(Encoder& enc,
                    const std::vector<hadooplog::StateSample>& samples);
 std::vector<hadooplog::StateSample> decodeSamples(Decoder& dec);
+std::size_t encodedSize(const std::vector<hadooplog::StateSample>& samples);
 
 void encodeTrace(Encoder& enc, const syscalls::TraceSecond& trace);
 syscalls::TraceSecond decodeTrace(Decoder& dec);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <stdexcept>
 #include <thread>
 
 #include "rpc/payloads.h"
@@ -132,15 +133,33 @@ void CircuitBreaker::onRoundFailure(SimTime now) {
 // ---------------------------------------------------------------------------
 // NodeHealthRegistry
 
+NodeHealthRegistry::NodeEntry& NodeHealthRegistry::entry(NodeId node) {
+  if (node < 1) throw std::out_of_range("node health: node id < 1");
+  const auto slot = static_cast<std::size_t>(node) - 1;
+  if (slot >= entries_.size()) entries_.resize(slot + 1);
+  NodeEntry& e = entries_[slot];
+  e.known = true;
+  return e;
+}
+
+const NodeHealthRegistry::NodeEntry* NodeHealthRegistry::find(
+    NodeId node) const {
+  const auto slot = static_cast<std::size_t>(node) - 1;
+  if (node < 1 || slot >= entries_.size() || !entries_[slot].known) {
+    return nullptr;
+  }
+  return &entries_[slot];
+}
+
 void NodeHealthRegistry::registerNode(NodeId node) {
   std::lock_guard<std::mutex> lock(mutex_);
-  entries_.try_emplace(node);
+  entry(node);
 }
 
 void NodeHealthRegistry::markSuccess(NodeId node, Daemon d, SimTime now,
                                      bool degraded) {
   std::lock_guard<std::mutex> lock(mutex_);
-  ChannelEntry& e = entries_[node][static_cast<int>(d)];
+  ChannelEntry& e = entry(node).channels[static_cast<int>(d)];
   e.health = degraded ? NodeHealth::kDegraded : NodeHealth::kHealthy;
   e.lastSuccess = now;
   ++e.successes;
@@ -148,7 +167,7 @@ void NodeHealthRegistry::markSuccess(NodeId node, Daemon d, SimTime now,
 
 void NodeHealthRegistry::markFailure(NodeId node, Daemon d, SimTime now) {
   std::lock_guard<std::mutex> lock(mutex_);
-  ChannelEntry& e = entries_[node][static_cast<int>(d)];
+  ChannelEntry& e = entry(node).channels[static_cast<int>(d)];
   e.health = NodeHealth::kUnmonitorable;
   (void)now;
   ++e.failures;
@@ -156,18 +175,17 @@ void NodeHealthRegistry::markFailure(NodeId node, Daemon d, SimTime now) {
 
 NodeHealth NodeHealthRegistry::channelHealth(NodeId node, Daemon d) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = entries_.find(node);
-  if (it == entries_.end()) return NodeHealth::kHealthy;
-  return it->second[static_cast<int>(d)].health;
+  const NodeEntry* e = find(node);
+  if (e == nullptr) return NodeHealth::kHealthy;
+  return e->channels[static_cast<int>(d)].health;
 }
 
 NodeHealth NodeHealthRegistry::aggregate(NodeId node) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = entries_.find(node);
-  if (it == entries_.end()) return NodeHealth::kHealthy;
+  const NodeEntry* entry = find(node);
+  if (entry == nullptr) return NodeHealth::kHealthy;
   NodeHealth worst = NodeHealth::kHealthy;
-  for (int d = 0; d < kDaemonCount; ++d) {
-    const ChannelEntry& e = it->second[d];
+  for (const ChannelEntry& e : entry->channels) {
     // Channels that have never been polled (e.g. strace without an
     // strace module) carry no signal.
     if (e.successes == 0 && e.failures == 0) continue;
@@ -182,9 +200,9 @@ NodeHealth NodeHealthRegistry::aggregate(NodeId node) const {
 double NodeHealthRegistry::staleness(NodeId node, Daemon d,
                                      SimTime now) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = entries_.find(node);
-  if (it == entries_.end()) return 0.0;
-  const ChannelEntry& e = it->second[static_cast<int>(d)];
+  const NodeEntry* entry = find(node);
+  if (entry == nullptr) return 0.0;
+  const ChannelEntry& e = entry->channels[static_cast<int>(d)];
   if (e.lastSuccess == kNoTime) {
     return e.failures > 0 ? now : 0.0;
   }
@@ -195,7 +213,9 @@ std::vector<NodeId> NodeHealthRegistry::nodes() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<NodeId> out;
   out.reserve(entries_.size());
-  for (const auto& [id, e] : entries_) out.push_back(id);
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    if (entries_[i].known) out.push_back(static_cast<NodeId>(i + 1));
+  }
   return out;
 }
 
@@ -208,8 +228,9 @@ RpcClient::RpcClient(LiveCollector& collector, RpcPolicy policy,
   for (int k = 0; k < kCollectKindCount; ++k) {
     channels_[k] = &transports_.channel(kChannelNames[k]);
   }
+  states_.reserve(static_cast<std::size_t>(std::max(0, collector.slaves())));
   for (NodeId node = 1; node <= collector.slaves(); ++node) {
-    states_.emplace(node, NodeState(mixSeed(seed, node), policy_));
+    states_.emplace_back(mixSeed(seed, node), policy_);
     registry_.registerNode(node);
     // One connection per node per channel (Table 4 static overhead).
     for (RpcChannelStats* channel : channels_) channel->recordConnect();
@@ -223,11 +244,11 @@ RpcClient::RpcClient(hadoop::Cluster& cluster, LiveCollector& collector,
 }
 
 RpcClient::NodeState& RpcClient::state(NodeId node) {
-  return states_.at(node);
+  return states_.at(static_cast<std::size_t>(node) - 1);
 }
 
 const RpcClient::NodeState& RpcClient::state(NodeId node) const {
-  return states_.at(node);
+  return states_.at(static_cast<std::size_t>(node) - 1);
 }
 
 bool RpcClient::attemptSucceeds(NodeState& st, NodeId node, Daemon d,
@@ -322,10 +343,12 @@ void RpcClient::round(NodeId node, CollectKind kind, SimTime now,
 }
 
 template <typename T, typename Call, typename Encode>
-Fetched<T> RpcClient::fetch(NodeId node, CollectKind kind, SimTime now,
-                            SimTime watermark, Call&& call,
-                            Encode&& encode) {
-  Fetched<T> out;
+void RpcClient::fetch(NodeId node, CollectKind kind, SimTime now,
+                      SimTime watermark, Fetched<T>& out, Call&& call,
+                      Encode&& encode) {
+  out.ok = false;
+  out.retried = false;
+  out.attempts = 0;
   round(node, kind, now, out,
         [&](std::size_t& bytes) { return call(out.value, bytes); });
   if (observer_ != nullptr) {
@@ -342,43 +365,64 @@ Fetched<T> RpcClient::fetch(NodeId node, CollectKind kind, SimTime now,
     sample.payloadSize = enc.size();
     observer_->onSample(sample);
   }
-  return out;
 }
 
-Fetched<metrics::SadcSnapshot> RpcClient::fetchSadc(NodeId node,
-                                                    SimTime now) {
-  return fetch<metrics::SadcSnapshot>(
-      node, CollectKind::kSadc, now, kNoTime,
+void RpcClient::fetchSadc(NodeId node, SimTime now,
+                          Fetched<metrics::SadcSnapshot>& out) {
+  fetch(
+      node, CollectKind::kSadc, now, kNoTime, out,
       [&](metrics::SadcSnapshot& value, std::size_t& bytes) {
         return collector_.fetchSadc(node, now, value, bytes);
       },
       encodeSnapshot);
 }
 
-Fetched<std::vector<hadooplog::StateSample>> RpcClient::fetchTt(
-    NodeId node, SimTime now, SimTime watermark) {
-  return fetch<std::vector<hadooplog::StateSample>>(
-      node, CollectKind::kTt, now, watermark,
+void RpcClient::fetchTt(NodeId node, SimTime now, SimTime watermark,
+                        Fetched<std::vector<hadooplog::StateSample>>& out) {
+  fetch(
+      node, CollectKind::kTt, now, watermark, out,
       [&](std::vector<hadooplog::StateSample>& value, std::size_t& bytes) {
         return collector_.fetchTt(node, now, watermark, value, bytes);
       },
       encodeSamples);
 }
 
-Fetched<std::vector<hadooplog::StateSample>> RpcClient::fetchDn(
-    NodeId node, SimTime now, SimTime watermark) {
-  return fetch<std::vector<hadooplog::StateSample>>(
-      node, CollectKind::kDn, now, watermark,
+void RpcClient::fetchDn(NodeId node, SimTime now, SimTime watermark,
+                        Fetched<std::vector<hadooplog::StateSample>>& out) {
+  fetch(
+      node, CollectKind::kDn, now, watermark, out,
       [&](std::vector<hadooplog::StateSample>& value, std::size_t& bytes) {
         return collector_.fetchDn(node, now, watermark, value, bytes);
       },
       encodeSamples);
 }
 
+Fetched<metrics::SadcSnapshot> RpcClient::fetchSadc(NodeId node,
+                                                    SimTime now) {
+  Fetched<metrics::SadcSnapshot> out;
+  fetchSadc(node, now, out);
+  return out;
+}
+
+Fetched<std::vector<hadooplog::StateSample>> RpcClient::fetchTt(
+    NodeId node, SimTime now, SimTime watermark) {
+  Fetched<std::vector<hadooplog::StateSample>> out;
+  fetchTt(node, now, watermark, out);
+  return out;
+}
+
+Fetched<std::vector<hadooplog::StateSample>> RpcClient::fetchDn(
+    NodeId node, SimTime now, SimTime watermark) {
+  Fetched<std::vector<hadooplog::StateSample>> out;
+  fetchDn(node, now, watermark, out);
+  return out;
+}
+
 Fetched<syscalls::TraceSecond> RpcClient::fetchStrace(NodeId node,
                                                       SimTime now) {
-  return fetch<syscalls::TraceSecond>(
-      node, CollectKind::kStrace, now, kNoTime,
+  Fetched<syscalls::TraceSecond> out;
+  fetch(
+      node, CollectKind::kStrace, now, kNoTime, out,
       [&](syscalls::TraceSecond& value, std::size_t& bytes) {
         if (!collector_.fetchStrace(node, now, value, bytes)) return false;
         // Account the hub's convention — length prefix plus one byte
@@ -387,6 +431,7 @@ Fetched<syscalls::TraceSecond> RpcClient::fetchStrace(NodeId node,
         return true;
       },
       encodeTrace);
+  return out;
 }
 
 CircuitBreaker::State RpcClient::breakerState(NodeId node,
@@ -400,31 +445,31 @@ const std::vector<AttemptRecord>& RpcClient::attemptLog(NodeId node) const {
 
 long RpcClient::totalRounds() const {
   long total = 0;
-  for (const auto& [id, st] : states_) total += st.rounds;
+  for (const NodeState& st : states_) total += st.rounds;
   return total;
 }
 
 long RpcClient::totalRetries() const {
   long total = 0;
-  for (const auto& [id, st] : states_) total += st.retries;
+  for (const NodeState& st : states_) total += st.retries;
   return total;
 }
 
 long RpcClient::totalFailedRounds() const {
   long total = 0;
-  for (const auto& [id, st] : states_) total += st.failedRounds;
+  for (const NodeState& st : states_) total += st.failedRounds;
   return total;
 }
 
 long RpcClient::totalFastFails() const {
   long total = 0;
-  for (const auto& [id, st] : states_) total += st.fastFails;
+  for (const NodeState& st : states_) total += st.fastFails;
   return total;
 }
 
 long RpcClient::totalBreakerOpens() const {
   long total = 0;
-  for (const auto& [id, st] : states_) total += st.breaker.opens();
+  for (const NodeState& st : states_) total += st.breaker.opens();
   return total;
 }
 

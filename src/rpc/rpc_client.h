@@ -174,9 +174,17 @@ class NodeHealthRegistry {
     long successes = 0;
     long failures = 0;
   };
+  struct NodeEntry {
+    bool known = false;  // registered or ever marked
+    std::array<ChannelEntry, kDaemonCount> channels{};
+  };
+  /// The node's entry, created on first use (node ids are >= 1).
+  NodeEntry& entry(NodeId node);
+  /// Null for a node never registered or marked.
+  const NodeEntry* find(NodeId node) const;
 
   mutable std::mutex mutex_;
-  std::map<NodeId, std::array<ChannelEntry, kDaemonCount>> entries_;
+  std::vector<NodeEntry> entries_;  // by NodeId - 1
 };
 
 /// One fetch-round outcome. `value` is meaningful only when ok.
@@ -214,6 +222,18 @@ class RpcClient {
   RpcClient(const RpcClient&) = delete;
   RpcClient& operator=(const RpcClient&) = delete;
 
+  /// One fetch round into `out`: ok/retried/attempts are reset, and
+  /// `out.value` keeps its capacity, so a caller that reuses one
+  /// Fetched across rounds collects without allocating. The value is
+  /// meaningful only when ok.
+  void fetchSadc(NodeId node, SimTime now,
+                 Fetched<metrics::SadcSnapshot>& out);
+  void fetchTt(NodeId node, SimTime now, SimTime watermark,
+               Fetched<std::vector<hadooplog::StateSample>>& out);
+  void fetchDn(NodeId node, SimTime now, SimTime watermark,
+               Fetched<std::vector<hadooplog::StateSample>>& out);
+
+  /// The same, returning a fresh outcome.
   Fetched<metrics::SadcSnapshot> fetchSadc(NodeId node, SimTime now);
   Fetched<std::vector<hadooplog::StateSample>> fetchTt(NodeId node,
                                                        SimTime now,
@@ -266,11 +286,11 @@ class RpcClient {
   };
   NodeState& state(NodeId node);
   const NodeState& state(NodeId node) const;
-  /// One fetch round of `kind` and its report to the observer.
-  /// `call(value, responseBytes)` is one collector attempt.
+  /// One fetch round of `kind` into `out` and its report to the
+  /// observer. `call(value, responseBytes)` is one collector attempt.
   template <typename T, typename Call, typename Encode>
-  Fetched<T> fetch(NodeId node, CollectKind kind, SimTime now,
-                   SimTime watermark, Call&& call, Encode&& encode);
+  void fetch(NodeId node, CollectKind kind, SimTime now, SimTime watermark,
+             Fetched<T>& out, Call&& call, Encode&& encode);
   /// The retry loop: breaker and probe handling, the fault gate (sim
   /// clients only) then `attempt` per try, attempt log, byte charges,
   /// and backoff plus jitter between tries. Sets out.ok/retried/attempts.
@@ -291,7 +311,7 @@ class RpcClient {
   NodeHealthRegistry registry_;
   TransportRegistry transports_;
   std::array<RpcChannelStats*, kCollectKindCount> channels_{};
-  std::map<NodeId, NodeState> states_;
+  std::vector<NodeState> states_;  // by NodeId - 1
 };
 
 /// Parses an analysis origin label of the form "slave<k>"; kInvalidNode

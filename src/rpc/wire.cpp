@@ -30,8 +30,19 @@ void Encoder::putString(const std::string& s) {
 }
 
 void Encoder::putDoubleVector(const std::vector<double>& v) {
-  putU32(static_cast<std::uint32_t>(v.size()));
-  for (double d : v) putDouble(d);
+  // Size the buffer once and store the big-endian words in place: the
+  // same bytes as putU32 + putDouble per element.
+  const std::size_t at = buf_.size();
+  buf_.resize(at + 4 + 8 * v.size());
+  std::uint8_t* p = buf_.data() + at;
+  bytes::storeU32(p, static_cast<std::uint32_t>(v.size()));
+  p += 4;
+  for (double d : v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof(bits));
+    bytes::storeU64(p, bits);
+    p += 8;
+  }
 }
 
 void Decoder::need(std::size_t n) {
@@ -76,9 +87,17 @@ std::string Decoder::getString() {
 
 std::vector<double> Decoder::getDoubleVector() {
   const std::uint32_t n = getU32();
-  std::vector<double> v;
-  v.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) v.push_back(getDouble());
+  // One bounds check for the whole vector, before anything is sized
+  // from the untrusted count.
+  need(8 * static_cast<std::size_t>(n));
+  std::vector<double> v(n);
+  const std::uint8_t* p = buf_.data() + pos_;
+  for (double& d : v) {
+    const std::uint64_t bits = bytes::readU64(p);
+    std::memcpy(&d, &bits, sizeof(d));
+    p += 8;
+  }
+  pos_ += 8 * static_cast<std::size_t>(n);
   return v;
 }
 

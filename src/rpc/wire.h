@@ -2,10 +2,12 @@
 //
 // The paper transports monitoring data with ZeroC ICE RPC and reports
 // per-channel bandwidth (Table 4). We reproduce the marshalling path:
-// every RPC payload in this codebase round-trips through this codec,
-// and the byte counts the codec reports are what the Table 4 bench
-// prints. Encoding follows XDR conventions: big-endian 4/8-byte
-// scalars, strings length-prefixed and padded to 4 bytes.
+// every payload that crosses a socket or lands in an archive goes
+// through this codec, and its byte counts are what the Table 4 bench
+// prints (the in-process sim hub charges the same counts through
+// rpc::encodedSize, payloads.h). Encoding follows XDR conventions:
+// big-endian 4/8-byte scalars, strings length-prefixed and padded to 4
+// bytes.
 #pragma once
 
 #include <cstdint>

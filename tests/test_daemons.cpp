@@ -2,12 +2,43 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "hadoop/cluster.h"
+#include "hadooplog/parser.h"
 #include "metrics/catalog.h"
+#include "rpc/payloads.h"
 #include "sim/engine.h"
 
 namespace asdf::rpc {
 namespace {
+
+bool sameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+void expectSameSnapshot(const metrics::SadcSnapshot& got,
+                        const metrics::SadcSnapshot& want) {
+  EXPECT_EQ(std::memcmp(&got.time, &want.time, sizeof(double)), 0);
+  EXPECT_TRUE(sameBits(got.node, want.node));
+  EXPECT_TRUE(sameBits(got.nic, want.nic));
+  ASSERT_EQ(got.processes.size(), want.processes.size());
+  for (std::size_t i = 0; i < got.processes.size(); ++i) {
+    EXPECT_EQ(got.processes[i].first, want.processes[i].first);
+    EXPECT_TRUE(sameBits(got.processes[i].second, want.processes[i].second));
+  }
+}
+
+void expectSameSamples(const std::vector<hadooplog::StateSample>& got,
+                       const std::vector<hadooplog::StateSample>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].second, want[i].second);
+    EXPECT_TRUE(sameBits(got[i].counts, want[i].counts));
+  }
+}
 
 class DaemonTest : public ::testing::Test {
  protected:
@@ -50,6 +81,60 @@ TEST_F(DaemonTest, SadcFetchRoundTripsSnapshot) {
   EXPECT_EQ(viaRpc.processes.size(), direct.processes.size());
 }
 
+// The hub hands values over in process and computes their wire size:
+// both must be exactly what a marshal -> unmarshal of the same data
+// yields, so sim and live runs agree value for value and byte for byte.
+// The reference samples come from parsers of the test's own reading
+// the same node logs.
+TEST_F(DaemonTest, SimFetchEqualsCodecRoundTrip) {
+  RpcHub hub(cluster_, 0.0);
+  cluster_.jobTracker().submit(smallJob(), 0.0);
+  hadooplog::TtLogParser ttRef;
+  hadooplog::DnLogParser dnRef;
+  ttRef.startAt(0);
+  dnRef.startAt(0);
+  std::size_t ttCursor = 0;
+  std::size_t dnCursor = 0;
+  metrics::SadcSnapshot snap;  // reused, like a collector module's
+  std::vector<hadooplog::StateSample> tt;
+  std::vector<hadooplog::StateSample> dn;
+  std::size_t nonEmptyRows = 0;
+  for (int t = 1; t <= 40; ++t) {
+    engine_.runUntil(t);
+    const SimTime now = t;
+    for (NodeId node = 1; node <= 3; ++node) {
+      Encoder snapEnc;
+      encodeSnapshot(snapEnc, cluster_.node(node).sadcCollect());
+      Decoder snapDec(snapEnc.bytes());
+      const metrics::SadcSnapshot wantSnap = decodeSnapshot(snapDec);
+      std::size_t bytes = 0;
+      ASSERT_TRUE(hub.fetchSadc(node, now, snap, bytes));
+      EXPECT_EQ(bytes, snapEnc.size());
+      expectSameSnapshot(snap, wantSnap);
+    }
+
+    hadoop::Node& host = cluster_.node(1);
+    ttRef.consume(host.ttLog().linesFrom(ttCursor));
+    ttCursor = host.ttLog().lineCount();
+    dnRef.consume(host.dnLog().linesFrom(dnCursor));
+    dnCursor = host.dnLog().lineCount();
+    for (const bool isTt : {true, false}) {
+      Encoder enc;
+      encodeSamples(enc, isTt ? ttRef.poll(now) : dnRef.poll(now));
+      Decoder dec(enc.bytes());
+      const std::vector<hadooplog::StateSample> want = decodeSamples(dec);
+      std::vector<hadooplog::StateSample>& got = isTt ? tt : dn;
+      std::size_t bytes = 0;
+      ASSERT_TRUE(isTt ? hub.fetchTt(1, now, now, got, bytes)
+                       : hub.fetchDn(1, now, now, got, bytes));
+      EXPECT_EQ(bytes, enc.size());
+      expectSameSamples(got, want);
+      nonEmptyRows += got.size();
+    }
+  }
+  EXPECT_GT(nonEmptyRows, 50u);
+}
+
 // Call accounting lives in the client: the hub's own fault-free client
 // charges its registry once per call.
 TEST_F(DaemonTest, SadcChannelTracksTraffic) {
@@ -71,14 +156,17 @@ TEST_F(DaemonTest, HadoopLogDaemonProducesStateVectors) {
   cluster_.jobTracker().submit(smallJob(), 0.0);
   std::size_t ttSamples = 0;
   std::size_t dnSamples = 0;
+  std::vector<hadooplog::StateSample> rows;
   for (int t = 1; t <= 120; ++t) {
     engine_.runUntil(t);
     std::size_t bytes = 0;
-    for (const auto& s : hub.hadoopLog(1).fetchTt(t, bytes)) {
+    hub.hadoopLog(1).fetchTt(t, rows, bytes);
+    for (const auto& s : rows) {
       EXPECT_EQ(s.counts.size(), hadooplog::kTtStateCount);
       ++ttSamples;
     }
-    for (const auto& s : hub.hadoopLog(1).fetchDn(t, bytes)) {
+    hub.hadoopLog(1).fetchDn(t, rows, bytes);
+    for (const auto& s : rows) {
       EXPECT_EQ(s.counts.size(), hadooplog::kDnStateCount);
       ++dnSamples;
     }
@@ -92,10 +180,12 @@ TEST_F(DaemonTest, HadoopLogSamplesAreContiguousSeconds) {
   RpcHub hub(cluster_, 0.0);
   cluster_.jobTracker().submit(smallJob(), 0.0);
   long expected = 0;
+  std::vector<hadooplog::StateSample> rows;
   for (int t = 1; t <= 60; ++t) {
     engine_.runUntil(t);
     std::size_t bytes = 0;
-    for (const auto& s : hub.hadoopLog(2).fetchTt(t, bytes)) {
+    hub.hadoopLog(2).fetchTt(t, rows, bytes);
+    for (const auto& s : rows) {
       EXPECT_EQ(s.second, expected);
       ++expected;
     }
@@ -107,9 +197,10 @@ TEST_F(DaemonTest, DaemonsMeterTheirCpu) {
   RpcHub hub(cluster_, 0.0);
   engine_.runUntil(5.0);
   std::size_t bytes = 0;
+  std::vector<hadooplog::StateSample> rows;
   for (int i = 0; i < 100; ++i) {
     hub.sadc(1).fetch(bytes);
-    hub.hadoopLog(1).fetchTt(5.0, bytes);
+    hub.hadoopLog(1).fetchTt(5.0, rows, bytes);
   }
   EXPECT_GT(hub.sadcCpuSeconds(), 0.0);
   EXPECT_GT(hub.hadoopLogCpuSeconds(), 0.0);

@@ -96,12 +96,13 @@ TEST(TtParser, Figure5Scenario) {
   // 14:23:15 and a reduce launch at 14:23:16 produce state vectors
   // (MapTask=1, ReduceTask=0) then (MapTask=1, ReduceTask=1).
   TtLogParser parser;
-  parser.consume({
+  const std::vector<std::string> lines = {
       "2008-04-15 14:23:15,324 INFO org.apache.hadoop.mapred.TaskTracker: "
       "LaunchTaskAction: task_0001_m_000096_0",
       "2008-04-15 14:23:16,375 INFO org.apache.hadoop.mapred.TaskTracker: "
       "LaunchTaskAction: task_0001_r_000003_0",
-  });
+  };
+  parser.consume(lines);
   const long base = 23 * 60 + 15;  // seconds after the 14:00 epoch
   const auto samples = parser.poll(base + 10);
   const auto& first = sampleAt(samples, base);

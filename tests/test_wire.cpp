@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 #include "common/error.h"
 #include "common/rng.h"
+#include "rpc/payloads.h"
 #include "rpc/transport.h"
 
 namespace asdf::rpc {
@@ -72,6 +77,48 @@ TEST(Wire, VectorRoundTrip) {
   EXPECT_DOUBLE_EQ(v[1], 2.5);
 }
 
+// The sized-once vector encoder writes exactly the bytes of a count
+// plus one putDouble per element.
+TEST(Wire, DoubleVectorMatchesPerWordEncoding) {
+  const std::vector<double> v = {0.0, -0.0, 1.5, -3.25e-300,
+                                 std::numeric_limits<double>::infinity(),
+                                 std::nan("")};
+  Encoder bulk;
+  bulk.putU32(7);
+  bulk.putDoubleVector(v);
+  Encoder words;
+  words.putU32(7);
+  words.putU32(static_cast<std::uint32_t>(v.size()));
+  for (double d : v) words.putDouble(d);
+  EXPECT_EQ(bulk.bytes(), words.bytes());
+
+  Decoder dec(bulk.bytes());
+  EXPECT_EQ(dec.getU32(), 7u);
+  const std::vector<double> back = dec.getDoubleVector();
+  ASSERT_EQ(back.size(), v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&back[i], &v[i], sizeof(double)), 0) << i;
+  }
+  EXPECT_TRUE(dec.exhausted());
+}
+
+// A count larger than the remaining bytes is rejected before anything
+// is sized from it.
+TEST(Wire, OversizedVectorCountThrows) {
+  Encoder enc;
+  enc.putU32(0xFFFFFFFFu);
+  enc.putDouble(1.0);
+  Decoder dec(enc.bytes());
+  EXPECT_THROW(dec.getDoubleVector(), RpcError);
+
+  Encoder shortByOne;
+  shortByOne.putDoubleVector({1.0, 2.0});
+  std::vector<std::uint8_t> cut(shortByOne.bytes().begin(),
+                                shortByOne.bytes().end() - 1);
+  Decoder cutDec(cut);
+  EXPECT_THROW(cutDec.getDoubleVector(), RpcError);
+}
+
 TEST(Wire, TruncatedMessageThrows) {
   Encoder enc;
   enc.putDouble(42.0);
@@ -124,6 +171,64 @@ TEST_P(WireProperty, RandomRoundTrips) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomRuns, WireProperty, ::testing::Range(0, 6));
+
+double randomValue(Rng& rng) {
+  switch (rng.uniformInt(0, 5)) {
+    case 0:
+      return std::nan("");
+    case 1:
+      return -0.0;
+    default:
+      return rng.gaussian(0.0, 1e6);
+  }
+}
+
+std::vector<double> randomVector(Rng& rng, long maxLen) {
+  std::vector<double> v(static_cast<std::size_t>(rng.uniformInt(0, maxLen)));
+  for (double& d : v) d = randomValue(rng);
+  return v;
+}
+
+// encodedSize is the sim daemons' Table 4 byte count: it must equal
+// what the encoder produces for every shape, including empty vectors,
+// no processes and every XDR padding remainder of a process name.
+TEST(Payloads, EncodedSizeMatchesEncoder) {
+  Rng rng(1009);
+  for (int iter = 0; iter < 200; ++iter) {
+    metrics::SadcSnapshot snap;
+    snap.time = randomValue(rng);
+    snap.node = randomVector(rng, 70);
+    snap.nic = randomVector(rng, 20);
+    const long procs = rng.uniformInt(0, 4);
+    for (long p = 0; p < procs; ++p) {
+      const auto nameLen = static_cast<std::size_t>(rng.uniformInt(0, 9));
+      snap.processes.emplace_back(std::string(nameLen, 'p'),
+                                  randomVector(rng, 12));
+    }
+    Encoder enc;
+    encodeSnapshot(enc, snap);
+    EXPECT_EQ(encodedSize(snap), enc.size()) << "snapshot " << iter;
+
+    std::vector<hadooplog::StateSample> samples(
+        static_cast<std::size_t>(rng.uniformInt(0, 5)));
+    for (auto& s : samples) {
+      s.second = rng.uniformInt(-5, 100000);
+      s.counts = randomVector(rng, 8);
+    }
+    Encoder sampleEnc;
+    encodeSamples(sampleEnc, samples);
+    EXPECT_EQ(encodedSize(samples), sampleEnc.size()) << "samples " << iter;
+  }
+  // Every name length 0..9 explicitly, so each padding case is hit.
+  for (std::size_t len = 0; len <= 9; ++len) {
+    metrics::SadcSnapshot snap;
+    snap.processes.emplace_back(std::string(len, 'x'),
+                                std::vector<double>{});
+    Encoder enc;
+    encodeSnapshot(enc, snap);
+    EXPECT_EQ(encodedSize(snap), enc.size()) << "name length " << len;
+  }
+}
 
 TEST(Transport, ChannelAccounting) {
   TransportRegistry registry;

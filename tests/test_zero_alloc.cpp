@@ -22,11 +22,15 @@
 #include "common/matrix.h"
 #include "common/rng.h"
 #include "core/value.h"
+#include "hadoop/cluster.h"
+#include "metrics/sadc.h"
 #include "modules/modules.h"
 #include "net/event_loop.h"
 #include "net/frame.h"
 #include "net/tcp_server.h"
+#include "rpc/daemons.h"
 #include "rpc/wire.h"
+#include "sim/engine.h"
 
 namespace asdf {
 namespace {
@@ -182,6 +186,40 @@ TEST(ZeroAlloc, HadoopLogSyncPushSteadyStateAllocatesNothing) {
       << "hl-sync push/release/prune allocated in steady state";
   EXPECT_EQ(rows, static_cast<std::size_t>(kSyncNodes * kMeasuredSeconds));
   EXPECT_EQ(sync.droppedSeconds(), 0);
+}
+
+// Sim collection hands the node's snapshot over by reference and
+// copy-assigns it into the caller's snapshot, whose capacity is reused;
+// the sadc module then flattens it in place. Once both buffers are
+// warm, a poll allocates nothing. The simulator runs between polls and
+// is not counted.
+TEST(ZeroAlloc, SimSadcCollectionAllocatesNothing) {
+  hadoop::HadoopParams params;
+  params.slaveCount = 3;
+  sim::SimEngine engine;
+  hadoop::Cluster cluster(params, 21, engine);
+  cluster.start();
+  rpc::RpcHub hub(cluster, 0.0);
+  metrics::SadcSnapshot snap;
+  std::vector<double> flat;
+  std::size_t bytes = 0;
+  std::uint64_t allocs = 0;
+  std::size_t polls = 0;
+  for (int t = 1; t <= 20; ++t) {
+    engine.runUntil(t);
+    const bool warm = t > 2;
+    const std::uint64_t before = allochook::totals().allocs;
+    for (NodeId node = 1; node <= params.slaveCount; ++node) {
+      ASSERT_TRUE(hub.fetchSadc(node, t, snap, bytes));
+      metrics::flattenNodeVector(snap, flat);
+      if (warm) ++polls;
+    }
+    if (warm) allocs += allochook::totals().allocs - before;
+  }
+  EXPECT_EQ(allocs, 0u) << "sim sadc collection allocated in steady state";
+  EXPECT_EQ(polls, 54u);
+  EXPECT_EQ(flat.size(), metrics::kFlatNodeVectorSize);
+  EXPECT_GT(bytes, 0u);
 }
 
 // The net-plane claim (DESIGN.md §15): once a connection's decode
