@@ -25,70 +25,28 @@ ArchiveCollector::ArchiveCollector(const std::string& dir) : reader_(dir) {
   }
 }
 
-const SampleRecord* ArchiveCollector::attempt(rpc::CollectKind kind,
-                                              NodeId node, SimTime now) {
+bool ArchiveCollector::collect(const rpc::CollectRequest& req,
+                               rpc::CollectOut out,
+                               std::size_t& responseBytes) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(
-      std::make_tuple(static_cast<int>(kind), node, timeKey(now)));
+  const auto it = index_.find(std::make_tuple(static_cast<int>(req.kind),
+                                              req.node, timeKey(req.now)));
   if (it == index_.end()) {
     ++misses_;
-    return nullptr;
+    return false;
   }
+  // A recorded failed round fails every attempt, a recorded retry its
+  // first attempts - 1, and an undecodable payload every attempt.
   Entry& e = it->second;
-  if (!e.rec->ok) {
+  const bool replayRetry = e.rec->ok && e.failuresServed < e.rec->attempts - 1;
+  if (replayRetry) ++e.failuresServed;
+  rpc::Decoder dec(e.rec->payload);
+  if (!e.rec->ok || replayRetry || !rpc::decodeInto(dec, out)) {
     ++replayedFailures_;
-    return nullptr;
-  }
-  if (e.failuresServed < e.rec->attempts - 1) {
-    ++e.failuresServed;
-    ++replayedFailures_;
-    return nullptr;
+    return false;
   }
   ++hits_;
-  return e.rec;
-}
-
-bool ArchiveCollector::fetchSadc(NodeId node, SimTime now,
-                                 metrics::SadcSnapshot& out,
-                                 std::size_t& responseBytes) {
-  const SampleRecord* rec = attempt(rpc::CollectKind::kSadc, node, now);
-  if (rec == nullptr) return false;
-  rpc::Decoder dec(rec->payload);
-  out = rpc::decodeSnapshot(dec);
-  responseBytes = rec->payload.size();
-  return true;
-}
-
-bool ArchiveCollector::fetchTt(NodeId node, SimTime now, SimTime /*watermark*/,
-                               std::vector<hadooplog::StateSample>& out,
-                               std::size_t& responseBytes) {
-  const SampleRecord* rec = attempt(rpc::CollectKind::kTt, node, now);
-  if (rec == nullptr) return false;
-  rpc::Decoder dec(rec->payload);
-  out = rpc::decodeSamples(dec);
-  responseBytes = rec->payload.size();
-  return true;
-}
-
-bool ArchiveCollector::fetchDn(NodeId node, SimTime now, SimTime /*watermark*/,
-                               std::vector<hadooplog::StateSample>& out,
-                               std::size_t& responseBytes) {
-  const SampleRecord* rec = attempt(rpc::CollectKind::kDn, node, now);
-  if (rec == nullptr) return false;
-  rpc::Decoder dec(rec->payload);
-  out = rpc::decodeSamples(dec);
-  responseBytes = rec->payload.size();
-  return true;
-}
-
-bool ArchiveCollector::fetchStrace(NodeId node, SimTime now,
-                                   syscalls::TraceSecond& out,
-                                   std::size_t& responseBytes) {
-  const SampleRecord* rec = attempt(rpc::CollectKind::kStrace, node, now);
-  if (rec == nullptr) return false;
-  rpc::Decoder dec(rec->payload);
-  out = rpc::decodeTrace(dec);
-  responseBytes = rec->payload.size();
+  responseBytes = e.rec->payload.size();
   return true;
 }
 

@@ -16,6 +16,8 @@
 //     the round, feeds its breaker, marks the node unmonitorable.
 //   * missing key              — failed round (a partially recorded
 //     archive degrades gracefully instead of faulting the pipeline).
+//   * undecodable payload      — every attempt fails, counted as a
+//     replayed failure (ArchiveWriter accepts opaque payload bytes).
 //
 // Breaker fast-fail rounds (attempts = 0) never reach the collector in
 // either run, so they reproduce from the identical outcome history.
@@ -42,23 +44,16 @@ class ArchiveCollector final : public rpc::LiveCollector {
   const ArchiveReader& reader() const { return reader_; }
 
   int slaves() const override { return reader_.meta().slaves; }
-  bool fetchSadc(NodeId node, SimTime now, metrics::SadcSnapshot& out,
-                 std::size_t& responseBytes) override;
-  bool fetchTt(NodeId node, SimTime now, SimTime watermark,
-               std::vector<hadooplog::StateSample>& out,
+  bool collect(const rpc::CollectRequest& req, rpc::CollectOut out,
                std::size_t& responseBytes) override;
-  bool fetchDn(NodeId node, SimTime now, SimTime watermark,
-               std::vector<hadooplog::StateSample>& out,
-               std::size_t& responseBytes) override;
-  bool fetchStrace(NodeId node, SimTime now, syscalls::TraceSecond& out,
-                   std::size_t& responseBytes) override;
 
   /// Successful attempts served from the archive.
   long hits() const;
   /// Attempts for which no record exists (schedule divergence or a
   /// truncated archive) — zero on a faithful replay.
   long misses() const;
-  /// Attempts failed to reproduce a recorded retry or failed round.
+  /// Attempts failed to reproduce a recorded retry or failed round, or
+  /// on a record whose payload does not decode.
   long replayedFailures() const;
 
  private:
@@ -66,9 +61,6 @@ class ArchiveCollector final : public rpc::LiveCollector {
     const SampleRecord* rec = nullptr;
     int failuresServed = 0;  // of the rec->attempts - 1 recorded retries
   };
-  /// nullptr = this attempt fails; otherwise the record to decode.
-  const SampleRecord* attempt(rpc::CollectKind kind, NodeId node,
-                              SimTime now);
 
   ArchiveReader reader_;
   mutable std::mutex mutex_;

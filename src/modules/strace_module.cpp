@@ -50,9 +50,9 @@ class StraceModule final : public core::Module {
   }
 
   void run(core::ModuleContext& ctx, core::RunReason) override {
-    auto fetched = client_->fetchStrace(node_, ctx.now());
+    client_->fetchStrace(node_, ctx.now(), fetched_);
     ++seconds_;
-    if (!fetched.ok) {
+    if (!fetched_.ok) {
       // Keep the stream's cadence for downstream windowing: re-emit
       // the last known score while the daemon is unreachable (no score
       // at all during warmup — there is nothing to train on).
@@ -61,7 +61,7 @@ class StraceModule final : public core::Module {
       }
       return;
     }
-    const syscalls::TraceSecond& trace = fetched.value;
+    const syscalls::TraceSecond& trace = fetched_.value;
     if (seconds_ <= warmup_) {
       model_.train(trace);
       return;
@@ -86,6 +86,7 @@ class StraceModule final : public core::Module {
   long seconds_ = 0;
   double lastScore_ = 0.0;
   rpc::RpcClient* client_ = nullptr;
+  rpc::Fetched<syscalls::TraceSecond> fetched_;  // reused across runs
   syscalls::MarkovModel model_;
   int out_ = -1;
 };

@@ -5,6 +5,8 @@
 namespace asdf::net {
 namespace {
 
+constexpr const char kGreeting[] = "asdf-root";
+
 FramedClient::Options clientOptions(const AggClient::Options& opts) {
   FramedClient::Options copts;
   copts.host = opts.host;
@@ -19,42 +21,11 @@ FramedClient::Options clientOptions(const AggClient::Options& opts) {
 
 AggClient::AggClient(const Options& opts) : client_(clientOptions(opts)) {}
 
-bool AggClient::ensureConnectedLocked() {
-  if (client_.connected()) return true;
-  if (!client_.connect()) return false;
-  rpc::Encoder hello;
-  hello.putU32(kProtocolVersion);
-  hello.putString("asdf-root");
-  Frame ack;
-  if (!client_.call(MsgType::kHello, hello, MsgType::kHelloAck, ack)) {
-    // Dial succeeded, handshake failed (partitioned or wedged peer) —
-    // back off before the next redial.
-    client_.disconnect();
-    client_.backoffFailure();
-    return false;
-  }
-  try {
-    rpc::Decoder dec(ack.payload);
-    const std::uint32_t version = dec.getU32();
-    if (version != kProtocolVersion) {
-      client_.disconnect();
-      return false;
-    }
-    groupSize_ = static_cast<int>(dec.getU32());
-    serverSeed_ = static_cast<std::uint64_t>(dec.getI64());
-    (void)dec.getString();  // source kind ("agg")
-  } catch (const RpcError&) {
-    client_.disconnect();
-    return false;
-  }
-  return groupSize_ >= 1;
-}
-
 bool AggClient::fetchSummary(rpc::SummaryChannel channel, double since,
                              std::vector<rpc::SummaryWindow>& out,
                              std::size_t& responseBytes) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!ensureConnectedLocked()) return false;
+  if (!client_.greet(kGreeting)) return false;
   rpc::Encoder req;
   req.putU32(static_cast<std::uint32_t>(channel));
   req.putDouble(since);
@@ -81,11 +52,7 @@ bool AggClient::fetchSummary(rpc::SummaryChannel channel, double since,
 
 void AggClient::shutdownServer() {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!ensureConnectedLocked()) return;
-  rpc::Encoder req;
-  Frame resp;
-  (void)client_.call(MsgType::kShutdown, req, MsgType::kShutdownAck, resp);
-  client_.disconnect();
+  client_.requestShutdown(kGreeting);
 }
 
 }  // namespace asdf::net

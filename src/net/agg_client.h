@@ -32,8 +32,8 @@ class AggClient {
   AggClient& operator=(const AggClient&) = delete;
 
   /// Members the aggregator serves (0 until the first handshake).
-  int groupSize() const { return groupSize_; }
-  std::uint64_t serverSeed() const { return serverSeed_; }
+  int groupSize() const { return client_.peer().members; }
+  std::uint64_t serverSeed() const { return client_.peer().seed; }
 
   /// One attempt: every window with time > since, in publication
   /// order. On success sets `responseBytes` to the marshalled response
@@ -52,12 +52,8 @@ class AggClient {
   long suppressedDials() const { return client_.suppressedDials(); }
 
  private:
-  bool ensureConnectedLocked();
-
   std::mutex mutex_;
   FramedClient client_;
-  int groupSize_ = 0;
-  std::uint64_t serverSeed_ = 0;
 };
 
 }  // namespace asdf::net

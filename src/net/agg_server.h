@@ -49,6 +49,7 @@ class AggServer {
   void handleFrame(TcpServer::Connection& conn, const Frame& frame);
 
   AggServerOptions opts_;
+  HelloAck hello_;
   ShardGroup group_;
 };
 

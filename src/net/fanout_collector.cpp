@@ -48,28 +48,10 @@ LiveTransport& FanoutCollector::transportFor(NodeId node) {
   return *transports_[offset % transports_.size()];
 }
 
-bool FanoutCollector::fetchSadc(NodeId node, SimTime now,
-                                metrics::SadcSnapshot& out,
-                                std::size_t& responseBytes) {
-  return transportFor(node).fetchSadc(node, now, out, responseBytes);
-}
-
-bool FanoutCollector::fetchTt(NodeId node, SimTime now, SimTime watermark,
-                              std::vector<hadooplog::StateSample>& out,
+bool FanoutCollector::collect(const rpc::CollectRequest& req,
+                              rpc::CollectOut out,
                               std::size_t& responseBytes) {
-  return transportFor(node).fetchTt(node, now, watermark, out, responseBytes);
-}
-
-bool FanoutCollector::fetchDn(NodeId node, SimTime now, SimTime watermark,
-                              std::vector<hadooplog::StateSample>& out,
-                              std::size_t& responseBytes) {
-  return transportFor(node).fetchDn(node, now, watermark, out, responseBytes);
-}
-
-bool FanoutCollector::fetchStrace(NodeId node, SimTime now,
-                                  syscalls::TraceSecond& out,
-                                  std::size_t& responseBytes) {
-  return transportFor(node).fetchStrace(node, now, out, responseBytes);
+  return transportFor(req.node).collect(req, out, responseBytes);
 }
 
 }  // namespace asdf::net

@@ -32,16 +32,8 @@ class FanoutCollector final : public rpc::LiveCollector {
 
   int slaves() const override;
 
-  bool fetchSadc(NodeId node, SimTime now, metrics::SadcSnapshot& out,
-                 std::size_t& responseBytes) override;
-  bool fetchTt(NodeId node, SimTime now, SimTime watermark,
-               std::vector<hadooplog::StateSample>& out,
+  bool collect(const rpc::CollectRequest& req, rpc::CollectOut out,
                std::size_t& responseBytes) override;
-  bool fetchDn(NodeId node, SimTime now, SimTime watermark,
-               std::vector<hadooplog::StateSample>& out,
-               std::size_t& responseBytes) override;
-  bool fetchStrace(NodeId node, SimTime now, syscalls::TraceSecond& out,
-                   std::size_t& responseBytes) override;
 
   std::size_t endpointCount() const { return transports_.size(); }
 

@@ -21,8 +21,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "rpc/collection_tap.h"
 #include "rpc/wire.h"
 
 namespace asdf::net {
@@ -40,15 +42,17 @@ inline constexpr std::uint32_t kMaxFramePayloadBytes = 16u << 20;
 /// fpt-core's LiveTransport, responses by asdf_rpcd.
 enum class MsgType : std::uint16_t {
   kHello = 1,        // client version + greeting
-  kHelloAck = 2,     // server version, slave count, seed, source kind
-  kFetchSadc = 3,    // {node:u32, now:f64}
-  kSadcData = 4,     // encoded SadcSnapshot
-  kFetchTt = 5,      // {node:u32, now:f64, watermark:f64}
-  kTtData = 6,       // encoded StateSample rows
-  kFetchDn = 7,      // {node:u32, now:f64, watermark:f64}
-  kDnData = 8,       // encoded StateSample rows
-  kFetchStrace = 9,  // {node:u32, now:f64}
-  kStraceData = 10,  // encoded TraceSecond
+  kHelloAck = 2,     // server version, members served, seed, source kind
+  // Collect requests are rpc::encodeRequest payloads, responses
+  // rpc::encodePayload payloads (kCollectMessages below).
+  kFetchSadc = 3,
+  kSadcData = 4,
+  kFetchTt = 5,
+  kTtData = 6,
+  kFetchDn = 7,
+  kDnData = 8,
+  kFetchStrace = 9,
+  kStraceData = 10,
   kStats = 11,       // {now:f64} — advance to now, report cluster stats
   kStatsData = 12,   // encoded ClusterStats
   kShutdown = 13,    // ask the daemon to exit after replying
@@ -66,6 +70,28 @@ enum class ErrorCode : std::uint32_t {
   kVersionSkew = 3,      // client hello declared an unsupported version
   kUnsupported = 4,      // message type not served by this source
   kInternal = 5,
+};
+
+/// Request and response message types of each collection channel,
+/// indexed by rpc::CollectKind.
+struct CollectMessages {
+  MsgType request;
+  MsgType response;
+};
+inline constexpr CollectMessages kCollectMessages[rpc::kCollectKindCount] = {
+    {MsgType::kFetchSadc, MsgType::kSadcData},
+    {MsgType::kFetchTt, MsgType::kTtData},
+    {MsgType::kFetchDn, MsgType::kDnData},
+    {MsgType::kFetchStrace, MsgType::kStraceData},
+};
+
+/// What a daemon's kHelloAck announces after the version: how many
+/// members it serves (slaves, or an aggregator's group size), its
+/// seed, and its source kind ("sim", "proc", "agg").
+struct HelloAck {
+  int members = 0;
+  std::uint64_t seed = 0;
+  std::string source;
 };
 
 struct Frame {

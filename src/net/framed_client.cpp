@@ -121,6 +121,40 @@ bool FramedClient::connect() {
   return true;
 }
 
+bool FramedClient::greet(const std::string& greeting) {
+  if (connected()) return true;
+  if (!connect()) return false;
+  rpc::Encoder hello;
+  hello.putU32(kProtocolVersion);
+  hello.putString(greeting);
+  Frame ack;
+  if (call(MsgType::kHello, hello, MsgType::kHelloAck, ack)) {
+    try {
+      rpc::Decoder dec(ack.payload);
+      HelloAck peer;
+      const std::uint32_t version = dec.getU32();
+      peer.members = static_cast<int>(dec.getU32());
+      peer.seed = static_cast<std::uint64_t>(dec.getI64());
+      peer.source = dec.getString();
+      if (version == kProtocolVersion && peer.members >= 1) {
+        peer_ = std::move(peer);
+        return true;
+      }
+    } catch (const RpcError&) {
+    }
+  }
+  disconnect();
+  backoffFailure();
+  return false;
+}
+
+void FramedClient::requestShutdown(const std::string& greeting) {
+  if (!greet(greeting)) return;
+  Frame ack;
+  (void)call(MsgType::kShutdown, rpc::Encoder{}, MsgType::kShutdownAck, ack);
+  disconnect();
+}
+
 bool FramedClient::call(MsgType request, const rpc::Encoder& payload,
                         MsgType expected, Frame& response) {
   if (fd_ < 0) return false;

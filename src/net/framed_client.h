@@ -9,9 +9,10 @@
 // request write and the response read all respect the per-call
 // deadline even when a throttled peer accepts bytes one at a time.
 // Redials are gated by capped exponential backoff with seeded jitter
-// so a dead daemon is never hammered in a hot loop. NOT thread-safe:
-// the owner serializes calls, typically under its own mutex, and
-// layers protocol handshakes on top.
+// so a dead daemon is never hammered in a hot loop. The hello
+// exchange and the shutdown request live here too, once for every
+// client; each owner passes its own greeting. NOT thread-safe: the
+// owner serializes calls, typically under its own mutex.
 #pragma once
 
 #include <cstdint>
@@ -46,11 +47,27 @@ class FramedClient {
   FramedClient(const FramedClient&) = delete;
   FramedClient& operator=(const FramedClient&) = delete;
 
-  /// Establishes the TCP connection (no protocol handshake — the
-  /// owner sends its hello through call()). True when already
-  /// connected. False immediately — without touching the network —
-  /// while a redial backoff window is open.
+  /// Establishes the TCP connection (no protocol handshake; see
+  /// greet()). True when already connected. False immediately —
+  /// without touching the network — while a redial backoff window is
+  /// open.
   bool connect();
+
+  /// Connects when not connected and opens the session on the fresh
+  /// connection: kHello{version, greeting} answered by a kHelloAck of
+  /// the same version serving at least one member, kept in peer().
+  /// Any hello failure disconnects and charges backoffFailure(), so a
+  /// peer that takes the dial but never answers (a partition: SYN
+  /// completes, bytes never do) is not redialed in a hot loop. True
+  /// when connected and greeted.
+  bool greet(const std::string& greeting);
+
+  /// The last successful hello's ack (members 0 before the first).
+  const HelloAck& peer() const { return peer_; }
+
+  /// Asks the peer to exit (greeting it first if not connected):
+  /// kShutdown, then disconnects. Best-effort.
+  void requestShutdown(const std::string& greeting);
   void disconnect();
   bool connected() const { return fd_ >= 0; }
 
@@ -61,12 +78,6 @@ class FramedClient {
   bool call(MsgType request, const rpc::Encoder& payload, MsgType expected,
             Frame& response);
 
-  /// Charges one failure to the redial backoff. Owners call this when
-  /// a dial succeeded but the protocol handshake on top failed (e.g.
-  /// connecting through a partition: SYN completes, bytes never do) —
-  /// otherwise such peers would be redialed in a hot loop.
-  void backoffFailure();
-
   /// Connections re-established after the first one (each is evidence
   /// the peer bounced).
   long reconnects() const { return reconnects_; }
@@ -75,7 +86,11 @@ class FramedClient {
   long suppressedDials() const { return suppressedDials_; }
 
  private:
+  /// Charges one failure to the redial backoff.
+  void backoffFailure();
+
   Options opts_;
+  HelloAck peer_;
   int fd_ = -1;
   FrameDecoder decoder_;
   bool everConnected_ = false;

@@ -7,6 +7,8 @@
 namespace asdf::net {
 namespace {
 
+constexpr const char kGreeting[] = "asdf-fpt-core";
+
 FramedClient::Options clientOptions(const LiveTransport::Options& opts) {
   FramedClient::Options copts;
   copts.host = opts.host;
@@ -22,7 +24,7 @@ FramedClient::Options clientOptions(const LiveTransport::Options& opts) {
 LiveTransport::LiveTransport(const Options& opts)
     : client_(clientOptions(opts)) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!ensureConnectedLocked()) {
+  if (!client_.greet(kGreeting)) {
     throw NetError("asdf_rpcd unreachable at " + opts.host + ":" +
                    std::to_string(opts.port));
   }
@@ -33,128 +35,18 @@ LiveTransport::~LiveTransport() {
   client_.disconnect();
 }
 
-bool LiveTransport::ensureConnectedLocked() {
-  if (client_.connected()) return true;
-  if (!client_.connect()) return false;
-  if (!handshakeLocked()) {
-    // The dial succeeded but the handshake did not (partitioned peer:
-    // SYN completes, bytes never arrive) — charge the backoff so the
-    // next call doesn't redial immediately.
-    client_.disconnect();
-    client_.backoffFailure();
-    return false;
-  }
-  return true;
-}
-
-bool LiveTransport::handshakeLocked() {
-  rpc::Encoder hello;
-  hello.putU32(kProtocolVersion);
-  hello.putString("asdf-fpt-core");
-  Frame ack;
-  if (!client_.call(MsgType::kHello, hello, MsgType::kHelloAck, ack)) {
-    return false;
-  }
-  try {
-    rpc::Decoder dec(ack.payload);
-    const std::uint32_t version = dec.getU32();
-    if (version != kProtocolVersion) return false;
-    slaves_ = static_cast<int>(dec.getU32());
-    serverSeed_ = static_cast<std::uint64_t>(dec.getI64());
-    serverSource_ = dec.getString();
-  } catch (const RpcError&) {
-    return false;
-  }
-  return slaves_ >= 1;
-}
-
-bool LiveTransport::fetchSadc(NodeId node, SimTime now,
-                              metrics::SadcSnapshot& out,
-                              std::size_t& responseBytes) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!ensureConnectedLocked()) return false;
-  rpc::Encoder req;
-  req.putU32(static_cast<std::uint32_t>(node));
-  req.putDouble(now);
-  Frame resp;
-  if (!client_.call(MsgType::kFetchSadc, req, MsgType::kSadcData, resp)) {
-    return false;
-  }
-  try {
-    rpc::Decoder dec(resp.payload);
-    out = rpc::decodeSnapshot(dec);
-  } catch (const RpcError&) {
-    client_.disconnect();
-    return false;
-  }
-  responseBytes = resp.payload.size();
-  return true;
-}
-
-bool LiveTransport::fetchTt(NodeId node, SimTime now, SimTime watermark,
-                            std::vector<hadooplog::StateSample>& out,
+bool LiveTransport::collect(const rpc::CollectRequest& req,
+                            rpc::CollectOut out,
                             std::size_t& responseBytes) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!ensureConnectedLocked()) return false;
-  rpc::Encoder req;
-  req.putU32(static_cast<std::uint32_t>(node));
-  req.putDouble(now);
-  req.putDouble(watermark);
+  if (!client_.greet(kGreeting)) return false;
+  rpc::Encoder enc;
+  rpc::encodeRequest(enc, req);
+  const CollectMessages& msgs = kCollectMessages[static_cast<int>(req.kind)];
   Frame resp;
-  if (!client_.call(MsgType::kFetchTt, req, MsgType::kTtData, resp)) {
-    return false;
-  }
-  try {
-    rpc::Decoder dec(resp.payload);
-    out = rpc::decodeSamples(dec);
-  } catch (const RpcError&) {
-    client_.disconnect();
-    return false;
-  }
-  responseBytes = resp.payload.size();
-  return true;
-}
-
-bool LiveTransport::fetchDn(NodeId node, SimTime now, SimTime watermark,
-                            std::vector<hadooplog::StateSample>& out,
-                            std::size_t& responseBytes) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!ensureConnectedLocked()) return false;
-  rpc::Encoder req;
-  req.putU32(static_cast<std::uint32_t>(node));
-  req.putDouble(now);
-  req.putDouble(watermark);
-  Frame resp;
-  if (!client_.call(MsgType::kFetchDn, req, MsgType::kDnData, resp)) {
-    return false;
-  }
-  try {
-    rpc::Decoder dec(resp.payload);
-    out = rpc::decodeSamples(dec);
-  } catch (const RpcError&) {
-    client_.disconnect();
-    return false;
-  }
-  responseBytes = resp.payload.size();
-  return true;
-}
-
-bool LiveTransport::fetchStrace(NodeId node, SimTime now,
-                                syscalls::TraceSecond& out,
-                                std::size_t& responseBytes) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!ensureConnectedLocked()) return false;
-  rpc::Encoder req;
-  req.putU32(static_cast<std::uint32_t>(node));
-  req.putDouble(now);
-  Frame resp;
-  if (!client_.call(MsgType::kFetchStrace, req, MsgType::kStraceData, resp)) {
-    return false;
-  }
-  try {
-    rpc::Decoder dec(resp.payload);
-    out = rpc::decodeTrace(dec);
-  } catch (const RpcError&) {
+  if (!client_.call(msgs.request, enc, msgs.response, resp)) return false;
+  rpc::Decoder dec(resp.payload);
+  if (!rpc::decodeInto(dec, out)) {
     client_.disconnect();
     return false;
   }
@@ -164,7 +56,7 @@ bool LiveTransport::fetchStrace(NodeId node, SimTime now,
 
 bool LiveTransport::fetchStats(double now, ClusterStatsWire& out) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!ensureConnectedLocked()) return false;
+  if (!client_.greet(kGreeting)) return false;
   rpc::Encoder req;
   req.putDouble(now);
   Frame resp;
@@ -183,11 +75,7 @@ bool LiveTransport::fetchStats(double now, ClusterStatsWire& out) {
 
 void LiveTransport::shutdownServer() {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!ensureConnectedLocked()) return;
-  rpc::Encoder req;
-  Frame resp;
-  (void)client_.call(MsgType::kShutdown, req, MsgType::kShutdownAck, resp);
-  client_.disconnect();
+  client_.requestShutdown(kGreeting);
 }
 
 }  // namespace asdf::net

@@ -4,13 +4,14 @@
 // accounting machinery works unchanged over real sockets.
 //
 // One socket carries every channel for every node (asdf_rpcd serves
-// the whole monitored cluster). Each fetch is one request frame and
-// one response frame, bounded by a poll()-based deadline; a timeout or
-// a framing error fails the attempt and drops the socket, and the next
-// attempt reconnects. Calls are serialized with an internal mutex so
-// collectors running on a pool executor cannot interleave frames.
-// The socket machinery itself lives in FramedClient, shared with the
-// aggregation tier's AggClient.
+// the whole monitored cluster). Each collect is one request frame and
+// one response frame (kCollectMessages, frame.h), bounded by a
+// poll()-based deadline; a timeout or a framing error fails the
+// attempt and drops the socket, and the next attempt reconnects.
+// Calls are serialized with an internal mutex so collectors running on
+// a pool executor cannot interleave frames. The socket machinery and
+// the handshake live in FramedClient, shared with the aggregation
+// tier's AggClient.
 #pragma once
 
 #include <cstdint>
@@ -41,20 +42,12 @@ class LiveTransport final : public rpc::LiveCollector {
   LiveTransport(const LiveTransport&) = delete;
   LiveTransport& operator=(const LiveTransport&) = delete;
 
-  int slaves() const override { return slaves_; }
-  std::uint64_t serverSeed() const { return serverSeed_; }
-  const std::string& serverSource() const { return serverSource_; }
+  int slaves() const override { return client_.peer().members; }
+  std::uint64_t serverSeed() const { return client_.peer().seed; }
+  const std::string& serverSource() const { return client_.peer().source; }
 
-  bool fetchSadc(NodeId node, SimTime now, metrics::SadcSnapshot& out,
-                 std::size_t& responseBytes) override;
-  bool fetchTt(NodeId node, SimTime now, SimTime watermark,
-               std::vector<hadooplog::StateSample>& out,
+  bool collect(const rpc::CollectRequest& req, rpc::CollectOut out,
                std::size_t& responseBytes) override;
-  bool fetchDn(NodeId node, SimTime now, SimTime watermark,
-               std::vector<hadooplog::StateSample>& out,
-               std::size_t& responseBytes) override;
-  bool fetchStrace(NodeId node, SimTime now, syscalls::TraceSecond& out,
-                   std::size_t& responseBytes) override;
 
   /// Advances the daemon's clock to `now` and fetches its cluster-side
   /// accounting (Table 3 / ground-truth fields for live harness runs).
@@ -72,14 +65,8 @@ class LiveTransport final : public rpc::LiveCollector {
   long suppressedDials() const { return client_.suppressedDials(); }
 
  private:
-  bool ensureConnectedLocked();
-  bool handshakeLocked();
-
   std::mutex mutex_;
   FramedClient client_;
-  int slaves_ = 0;
-  std::uint64_t serverSeed_ = 0;
-  std::string serverSource_;
 };
 
 }  // namespace asdf::net

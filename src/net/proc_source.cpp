@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "hadooplog/states.h"
 #include "metrics/catalog.h"
+#include "rpc/payloads.h"
 
 namespace asdf::net {
 namespace {
@@ -26,13 +27,12 @@ constexpr double kDnCycle[kCycleLen][hadooplog::kDnStateCount] = {
     {2, 1, 0}, {1, 0, 1}, {1, 1, 0}, {0, 1, 0}, {1, 0, 0}, {2, 1, 0},
 };
 
-std::vector<hadooplog::StateSample> replayRows(NodeId node, SimTime watermark,
-                                               long& cursor,
-                                               bool taskTracker) {
+void replayRows(NodeId node, SimTime watermark, long& cursor,
+                bool taskTracker, std::vector<hadooplog::StateSample>& out) {
   // Mirror the parsers' finalization lag: rows are final once the
   // watermark has moved 2 s past them.
   const long finalBefore = static_cast<long>(std::floor(watermark - 2.0));
-  std::vector<hadooplog::StateSample> out;
+  out.clear();
   for (; cursor < finalBefore; ++cursor) {
     hadooplog::StateSample s;
     s.second = cursor;
@@ -45,7 +45,6 @@ std::vector<hadooplog::StateSample> replayRows(NodeId node, SimTime watermark,
     }
     out.push_back(std::move(s));
   }
-  return out;
 }
 
 }  // namespace
@@ -111,11 +110,31 @@ ProcSource::ProcTotals ProcSource::readProcTotals() const {
   return t;
 }
 
-metrics::SadcSnapshot ProcSource::collect(NodeId node, SimTime now) {
-  // Node 1 reports the real host when /proc is live; everyone else is
-  // synthetic so peer comparison still has a population.
-  if (liveProc_ && node == 1) return sampleLive(now);
-  return sampleSynthetic(node, now);
+bool ProcSource::collect(const rpc::CollectRequest& req, rpc::CollectOut out,
+                         std::size_t& responseBytes) {
+  switch (req.kind) {
+    case rpc::CollectKind::kSadc: {
+      // Node 1 reports the real host when /proc is live; everyone else
+      // is synthetic so peer comparison still has a population.
+      metrics::SadcSnapshot& snap = *std::get<metrics::SadcSnapshot*>(out);
+      snap = liveProc_ && req.node == 1 ? sampleLive(req.now)
+                                        : sampleSynthetic(req.node, req.now);
+      responseBytes = rpc::encodedSize(snap);
+      return true;
+    }
+    case rpc::CollectKind::kTt:
+    case rpc::CollectKind::kDn: {
+      const bool tt = req.kind == rpc::CollectKind::kTt;
+      auto& rows = *std::get<std::vector<hadooplog::StateSample>*>(out);
+      replayRows(req.node, req.watermark,
+                 tt ? ttCursor_[req.node] : dnCursor_[req.node], tt, rows);
+      responseBytes = rpc::encodedSize(rows);
+      return true;
+    }
+    case rpc::CollectKind::kStrace:
+      return false;
+  }
+  return false;
 }
 
 metrics::SadcSnapshot ProcSource::sampleLive(SimTime now) {
@@ -267,16 +286,6 @@ metrics::SadcSnapshot ProcSource::sampleSynthetic(NodeId node, SimTime now) {
   snap.processes.emplace_back(
       "DataNode", std::vector<double>(metrics::kProcessMetricCount, 0.0));
   return snap;
-}
-
-std::vector<hadooplog::StateSample> ProcSource::fetchTt(NodeId node,
-                                                        SimTime watermark) {
-  return replayRows(node, watermark, ttCursor_[node], /*taskTracker=*/true);
-}
-
-std::vector<hadooplog::StateSample> ProcSource::fetchDn(NodeId node,
-                                                        SimTime watermark) {
-  return replayRows(node, watermark, dnCursor_[node], /*taskTracker=*/false);
 }
 
 }  // namespace asdf::net

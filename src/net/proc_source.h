@@ -12,7 +12,11 @@
 // Hadoop state-vector rows have no live counterpart on an arbitrary
 // host; they are replayed from a canned per-second trace (a looping
 // map/reduce/HDFS activity cycle), which keeps the white-box channel
-// exercised end to end.
+// exercised end to end. There is no syscall tracer: the strace
+// channel is not served.
+//
+// ProcSource is an rpc::LiveCollector, so asdf_rpcd serves it through
+// the same collect() call as the sim source's RpcHub.
 #pragma once
 
 #include <cstdint>
@@ -24,10 +28,11 @@
 #include "common/types.h"
 #include "hadooplog/parser.h"
 #include "metrics/os_model.h"
+#include "rpc/live_collector.h"
 
 namespace asdf::net {
 
-class ProcSource {
+class ProcSource final : public rpc::LiveCollector {
  public:
   /// `slaves` logical nodes are served; on a real host they all map to
   /// this machine's counters (node 1 live, the rest phase-shifted
@@ -37,14 +42,14 @@ class ProcSource {
   /// True when /proc/stat was readable at construction.
   bool liveProc() const { return liveProc_; }
 
-  /// One sadc collect for `node` at virtual time `now`.
-  metrics::SadcSnapshot collect(NodeId node, SimTime now);
+  int slaves() const override { return slaves_; }
 
-  /// Replayed TaskTracker / DataNode rows finalized up to `watermark`
-  /// (exclusive of the trailing finalization lag, like the real
-  /// parsers). Each call returns only rows not yet fetched.
-  std::vector<hadooplog::StateSample> fetchTt(NodeId node, SimTime watermark);
-  std::vector<hadooplog::StateSample> fetchDn(NodeId node, SimTime watermark);
+  /// kSadc: one sadc sample for `req.node` at virtual time `req.now`.
+  /// kTt/kDn: the replayed TaskTracker / DataNode rows finalized up to
+  /// `req.watermark` (exclusive of the trailing finalization lag, like
+  /// the real parsers), each row returned once. kStrace: false.
+  bool collect(const rpc::CollectRequest& req, rpc::CollectOut out,
+               std::size_t& responseBytes) override;
 
  private:
   struct ProcTotals {

@@ -1,8 +1,5 @@
 #include "net/rpcd_server.h"
 
-#include <algorithm>
-
-#include "common/logging.h"
 #include "net/cluster_stats.h"
 #include "rpc/payloads.h"
 
@@ -25,6 +22,7 @@ workload::GridMixParams gridmixParamsFor(const RpcdOptions& opts) {
 
 RpcdServer::RpcdServer(const RpcdOptions& opts)
     : opts_(opts),
+      hello_{opts.slaves, opts.seed, opts.source},
       group_(ShardGroupOptions{opts.port, opts.shards,
                                opts.preferReusePort}) {
   if (opts_.source == "sim") {
@@ -42,8 +40,10 @@ RpcdServer::RpcdServer(const RpcdOptions& opts)
     injector_ = std::make_unique<faults::FaultInjector>(*cluster_,
                                                         opts_.fault);
     injector_->arm();
+    source_ = hub_.get();
   } else {
     proc_ = std::make_unique<ProcSource>(opts_.slaves, opts_.seed);
+    source_ = proc_.get();
   }
   for (int i = 0; i < group_.shardCount(); ++i) {
     group_.server(i).onFrame(
@@ -72,19 +72,17 @@ void RpcdServer::advanceTo(double now) {
   }
 }
 
-void RpcdServer::observeSample(rpc::CollectKind kind, NodeId node,
-                               double now, double watermark,
-                               const rpc::Encoder& enc) {
+void RpcdServer::observeSample(const rpc::CollectRequest& req) {
   if (opts_.observer == nullptr) return;
   rpc::CollectSample sample;
-  sample.kind = kind;
-  sample.node = node;
-  sample.now = now;
-  sample.watermark = watermark;
+  sample.kind = req.kind;
+  sample.node = req.node;
+  sample.now = req.now;
+  sample.watermark = req.watermark;
   sample.attempts = 1;
   sample.ok = true;
-  sample.payload = enc.bytes().data();
-  sample.payloadSize = enc.size();
+  sample.payload = payload_.bytes().data();
+  sample.payloadSize = payload_.size();
   opts_.observer->onSample(sample);
 }
 
@@ -132,121 +130,17 @@ void RpcdServer::handleStats(TcpServer::Connection& conn, double now) {
 
 void RpcdServer::handleFrame(TcpServer::Connection& conn,
                              const Frame& frame) {
-  rpc::Decoder dec(frame.payload);
+  if (group_.answerSession(conn, frame, hello_, "asdf_rpcd")) return;
   switch (frame.type) {
-    case MsgType::kHello: {
-      const std::uint32_t version = dec.getU32();
-      if (version != kProtocolVersion) {
-        conn.sendError(ErrorCode::kVersionSkew,
-                       "server speaks version " +
-                           std::to_string(kProtocolVersion));
-        conn.close();
-        return;
-      }
-      rpc::Encoder enc;
-      enc.putU32(kProtocolVersion);
-      enc.putU32(static_cast<std::uint32_t>(opts_.slaves));
-      enc.putI64(static_cast<std::int64_t>(opts_.seed));
-      enc.putString(opts_.source);
-      conn.send(MsgType::kHelloAck, enc);
-      return;
-    }
-    case MsgType::kFetchSadc: {
-      const NodeId node = static_cast<NodeId>(dec.getU32());
-      const double now = dec.getDouble();
-      if (node < 1 || node > opts_.slaves) {
-        conn.sendError(ErrorCode::kUnknownNode,
-                       "node " + std::to_string(node));
-        return;
-      }
-      // The state mutex serializes shard threads through the shared
-      // source and the archive observer (DESIGN.md §15): responses
-      // depend only on (node, now), so which shard's request advances
-      // the simulation first does not change any payload.
-      rpc::Encoder enc;
-      {
-        std::lock_guard<std::mutex> lock(stateMutex_);
-        if (engine_ != nullptr) {
-          advanceTo(now);
-          std::size_t bytes = 0;
-          rpc::encodeSnapshot(enc, hub_->sadc(node).fetch(bytes));
-        } else {
-          rpc::encodeSnapshot(enc, proc_->collect(node, now));
-        }
-        observeSample(rpc::CollectKind::kSadc, node, now, kNoTime, enc);
-      }
-      conn.send(MsgType::kSadcData, enc);
-      return;
-    }
+    case MsgType::kFetchSadc:
     case MsgType::kFetchTt:
-    case MsgType::kFetchDn: {
-      const bool tt = frame.type == MsgType::kFetchTt;
-      const NodeId node = static_cast<NodeId>(dec.getU32());
-      const double now = dec.getDouble();
-      const double watermark = dec.getDouble();
-      if (node < 1 || node > opts_.slaves) {
-        conn.sendError(ErrorCode::kUnknownNode,
-                       "node " + std::to_string(node));
-        return;
-      }
-      std::vector<hadooplog::StateSample> rows;
-      rpc::Encoder enc;
-      {
-        std::lock_guard<std::mutex> lock(stateMutex_);
-        if (engine_ != nullptr) {
-          advanceTo(now);
-          std::size_t bytes = 0;
-          rpc::HadoopLogDaemon& daemon = hub_->hadoopLog(node);
-          if (tt) {
-            daemon.fetchTt(watermark, rows, bytes);
-          } else {
-            daemon.fetchDn(watermark, rows, bytes);
-          }
-        } else {
-          rows = tt ? proc_->fetchTt(node, watermark)
-                    : proc_->fetchDn(node, watermark);
-        }
-        rpc::encodeSamples(enc, rows);
-        observeSample(tt ? rpc::CollectKind::kTt : rpc::CollectKind::kDn,
-                      node, now, watermark, enc);
-      }
-      conn.send(tt ? MsgType::kTtData : MsgType::kDnData, enc);
+    case MsgType::kFetchDn:
+    case MsgType::kFetchStrace:
+      handleCollect(conn, frame);
       return;
-    }
-    case MsgType::kFetchStrace: {
-      const NodeId node = static_cast<NodeId>(dec.getU32());
-      const double now = dec.getDouble();
-      if (engine_ == nullptr) {
-        conn.sendError(ErrorCode::kUnsupported,
-                       "strace channel requires the sim source");
-        return;
-      }
-      if (node < 1 || node > opts_.slaves) {
-        conn.sendError(ErrorCode::kUnknownNode,
-                       "node " + std::to_string(node));
-        return;
-      }
-      rpc::Encoder enc;
-      {
-        std::lock_guard<std::mutex> lock(stateMutex_);
-        advanceTo(now);
-        std::size_t bytes = 0;
-        rpc::encodeTrace(enc, hub_->strace(node).fetch(bytes));
-        observeSample(rpc::CollectKind::kStrace, node, now, kNoTime, enc);
-      }
-      conn.send(MsgType::kStraceData, enc);
-      return;
-    }
     case MsgType::kStats: {
+      rpc::Decoder dec(frame.payload);
       handleStats(conn, dec.getDouble());
-      return;
-    }
-    case MsgType::kShutdown: {
-      rpc::Encoder enc;
-      conn.send(MsgType::kShutdownAck, enc);
-      conn.close();
-      logInfo("asdf_rpcd: shutdown requested; exiting");
-      group_.stop();
       return;
     }
     default:
@@ -255,6 +149,49 @@ void RpcdServer::handleFrame(TcpServer::Connection& conn,
                          std::to_string(static_cast<int>(frame.type)));
       return;
   }
+}
+
+void RpcdServer::handleCollect(TcpServer::Connection& conn,
+                               const Frame& frame) {
+  int k = 0;
+  while (kCollectMessages[k].request != frame.type) ++k;
+  const auto kind = static_cast<rpc::CollectKind>(k);
+  rpc::Decoder dec(frame.payload);
+  rpc::CollectRequest req;
+  if (!rpc::decodeRequest(dec, kind, req)) {
+    conn.sendError(ErrorCode::kBadRequest, std::string("truncated ") +
+                                               rpc::collectKindName(kind) +
+                                               " request");
+    return;
+  }
+  if (req.node < 1 || req.node > opts_.slaves) {
+    conn.sendError(ErrorCode::kUnknownNode,
+                   "node " + std::to_string(req.node));
+    return;
+  }
+  // The state mutex serializes shard threads through the shared
+  // source, the archive observer and the reused response buffers
+  // (DESIGN.md §15): responses depend only on (channel, node, now,
+  // watermark), so which shard's request advances the simulation
+  // first does not change any payload.
+  std::lock_guard<std::mutex> lock(stateMutex_);
+  advanceTo(req.now);
+  const rpc::CollectOut out = kind == rpc::CollectKind::kSadc
+                                  ? rpc::CollectOut{&snap_}
+                              : kind == rpc::CollectKind::kStrace
+                                  ? rpc::CollectOut{&trace_}
+                                  : rpc::CollectOut{&rows_};
+  std::size_t bytes = 0;
+  if (!source_->collect(req, out, bytes)) {
+    conn.sendError(ErrorCode::kUnsupported,
+                   std::string(rpc::collectKindName(kind)) +
+                       " channel requires the sim source");
+    return;
+  }
+  payload_.clear();
+  rpc::encodePayload(payload_, out);
+  observeSample(req);
+  conn.send(kCollectMessages[k].response, payload_);
 }
 
 }  // namespace asdf::net

@@ -88,17 +88,23 @@ class RpcdServer {
 
  private:
   void handleFrame(TcpServer::Connection& conn, const Frame& frame);
+  /// Serves kFetchSadc/Tt/Dn/Strace through source_.
+  void handleCollect(TcpServer::Connection& conn, const Frame& frame);
   void advanceTo(double now);
   void handleStats(TcpServer::Connection& conn, double now);
-  void observeSample(rpc::CollectKind kind, NodeId node, double now,
-                     double watermark, const rpc::Encoder& enc);
+  void observeSample(const rpc::CollectRequest& req);
 
   RpcdOptions opts_;
+  HelloAck hello_;
   ShardGroup group_;
   /// Serializes shard threads through the shared source (sim engine /
-  /// proc walker) and the archive observer. Uncontended no-op cost at
-  /// shards=1.
+  /// proc walker), the archive observer and the response buffers
+  /// below. Uncontended no-op cost at shards=1.
   std::mutex stateMutex_;
+  metrics::SadcSnapshot snap_;
+  std::vector<hadooplog::StateSample> rows_;
+  syscalls::TraceSecond trace_;
+  rpc::Encoder payload_;
 
   // sim source (null in proc mode).
   std::unique_ptr<sim::SimEngine> engine_;
@@ -109,6 +115,9 @@ class RpcdServer {
 
   // proc source (null in sim mode).
   std::unique_ptr<ProcSource> proc_;
+
+  /// What collect requests are served from: hub_ or proc_.
+  rpc::LiveCollector* source_ = nullptr;
 };
 
 }  // namespace asdf::net

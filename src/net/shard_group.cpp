@@ -92,6 +92,36 @@ void ShardGroup::stop() {
   for (auto& loop : loops_) loop->stop();
 }
 
+bool ShardGroup::answerSession(TcpServer::Connection& conn,
+                               const Frame& frame, const HelloAck& ack,
+                               const char* daemonName) {
+  if (frame.type == MsgType::kHello) {
+    rpc::Decoder dec(frame.payload);
+    if (dec.getU32() != kProtocolVersion) {
+      conn.sendError(ErrorCode::kVersionSkew,
+                     "server speaks version " +
+                         std::to_string(kProtocolVersion));
+      conn.close();
+      return true;
+    }
+    rpc::Encoder enc;
+    enc.putU32(kProtocolVersion);
+    enc.putU32(static_cast<std::uint32_t>(ack.members));
+    enc.putI64(static_cast<std::int64_t>(ack.seed));
+    enc.putString(ack.source);
+    conn.send(MsgType::kHelloAck, enc);
+    return true;
+  }
+  if (frame.type == MsgType::kShutdown) {
+    conn.send(MsgType::kShutdownAck, rpc::Encoder{});
+    conn.close();
+    logInfo(std::string(daemonName) + ": shutdown requested; exiting");
+    stop();
+    return true;
+  }
+  return false;
+}
+
 long ShardGroup::framesServed() const {
   long total = 0;
   for (const auto& s : servers_) total += s->framesServed();

@@ -62,6 +62,15 @@ class ShardGroup {
   /// from a shard's own handler (it does not join).
   void stop();
 
+  /// Answers the session frames every framed-protocol daemon serves
+  /// the same way, and returns true for them: kHello (an exact version
+  /// match gets `ack`, anything else kError(kVersionSkew) and a close)
+  /// and kShutdown (kShutdownAck and a close, then `daemonName` logs
+  /// its exit and the group stops). False for every other frame type,
+  /// which the caller serves.
+  bool answerSession(TcpServer::Connection& conn, const Frame& frame,
+                     const HelloAck& ack, const char* daemonName);
+
   /// Counters summed across shards (relaxed; safe while running).
   long framesServed() const;
   long connectionsRejected() const;

@@ -41,24 +41,19 @@ HadoopLogDaemon::HadoopLogDaemon(hadoop::Node& node, SimTime attachTime)
   dnParser_.startAt(static_cast<long>(attachTime));
 }
 
-void HadoopLogDaemon::fetchTt(SimTime watermark,
-                              std::vector<hadooplog::StateSample>& out,
-                              std::size_t& responseBytes) {
+void HadoopLogDaemon::fetch(CollectKind kind, SimTime watermark,
+                            std::vector<hadooplog::StateSample>& out,
+                            std::size_t& responseBytes) {
   CpuMeter::Scope scope(cpu_);
-  ttParser_.consume(node_.ttLog().linesFrom(ttCursor_));
-  ttCursor_ = node_.ttLog().lineCount();
-  ttParser_.poll(watermark, out);
-  responseBytes = encodedSize(out);
-  chargeNode(node_, 1.0e-5, static_cast<double>(responseBytes));
-}
-
-void HadoopLogDaemon::fetchDn(SimTime watermark,
-                              std::vector<hadooplog::StateSample>& out,
-                              std::size_t& responseBytes) {
-  CpuMeter::Scope scope(cpu_);
-  dnParser_.consume(node_.dnLog().linesFrom(dnCursor_));
-  dnCursor_ = node_.dnLog().lineCount();
-  dnParser_.poll(watermark, out);
+  if (kind == CollectKind::kTt) {
+    ttParser_.consume(node_.ttLog().linesFrom(ttCursor_));
+    ttCursor_ = node_.ttLog().lineCount();
+    ttParser_.poll(watermark, out);
+  } else {
+    dnParser_.consume(node_.dnLog().linesFrom(dnCursor_));
+    dnCursor_ = node_.dnLog().lineCount();
+    dnParser_.poll(watermark, out);
+  }
   responseBytes = encodedSize(out);
   chargeNode(node_, 1.0e-5, static_cast<double>(responseBytes));
 }
@@ -110,31 +105,25 @@ StraceDaemon& RpcHub::strace(NodeId node) { return daemons(node).strace; }
 
 int RpcHub::slaves() const { return static_cast<int>(daemons_.size()); }
 
-bool RpcHub::fetchSadc(NodeId node, SimTime, metrics::SadcSnapshot& out,
-                       std::size_t& responseBytes) {
-  // Copy-assignment reuses the capacity of the caller's snapshot.
-  out = sadc(node).fetch(responseBytes);
-  return true;
-}
-
-bool RpcHub::fetchTt(NodeId node, SimTime, SimTime watermark,
-                     std::vector<hadooplog::StateSample>& out,
+bool RpcHub::collect(const CollectRequest& req, CollectOut out,
                      std::size_t& responseBytes) {
-  hadoopLog(node).fetchTt(watermark, out, responseBytes);
-  return true;
-}
-
-bool RpcHub::fetchDn(NodeId node, SimTime, SimTime watermark,
-                     std::vector<hadooplog::StateSample>& out,
-                     std::size_t& responseBytes) {
-  hadoopLog(node).fetchDn(watermark, out, responseBytes);
-  return true;
-}
-
-bool RpcHub::fetchStrace(NodeId node, SimTime, syscalls::TraceSecond& out,
-                         std::size_t& responseBytes) {
-  out = strace(node).fetch(responseBytes);
-  return true;
+  NodeDaemons& d = daemons(req.node);
+  switch (req.kind) {
+    case CollectKind::kSadc:
+      // Copy-assignment reuses the capacity of the caller's snapshot.
+      *std::get<metrics::SadcSnapshot*>(out) = d.sadc.fetch(responseBytes);
+      return true;
+    case CollectKind::kTt:
+    case CollectKind::kDn:
+      d.log.fetch(req.kind, req.watermark,
+                  *std::get<std::vector<hadooplog::StateSample>*>(out),
+                  responseBytes);
+      return true;
+    case CollectKind::kStrace:
+      *std::get<syscalls::TraceSecond*>(out) = d.strace.fetch(responseBytes);
+      return true;
+  }
+  return false;
 }
 
 double RpcHub::sadcCpuSeconds() const {

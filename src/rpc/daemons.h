@@ -58,14 +58,12 @@ class HadoopLogDaemon {
   /// reported for quiet seconds from that point on).
   HadoopLogDaemon(hadoop::Node& node, SimTime attachTime);
 
-  /// Parses any new TaskTracker log lines and moves the finalized
-  /// per-second TaskTracker state vectors into `out` (cleared first).
-  void fetchTt(SimTime watermark, std::vector<hadooplog::StateSample>& out,
-               std::size_t& responseBytes);
-
-  /// Same for the DataNode log.
-  void fetchDn(SimTime watermark, std::vector<hadooplog::StateSample>& out,
-               std::size_t& responseBytes);
+  /// Parses any new lines of the kind's log — TaskTracker for kTt,
+  /// DataNode for kDn — and moves the finalized per-second state
+  /// vectors into `out` (cleared first).
+  void fetch(CollectKind kind, SimTime watermark,
+             std::vector<hadooplog::StateSample>& out,
+             std::size_t& responseBytes);
 
   double cpuSeconds() const { return cpu_.seconds(); }
   std::size_t memoryFootprintBytes() const;
@@ -115,16 +113,9 @@ class RpcHub final : public LiveCollector {
   StraceDaemon& strace(NodeId node);
 
   int slaves() const override;
-  bool fetchSadc(NodeId node, SimTime now, metrics::SadcSnapshot& out,
-                 std::size_t& responseBytes) override;
-  bool fetchTt(NodeId node, SimTime now, SimTime watermark,
-               std::vector<hadooplog::StateSample>& out,
+  /// Always succeeds: the node's daemon for `req.kind` answers.
+  bool collect(const CollectRequest& req, CollectOut out,
                std::size_t& responseBytes) override;
-  bool fetchDn(NodeId node, SimTime now, SimTime watermark,
-               std::vector<hadooplog::StateSample>& out,
-               std::size_t& responseBytes) override;
-  bool fetchStrace(NodeId node, SimTime now, syscalls::TraceSecond& out,
-                   std::size_t& responseBytes) override;
 
   /// The hub's own fault-free client (default policy, no fault gate):
   /// collector modules fall back to it when the environment provides

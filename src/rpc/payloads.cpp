@@ -1,5 +1,7 @@
 #include "rpc/payloads.h"
 
+#include "common/error.h"
+
 namespace asdf::rpc {
 namespace {
 
@@ -15,6 +17,17 @@ std::size_t doubleVectorSize(const std::vector<double>& v) {
 std::size_t stringSize(const std::string& s) {
   return kCountBytes + (s.size() + 3) / 4 * 4;
 }
+
+bool hasWatermark(CollectKind kind) {
+  return kind == CollectKind::kTt || kind == CollectKind::kDn;
+}
+
+template <typename... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
+template <typename... Fs>
+Overloaded(Fs...) -> Overloaded<Fs...>;
 
 }  // namespace
 
@@ -63,8 +76,9 @@ void encodeSamples(Encoder& enc,
 
 std::vector<hadooplog::StateSample> decodeSamples(Decoder& dec) {
   std::vector<hadooplog::StateSample> out;
+  // No reserve: the count is untrusted, and each row must still pass
+  // its own bounds checks.
   const std::uint32_t n = dec.getU32();
-  out.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     hadooplog::StateSample s;
     s.second = dec.getI64();
@@ -90,6 +104,51 @@ void encodeTrace(Encoder& enc, const syscalls::TraceSecond& trace) {
 syscalls::TraceSecond decodeTrace(Decoder& dec) {
   const std::string raw = dec.getString();
   return syscalls::TraceSecond(raw.begin(), raw.end());
+}
+
+void encodeRequest(Encoder& enc, const CollectRequest& req) {
+  enc.putU32(static_cast<std::uint32_t>(req.node));
+  enc.putDouble(req.now);
+  if (hasWatermark(req.kind)) enc.putDouble(req.watermark);
+}
+
+bool decodeRequest(Decoder& dec, CollectKind kind, CollectRequest& out) {
+  try {
+    out.kind = kind;
+    out.node = static_cast<NodeId>(dec.getU32());
+    out.now = dec.getDouble();
+    out.watermark = hasWatermark(kind) ? dec.getDouble() : kNoTime;
+    return true;
+  } catch (const RpcError&) {
+    return false;
+  }
+}
+
+void encodePayload(Encoder& enc, CollectOut value) {
+  std::visit(
+      Overloaded{
+          [&](metrics::SadcSnapshot* snap) { encodeSnapshot(enc, *snap); },
+          [&](std::vector<hadooplog::StateSample>* rows) {
+            encodeSamples(enc, *rows);
+          },
+          [&](syscalls::TraceSecond* trace) { encodeTrace(enc, *trace); }},
+      value);
+}
+
+bool decodeInto(Decoder& dec, CollectOut out) {
+  try {
+    std::visit(
+        Overloaded{
+            [&](metrics::SadcSnapshot* snap) { *snap = decodeSnapshot(dec); },
+            [&](std::vector<hadooplog::StateSample>* rows) {
+              *rows = decodeSamples(dec);
+            },
+            [&](syscalls::TraceSecond* trace) { *trace = decodeTrace(dec); }},
+        out);
+    return true;
+  } catch (const RpcError&) {
+    return false;
+  }
 }
 
 }  // namespace asdf::rpc

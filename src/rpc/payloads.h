@@ -7,6 +7,9 @@
 // definition of how a sadc snapshot and a Hadoop state-vector row look
 // on the wire, layered on the XDR-style codec in wire.h.
 //
+// The collect request {node:u32, now:f64[, watermark:f64 for tt/dn]}
+// is defined here too, once for every client and server.
+//
 // encodedSize() computes, without encoding, the byte count the matching
 // encoder would produce. The sim daemons report that size (they hand
 // the value itself over in process, with no marshalling a real daemon
@@ -19,6 +22,7 @@
 
 #include "hadooplog/parser.h"
 #include "metrics/os_model.h"
+#include "rpc/live_collector.h"
 #include "rpc/wire.h"
 #include "syscalls/trace_model.h"
 
@@ -41,5 +45,16 @@ std::size_t encodedSize(const std::vector<hadooplog::StateSample>& samples);
 
 void encodeTrace(Encoder& enc, const syscalls::TraceSecond& trace);
 syscalls::TraceSecond decodeTrace(Decoder& dec);
+
+/// The wire request of one collect call. decodeRequest() reads one
+/// for `kind` into `out`; false when the payload is too short for it.
+void encodeRequest(Encoder& enc, const CollectRequest& req);
+bool decodeRequest(Decoder& dec, CollectKind kind, CollectRequest& out);
+
+/// The response payload of one collect call: `value` marshalled by
+/// its kind's codec above, and the reverse. decodeInto() is false
+/// when the bytes are not a valid encoding (`out` is then unspecified).
+void encodePayload(Encoder& enc, CollectOut value);
+bool decodeInto(Decoder& dec, CollectOut out);
 
 }  // namespace asdf::rpc

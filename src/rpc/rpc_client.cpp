@@ -5,6 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 
 #include "rpc/payloads.h"
 
@@ -280,10 +281,11 @@ bool RpcClient::attemptSucceeds(NodeState& st, NodeId node, Daemon d,
   return true;
 }
 
-template <typename T, typename Attempt>
-void RpcClient::round(NodeId node, CollectKind kind, SimTime now,
-                      Fetched<T>& out, Attempt&& attempt) {
-  const Daemon d = kDaemonOf[static_cast<int>(kind)];
+template <typename T>
+void RpcClient::round(const CollectRequest& req, Fetched<T>& out) {
+  const NodeId node = req.node;
+  const SimTime now = req.now;
+  const Daemon d = kDaemonOf[static_cast<int>(req.kind)];
   NodeState& st = state(node);
   ++st.rounds;
 
@@ -298,7 +300,7 @@ void RpcClient::round(NodeId node, CollectKind kind, SimTime now,
   const bool probing = st.breaker.state(now) == CircuitBreaker::State::kHalfOpen;
   const int maxAttempts = probing ? 1 : 1 + policy_.maxRetries;
 
-  RpcChannelStats& channel = *channels_[static_cast<int>(kind)];
+  RpcChannelStats& channel = *channels_[static_cast<int>(req.kind)];
   SimTime t = now;
   for (int i = 0; i < maxAttempts; ++i) {
     // The fault gate draws first (its loss draw precedes any jitter
@@ -307,12 +309,17 @@ void RpcClient::round(NodeId node, CollectKind kind, SimTime now,
     std::size_t responseBytes = 0;
     const bool ok =
         (cluster_ == nullptr || attemptSucceeds(st, node, d, cost)) &&
-        attempt(responseBytes);
+        collector_.collect(req, &out.value, responseBytes);
     if (st.log.size() < kMaxLoggedAttempts) {
       st.log.push_back(AttemptRecord{t, d, i, ok});
     }
     out.attempts = i + 1;
     if (ok) {
+      if constexpr (std::is_same_v<T, syscalls::TraceSecond>) {
+        // Account the hub's convention — length prefix plus one byte
+        // per event — not a live transport's padded frame payload.
+        responseBytes = 4 + out.value.size();
+      }
       out.ok = true;
       out.retried = i > 0;
       st.retries += i;
@@ -342,23 +349,20 @@ void RpcClient::round(NodeId node, CollectKind kind, SimTime now,
   registry_.markFailure(node, d, now);
 }
 
-template <typename T, typename Call, typename Encode>
-void RpcClient::fetch(NodeId node, CollectKind kind, SimTime now,
-                      SimTime watermark, Fetched<T>& out, Call&& call,
-                      Encode&& encode) {
+template <typename T>
+void RpcClient::fetch(const CollectRequest& req, Fetched<T>& out) {
   out.ok = false;
   out.retried = false;
   out.attempts = 0;
-  round(node, kind, now, out,
-        [&](std::size_t& bytes) { return call(out.value, bytes); });
+  round(req, out);
   if (observer_ != nullptr) {
     Encoder enc;
-    if (out.ok) encode(enc, out.value);
+    if (out.ok) encodePayload(enc, &out.value);
     CollectSample sample;
-    sample.kind = kind;
-    sample.node = node;
-    sample.now = now;
-    sample.watermark = watermark;
+    sample.kind = req.kind;
+    sample.node = req.node;
+    sample.now = req.now;
+    sample.watermark = req.watermark;
     sample.attempts = out.attempts;
     sample.ok = out.ok;
     sample.payload = enc.bytes().data();
@@ -369,69 +373,22 @@ void RpcClient::fetch(NodeId node, CollectKind kind, SimTime now,
 
 void RpcClient::fetchSadc(NodeId node, SimTime now,
                           Fetched<metrics::SadcSnapshot>& out) {
-  fetch(
-      node, CollectKind::kSadc, now, kNoTime, out,
-      [&](metrics::SadcSnapshot& value, std::size_t& bytes) {
-        return collector_.fetchSadc(node, now, value, bytes);
-      },
-      encodeSnapshot);
+  fetch({CollectKind::kSadc, node, now, kNoTime}, out);
 }
 
 void RpcClient::fetchTt(NodeId node, SimTime now, SimTime watermark,
                         Fetched<std::vector<hadooplog::StateSample>>& out) {
-  fetch(
-      node, CollectKind::kTt, now, watermark, out,
-      [&](std::vector<hadooplog::StateSample>& value, std::size_t& bytes) {
-        return collector_.fetchTt(node, now, watermark, value, bytes);
-      },
-      encodeSamples);
+  fetch({CollectKind::kTt, node, now, watermark}, out);
 }
 
 void RpcClient::fetchDn(NodeId node, SimTime now, SimTime watermark,
                         Fetched<std::vector<hadooplog::StateSample>>& out) {
-  fetch(
-      node, CollectKind::kDn, now, watermark, out,
-      [&](std::vector<hadooplog::StateSample>& value, std::size_t& bytes) {
-        return collector_.fetchDn(node, now, watermark, value, bytes);
-      },
-      encodeSamples);
+  fetch({CollectKind::kDn, node, now, watermark}, out);
 }
 
-Fetched<metrics::SadcSnapshot> RpcClient::fetchSadc(NodeId node,
-                                                    SimTime now) {
-  Fetched<metrics::SadcSnapshot> out;
-  fetchSadc(node, now, out);
-  return out;
-}
-
-Fetched<std::vector<hadooplog::StateSample>> RpcClient::fetchTt(
-    NodeId node, SimTime now, SimTime watermark) {
-  Fetched<std::vector<hadooplog::StateSample>> out;
-  fetchTt(node, now, watermark, out);
-  return out;
-}
-
-Fetched<std::vector<hadooplog::StateSample>> RpcClient::fetchDn(
-    NodeId node, SimTime now, SimTime watermark) {
-  Fetched<std::vector<hadooplog::StateSample>> out;
-  fetchDn(node, now, watermark, out);
-  return out;
-}
-
-Fetched<syscalls::TraceSecond> RpcClient::fetchStrace(NodeId node,
-                                                      SimTime now) {
-  Fetched<syscalls::TraceSecond> out;
-  fetch(
-      node, CollectKind::kStrace, now, kNoTime, out,
-      [&](syscalls::TraceSecond& value, std::size_t& bytes) {
-        if (!collector_.fetchStrace(node, now, value, bytes)) return false;
-        // Account the hub's convention — length prefix plus one byte
-        // per event — not a live transport's padded frame payload.
-        bytes = 4 + value.size();
-        return true;
-      },
-      encodeTrace);
-  return out;
+void RpcClient::fetchStrace(NodeId node, SimTime now,
+                            Fetched<syscalls::TraceSecond>& out) {
+  fetch({CollectKind::kStrace, node, now, kNoTime}, out);
 }
 
 CircuitBreaker::State RpcClient::breakerState(NodeId node,

@@ -232,16 +232,8 @@ class RpcClient {
                Fetched<std::vector<hadooplog::StateSample>>& out);
   void fetchDn(NodeId node, SimTime now, SimTime watermark,
                Fetched<std::vector<hadooplog::StateSample>>& out);
-
-  /// The same, returning a fresh outcome.
-  Fetched<metrics::SadcSnapshot> fetchSadc(NodeId node, SimTime now);
-  Fetched<std::vector<hadooplog::StateSample>> fetchTt(NodeId node,
-                                                       SimTime now,
-                                                       SimTime watermark);
-  Fetched<std::vector<hadooplog::StateSample>> fetchDn(NodeId node,
-                                                       SimTime now,
-                                                       SimTime watermark);
-  Fetched<syscalls::TraceSecond> fetchStrace(NodeId node, SimTime now);
+  void fetchStrace(NodeId node, SimTime now,
+                   Fetched<syscalls::TraceSecond>& out);
 
   /// Flight-recorder tap: after every fetch round the observer sees
   /// the outcome (attempts/ok) plus, on success, the value re-encoded
@@ -286,17 +278,16 @@ class RpcClient {
   };
   NodeState& state(NodeId node);
   const NodeState& state(NodeId node) const;
-  /// One fetch round of `kind` into `out` and its report to the
-  /// observer. `call(value, responseBytes)` is one collector attempt.
-  template <typename T, typename Call, typename Encode>
-  void fetch(NodeId node, CollectKind kind, SimTime now, SimTime watermark,
-             Fetched<T>& out, Call&& call, Encode&& encode);
+  /// One fetch round of `req` into `out` (one collector collect()
+  /// per attempt) and its report to the observer.
+  template <typename T>
+  void fetch(const CollectRequest& req, Fetched<T>& out);
   /// The retry loop: breaker and probe handling, the fault gate (sim
-  /// clients only) then `attempt` per try, attempt log, byte charges,
-  /// and backoff plus jitter between tries. Sets out.ok/retried/attempts.
-  template <typename T, typename Attempt>
-  void round(NodeId node, CollectKind kind, SimTime now, Fetched<T>& out,
-             Attempt&& attempt);
+  /// clients only) then one collector collect() per try, attempt log,
+  /// byte charges, and backoff plus jitter between tries. Sets
+  /// out.ok/retried/attempts.
+  template <typename T>
+  void round(const CollectRequest& req, Fetched<T>& out);
   /// The simulated fault gate for one attempt: success flag plus the
   /// virtual seconds a failure consumed (timeout or refusal cost).
   bool attemptSucceeds(NodeState& st, NodeId node, Daemon d,

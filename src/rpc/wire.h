@@ -26,6 +26,8 @@ class Encoder {
 
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
   std::size_t size() const { return buf_.size(); }
+  /// Empties the buffer, keeping its capacity for the next message.
+  void clear() { buf_.clear(); }
 
  private:
   std::vector<std::uint8_t> buf_;

@@ -247,17 +247,20 @@ TEST(ArchiveReplay, AccountingParityAcrossTransports) {
   rpc::RpcClient client(collector, rpc::RpcPolicy{}, 7,
                         /*realBackoff=*/false);
 
-  const rpc::Fetched<metrics::SadcSnapshot> clean = client.fetchSadc(1, 0.0);
+  rpc::Fetched<metrics::SadcSnapshot> clean;
+  client.fetchSadc(1, 0.0, clean);
   EXPECT_TRUE(clean.ok);
   EXPECT_FALSE(clean.retried);
   EXPECT_EQ(clean.attempts, 1);
 
-  const rpc::Fetched<metrics::SadcSnapshot> retried = client.fetchSadc(1, 1.0);
+  rpc::Fetched<metrics::SadcSnapshot> retried;
+  client.fetchSadc(1, 1.0, retried);
   EXPECT_TRUE(retried.ok);
   EXPECT_TRUE(retried.retried);
   EXPECT_EQ(retried.attempts, 3);
 
-  const rpc::Fetched<metrics::SadcSnapshot> failed = client.fetchSadc(1, 2.0);
+  rpc::Fetched<metrics::SadcSnapshot> failed;
+  client.fetchSadc(1, 2.0, failed);
   EXPECT_FALSE(failed.ok);
   EXPECT_EQ(failed.attempts, 1 + rpc::RpcPolicy{}.maxRetries);
   EXPECT_EQ(client.health().channelHealth(1, rpc::Daemon::kSadc),
@@ -285,6 +288,46 @@ TEST(ArchiveReplay, AccountingParityAcrossTransports) {
   EXPECT_EQ(channel.failedCalls(), reference.failedCalls());
   EXPECT_EQ(channel.staticOverheadBytes(), reference.staticOverheadBytes());
   EXPECT_EQ(channel.totalCallBytes(), reference.totalCallBytes());
+}
+
+// ArchiveWriter stores payloads as opaque bytes, so an archive can
+// hold a record that is not a valid encoding. Replaying it fails each
+// attempt of that round — counted as replayed failures — instead of
+// throwing out of the client's retry loop.
+TEST(ArchiveReplay, UndecodableRecordFailsTheRound) {
+  TempDir dir("asdf-replay-undecodable");
+  {
+    archive::ArchiveMeta meta;
+    meta.seed = 7;
+    meta.slaves = 1;
+    meta.source = "sim";
+    meta.duration = 1.0;
+    archive::ArchiveWriterOptions opts;
+    opts.dir = dir.path;
+    archive::ArchiveWriter writer(opts, meta);
+    archive::SampleRecord rec;
+    rec.kind = rpc::CollectKind::kSadc;
+    rec.node = 1;
+    rec.now = 0.0;
+    rec.attempts = 1;
+    rec.ok = true;
+    rec.payload = {0xde, 0xad, 0xbe};  // shorter than a snapshot's time
+    writer.append(rec);
+    writer.close();
+  }
+
+  archive::ArchiveCollector collector(dir.path);
+  rpc::RpcClient client(collector, rpc::RpcPolicy{}, 7,
+                        /*realBackoff=*/false);
+  rpc::Fetched<metrics::SadcSnapshot> got;
+  ASSERT_NO_THROW(client.fetchSadc(1, 0.0, got));
+  EXPECT_FALSE(got.ok);
+  EXPECT_EQ(got.attempts, 1 + rpc::RpcPolicy{}.maxRetries);
+  EXPECT_EQ(collector.hits(), 0);
+  EXPECT_EQ(collector.misses(), 0);
+  EXPECT_EQ(collector.replayedFailures(), 1 + rpc::RpcPolicy{}.maxRetries);
+  EXPECT_EQ(client.health().channelHealth(1, rpc::Daemon::kSadc),
+            rpc::NodeHealth::kUnmonitorable);
 }
 
 // The ISSUE's headline acceptance at cluster scale. Kept out of the

@@ -85,7 +85,9 @@ TEST_F(DaemonTest, SadcFetchRoundTripsSnapshot) {
 // both must be exactly what a marshal -> unmarshal of the same data
 // yields, so sim and live runs agree value for value and byte for byte.
 // The reference samples come from parsers of the test's own reading
-// the same node logs.
+// the same node logs. The strace channel charges the length prefix
+// plus one byte per event, the convention RpcClient charges for every
+// transport.
 TEST_F(DaemonTest, SimFetchEqualsCodecRoundTrip) {
   RpcHub hub(cluster_, 0.0);
   cluster_.jobTracker().submit(smallJob(), 0.0);
@@ -98,7 +100,9 @@ TEST_F(DaemonTest, SimFetchEqualsCodecRoundTrip) {
   metrics::SadcSnapshot snap;  // reused, like a collector module's
   std::vector<hadooplog::StateSample> tt;
   std::vector<hadooplog::StateSample> dn;
+  syscalls::TraceSecond trace;
   std::size_t nonEmptyRows = 0;
+  std::size_t traceEvents = 0;
   for (int t = 1; t <= 40; ++t) {
     engine_.runUntil(t);
     const SimTime now = t;
@@ -108,9 +112,20 @@ TEST_F(DaemonTest, SimFetchEqualsCodecRoundTrip) {
       Decoder snapDec(snapEnc.bytes());
       const metrics::SadcSnapshot wantSnap = decodeSnapshot(snapDec);
       std::size_t bytes = 0;
-      ASSERT_TRUE(hub.fetchSadc(node, now, snap, bytes));
+      ASSERT_TRUE(hub.collect({CollectKind::kSadc, node, now, kNoTime}, &snap,
+                              bytes));
       EXPECT_EQ(bytes, snapEnc.size());
       expectSameSnapshot(snap, wantSnap);
+
+      Encoder traceEnc;
+      encodeTrace(traceEnc, cluster_.node(node).lastSyscallTrace());
+      Decoder traceDec(traceEnc.bytes());
+      const syscalls::TraceSecond wantTrace = decodeTrace(traceDec);
+      ASSERT_TRUE(hub.collect({CollectKind::kStrace, node, now, kNoTime},
+                              &trace, bytes));
+      EXPECT_EQ(bytes, 4 + wantTrace.size());
+      EXPECT_EQ(trace, wantTrace);
+      traceEvents += trace.size();
     }
 
     hadoop::Node& host = cluster_.node(1);
@@ -125,14 +140,16 @@ TEST_F(DaemonTest, SimFetchEqualsCodecRoundTrip) {
       const std::vector<hadooplog::StateSample> want = decodeSamples(dec);
       std::vector<hadooplog::StateSample>& got = isTt ? tt : dn;
       std::size_t bytes = 0;
-      ASSERT_TRUE(isTt ? hub.fetchTt(1, now, now, got, bytes)
-                       : hub.fetchDn(1, now, now, got, bytes));
+      ASSERT_TRUE(hub.collect(
+          {isTt ? CollectKind::kTt : CollectKind::kDn, 1, now, now}, &got,
+          bytes));
       EXPECT_EQ(bytes, enc.size());
       expectSameSamples(got, want);
       nonEmptyRows += got.size();
     }
   }
   EXPECT_GT(nonEmptyRows, 50u);
+  EXPECT_GT(traceEvents, 0u);
 }
 
 // Call accounting lives in the client: the hub's own fault-free client
@@ -140,8 +157,10 @@ TEST_F(DaemonTest, SimFetchEqualsCodecRoundTrip) {
 TEST_F(DaemonTest, SadcChannelTracksTraffic) {
   RpcHub hub(cluster_, 0.0);
   engine_.runUntil(3.0);
+  Fetched<metrics::SadcSnapshot> got;
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(hub.client().fetchSadc(1, 3.0).ok);
+    hub.client().fetchSadc(1, 3.0, got);
+    ASSERT_TRUE(got.ok);
   }
   const RpcChannelStats& ch = hub.transports().channel("sadc-tcp");
   EXPECT_EQ(ch.calls(), 10);
@@ -160,12 +179,12 @@ TEST_F(DaemonTest, HadoopLogDaemonProducesStateVectors) {
   for (int t = 1; t <= 120; ++t) {
     engine_.runUntil(t);
     std::size_t bytes = 0;
-    hub.hadoopLog(1).fetchTt(t, rows, bytes);
+    hub.hadoopLog(1).fetch(CollectKind::kTt, t, rows, bytes);
     for (const auto& s : rows) {
       EXPECT_EQ(s.counts.size(), hadooplog::kTtStateCount);
       ++ttSamples;
     }
-    hub.hadoopLog(1).fetchDn(t, rows, bytes);
+    hub.hadoopLog(1).fetch(CollectKind::kDn, t, rows, bytes);
     for (const auto& s : rows) {
       EXPECT_EQ(s.counts.size(), hadooplog::kDnStateCount);
       ++dnSamples;
@@ -184,7 +203,7 @@ TEST_F(DaemonTest, HadoopLogSamplesAreContiguousSeconds) {
   for (int t = 1; t <= 60; ++t) {
     engine_.runUntil(t);
     std::size_t bytes = 0;
-    hub.hadoopLog(2).fetchTt(t, rows, bytes);
+    hub.hadoopLog(2).fetch(CollectKind::kTt, t, rows, bytes);
     for (const auto& s : rows) {
       EXPECT_EQ(s.second, expected);
       ++expected;
@@ -200,7 +219,7 @@ TEST_F(DaemonTest, DaemonsMeterTheirCpu) {
   std::vector<hadooplog::StateSample> rows;
   for (int i = 0; i < 100; ++i) {
     hub.sadc(1).fetch(bytes);
-    hub.hadoopLog(1).fetchTt(5.0, rows, bytes);
+    hub.hadoopLog(1).fetch(CollectKind::kTt, 5.0, rows, bytes);
   }
   EXPECT_GT(hub.sadcCpuSeconds(), 0.0);
   EXPECT_GT(hub.hadoopLogCpuSeconds(), 0.0);
@@ -223,8 +242,11 @@ TEST_F(DaemonTest, FetchChargesTheMonitoredNode) {
 TEST_F(DaemonTest, SeparateChannelsForTtAndDn) {
   RpcHub hub(cluster_, 0.0);
   engine_.runUntil(10.0);
-  ASSERT_TRUE(hub.client().fetchTt(1, 10.0, 10.0).ok);
-  ASSERT_TRUE(hub.client().fetchDn(1, 10.0, 10.0).ok);
+  Fetched<std::vector<hadooplog::StateSample>> rows;
+  hub.client().fetchTt(1, 10.0, 10.0, rows);
+  ASSERT_TRUE(rows.ok);
+  hub.client().fetchDn(1, 10.0, 10.0, rows);
+  ASSERT_TRUE(rows.ok);
   EXPECT_EQ(hub.transports().channel("hl-tt-tcp").calls(), 1);
   EXPECT_EQ(hub.transports().channel("hl-dn-tcp").calls(), 1);
 }

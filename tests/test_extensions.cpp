@@ -75,7 +75,9 @@ TEST_F(ExtensionTest, StraceDaemonShipsTraces) {
   EXPECT_FALSE(trace.empty());
   EXPECT_EQ(bytes, 4 + trace.size());
   // The call is charged by the client, here the hub's own.
-  EXPECT_TRUE(hub_->client().fetchStrace(1, 30.0).ok);
+  rpc::Fetched<syscalls::TraceSecond> fetched;
+  hub_->client().fetchStrace(1, 30.0, fetched);
+  EXPECT_TRUE(fetched.ok);
   EXPECT_GT(hub_->transports().channel("strace-tcp").calls(), 0);
   EXPECT_GT(hub_->strace(1).cpuSeconds(), 0.0);
 }

@@ -62,23 +62,29 @@ TEST(LiveTransport, HandshakeFetchAndApplicationErrors) {
 
   metrics::SadcSnapshot snap;
   std::size_t bytes = 0;
-  ASSERT_TRUE(transport.fetchSadc(1, 5.0, snap, bytes));
+  ASSERT_TRUE(transport.collect({rpc::CollectKind::kSadc, 1, 5.0, kNoTime},
+                                &snap, bytes));
   EXPECT_EQ(snap.node.size(), static_cast<std::size_t>(metrics::kNodeMetricCount));
   EXPECT_EQ(snap.nic.size(), static_cast<std::size_t>(metrics::kNicMetricCount));
   EXPECT_GT(bytes, 0u);
 
   // Unknown node -> kError response: the attempt fails but the
   // connection stays usable (no reconnect needed).
-  EXPECT_FALSE(transport.fetchSadc(99, 5.0, snap, bytes));
+  EXPECT_FALSE(transport.collect({rpc::CollectKind::kSadc, 99, 5.0, kNoTime},
+                                 &snap, bytes));
   EXPECT_EQ(transport.reconnects(), 0);
-  EXPECT_TRUE(transport.fetchSadc(2, 5.0, snap, bytes));
+  EXPECT_TRUE(transport.collect({rpc::CollectKind::kSadc, 2, 5.0, kNoTime},
+                                &snap, bytes));
 
   std::vector<hadooplog::StateSample> rows;
-  EXPECT_TRUE(transport.fetchTt(1, 10.0, 10.0, rows, bytes));
-  EXPECT_TRUE(transport.fetchDn(1, 10.0, 10.0, rows, bytes));
+  EXPECT_TRUE(transport.collect({rpc::CollectKind::kTt, 1, 10.0, 10.0}, &rows,
+                                bytes));
+  EXPECT_TRUE(transport.collect({rpc::CollectKind::kDn, 1, 10.0, 10.0}, &rows,
+                                bytes));
 
   syscalls::TraceSecond trace;
-  EXPECT_TRUE(transport.fetchStrace(1, 10.0, trace, bytes));
+  EXPECT_TRUE(transport.collect({rpc::CollectKind::kStrace, 1, 10.0, kNoTime},
+                                &trace, bytes));
 
   ClusterStatsWire stats;
   ASSERT_TRUE(transport.fetchStats(20.0, stats));
@@ -102,15 +108,18 @@ TEST(LiveTransport, ProcSourceServesCountersButNotStrace) {
 
   metrics::SadcSnapshot snap;
   std::size_t bytes = 0;
-  ASSERT_TRUE(transport.fetchSadc(2, 1.0, snap, bytes));
+  ASSERT_TRUE(transport.collect({rpc::CollectKind::kSadc, 2, 1.0, kNoTime},
+                                &snap, bytes));
   EXPECT_EQ(snap.node.size(), static_cast<std::size_t>(metrics::kNodeMetricCount));
 
   std::vector<hadooplog::StateSample> rows;
-  EXPECT_TRUE(transport.fetchTt(1, 30.0, 30.0, rows, bytes));
+  EXPECT_TRUE(transport.collect({rpc::CollectKind::kTt, 1, 30.0, 30.0}, &rows,
+                                bytes));
 
   // The proc source has no syscall tracer: kUnsupported, not a hang.
   syscalls::TraceSecond trace;
-  EXPECT_FALSE(transport.fetchStrace(1, 1.0, trace, bytes));
+  EXPECT_FALSE(transport.collect({rpc::CollectKind::kStrace, 1, 1.0, kNoTime},
+                                 &trace, bytes));
 }
 
 TEST(LiveTransport, ConnectToDeadPortThrows) {
@@ -140,7 +149,8 @@ TEST(LiveRpcClient, FailedAttemptsChargeBytesLikeSim) {
   policy.backoffMax = 0.002;
   rpc::RpcClient client(transport, policy, /*seed=*/99);
 
-  auto fetched = client.fetchSadc(1, 1.0);
+  rpc::Fetched<metrics::SadcSnapshot> fetched;
+  client.fetchSadc(1, 1.0, fetched);
   ASSERT_TRUE(fetched.ok);
   EXPECT_EQ(fetched.attempts, 1);
 
@@ -150,7 +160,8 @@ TEST(LiveRpcClient, FailedAttemptsChargeBytesLikeSim) {
 
   // Kill the daemon; every subsequent attempt fails on the wire.
   fx.stopAndJoin();
-  auto failed = client.fetchSadc(1, 2.0);
+  rpc::Fetched<metrics::SadcSnapshot> failed;
+  client.fetchSadc(1, 2.0, failed);
   EXPECT_FALSE(failed.ok);
   EXPECT_EQ(failed.attempts, policy.maxRetries + 1);
 

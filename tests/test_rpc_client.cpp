@@ -85,7 +85,8 @@ TEST(CircuitBreakerTest, StateMachineTransitions) {
 TEST_F(RpcClientTest, HealthyFetchSucceedsFirstAttempt) {
   RpcClient client = makeClient();
   engine_.runUntil(5.0);
-  const auto got = client.fetchSadc(1, 5.0);
+  Fetched<metrics::SadcSnapshot> got;
+  client.fetchSadc(1, 5.0, got);
   EXPECT_TRUE(got.ok);
   EXPECT_FALSE(got.retried);
   EXPECT_EQ(got.attempts, 1);
@@ -101,7 +102,8 @@ TEST_F(RpcClientTest, CrashedDaemonExhaustsRetries) {
   engine_.runUntil(5.0);
   client.faults().setCrashed(1, Daemon::kSadc, true);
 
-  const auto got = client.fetchSadc(1, 5.0);
+  Fetched<metrics::SadcSnapshot> got;
+  client.fetchSadc(1, 5.0, got);
   EXPECT_FALSE(got.ok);
   EXPECT_EQ(got.attempts, 1 + makePolicy().maxRetries);
   EXPECT_EQ(client.health().channelHealth(1, Daemon::kSadc),
@@ -111,8 +113,11 @@ TEST_F(RpcClientTest, CrashedDaemonExhaustsRetries) {
             1 + makePolicy().maxRetries);
   EXPECT_EQ(client.transports().channel("sadc-tcp").calls(), 0);
   // Other nodes and channels are unaffected.
-  EXPECT_TRUE(client.fetchSadc(2, 5.0).ok);
-  EXPECT_TRUE(client.fetchStrace(1, 5.0).ok);
+  client.fetchSadc(2, 5.0, got);
+  EXPECT_TRUE(got.ok);
+  Fetched<syscalls::TraceSecond> trace;
+  client.fetchStrace(1, 5.0, trace);
+  EXPECT_TRUE(trace.ok);
 }
 
 TEST_F(RpcClientTest, BreakerOpensThenFastFailsWithoutTouchingWire) {
@@ -120,15 +125,17 @@ TEST_F(RpcClientTest, BreakerOpensThenFastFailsWithoutTouchingWire) {
   engine_.runUntil(5.0);
   client.faults().setCrashed(1, Daemon::kSadc, true);
 
+  Fetched<metrics::SadcSnapshot> got;
   for (int t = 1; t <= 3; ++t) {
-    EXPECT_FALSE(client.fetchSadc(1, 5.0 + t).ok);
+    client.fetchSadc(1, 5.0 + t, got);
+    EXPECT_FALSE(got.ok);
   }
   EXPECT_EQ(client.breakerState(1, 8.0), CircuitBreaker::State::kOpen);
   EXPECT_EQ(client.totalBreakerOpens(), 1);
 
   const long wireFailures =
       client.transports().channel("sadc-tcp").failedCalls();
-  const auto got = client.fetchSadc(1, 9.0);
+  client.fetchSadc(1, 9.0, got);
   EXPECT_FALSE(got.ok);
   EXPECT_EQ(got.attempts, 0);  // fast-failed
   EXPECT_EQ(client.totalFastFails(), 1);
@@ -140,7 +147,8 @@ TEST_F(RpcClientTest, HalfOpenProbeRecoversAfterDaemonRestart) {
   RpcClient client = makeClient();
   engine_.runUntil(5.0);
   client.faults().setCrashed(1, Daemon::kSadc, true);
-  for (int t = 1; t <= 3; ++t) client.fetchSadc(1, 5.0 + t);
+  Fetched<metrics::SadcSnapshot> probe;
+  for (int t = 1; t <= 3; ++t) client.fetchSadc(1, 5.0 + t, probe);
   ASSERT_EQ(client.breakerState(1, 8.0), CircuitBreaker::State::kOpen);
 
   // Daemon still down at probe time: the single probe fails and the
@@ -148,7 +156,7 @@ TEST_F(RpcClientTest, HalfOpenProbeRecoversAfterDaemonRestart) {
   const SimTime probeTime = 8.0 + makePolicy().breakerRecoverySeconds;
   ASSERT_EQ(client.breakerState(1, probeTime),
             CircuitBreaker::State::kHalfOpen);
-  auto probe = client.fetchSadc(1, probeTime);
+  client.fetchSadc(1, probeTime, probe);
   EXPECT_FALSE(probe.ok);
   EXPECT_EQ(probe.attempts, 1);  // HALF_OPEN sends exactly one probe
   EXPECT_EQ(client.breakerState(1, probeTime), CircuitBreaker::State::kOpen);
@@ -159,7 +167,7 @@ TEST_F(RpcClientTest, HalfOpenProbeRecoversAfterDaemonRestart) {
   ASSERT_EQ(client.breakerState(1, retryTime),
             CircuitBreaker::State::kHalfOpen);
   engine_.runUntil(retryTime);
-  probe = client.fetchSadc(1, retryTime);
+  client.fetchSadc(1, retryTime, probe);
   EXPECT_TRUE(probe.ok);
   EXPECT_EQ(probe.attempts, 1);
   EXPECT_EQ(client.breakerState(1, retryTime),
@@ -173,7 +181,8 @@ TEST_F(RpcClientTest, HungDaemonCostsTimeoutPerAttempt) {
   engine_.runUntil(5.0);
   client.faults().setHung(2, Daemon::kSadc, true);
 
-  const auto got = client.fetchSadc(2, 5.0);
+  Fetched<metrics::SadcSnapshot> got;
+  client.fetchSadc(2, 5.0, got);
   EXPECT_FALSE(got.ok);
   const auto& log = client.attemptLog(2);
   ASSERT_EQ(log.size(), static_cast<std::size_t>(got.attempts));
@@ -192,19 +201,20 @@ TEST_F(RpcClientTest, SlowDaemonWithinTimeoutStillSucceeds) {
 
   // 50x slowdown: 0.1 s round trip, still inside the 0.25 s timeout.
   client.faults().setSlowFactor(2, Daemon::kSadc, 50.0);
-  auto got = client.fetchSadc(2, 5.0);
+  Fetched<metrics::SadcSnapshot> got;
+  client.fetchSadc(2, 5.0, got);
   EXPECT_TRUE(got.ok);
   EXPECT_EQ(got.attempts, 1);
 
   // 250x: 0.5 s round trip blows the timeout on every attempt.
   client.faults().setSlowFactor(2, Daemon::kSadc, 250.0);
-  got = client.fetchSadc(2, 6.0);
+  client.fetchSadc(2, 6.0, got);
   EXPECT_FALSE(got.ok);
   EXPECT_EQ(got.attempts, 1 + policy.maxRetries);
 
   // Back to normal speed: recovers immediately (breaker never tripped).
   client.faults().setSlowFactor(2, Daemon::kSadc, 1.0);
-  got = client.fetchSadc(2, 7.0);
+  client.fetchSadc(2, 7.0, got);
   EXPECT_TRUE(got.ok);
 }
 
@@ -219,15 +229,21 @@ TEST_F(RpcClientTest, PartitionBlocksEveryChannel) {
   engine_.runUntil(20.0);
   client.faults().setPartitioned(3, true);
 
-  EXPECT_FALSE(client.fetchSadc(3, 20.0).ok);
-  EXPECT_FALSE(client.fetchTt(3, 20.0, 20.0).ok);
-  EXPECT_FALSE(client.fetchDn(3, 20.0, 20.0).ok);
+  Fetched<metrics::SadcSnapshot> sadc;
+  Fetched<std::vector<hadooplog::StateSample>> rows;
+  client.fetchSadc(3, 20.0, sadc);
+  EXPECT_FALSE(sadc.ok);
+  client.fetchTt(3, 20.0, 20.0, rows);
+  EXPECT_FALSE(rows.ok);
+  client.fetchDn(3, 20.0, 20.0, rows);
+  EXPECT_FALSE(rows.ok);
   for (const char* name : {"sadc-tcp", "hl-tt-tcp", "hl-dn-tcp"}) {
     EXPECT_GT(client.transports().channel(name).failedCalls(), 0) << name;
   }
   // The breaker is per *node*: three failed rounds (one per channel)
   // trip it, so the fourth channel fast-fails without wire traffic.
-  const auto strace = client.fetchStrace(3, 20.0);
+  Fetched<syscalls::TraceSecond> strace;
+  client.fetchStrace(3, 20.0, strace);
   EXPECT_FALSE(strace.ok);
   EXPECT_EQ(strace.attempts, 0);
   EXPECT_EQ(client.transports().channel("strace-tcp").failedCalls(), 0);
@@ -238,8 +254,10 @@ TEST_F(RpcClientTest, PartitionBlocksEveryChannel) {
   client.faults().setPartitioned(3, false);
   const SimTime probeTime = 20.0 + makePolicy().breakerRecoverySeconds + 1.0;
   engine_.runUntil(probeTime);
-  EXPECT_TRUE(client.fetchSadc(3, probeTime).ok);
-  EXPECT_TRUE(client.fetchTt(3, probeTime, probeTime).ok);
+  client.fetchSadc(3, probeTime, sadc);
+  EXPECT_TRUE(sadc.ok);
+  client.fetchTt(3, probeTime, probeTime, rows);
+  EXPECT_TRUE(rows.ok);
   EXPECT_EQ(client.health().channelHealth(3, Daemon::kSadc),
             NodeHealth::kHealthy);
 }
@@ -254,8 +272,9 @@ TEST_F(RpcClientTest, PacketLossCouplesIntoMonitoringPlane) {
   // enough that the node stays effectively monitorable.
   long retried = 0;
   long failed = 0;
+  Fetched<metrics::SadcSnapshot> got;
   for (int t = 0; t < 300; ++t) {
-    const auto got = client.fetchSadc(1, 5.0 + t);
+    client.fetchSadc(1, 5.0 + t, got);
     if (got.ok && got.retried) ++retried;
     if (!got.ok) ++failed;
   }
@@ -265,7 +284,8 @@ TEST_F(RpcClientTest, PacketLossCouplesIntoMonitoringPlane) {
 
   // Lossless nodes never draw from the RNG and never retry.
   for (int t = 0; t < 50; ++t) {
-    EXPECT_TRUE(client.fetchSadc(2, 5.0 + t).ok);
+    client.fetchSadc(2, 5.0 + t, got);
+    EXPECT_TRUE(got.ok);
   }
   const auto& cleanLog = client.attemptLog(2);
   for (const AttemptRecord& rec : cleanLog) {
@@ -280,7 +300,8 @@ TEST_F(RpcClientTest, BackoffScheduleIsSeedDeterministic) {
 
   auto runSchedule = [&](std::uint64_t seed) {
     RpcClient client = makeClient(seed);
-    for (int t = 0; t < 200; ++t) client.fetchSadc(1, 5.0 + t);
+    Fetched<metrics::SadcSnapshot> got;
+    for (int t = 0; t < 200; ++t) client.fetchSadc(1, 5.0 + t, got);
     return client.attemptLog(1);
   };
   const auto a = runSchedule(7);
@@ -310,12 +331,14 @@ TEST_F(RpcClientTest, BackoffScheduleIsSeedDeterministic) {
 TEST_F(RpcClientTest, RegistryTracksStaleness) {
   RpcClient client = makeClient();
   engine_.runUntil(5.0);
-  ASSERT_TRUE(client.fetchSadc(1, 5.0).ok);
+  Fetched<metrics::SadcSnapshot> got;
+  client.fetchSadc(1, 5.0, got);
+  ASSERT_TRUE(got.ok);
   EXPECT_DOUBLE_EQ(client.health().staleness(1, Daemon::kSadc, 5.0), 0.0);
 
   client.faults().setCrashed(1, Daemon::kSadc, true);
-  client.fetchSadc(1, 6.0);
-  client.fetchSadc(1, 7.0);
+  client.fetchSadc(1, 6.0, got);
+  client.fetchSadc(1, 7.0, got);
   EXPECT_DOUBLE_EQ(client.health().staleness(1, Daemon::kSadc, 7.0), 2.0);
   // A channel that has never been polled carries no staleness signal.
   EXPECT_DOUBLE_EQ(client.health().staleness(2, Daemon::kStrace, 7.0), 0.0);

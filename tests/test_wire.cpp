@@ -230,6 +230,53 @@ TEST(Payloads, EncodedSizeMatchesEncoder) {
   }
 }
 
+// The collect request is {node, now} plus a watermark for tt/dn; a
+// request short of its kind's layout does not decode.
+TEST(Payloads, RequestCodecRoundTripsEachKind) {
+  for (int k = 0; k < kCollectKindCount; ++k) {
+    const auto kind = static_cast<CollectKind>(k);
+    const bool rows = kind == CollectKind::kTt || kind == CollectKind::kDn;
+    Encoder enc;
+    encodeRequest(enc, {kind, 7, 12.5, rows ? 11.0 : kNoTime});
+    EXPECT_EQ(enc.size(), rows ? 20u : 12u) << collectKindName(kind);
+    Decoder dec(enc.bytes());
+    CollectRequest got;
+    ASSERT_TRUE(decodeRequest(dec, kind, got));
+    EXPECT_TRUE(dec.exhausted());
+    EXPECT_EQ(got.kind, kind);
+    EXPECT_EQ(got.node, 7);
+    EXPECT_EQ(got.now, 12.5);
+    EXPECT_EQ(got.watermark, rows ? 11.0 : kNoTime);
+
+    const std::vector<std::uint8_t> truncated(enc.bytes().begin(),
+                                              enc.bytes().end() - 1);
+    Decoder short_(truncated);
+    EXPECT_FALSE(decodeRequest(short_, kind, got)) << collectKindName(kind);
+  }
+}
+
+// decodeInto reports bytes that are not a valid encoding instead of
+// throwing, and sizes nothing from an untrusted row count.
+TEST(Payloads, DecodeIntoRejectsBadBytes) {
+  std::vector<hadooplog::StateSample> rows{{3, {1.0, 2.0}}};
+  Encoder enc;
+  encodePayload(enc, &rows);
+  std::vector<hadooplog::StateSample> got;
+  Decoder dec(enc.bytes());
+  ASSERT_TRUE(decodeInto(dec, &got));
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].second, 3);
+  EXPECT_EQ(got[0].counts, rows[0].counts);
+
+  const std::vector<std::uint8_t> hostileCount = {0xff, 0xff, 0xff, 0xff};
+  Decoder hostile(hostileCount);
+  EXPECT_FALSE(decodeInto(hostile, &got));
+  const std::vector<std::uint8_t> shortTime = {1, 2, 3};
+  Decoder truncated(shortTime);
+  metrics::SadcSnapshot snap;
+  EXPECT_FALSE(decodeInto(truncated, &snap));
+}
+
 TEST(Transport, ChannelAccounting) {
   TransportRegistry registry;
   RpcChannelStats& ch = registry.channel("sadc-tcp");

@@ -210,7 +210,8 @@ TEST(ZeroAlloc, SimSadcCollectionAllocatesNothing) {
     const bool warm = t > 2;
     const std::uint64_t before = allochook::totals().allocs;
     for (NodeId node = 1; node <= params.slaveCount; ++node) {
-      ASSERT_TRUE(hub.fetchSadc(node, t, snap, bytes));
+      ASSERT_TRUE(hub.collect({rpc::CollectKind::kSadc, node, SimTime(t), kNoTime},
+                              &snap, bytes));
       metrics::flattenNodeVector(snap, flat);
       if (warm) ++polls;
     }
