@@ -104,7 +104,7 @@ void GroupSummary::pack(std::vector<double>& out) const {
 }
 
 bool GroupSummary::unpack(const double* data, std::size_t n) {
-  if (n < 4) return false;
+  if (n < 4 || !std::isfinite(data[0])) return false;
   if (!isCount(data[1]) || !isCount(data[2])) return false;
   if (data[3] != 0.0 && data[3] != 1.0) return false;
   time = data[0];
@@ -139,11 +139,35 @@ bool GroupSummary::unpack(const double* data, std::size_t n) {
   return true;
 }
 
-std::size_t totalSurvivors(const GroupSummary* const* groups,
-                           std::size_t ngroups) {
-  std::size_t s = 0;
-  for (std::size_t g = 0; g < ngroups; ++g) s += groups[g]->survivors();
-  return s;
+void reduceGroup(double time, const double* const* rows,
+                 const double* const* devRows, const double* health,
+                 std::size_t members, std::size_t dims, GroupSummary& out,
+                 ReduceScratch& scratch) {
+  out.time = time;
+  out.members = members;
+  out.dims = dims;
+  out.hasDev = devRows != nullptr;
+  out.health.assign(health, health + members);
+  out.rows.clearRows();
+  out.rows.resizeRows(0, dims);
+  scratch.devRows.clear();
+  for (std::size_t i = 0; i < members; ++i) {
+    if (health[i] == 2.0) continue;
+    out.rows.push_back(rows[i], dims);
+    if (devRows != nullptr) scratch.devRows.push_back(devRows[i]);
+  }
+  scratch.rows.clear();
+  for (std::size_t j = 0; j < out.rows.rows(); ++j) {
+    scratch.rows.push_back(out.rows.row(j));
+  }
+  reduceMedianPartial(scratch.rows.data(), scratch.rows.size(), dims,
+                      out.median);
+  if (devRows != nullptr) {
+    reduceMedianPartial(scratch.devRows.data(), scratch.devRows.size(), dims,
+                        out.devMedian);
+  } else {
+    out.devMedian.clear();
+  }
 }
 
 namespace {

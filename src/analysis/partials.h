@@ -104,9 +104,29 @@ struct GroupSummary {
   void pack(std::vector<double>& out) const;
 
   /// Rebuilds from pack() output; returns false (leaving *this
-  /// unspecified) on a malformed buffer. Capacity is reused.
+  /// unspecified) on a malformed buffer, a non-finite time included.
+  /// Capacity is reused.
   bool unpack(const double* data, std::size_t n);
 };
+
+/// Scratch for reduceGroup(); capacity retained across windows.
+struct ReduceScratch {
+  std::vector<const double*> rows;
+  std::vector<const double*> devRows;
+};
+
+/// The reduce step of one group for the window at `time`: `members`
+/// rows of `dims` values (rows[i], and devRows[i] for white-box) with
+/// per-member health codes (0 healthy, 1 degraded, 2 unmonitorable).
+/// Fills `out` with the survivor (health != 2) rows in member order and
+/// their median partial; with `devRows` it also builds the partial over
+/// the survivors' stddev rows (hasDev), without it devMedian is
+/// cleared. Rows of unmonitorable members are never read, so their
+/// pointers may be null. Capacity is reused.
+void reduceGroup(double time, const double* const* rows,
+                 const double* const* devRows, const double* health,
+                 std::size_t members, std::size_t dims, GroupSummary& out,
+                 ReduceScratch& scratch);
 
 /// Scratch + merged-median buffers for the root merge; capacity
 /// retained across windows.
@@ -116,11 +136,6 @@ struct TieredScratch {
   std::vector<double> median;
   std::vector<double> sigmaMedian;
 };
-
-/// Total survivor count across groups — the quantity quorum gating
-/// compares (callers suppress the merge entirely below quorum).
-std::size_t totalSurvivors(const GroupSummary* const* groups,
-                           std::size_t ngroups);
 
 /// Root merge of black-box summaries: merges the median partials and
 /// scores every survivor against the merged median StateVector,

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <deque>
-#include <limits>
 
 #include "analysis/partials.h"
 #include "archive/writer.h"
@@ -23,29 +22,6 @@
 
 namespace asdf::harness {
 namespace {
-
-std::unique_ptr<archive::ArchiveWriter> makeAggRecorder(
-    const AggregatorOptions& opts) {
-  if (opts.base.archiveDir.empty()) return nullptr;
-  archive::ArchiveWriterOptions wopts;
-  wopts.dir = opts.base.archiveDir;
-  wopts.maxSegmentBytes = opts.base.archiveSegmentBytes;
-  archive::ArchiveMeta meta;
-  meta.seed = opts.base.seed;
-  meta.slaves = opts.base.slaves;
-  meta.source = "agg";
-  meta.duration = opts.base.duration;
-  meta.trainDuration = opts.base.trainDuration;
-  meta.trainWarmup = opts.base.trainWarmup;
-  meta.centroids = opts.base.centroids;
-  meta.faultType = static_cast<std::uint32_t>(opts.base.fault.type);
-  meta.faultNode = opts.base.fault.node;
-  meta.faultStart = opts.base.fault.startTime;
-  meta.faultEnd = opts.base.fault.endTime;
-  meta.mixChangeTime = opts.base.mixChangeTime;
-  return std::make_unique<archive::ArchiveWriter>(std::move(wopts),
-                                                  std::move(meta));
-}
 
 net::AggServerOptions serverOptionsFor(const AggregatorOptions& opts,
                                        const rpc::SummaryBoard& board) {
@@ -69,7 +45,7 @@ struct AggregatorNode::Impl {
                   o.base.rpcPolicy.timeoutSeconds,
                   o.base.seed * 2654435761ULL + 131),
         client(collector, o.base.rpcPolicy, o.base.seed * 2654435761ULL + 97),
-        recorder(makeAggRecorder(o)),
+        recorder(makeRecorder(o.base, "agg")),
         driver(engine, o.base.realtimeScale),
         server(serverOptionsFor(o, board)),
         fpt(engine, makeEnv(model, board)) {
@@ -161,9 +137,9 @@ struct RootGroup {
   bool connected[rpc::kSummaryChannelCount] = {false, false};
   int failStreak = 0;
   State state = State::kUp;
-  /// Per-channel: a post-rejoin window has been queued (cursor moved).
+  /// Per-channel: a window has been queued since the region last went
+  /// down (the cursor moved past the restarted daemon's backlog).
   bool fresh[rpc::kSummaryChannelCount] = {false, false};
-  long rejoins = 0;
 
   /// Whether this region's next window must exist before a round on
   /// channel `c` may merge.
@@ -171,15 +147,6 @@ struct RootGroup {
     return state == State::kUp || (state == State::kRejoining && fresh[c]);
   }
 };
-
-void sortEvents(std::vector<core::MonitoringEvent>& events) {
-  std::stable_sort(events.begin(), events.end(),
-                   [](const core::MonitoringEvent& a,
-                      const core::MonitoringEvent& b) {
-                     if (a.time != b.time) return a.time < b.time;
-                     return a.channel < b.channel;
-                   });
-}
 
 }  // namespace
 
@@ -234,15 +201,19 @@ ExperimentResult runTieredLiveExperiment(const ExperimentSpec& spec) {
   // summary bandwidth.
   rpc::TransportRegistry transports;
   rpc::RpcChannelStats* chan[rpc::kSummaryChannelCount];
-  chan[0] = &transports.channel("bb-summary-tcp");
-  chan[1] = &transports.channel("wb-summary-tcp");
-  chan[0]->setTier(2);
-  chan[1]->setTier(2);
+  for (int c = 0; c < rpc::kSummaryChannelCount; ++c) {
+    chan[c] = &transports.channel(rpc::kSummaryChannelNames[c]);
+    chan[c]->setTier(2);
+  }
 
   ExperimentResult result;
   std::vector<analysis::GroupSummary> synth(groups.size());
   std::vector<const analysis::GroupSummary*> ptrs(groups.size());
-  std::vector<char> fromQueue(groups.size());
+  // A down region's members: all unmonitorable, so no row is ever read.
+  const int largest = *std::max_element(groups.begin(), groups.end());
+  const std::vector<double> downHealth(largest, 2.0);
+  const std::vector<const double*> noRows(largest, nullptr);
+  analysis::ReduceScratch reduceScratch;
 
   // Merges every window that is ready on channel `c`. Windows pair by
   // ORDINAL across regions, not by timestamp: each region's log-sync
@@ -254,50 +225,41 @@ ExperimentResult runTieredLiveExperiment(const ExperimentSpec& spec) {
   // when the flat barrier would have released it. A round is ready
   // when every gating region (see RootGroup::gates) has its next
   // window queued; a down or still-rejoining region with a drained
-  // backlog joins as an all-unmonitorable synthetic summary — exactly
-  // the shape a live aggregator publishes when all its leaves are
-  // down — so quorum gating and degraded analysis run exactly as in a
-  // sim run, and a down region never stalls the others' rounds.
+  // backlog joins as the reduceGroup() of an all-unmonitorable group —
+  // by construction the summary a live aggregator publishes when all
+  // its leaves are down — so quorum gating and degraded analysis run
+  // exactly as in a sim run, and a down region never stalls the
+  // others' rounds.
   auto processChannel = [&](int c) {
     for (;;) {
       double t = 0.0;
+      std::size_t dims = 0;
       bool any = false;
       bool allLiveReady = true;
       for (const RootGroup& region : regions) {
         if (!region.queue[c].empty()) {
           any = true;
           t = std::max(t, region.queue[c].front().time);
+          dims = region.queue[c].front().dims;
         } else if (region.gates(c)) {
           allLiveReady = false;
         }
       }
       if (!any || !allLiveReady) return;
 
-      std::size_t dims = 0;
+      const bool whiteBox =
+          c == static_cast<int>(rpc::SummaryChannel::kWhiteBox);
       for (std::size_t g = 0; g < regions.size(); ++g) {
-        RootGroup& region = regions[g];
-        if (!region.queue[c].empty()) {
-          ptrs[g] = &region.queue[c].front();
-          fromQueue[g] = 1;
-          dims = region.queue[c].front().dims;
-        } else {
-          fromQueue[g] = 0;
+        if (!regions[g].queue[c].empty()) {
+          ptrs[g] = &regions[g].queue[c].front();
+          continue;
         }
-      }
-      for (std::size_t g = 0; g < regions.size(); ++g) {
-        if (fromQueue[g]) continue;
-        analysis::GroupSummary& s = synth[g];
-        s.time = t;
-        s.members = static_cast<std::size_t>(regions[g].size);
-        s.dims = dims;
-        s.hasDev = c == static_cast<int>(rpc::SummaryChannel::kWhiteBox);
-        s.health.assign(s.members, 2.0);
-        s.rows.clearRows();
-        s.median.clear();
-        s.median.dims = dims;
-        s.devMedian.clear();
-        s.devMedian.dims = dims;
-        ptrs[g] = &s;
+        analysis::reduceGroup(t, noRows.data(),
+                              whiteBox ? noRows.data() : nullptr,
+                              downHealth.data(),
+                              static_cast<std::size_t>(regions[g].size), dims,
+                              synth[g], reduceScratch);
+        ptrs[g] = &synth[g];
       }
 
       // A window whose shapes disagree is dropped whole: its summaries
@@ -317,8 +279,8 @@ ExperimentResult runTieredLiveExperiment(const ExperimentSpec& spec) {
         logWarn("tiered live: dropping malformed summary window");
       }
 
-      for (std::size_t g = 0; g < regions.size(); ++g) {
-        if (fromQueue[g]) regions[g].queue[c].pop_front();
+      for (RootGroup& region : regions) {
+        if (!region.queue[c].empty()) region.queue[c].pop_front();
       }
     }
   };
@@ -340,6 +302,11 @@ ExperimentResult runTieredLiveExperiment(const ExperimentSpec& spec) {
                                         region.since[c], windows,
                                         responseBytes)) {
           anySuccess = true;
+          // The cursor never passes a non-finite window time: a window
+          // stamped +inf would stall the region's fetches for good.
+          std::erase_if(windows, [](const rpc::SummaryWindow& w) {
+            return !std::isfinite(w.time);
+          });
           if (!region.connected[c]) {
             chan[c]->recordConnect();
             region.connected[c] = true;
@@ -356,16 +323,7 @@ ExperimentResult runTieredLiveExperiment(const ExperimentSpec& spec) {
             // so its window grid) restarted from zero, so the backlog
             // it republished is stale history — resume from the
             // freshest window only and track its grid from there.
-            analysis::GroupSummary summary;
-            const rpc::SummaryWindow& w = windows.back();
-            if (summary.unpack(w.packed.data(), w.packed.size()) &&
-                summary.members == static_cast<std::size_t>(region.size)) {
-              region.queue[c].push_back(std::move(summary));
-              region.fresh[c] = true;
-              anyNew = true;
-            }
-            region.since[c] = w.time;
-            continue;
+            windows.erase(windows.begin(), windows.end() - 1);
           }
           for (const rpc::SummaryWindow& w : windows) {
             analysis::GroupSummary summary;
@@ -375,6 +333,7 @@ ExperimentResult runTieredLiveExperiment(const ExperimentSpec& spec) {
               continue;
             }
             region.queue[c].push_back(std::move(summary));
+            region.fresh[c] = true;
             anyNew = true;
           }
           if (!windows.empty()) region.since[c] = windows.back().time;
@@ -391,7 +350,6 @@ ExperimentResult runTieredLiveExperiment(const ExperimentSpec& spec) {
             region.queue[c].clear();
             region.since[c] = 0.0;
           }
-          ++region.rejoins;
           logWarn("tiered live: aggregator answering again, region of " +
                   std::to_string(region.size) + " nodes rejoining");
         }
@@ -435,34 +393,13 @@ ExperimentResult runTieredLiveExperiment(const ExperimentSpec& spec) {
   // shutdown-timing artifact, not a monitorable signal, and stays
   // unmerged. (Down regions were synthesized round by round above.)
 
-  sortEvents(result.monitoringEvents);
-
+  sortMonitoringEvents(result);
   // Ground truth comes from the spec, like the flat live path: the
   // caller started the leaf daemons with the same fault parameters.
-  result.truth.slaveIndex =
-      spec.fault.type == faults::FaultType::kNone ? -1 : spec.fault.node - 1;
-  result.truth.faultStart = spec.fault.startTime;
-  result.truth.faultEnd = spec.fault.endTime;
-  result.simulatedSeconds = spec.duration;
-
+  recordSpecTruth(result, spec);
   // Table 4, tier 2. (Tier-1 collection traffic and Table 3 daemon
   // costs accrue inside the aggregator processes, not here.)
-  for (const rpc::RpcChannelStats* ch : transports.channels()) {
-    if (ch->calls() == 0 && ch->failedCalls() == 0) continue;
-    RpcChannelReport report;
-    report.name = ch->name();
-    report.tier = ch->tier();
-    report.connects = ch->connects();
-    report.calls = ch->calls();
-    report.failedCalls = ch->failedCalls();
-    report.staticOverheadKb =
-        ch->connects() == 0
-            ? 0.0
-            : ch->staticOverheadBytes() / ch->connects() / 1024.0;
-    report.perIterationKbPerSec =
-        ch->totalCallBytes() / spec.slaves / spec.duration / 1024.0;
-    result.rpcChannels.push_back(report);
-  }
+  recordChannelReports(result, transports, spec);
   return result;
 }
 

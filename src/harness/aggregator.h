@@ -37,9 +37,6 @@ namespace core {
 class FptCore;
 class RealTimeDriver;
 }  // namespace core
-namespace archive {
-class ArchiveWriter;
-}  // namespace archive
 }  // namespace asdf
 
 namespace asdf::harness {

@@ -65,16 +65,6 @@ void wireSinks(core::Environment& env, ExperimentResult& result,
   };
 }
 
-void sortMonitoringEvents(ExperimentResult& result) {
-  std::stable_sort(result.monitoringEvents.begin(),
-                   result.monitoringEvents.end(),
-                   [](const core::MonitoringEvent& a,
-                      const core::MonitoringEvent& b) {
-                     if (a.time != b.time) return a.time < b.time;
-                     return a.channel < b.channel;
-                   });
-}
-
 void recordClientCounters(ExperimentResult& result, rpc::RpcClient& client) {
   result.rpcRounds = client.totalRounds();
   result.rpcRetries = client.totalRetries();
@@ -87,45 +77,6 @@ void recordClientCounters(ExperimentResult& result, rpc::RpcClient& client) {
       times.push_back(rec.at);
     }
   }
-}
-
-void recordChannelReports(ExperimentResult& result,
-                          rpc::TransportRegistry& transports,
-                          const ExperimentSpec& spec) {
-  for (const rpc::RpcChannelStats* ch : transports.channels()) {
-    if (ch->calls() == 0 && ch->failedCalls() == 0) continue;
-    RpcChannelReport report;
-    report.name = ch->name();
-    report.tier = ch->tier();
-    report.connects = ch->connects();
-    report.calls = ch->calls();
-    report.failedCalls = ch->failedCalls();
-    report.staticOverheadKb =
-        ch->connects() == 0
-            ? 0.0
-            : ch->staticOverheadBytes() / ch->connects() / 1024.0;
-    report.perIterationKbPerSec =
-        ch->totalCallBytes() / spec.slaves / spec.duration / 1024.0;
-    result.rpcChannels.push_back(report);
-  }
-}
-
-archive::ArchiveMeta metaFromSpec(const ExperimentSpec& spec,
-                                  const std::string& source) {
-  archive::ArchiveMeta meta;
-  meta.seed = spec.seed;
-  meta.slaves = spec.slaves;
-  meta.source = source;
-  meta.duration = spec.duration;
-  meta.trainDuration = spec.trainDuration;
-  meta.trainWarmup = spec.trainWarmup;
-  meta.centroids = spec.centroids;
-  meta.faultType = static_cast<std::uint32_t>(spec.fault.type);
-  meta.faultNode = spec.fault.node;
-  meta.faultStart = spec.fault.startTime;
-  meta.faultEnd = spec.fault.endTime;
-  meta.mixChangeTime = spec.mixChangeTime;
-  return meta;
 }
 
 archive::TruthRecord truthFromResult(const ExperimentResult& result) {
@@ -141,16 +92,6 @@ archive::TruthRecord truthFromResult(const ExperimentResult& result) {
   truth.speculativeLaunches = result.speculativeLaunches;
   truth.syncDroppedSeconds = result.syncDroppedSeconds;
   return truth;
-}
-
-std::unique_ptr<archive::ArchiveWriter> makeRecorder(
-    const ExperimentSpec& spec, const std::string& source) {
-  if (spec.archiveDir.empty()) return nullptr;
-  archive::ArchiveWriterOptions opts;
-  opts.dir = spec.archiveDir;
-  opts.maxSegmentBytes = spec.archiveSegmentBytes;
-  return std::make_unique<archive::ArchiveWriter>(std::move(opts),
-                                                  metaFromSpec(spec, source));
 }
 
 /// The parts of a control-node run that differ by transport: where
@@ -266,11 +207,7 @@ ExperimentResult runControlNode(const ExperimentSpec& spec,
   plane.drive();
 
   sortMonitoringEvents(result);
-  result.simulatedSeconds = spec.duration;
-  result.truth.slaveIndex =
-      spec.fault.type == faults::FaultType::kNone ? -1 : spec.fault.node - 1;
-  result.truth.faultStart = spec.fault.startTime;
-  result.truth.faultEnd = spec.fault.endTime;
+  recordSpecTruth(result, spec);
   if (plane.stats) {
     if (const std::optional<net::ClusterStatsWire> stats = plane.stats()) {
       recordClusterStats(result, *stats, spec);
@@ -424,6 +361,68 @@ ExperimentResult runReplayExperiment(const ExperimentSpec& spec,
 }
 
 }  // namespace
+
+void sortMonitoringEvents(ExperimentResult& result) {
+  std::stable_sort(result.monitoringEvents.begin(),
+                   result.monitoringEvents.end(),
+                   [](const core::MonitoringEvent& a,
+                      const core::MonitoringEvent& b) {
+                     if (a.time != b.time) return a.time < b.time;
+                     return a.channel < b.channel;
+                   });
+}
+
+void recordChannelReports(ExperimentResult& result,
+                          const rpc::TransportRegistry& transports,
+                          const ExperimentSpec& spec) {
+  for (const rpc::RpcChannelStats* ch : transports.channels()) {
+    if (ch->calls() == 0 && ch->failedCalls() == 0) continue;
+    RpcChannelReport report;
+    report.name = ch->name();
+    report.tier = ch->tier();
+    report.connects = ch->connects();
+    report.calls = ch->calls();
+    report.failedCalls = ch->failedCalls();
+    report.staticOverheadKb =
+        ch->connects() == 0
+            ? 0.0
+            : ch->staticOverheadBytes() / ch->connects() / 1024.0;
+    report.perIterationKbPerSec =
+        ch->totalCallBytes() / spec.slaves / spec.duration / 1024.0;
+    result.rpcChannels.push_back(report);
+  }
+}
+
+void recordSpecTruth(ExperimentResult& result, const ExperimentSpec& spec) {
+  result.simulatedSeconds = spec.duration;
+  result.truth.slaveIndex =
+      spec.fault.type == faults::FaultType::kNone ? -1 : spec.fault.node - 1;
+  result.truth.faultStart = spec.fault.startTime;
+  result.truth.faultEnd = spec.fault.endTime;
+}
+
+std::unique_ptr<archive::ArchiveWriter> makeRecorder(
+    const ExperimentSpec& spec, const std::string& source) {
+  if (spec.archiveDir.empty()) return nullptr;
+  archive::ArchiveWriterOptions opts;
+  opts.dir = spec.archiveDir;
+  opts.maxSegmentBytes = spec.archiveSegmentBytes;
+  archive::ArchiveMeta meta;
+  meta.seed = spec.seed;
+  meta.slaves = spec.slaves;
+  meta.source = source;
+  meta.duration = spec.duration;
+  meta.trainDuration = spec.trainDuration;
+  meta.trainWarmup = spec.trainWarmup;
+  meta.centroids = spec.centroids;
+  meta.faultType = static_cast<std::uint32_t>(spec.fault.type);
+  meta.faultNode = spec.fault.node;
+  meta.faultStart = spec.fault.startTime;
+  meta.faultEnd = spec.fault.endTime;
+  meta.mixChangeTime = spec.mixChangeTime;
+  return std::make_unique<archive::ArchiveWriter>(std::move(opts),
+                                                  std::move(meta));
+}
 
 std::vector<int> tierGroupsFor(const ExperimentSpec& spec) {
   if (!spec.tierGroups.empty()) return spec.tierGroups;

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,10 @@
 #include "harness/pipelines.h"
 #include "rpc/rpc_client.h"
 #include "topology/topology.h"
+
+namespace asdf::archive {
+class ArchiveWriter;
+}  // namespace asdf::archive
 
 namespace asdf::harness {
 
@@ -207,5 +212,24 @@ ExperimentSummary summarize(const ExperimentResult& result);
 ApproachSummary summarizeAtThreshold(const analysis::AlarmSeries& series,
                                      const analysis::GroundTruth& truth,
                                      double threshold);
+
+// Result bookkeeping shared by the control node and the live tiered
+// root (harness/aggregator.h), so both report alike.
+
+/// Orders result.monitoringEvents by (time, channel), stably.
+void sortMonitoringEvents(ExperimentResult& result);
+
+/// Appends a Table 4 report for every channel that carried a call.
+void recordChannelReports(ExperimentResult& result,
+                          const rpc::TransportRegistry& transports,
+                          const ExperimentSpec& spec);
+
+/// Ground truth and run length from the spec's single-node fault.
+void recordSpecTruth(ExperimentResult& result, const ExperimentSpec& spec);
+
+/// The flight recorder for spec.archiveDir, tagged `source` in its meta
+/// frame; nullptr when recording is off.
+std::unique_ptr<archive::ArchiveWriter> makeRecorder(
+    const ExperimentSpec& spec, const std::string& source);
 
 }  // namespace asdf::harness

@@ -12,7 +12,6 @@
 #include "analysis/bbmodel.h"
 #include "analysis/mad.h"
 #include "common/error.h"
-#include "common/strings.h"
 #include "core/module.h"
 #include "modules/modules.h"
 
@@ -25,15 +24,7 @@ class AnalysisMadModule final : public core::Module {
     const analysis::BlackBoxModel& model =
         ctx.env().require<analysis::BlackBoxModel>("bb_model");
     numStates_ = model.states();
-    for (int i = 0;; ++i) {
-      const std::string name = strformat("l%d", i);
-      if (ctx.inputWidth(name) == 0) break;
-      if (ctx.inputWidth(name) != 1) {
-        throw ConfigError("[" + ctx.instanceId() + "] input '" + name +
-                          "' must bind exactly one output");
-      }
-      inputs_.push_back(name);
-    }
+    inputs_ = numberedInputs(ctx, "l");
     if (inputs_.size() < 3) {
       throw ConfigError("[" + ctx.instanceId() +
                         "] analysis_mad needs at least 3 node inputs");

@@ -118,16 +118,7 @@ class MergeModule final : public core::Module {
     const double cutoff = analysis_ == PeerAnalysis::kBlackBox
                               ? ctx.numParam("threshold", 60.0)
                               : ctx.numParam("k", 3.0);
-    for (int i = 0;; ++i) {
-      const std::string name = strformat("s%d", i);
-      const std::size_t width = ctx.inputWidth(name);
-      if (width == 0) break;
-      if (width != 1) {
-        throw ConfigError("[" + ctx.instanceId() + "] input '" + name +
-                          "' must bind exactly one output");
-      }
-      inputs_.push_back(name);
-    }
+    inputs_ = numberedInputs(ctx, "s");
     if (inputs_.empty()) {
       throw ConfigError("[" + ctx.instanceId() +
                         "] needs at least one summary input");

@@ -2,9 +2,10 @@
 //
 // These are the module types the paper describes: the sadc and
 // hadoop_log data-collection modules, the mavgvec / knn / ibuffer
-// processing modules, the fingerpointers (agg_bb / agg_wb reduce each
-// group of nodes, analysis_bb_merge / analysis_wb_merge compare every
-// node with the median of its peers; modules/merge.h), and the
+// processing modules, the fingerpointers (agg_bb / agg_wb, one reduce
+// class, reduce each group of nodes; analysis_bb_merge /
+// analysis_wb_merge, one merge class, compare every node with the
+// median of its peers; modules/merge.h), and the
 // print alarm sink. registerBuiltinModules() installs them in
 // a registry (static libraries would otherwise drop the registration
 // objects); call it once at startup.
@@ -14,8 +15,8 @@
 //                                          (without "rpc_client" they
 //                                          fetch through its client)
 //   "bb_model"    analysis::BlackBoxModel — knn, agg_bb
-//   "hl_sync"     modules::HadoopLogSync  — hadoop_log (optional;
-//                                          created implicitly if absent)
+//   "hl_sync"     modules::HadoopLogSync  — hadoop_log (required; one
+//                                          shared by every instance)
 //   "rpc_client"  rpc::RpcClient          — sadc, hadoop_log, strace
 //                                          (the client they fetch
 //                                          through), agg_bb, agg_wb
@@ -46,6 +47,12 @@ namespace asdf::modules {
 /// Installs every built-in module type into the registry (the global
 /// one by default). Idempotent.
 void registerBuiltinModules(core::ModuleRegistry* registry = nullptr);
+
+/// The numbered inputs <prefix>0, <prefix>1, ... of a module, up to the
+/// first unbound one. Throws ConfigError unless each binds exactly one
+/// output.
+std::vector<std::string> numberedInputs(const core::ModuleContext& ctx,
+                                        const std::string& prefix);
 
 /// Service interface the [mitigate] module acts through (environment
 /// name "mitigator"): quarantine the node identified by an analysis

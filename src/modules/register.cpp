@@ -1,12 +1,29 @@
 #include "modules/modules.h"
 
+#include "common/error.h"
+
 namespace asdf::modules {
 
-void registerAggBbModule(core::ModuleRegistry&);
-void registerAggWbModule(core::ModuleRegistry&);
+std::vector<std::string> numberedInputs(const core::ModuleContext& ctx,
+                                        const std::string& prefix) {
+  std::vector<std::string> names;
+  for (int i = 0;; ++i) {
+    std::string name = prefix + std::to_string(i);
+    const std::size_t width = ctx.inputWidth(name);
+    if (width == 0) break;
+    if (width != 1) {
+      throw ConfigError("[" + ctx.instanceId() + "] input '" + name +
+                        "' must bind exactly one output");
+    }
+    names.push_back(std::move(name));
+  }
+  return names;
+}
+
 void registerAnalysisMadModule(core::ModuleRegistry&);
 void registerCsvSinkModule(core::ModuleRegistry&);
 void registerMergeModules(core::ModuleRegistry&);
+void registerReduceModules(core::ModuleRegistry&);
 void registerMitigateModule(core::ModuleRegistry&);
 void registerStraceModule(core::ModuleRegistry&);
 void registerSadcModule(core::ModuleRegistry&);
@@ -25,8 +42,7 @@ void registerBuiltinModules(core::ModuleRegistry* registry) {
   registerIBufferModule(r);
   registerMavgvecModule(r);
   registerKnnModule(r);
-  registerAggBbModule(r);
-  registerAggWbModule(r);
+  registerReduceModules(r);
   registerMergeModules(r);
   registerAnalysisMadModule(r);
   registerNodeHealthModule(r);

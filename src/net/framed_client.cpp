@@ -11,10 +11,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 
 #include "common/error.h"
 #include "common/logging.h"
+#include "rpc/rpc_client.h"
 
 namespace asdf::net {
 namespace {
@@ -46,13 +46,10 @@ void FramedClient::disconnect() {
 
 void FramedClient::backoffFailure() {
   const double backoff =
-      std::min(opts_.backoffMaxSeconds,
-               opts_.backoffBaseSeconds *
-                   std::pow(2.0, std::min(failStreak_, 20)));
-  const double jitter =
-      1.0 + opts_.jitterFrac * (2.0 * backoffRng_.uniform() - 1.0);
+      rpc::jitteredBackoff(opts_.backoffBaseSeconds, opts_.backoffMaxSeconds,
+                           std::min(failStreak_, 20), backoffRng_);
   ++failStreak_;
-  nextDialAllowed_ = monotonicSeconds() + backoff * jitter;
+  nextDialAllowed_ = monotonicSeconds() + backoff;
 }
 
 bool FramedClient::connect() {

@@ -35,10 +35,9 @@ class FramedClient {
     std::string peerName = "daemon";
     /// Redial backoff: after the k-th consecutive failure the next
     /// dial is allowed only backoffBase * 2^k seconds later (capped,
-    /// jittered), mirroring rpc::RpcPolicy's shape on the wall clock.
+    /// jittered: rpc::jitteredBackoff, as RpcClient's retries).
     double backoffBaseSeconds = 0.05;
     double backoffMaxSeconds = 2.0;
-    double jitterFrac = 0.25;
     std::uint64_t backoffSeed = 1;
   };
 

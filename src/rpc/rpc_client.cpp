@@ -16,6 +16,11 @@ namespace {
 // without limit; the determinism tests only need the early schedule.
 constexpr std::size_t kMaxLoggedAttempts = 65536;
 
+// The simulated fault gate's healthy round-trip time; under PacketLoss
+// an attempt fails with probability lossRate^kLossFailureExponent.
+constexpr double kBaseLatencySeconds = 0.002;
+constexpr double kLossFailureExponent = 2.0;
+
 // Channel names (Table 4's RPC types) and target daemons by
 // CollectKind.
 constexpr const char* kChannelNames[kCollectKindCount] = {
@@ -28,6 +33,12 @@ std::uint64_t mixSeed(std::uint64_t seed, NodeId node) {
 }
 
 }  // namespace
+
+double jitteredBackoff(double baseSeconds, double maxSeconds, int attempt,
+                       Rng& rng) {
+  return std::min(maxSeconds, baseSeconds * std::pow(2.0, attempt)) *
+         (1.0 + 0.25 * (2.0 * rng.uniform() - 1.0));
+}
 
 const char* daemonName(Daemon d) {
   switch (d) {
@@ -256,7 +267,7 @@ bool RpcClient::attemptSucceeds(NodeState& st, NodeId node, Daemon d,
                                 double& costSeconds) {
   if (board_.partitioned(node) || board_.crashed(node, d)) {
     // Connection refused / unreachable: fails within one RTT.
-    costSeconds = policy_.baseLatencySeconds;
+    costSeconds = kBaseLatencySeconds;
     return false;
   }
   if (board_.hung(node, d)) {
@@ -264,14 +275,14 @@ bool RpcClient::attemptSucceeds(NodeState& st, NodeId node, Daemon d,
     return false;
   }
   const double latency =
-      policy_.baseLatencySeconds * board_.slowFactor(node, d);
+      kBaseLatencySeconds * board_.slowFactor(node, d);
   if (latency > policy_.timeoutSeconds) {
     costSeconds = policy_.timeoutSeconds;
     return false;
   }
   const double loss = cluster_->node(node).nic().lossRate();
   if (loss > 0.0 &&
-      st.rng.bernoulli(std::pow(loss, policy_.lossFailureExponent))) {
+      st.rng.bernoulli(std::pow(loss, kLossFailureExponent))) {
     // Enough retransmissions were lost that the attempt blew its
     // timeout — the PacketLoss fault degrades the monitoring plane too.
     costSeconds = policy_.timeoutSeconds;
@@ -334,9 +345,7 @@ void RpcClient::round(const CollectRequest& req, Fetched<T>& out) {
     t += cost;
     if (i + 1 < maxAttempts) {
       const double backoff =
-          std::min(policy_.backoffMax,
-                   policy_.backoffBase * std::pow(2.0, i)) *
-          (1.0 + policy_.jitterFrac * (2.0 * st.rng.uniform() - 1.0));
+          jitteredBackoff(policy_.backoffBase, policy_.backoffMax, i, st.rng);
       t += backoff;
       if (realBackoff_) {
         std::this_thread::sleep_for(std::chrono::duration<double>(backoff));

@@ -74,12 +74,15 @@ struct RpcPolicy {
   int maxRetries = 3;             // attempts per round = 1 + maxRetries
   double backoffBase = 0.05;      // first backoff, doubled per retry
   double backoffMax = 2.0;        // backoff ceiling
-  double jitterFrac = 0.25;       // +/- fraction applied to each backoff
   int breakerThreshold = 3;       // consecutive failed rounds -> OPEN
   double breakerRecoverySeconds = 10.0;  // OPEN -> HALF_OPEN probe delay
-  double baseLatencySeconds = 0.002;     // healthy round-trip time
-  double lossFailureExponent = 2.0;  // P(attempt fails) = lossRate^exp
 };
+
+/// The retry backoff: min(maxSeconds, baseSeconds * 2^attempt),
+/// jittered by +/-25% with one draw from `rng`. RpcClient's retries and
+/// net::FramedClient's redials share it.
+double jitteredBackoff(double baseSeconds, double maxSeconds, int attempt,
+                       Rng& rng);
 
 /// Monitoring-plane fault state, poked by faults::MonitoringFaultInjector
 /// on the engine schedule and read by RpcClient on every attempt.

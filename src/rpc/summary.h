@@ -26,6 +26,9 @@ enum class SummaryChannel : std::uint32_t {
   kWhiteBox = 1,
 };
 inline constexpr int kSummaryChannelCount = 2;
+/// Table 4 channel name of each summary channel, charged at tier 2.
+inline constexpr const char* kSummaryChannelNames[kSummaryChannelCount] = {
+    "bb-summary-tcp", "wb-summary-tcp"};
 
 /// Request payload of a summary fetch (object id + operation name +
 /// channel + watermark, ICE-style) — the tier-2 analogue of

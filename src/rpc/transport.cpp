@@ -3,9 +3,16 @@
 #include <utility>
 
 namespace asdf::rpc {
+namespace {
 
-RpcChannelStats::RpcChannelStats(std::string name, TransportCosts costs)
-    : name_(std::move(name)), costs_(costs) {}
+// Wire costs shared by all channels: 3-way handshake + protocol
+// negotiation at connect, and per-message TCP/IP + RPC header overhead.
+constexpr double kConnectBytes = 2028.0;  // handshake + validation + proxy
+constexpr double kPerMessageOverheadBytes = 78.0;  // TCP/IP + RPC header
+
+}  // namespace
+
+RpcChannelStats::RpcChannelStats(std::string name) : name_(std::move(name)) {}
 
 void RpcChannelStats::recordConnect() {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -18,14 +25,14 @@ void RpcChannelStats::recordCall(std::size_t requestPayload,
   ++calls_;
   payloadBytes_ += static_cast<double>(requestPayload) +
                    static_cast<double>(responsePayload) +
-                   2.0 * costs_.perMessageOverheadBytes;
+                   2.0 * kPerMessageOverheadBytes;
 }
 
 void RpcChannelStats::recordFailedCall(std::size_t requestPayload) {
   std::lock_guard<std::mutex> lock(mutex_);
   ++failedCalls_;
   payloadBytes_ += static_cast<double>(requestPayload) +
-                   costs_.perMessageOverheadBytes;
+                   kPerMessageOverheadBytes;
 }
 
 void RpcChannelStats::setTier(int tier) {
@@ -55,7 +62,7 @@ long RpcChannelStats::failedCalls() const {
 
 double RpcChannelStats::staticOverheadBytes() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return static_cast<double>(connects_) * costs_.connectBytes;
+  return static_cast<double>(connects_) * kConnectBytes;
 }
 
 double RpcChannelStats::totalCallBytes() const {
@@ -71,7 +78,7 @@ double RpcChannelStats::bytesPerCall() const {
 RpcChannelStats& TransportRegistry::channel(const std::string& name) {
   auto it = channels_.find(name);
   if (it == channels_.end()) {
-    it = channels_.try_emplace(name, name, costs_).first;
+    it = channels_.try_emplace(name, name).first;
   }
   return it->second;
 }

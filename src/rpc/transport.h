@@ -4,7 +4,8 @@
 // hl-tt-tcp), the static per-node connection overhead and the
 // per-iteration bandwidth. RpcChannelStats accumulates exactly those
 // quantities: connection setup bytes once per node, then request +
-// response payload (plus per-message framing) per call.
+// response payload (plus per-message framing) per call. The wire costs
+// are modeled on a TCP connection carrying ICE-style RPC (transport.cpp).
 #pragma once
 
 #include <cstddef>
@@ -15,20 +16,12 @@
 
 namespace asdf::rpc {
 
-/// Wire costs shared by all channels; modeled on a TCP connection
-/// carrying ICE-style RPC: 3-way handshake + protocol negotiation at
-/// connect, and per-message TCP/IP + RPC header overhead.
-struct TransportCosts {
-  double connectBytes = 2028.0;  // handshake + validation + proxy setup
-  double perMessageOverheadBytes = 78.0;  // TCP/IP + RPC header
-};
-
 /// Thread-safe: one channel is shared by every node's daemon of that
 /// RPC type, and fpt-core's parallel executors may poll several nodes
 /// concurrently. Counter updates are serialized internally.
 class RpcChannelStats {
  public:
-  RpcChannelStats(std::string name, TransportCosts costs);
+  explicit RpcChannelStats(std::string name);
   RpcChannelStats(const RpcChannelStats&) = delete;
   RpcChannelStats& operator=(const RpcChannelStats&) = delete;
 
@@ -59,7 +52,6 @@ class RpcChannelStats {
 
  private:
   std::string name_;
-  TransportCosts costs_;
   mutable std::mutex mutex_;
   int tier_ = 1;
   long connects_ = 0;
@@ -71,14 +63,10 @@ class RpcChannelStats {
 /// Registry of channels, keyed by RPC type name.
 class TransportRegistry {
  public:
-  explicit TransportRegistry(TransportCosts costs = TransportCosts{})
-      : costs_(costs) {}
-
   RpcChannelStats& channel(const std::string& name);
   std::vector<const RpcChannelStats*> channels() const;
 
  private:
-  TransportCosts costs_;
   std::map<std::string, RpcChannelStats> channels_;
 };
 

@@ -272,7 +272,7 @@ TEST(ArchiveReplay, AccountingParityAcrossTransports) {
 
   // Reference channel fed the exact call sequence the live/sim paths
   // would record for those three rounds.
-  rpc::RpcChannelStats reference("sadc-tcp", rpc::TransportCosts{});
+  rpc::RpcChannelStats reference("sadc-tcp");
   reference.recordConnect();                             // node 1 connect
   reference.recordCall(rpc::kCollectRequestBytes, payload.size());
   reference.recordFailedCall(rpc::kCollectRequestBytes);  // round 2 ...

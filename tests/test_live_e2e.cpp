@@ -169,7 +169,7 @@ TEST(LiveRpcClient, FailedAttemptsChargeBytesLikeSim) {
   EXPECT_EQ(live.failedCalls(), policy.maxRetries + 1);
 
   // Reference: the simulated accounting for the same failure pattern.
-  rpc::RpcChannelStats simStats("sadc-tcp", rpc::TransportCosts{});
+  rpc::RpcChannelStats simStats("sadc-tcp");
   for (int i = 0; i <= policy.maxRetries; ++i) {
     simStats.recordFailedCall(rpc::kCollectRequestBytes);
   }

@@ -4,6 +4,7 @@
 // fingerpointing decisions — bit-exactly, for odd and even peer
 // counts, skewed group sizes, and with unmonitorable members excluded
 // (the PR-2 quorum semantics must survive the tier split).
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -234,7 +235,6 @@ void expectBlackBoxMergeMatchesFlat(const std::vector<int>& sizes,
   const std::vector<GroupSummary> groups =
       splitIntoGroups(rows, health, sizes, nullptr);
   const std::vector<const GroupSummary*> ptrs = groupPtrs(groups);
-  EXPECT_EQ(survivorPtrs.size(), totalSurvivors(ptrs.data(), ptrs.size()));
 
   TieredScratch scratch;
   std::vector<double> flags(total, 0.0);
@@ -391,6 +391,85 @@ TEST(Partials, SummaryUnpackRejectsMalformed) {
   bad = packed;
   bad.push_back(1.0);
   EXPECT_FALSE(decoded.unpack(bad.data(), bad.size()));
+  // Non-finite window time.
+  bad = packed;
+  bad[0] = std::nan("");
+  EXPECT_FALSE(decoded.unpack(bad.data(), bad.size()));
+}
+
+// ---------------------------------------------------------------------------
+// reduceGroup: the one reduce step of the agg modules and the live root.
+
+/// reduceGroup() over per-member rows, passing nullptr for the rows of
+/// unmonitorable members, packed.
+std::vector<double> reducedPacked(
+    const std::vector<std::vector<double>>& rows,
+    const std::vector<int>& health,
+    const std::vector<std::vector<double>>* devRows) {
+  std::vector<const double*> rowPtrs;
+  std::vector<const double*> devPtrs;
+  std::vector<double> codes;
+  for (std::size_t m = 0; m < rows.size(); ++m) {
+    const bool down = health[m] == 2;
+    rowPtrs.push_back(down ? nullptr : rows[m].data());
+    devPtrs.push_back(down || devRows == nullptr ? nullptr
+                                                 : (*devRows)[m].data());
+    codes.push_back(static_cast<double>(health[m]));
+  }
+  GroupSummary summary;
+  ReduceScratch scratch;
+  reduceGroup(123.0, rowPtrs.data(),
+              devRows != nullptr ? devPtrs.data() : nullptr, codes.data(),
+              rows.size(), rows[0].size(), summary, scratch);
+  std::vector<double> packed;
+  summary.pack(packed);
+  return packed;
+}
+
+TEST(Partials, ReduceGroupMatchesHandBuiltSummary) {
+  Rng rng(406);
+  const std::vector<std::vector<double>> rows = randomRows(rng, 5, 4);
+  const std::vector<std::vector<double>> devs = randomRows(rng, 5, 4);
+  const std::vector<int> health = {0, 1, 2, 0, 0};
+  std::vector<double> expected;
+  makeSummary(rows, health, nullptr).pack(expected);
+  EXPECT_EQ(expected, reducedPacked(rows, health, nullptr));  // black-box
+  makeSummary(rows, health, &devs).pack(expected);
+  EXPECT_EQ(expected, reducedPacked(rows, health, &devs));  // white-box
+}
+
+TEST(Partials, ReduceGroupAllUnmonitorableCarriesOnlyHealth) {
+  constexpr std::size_t kMembers = 4;
+  constexpr std::size_t kDims = 3;
+  const std::vector<double> down(kMembers, 2.0);
+  const std::vector<const double*> noRows(kMembers, nullptr);
+  ReduceScratch scratch;
+  GroupSummary blackBox;
+  GroupSummary whiteBox;
+  reduceGroup(50.0, noRows.data(), nullptr, down.data(), kMembers, kDims,
+              blackBox, scratch);
+  reduceGroup(50.0, noRows.data(), noRows.data(), down.data(), kMembers,
+              kDims, whiteBox, scratch);
+  for (const GroupSummary* summary : {&blackBox, &whiteBox}) {
+    std::vector<double> packed;
+    summary->pack(packed);
+    EXPECT_EQ(4 + kMembers, packed.size());
+  }
+
+  // Beside a healthy group of identical rows, nobody is flagged.
+  const std::vector<std::vector<double>> same(3, {1.0, 2.0, 3.0});
+  const GroupSummary healthy = makeSummary(same, {0, 0, 0}, &same);
+  TieredScratch merge;
+  std::vector<double> flags(3 + kMembers, 0.0);
+  std::vector<double> scores(3 + kMembers, 0.0);
+  const GroupSummary* bbGroups[] = {&healthy, &blackBox};
+  EXPECT_EQ(3u, mergeBlackBoxSummaries(bbGroups, 2, 6.0, merge, flags.data(),
+                                       scores.data()));
+  EXPECT_EQ(std::vector<double>(3 + kMembers, 0.0), flags);
+  const GroupSummary* wbGroups[] = {&healthy, &whiteBox};
+  EXPECT_EQ(3u, mergeWhiteBoxSummaries(wbGroups, 2, 3.0, merge, flags.data(),
+                                       scores.data()));
+  EXPECT_EQ(std::vector<double>(3 + kMembers, 0.0), flags);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // otherwise read past the smaller summary's buffers. Checked on the
 // bare RootMerge and on the live tiered root, which fetches summaries
 // from aggregator daemons over real sockets.
+#include <cmath>
 #include <string>
 #include <thread>
 #include <vector>
@@ -144,6 +145,43 @@ TEST(RootMerge, LiveRootDropsMismatchedWindow) {
     EXPECT_EQ(std::vector<double>(6, 0.0), (*series)[0].health);
   }
   EXPECT_TRUE(result.monitoringEvents.empty());
+}
+
+TEST(RootMerge, LiveRootIgnoresNonFiniteWindowTime) {
+  // Region 2's third window is stamped +inf. It is dropped, and the
+  // region's fetch cursor stays finite instead of jumping past every
+  // later window.
+  rpc::SummaryBoard boards[2];
+  for (int r = 0; r < 2; ++r) {
+    for (const double t : {5.0, 10.0, 15.0}) {
+      const double time = r == 1 && t == 15.0 ? HUGE_VAL : t;
+      boards[r].append(rpc::SummaryChannel::kBlackBox, time,
+                       packedSummary(time, 3, 4, false));
+      boards[r].append(rpc::SummaryChannel::kWhiteBox, time,
+                       packedSummary(time, 3, 4, true));
+    }
+  }
+  SummaryServer first(boards[0]);
+  SummaryServer second(boards[1]);
+
+  harness::ExperimentSpec spec;
+  spec.slaves = 6;
+  spec.tiered = true;
+  spec.tierGroups = {3, 3};
+  spec.aggEndpoints = {first.endpoint(), second.endpoint()};
+  spec.duration = 20.0;
+  spec.realtimeScale = 200.0;
+  spec.rpcPolicy.timeoutSeconds = 5.0;
+  const harness::ExperimentResult result =
+      harness::runTieredLiveExperiment(spec);
+
+  for (const analysis::AlarmSeries* series :
+       {&result.blackBox, &result.whiteBox}) {
+    ASSERT_EQ(2u, series->size());
+    for (const analysis::AlarmRecord& record : *series) {
+      EXPECT_TRUE(std::isfinite(record.time));
+    }
+  }
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 
 #include "alloc_hook.h"
 #include "analysis/kmeans.h"
+#include "analysis/partials.h"
 #include "analysis/peercompare.h"
 #include "common/matrix.h"
 #include "common/rng.h"
@@ -126,6 +127,39 @@ TEST(ZeroAlloc, PeerComparisonSteadyStateAllocatesNothing) {
                                   scores.data());
   }
   EXPECT_EQ(allochook::totals().allocs, 0u);
+}
+
+TEST(ZeroAlloc, GroupReduceSteadyStateAllocatesNothing) {
+  // The agg modules' per-window reduce: one unmonitorable member, and
+  // both median partials (the white-box shape).
+  const Matrix means = makePoints(kNodes, kDims);
+  const Matrix stddevs = makePoints(kNodes, kDims);
+  std::vector<const double*> meanRows(kNodes);
+  std::vector<const double*> sdRows(kNodes);
+  std::vector<double> health(kNodes, 0.0);
+  for (std::size_t r = 0; r < kNodes; ++r) {
+    meanRows[r] = means.row(r);
+    sdRows[r] = stddevs.row(r);
+  }
+  health[7] = 2.0;
+  analysis::GroupSummary summary;
+  analysis::ReduceScratch scratch;
+  std::vector<double> packed;
+
+  for (int i = 0; i < 2; ++i) {
+    analysis::reduceGroup(i, meanRows.data(), sdRows.data(), health.data(),
+                          kNodes, kDims, summary, scratch);
+    summary.pack(packed);
+  }
+
+  allochook::reset();
+  for (int i = 0; i < 100; ++i) {
+    analysis::reduceGroup(i, meanRows.data(), sdRows.data(), health.data(),
+                          kNodes, kDims, summary, scratch);
+    summary.pack(packed);
+  }
+  EXPECT_EQ(allochook::totals().allocs, 0u);
+  EXPECT_EQ(kNodes - 1, summary.survivors());
 }
 
 TEST(ZeroAlloc, BuilderEmissionAndRetentionAllocateNothing) {
