@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
-#include <numeric>
-#include <set>
 
 #include "common/error.h"
 #include "common/logging.h"
@@ -86,95 +83,94 @@ void FptCore::configure(const IniFile& config) {
     instances_.push_back(std::move(instance));
   }
 
+  // Every input ref names its producer once, here; the graph walks
+  // below follow these pointers.
+  for (auto& inst : instances_) {
+    for (auto& spec : inst->inputSpecs_) {
+      spec.producer = findInstance(spec.producerId);
+      if (spec.producer == nullptr) {
+        throw ConfigError(strformat(
+            "config line %d: input references unknown instance '%s'",
+            spec.line, spec.producerId.c_str()));
+      }
+    }
+  }
+
   initializeGraph();
+}
+
+int FptCore::internDomain(const std::string& name) {
+  const auto [it, isNew] =
+      domainIds_.try_emplace(name, static_cast<int>(domainIds_.size()));
+  if (isNew) firstRunOfDomain_.push_back(kNoRun);
+  return it->second;
 }
 
 void FptCore::initializeGraph() {
   // Steps 2-4 of Section 3.3, in O(V + E): annotate each instance with
-  // its count of unsatisfied (unique) dependencies and a reverse
-  // adjacency list producer -> dependents. Initializing an instance
+  // its count of unsatisfied input assignments and a reverse adjacency
+  // list producer -> dependents (one entry per assignment, so a
+  // producer bound twice decrements twice). Initializing an instance
   // decrements its dependents' counts; only instances whose count just
   // reached zero join the queue — no rescan of the whole instance set
   // per initialization.
-  std::unordered_map<ModuleInstance*, std::size_t> unsatisfied;
-  std::unordered_map<ModuleInstance*, std::vector<ModuleInstance*>>
-      producersOf;
-  std::unordered_map<ModuleInstance*, std::vector<ModuleInstance*>>
-      dependentsOf;
-  std::deque<ModuleInstance*> queue;
+  std::vector<std::size_t> unsatisfied(instances_.size());
+  std::vector<std::vector<ModuleInstance*>> dependentsOf(instances_.size());
+  std::vector<ModuleInstance*> queue;
   for (auto& inst : instances_) {
-    std::set<std::string> deps;
-    for (auto& dep : inst->dependencyIds()) deps.insert(std::move(dep));
-    std::size_t pending = 0;
-    for (const std::string& dep : deps) {
-      ++pending;
-      // Unknown producers keep the count above zero forever; the
-      // diagnostic pass below names them.
-      if (ModuleInstance* producer = findInstance(dep)) {
-        producersOf[inst.get()].push_back(producer);
-        dependentsOf[producer].push_back(inst.get());
-      }
+    for (const auto& spec : inst->inputSpecs_) {
+      dependentsOf[spec.producer->order_].push_back(inst.get());
     }
-    unsatisfied[inst.get()] = pending;
-    if (pending == 0) queue.push_back(inst.get());
+    unsatisfied[inst->order_] = inst->inputSpecs_.size();
+    if (inst->inputSpecs_.empty()) queue.push_back(inst.get());
   }
 
-  std::size_t initialized = 0;
-  while (!queue.empty()) {
-    ModuleInstance* inst = queue.front();
-    queue.pop_front();
-    if (inst->initialized_) continue;
-
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    ModuleInstance* inst = queue[head];
     wireInputs(*inst);
     InstanceContext ctx(*this, *inst);
     inst->module_->init(ctx);
     inst->initialized_ = true;
-    ++initialized;
 
     // Topological level: producers are guaranteed initialized first.
-    int level = 0;
-    for (ModuleInstance* producer : producersOf[inst]) {
-      level = std::max(level, producer->level_ + 1);
+    // The dispatcher's level-indexed frontier buckets grow to fit once
+    // here; the wavefront loop then reuses them.
+    for (const auto& spec : inst->inputSpecs_) {
+      inst->level_ = std::max(inst->level_, spec.producer->level_ + 1);
     }
-    inst->level_ = level;
+    const auto depth = static_cast<std::size_t>(inst->level_) + 1;
+    if (frontier_.size() < depth) frontier_.resize(depth);
 
     if (inst->outputs_.empty() && inst->inputSpecs_.empty()) {
       logWarn("fpt-core: instance '" + inst->id() +
               "' has neither inputs nor outputs");
     }
     if (inst->periodicInterval_ > 0.0) {
-      ModuleInstance* target = inst;
       engine_.addPeriodic(
           inst->periodicInterval_,
-          [this, target] {
-            target->queuedPeriodic_ = true;
-            enqueueReady(*target);
+          [this, inst] {
+            inst->queuedPeriodic_ = true;
+            enqueueReady(*inst);
           },
           inst->periodicInterval_);
     }
 
     // This instance's outputs now exist; dependents with no other
     // missing producers become initializable.
-    for (ModuleInstance* dependent : dependentsOf[inst]) {
-      if (dependent->initialized_) continue;
-      if (--unsatisfied[dependent] == 0) queue.push_back(dependent);
+    for (ModuleInstance* dependent : dependentsOf[inst->order_]) {
+      if (--unsatisfied[dependent->order_] == 0) queue.push_back(dependent);
     }
   }
 
-  if (initialized != instances_.size()) {
-    // Diagnose: name the stuck instances and the missing dependencies
-    // (unknown producer ids or cycles).
+  if (queue.size() != instances_.size()) {
+    // Diagnose: name the stuck instances and the producers they still
+    // wait on (a cycle, or a chain into one).
     std::string detail;
     for (auto& inst : instances_) {
       if (inst->initialized_) continue;
       detail += " '" + inst->id() + "' waits on {";
-      for (const auto& dep : inst->dependencyIds()) {
-        ModuleInstance* producer = findInstance(dep);
-        if (producer == nullptr) {
-          detail += dep + "(unknown) ";
-        } else if (!producer->initialized_) {
-          detail += dep + " ";
-        }
+      for (const auto& spec : inst->inputSpecs_) {
+        if (!spec.producer->initialized_) detail += spec.producerId + " ";
       }
       detail += "}";
     }
@@ -182,77 +178,40 @@ void FptCore::initializeGraph() {
         "fpt-core: DAG construction failed; uninitializable instances:" +
         detail);
   }
-
-  // Size the dispatcher's level-indexed frontier buckets once; the
-  // wavefront loop then reuses them without rehashing or tree churn.
-  int maxLevel = 0;
-  for (const auto& inst : instances_) {
-    maxLevel = std::max(maxLevel, inst->level_);
-  }
-  frontier_.resize(static_cast<std::size_t>(maxLevel) + 1);
 }
 
 void FptCore::wireInputs(ModuleInstance& instance) {
   for (const auto& spec : instance.inputSpecs_) {
-    std::vector<OutputPort*> ports;
-    if (spec.ref[0] == '@') {
-      const std::string id = spec.ref.substr(1);
-      ModuleInstance* producer = findInstance(id);
-      if (producer == nullptr) {
-        throw ConfigError(strformat(
-            "config line %d: input references unknown instance '%s'",
-            spec.line, id.c_str()));
-      }
-      if (producer->outputs_.empty()) {
-        throw ConfigError(strformat(
-            "config line %d: instance '%s' has no outputs to bind",
-            spec.line, id.c_str()));
-      }
-      for (auto& port : producer->outputs_) ports.push_back(port.get());
-    } else {
-      const std::size_t dot = spec.ref.find('.');
-      if (dot == std::string::npos) {
-        throw ConfigError(strformat(
-            "config line %d: input ref '%s' must be '@instance' or "
-            "'instance.output'",
-            spec.line, spec.ref.c_str()));
-      }
-      const std::string id = spec.ref.substr(0, dot);
-      const std::string outputName = spec.ref.substr(dot + 1);
-      ModuleInstance* producer = findInstance(id);
-      if (producer == nullptr) {
-        throw ConfigError(strformat(
-            "config line %d: input references unknown instance '%s'",
-            spec.line, id.c_str()));
-      }
-      OutputPort* port = producer->findOutput(outputName);
-      if (port == nullptr) {
-        throw ConfigError(strformat(
-            "config line %d: instance '%s' has no output '%s'", spec.line,
-            id.c_str(), outputName.c_str()));
-      }
-      ports.push_back(port);
-    }
-
-    if (instance.inputs_.find(spec.inputName) == instance.inputs_.end()) {
-      instance.inputOrder_.push_back(spec.inputName);
-    }
-    auto& conns = instance.inputs_[spec.inputName];
-    for (OutputPort* port : ports) {
-      conns.push_back(InputConnection{port, 0});
-      auto& subs = port->owner->subscribers_;
-      if (std::find(subs.begin(), subs.end(), &instance) == subs.end()) {
-        subs.push_back(&instance);
-      }
-      // Per-port listener list: lets a write publish by walking exactly
-      // the consumers of that port (deduplicated so one consumer with
-      // several connections to the port still counts one update per
-      // write, matching the historical notification semantics).
-      auto& listeners = port->listeners;
+    const auto [it, isNew] = instance.inputs_.try_emplace(spec.inputName);
+    if (isNew) instance.inputOrder_.push_back(spec.inputName);
+    // Per-port listener list: lets a write publish by walking exactly
+    // the consumers of that port (deduplicated so one consumer with
+    // several connections to the port still counts one update per
+    // write, matching the historical notification semantics).
+    const auto bind = [&instance, &conns = it->second](OutputPort& port) {
+      conns.push_back(InputConnection{&port, 0});
+      auto& listeners = port.listeners;
       if (std::find(listeners.begin(), listeners.end(), &instance) ==
           listeners.end()) {
         listeners.push_back(&instance);
       }
+    };
+    ModuleInstance& producer = *spec.producer;
+    if (spec.output.empty()) {
+      if (producer.outputs_.empty()) {
+        throw ConfigError(strformat(
+            "config line %d: instance '%s' has no outputs to bind",
+            spec.line, spec.producerId.c_str()));
+      }
+      for (auto& port : producer.outputs_) bind(*port);
+    } else {
+      OutputPort* port = producer.findOutput(spec.output);
+      if (port == nullptr) {
+        throw ConfigError(strformat(
+            "config line %d: instance '%s' has no output '%s'", spec.line,
+            spec.producerId.c_str(), spec.output.c_str()));
+      }
+      bind(*port);
     }
   }
 }
@@ -268,24 +227,16 @@ void FptCore::noteOutputWritten(ModuleInstance& writer, OutputPort& port) {
     writer.deferredWrites_.push_back(&port);
     return;
   }
-  // Init-time (or out-of-band) write: notify immediately.
-  port.writeSeq = ++writeSeq_;
-  onOutputWritten(port);
+  // Init-time (or out-of-band) write: publish immediately.
+  OutputPort* const write = &port;
+  publishWrites({&write, 1});
 }
 
-void FptCore::onOutputWritten(OutputPort& port) {
-  for (ModuleInstance* sub : port.listeners) {
-    ++sub->pendingUpdates_;
-    sub->runQueued_ = true;
-    enqueueReady(*sub);
-  }
-}
-
-void FptCore::publishWrites(const std::vector<OutputPort*>& writes) {
+void FptCore::publishWrites(std::span<OutputPort* const> writes) {
   // Stamp every port first (write order = deterministic stamp order),
   // then deliver the whole batch: pendingUpdates_ counts one update
-  // per port-write per listener exactly as the per-port path would,
-  // but each distinct consumer is enqueued once.
+  // per port-write per listener, but each distinct consumer is
+  // enqueued once.
   batchTargets_.clear();
   for (OutputPort* port : writes) {
     port->writeSeq = ++writeSeq_;
@@ -319,73 +270,47 @@ void FptCore::scheduleWavefront() {
 }
 
 void FptCore::buildExclusiveGroups(const std::vector<ReadyRun>& runs) {
-  const auto appendToGroup = [this](std::size_t g, const ReadyRun& run) {
-    if (g == groups_.size()) groups_.emplace_back();
-    if (g >= groupCount_) {
-      groups_[g].clear();
-      groupCount_ = g + 1;
-    }
-    groups_[g].push_back(run);
-  };
-  groupCount_ = 0;
-
-  // Fast path: no instance in this level declares an exclusivity
-  // domain. Grouping then only merges the two entries of one instance
-  // (periodic + triggered), which are always adjacent — a single
-  // linear pass over reused buffers, no allocation in steady state.
-  bool anyDomain = false;
-  for (const ReadyRun& run : runs) {
-    if (!run.instance->exclusiveDomains_.empty()) {
-      anyDomain = true;
-      break;
-    }
-  }
-  if (!anyDomain) {
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      if (i > 0 && runs[i].instance == runs[i - 1].instance) {
-        groups_[groupCount_ - 1].push_back(runs[i]);
-      } else {
-        appendToGroup(groupCount_, runs[i]);
-      }
-    }
-    return;
-  }
-
-  // Union-find over the level's runs: both entries of one instance and
-  // all instances sharing an exclusivity domain collapse into one
-  // group, which the executor runs as a single serial task.
-  std::vector<std::size_t> parent(runs.size());
-  std::iota(parent.begin(), parent.end(), std::size_t{0});
-  const auto find = [&parent](std::size_t i) {
-    while (parent[i] != i) {
-      parent[i] = parent[parent[i]];
-      i = parent[i];
+  // Union-find over the level's runs. A root is always the smallest run
+  // index of its set, so groups come out ordered by their first run and
+  // each group keeps configuration order.
+  const auto find = [this](std::size_t i) {
+    while (parent_[i] != i) {
+      parent_[i] = parent_[parent_[i]];
+      i = parent_[i];
     }
     return i;
   };
   const auto unite = [&](std::size_t a, std::size_t b) {
     a = find(a);
     b = find(b);
-    if (a != b) parent[std::max(a, b)] = std::min(a, b);
+    if (a != b) parent_[std::max(a, b)] = std::min(a, b);
   };
 
-  std::unordered_map<const ModuleInstance*, std::size_t> firstOfInstance;
-  std::unordered_map<std::string, std::size_t> firstOfDomain;
+  parent_.resize(runs.size());
+  groupOfRoot_.resize(runs.size());
   for (std::size_t i = 0; i < runs.size(); ++i) {
-    const auto [instIt, instNew] =
-        firstOfInstance.try_emplace(runs[i].instance, i);
-    if (!instNew) unite(i, instIt->second);
-    for (const std::string& domain : runs[i].instance->exclusiveDomains_) {
-      const auto [domIt, domNew] = firstOfDomain.try_emplace(domain, i);
-      if (!domNew) unite(i, domIt->second);
+    parent_[i] = i;
+    // An instance's two entries (periodic + triggered) are adjacent.
+    if (i > 0 && runs[i].instance == runs[i - 1].instance) unite(i, i - 1);
+    for (const int domain : runs[i].instance->domains_) {
+      std::size_t& first = firstRunOfDomain_[static_cast<std::size_t>(domain)];
+      if (first == kNoRun) first = i;
+      unite(i, first);
     }
   }
 
-  std::unordered_map<std::size_t, std::size_t> groupOfRoot;
+  groupCount_ = 0;
   for (std::size_t i = 0; i < runs.size(); ++i) {
+    for (const int domain : runs[i].instance->domains_) {
+      firstRunOfDomain_[static_cast<std::size_t>(domain)] = kNoRun;
+    }
     const std::size_t root = find(i);
-    const auto [it, isNew] = groupOfRoot.try_emplace(root, groupCount_);
-    appendToGroup(it->second, runs[i]);
+    if (root == i) {
+      groupOfRoot_[i] = groupCount_++;
+      if (groupCount_ > groups_.size()) groups_.emplace_back();
+      groups_[groupCount_ - 1].clear();
+    }
+    groups_[groupOfRoot_[root]].push_back(runs[i]);
   }
 }
 
@@ -477,7 +402,6 @@ void FptCore::dispatchWavefront() {
 }
 
 void FptCore::runInstance(ModuleInstance& instance, RunReason reason) {
-  totalRuns_.fetch_add(1, std::memory_order_relaxed);
   ++instance.runs_;
   InstanceContext ctx(*this, instance);
   instance.module_->run(ctx, reason);
@@ -485,6 +409,12 @@ void FptCore::runInstance(ModuleInstance& instance, RunReason reason) {
   for (auto& [name, conns] : instance.inputs_) {
     for (auto& conn : conns) conn.lastSeenVersion = conn.port->version;
   }
+}
+
+std::uint64_t FptCore::totalRuns() const {
+  std::uint64_t total = 0;
+  for (const auto& inst : instances_) total += inst->runs_;
+  return total;
 }
 
 std::size_t FptCore::memoryFootprintBytes() const {

@@ -37,11 +37,10 @@
 // (realtime.h).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -100,10 +99,9 @@ class FptCore {
   double cpuSeconds() const { return cpu_.seconds(); }
   /// Approximate resident footprint of the graph (Table 3).
   std::size_t memoryFootprintBytes() const;
-  /// Total module run() invocations (sanity/throughput metrics).
-  std::uint64_t totalRuns() const {
-    return totalRuns_.load(std::memory_order_relaxed);
-  }
+  /// Total module run() invocations (sanity/throughput metrics): the
+  /// sum of every instance's run count.
+  std::uint64_t totalRuns() const;
   /// Wavefront dispatches performed (each covers >= 1 level).
   std::uint64_t wavefronts() const { return wavefronts_; }
 
@@ -123,19 +121,20 @@ class FptCore {
   void initializeGraph();
   void wireInputs(ModuleInstance& instance);
   void runInstance(ModuleInstance& instance, RunReason reason);
+  /// Dense id of an exclusivity domain name, assigned on first use.
+  /// Called from init() only, so dispatch never hashes a string.
+  int internDomain(const std::string& name);
 
   // --- wavefront scheduling ---------------------------------------------
   /// Called by InstanceContext::write. During a dispatch the
   /// notification is deferred to the current level's barrier;
-  /// otherwise (init-time writes) it fires immediately.
+  /// otherwise (init-time writes) it is published immediately.
   void noteOutputWritten(ModuleInstance& writer, OutputPort& port);
-  /// Counts the update for every listener of `port` and enqueues them
-  /// for dispatch.
-  void onOutputWritten(OutputPort& port);
-  /// Batch form used at the level barrier: stamps and publishes a
-  /// producer's whole deferred write set in one pass, counting every
-  /// port update per listener but enqueueing each consumer once.
-  void publishWrites(const std::vector<OutputPort*>& writes);
+  /// Stamps and publishes a write set in one pass — a producer's whole
+  /// deferred set at the level barrier, or one init-time write —
+  /// counting every port update per listener but enqueueing each
+  /// consumer once.
+  void publishWrites(std::span<OutputPort* const> writes);
   /// Adds an instance to the ready set and arms the dispatch event.
   void enqueueReady(ModuleInstance& instance);
   void scheduleWavefront();
@@ -143,11 +142,12 @@ class FptCore {
   /// level through the executor, merges deferred notifications at the
   /// level barrier, and repeats for newly readied (deeper) levels.
   void dispatchWavefront();
-  /// Splits one level's runs into executor tasks: instances sharing an
-  /// exclusivity domain form one serial task (configuration order);
-  /// all other instances get a task each. Fills groups_/groupCount_
-  /// from reused buffers; levels without exclusivity domains take an
-  /// allocation-free linear path.
+  /// Splits one level's runs into executor tasks: one union-find pass
+  /// joins the two entries of one instance and every run sharing an
+  /// exclusivity domain into one serial task (configuration order);
+  /// all other instances get a task each. Groups are ordered by their
+  /// first run. Fills groups_/groupCount_ from reused buffers, so the
+  /// steady state allocates nothing.
   void buildExclusiveGroups(const std::vector<ReadyRun>& runs);
 
   sim::SimEngine& engine_;
@@ -158,6 +158,7 @@ class FptCore {
                      std::equal_to<>>
       instanceIndex_;
   std::unique_ptr<Executor> executor_;
+  std::unordered_map<std::string, int> domainIds_;  // see internDomain()
 
   std::vector<ModuleInstance*> readySet_;
   // Reused dispatch buffers (wavefront hot path; capacity persists so
@@ -168,6 +169,13 @@ class FptCore {
   std::vector<ModuleInstance*> batchTargets_;
   std::vector<std::vector<ReadyRun>> groups_;  // first groupCount_ valid
   std::size_t groupCount_ = 0;
+  // Union-find state of buildExclusiveGroups, indexed by run (parent_,
+  // groupOfRoot_) or by domain id (firstRunOfDomain_, kNoRun between
+  // levels).
+  static constexpr std::size_t kNoRun = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> parent_;
+  std::vector<std::size_t> groupOfRoot_;
+  std::vector<std::size_t> firstRunOfDomain_;
   std::vector<Executor::Task> tasks_;
   bool wavefrontScheduled_ = false;  // dispatch event already queued
   bool dispatching_ = false;         // inside dispatchWavefront
@@ -176,7 +184,6 @@ class FptCore {
   std::mutex alarmMutex_;  // serializes the wrapped env alarm sink
 
   CpuMeter cpu_;
-  std::atomic<std::uint64_t> totalRuns_{0};
   bool configured_ = false;
 };
 

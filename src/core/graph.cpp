@@ -50,18 +50,27 @@ ModuleInstance::ModuleInstance(FptCore& core, std::string id,
       section_(std::move(section)),
       module_(std::move(module)) {
   for (const auto& a : section_.assignments) {
-    if (startsWith(a.key, "input[") && endsWith(a.key, "]")) {
-      InputSpec spec;
-      spec.inputName = a.key.substr(6, a.key.size() - 7);
-      spec.ref = a.value;
-      spec.line = a.line;
-      if (spec.inputName.empty() || spec.ref.empty()) {
-        throw ConfigError(strformat(
-            "config line %d: malformed input assignment '%s'", a.line,
-            a.key.c_str()));
-      }
-      inputSpecs_.push_back(std::move(spec));
+    if (!startsWith(a.key, "input[") || !endsWith(a.key, "]")) continue;
+    InputSpec spec;
+    spec.inputName = a.key.substr(6, a.key.size() - 7);
+    spec.line = a.line;
+    if (spec.inputName.empty() || a.value.empty()) {
+      throw ConfigError(strformat(
+          "config line %d: malformed input assignment '%s'", a.line,
+          a.key.c_str()));
     }
+    // "@instance" binds every output; "instance.output" binds one.
+    const bool all = a.value[0] == '@';
+    const std::size_t dot = all ? std::string::npos : a.value.find('.');
+    spec.producerId = all ? a.value.substr(1) : a.value.substr(0, dot);
+    if (dot != std::string::npos) spec.output = a.value.substr(dot + 1);
+    if (spec.producerId.empty() || (!all && spec.output.empty())) {
+      throw ConfigError(strformat(
+          "config line %d: input ref '%s' must be '@instance' or "
+          "'instance.output'",
+          a.line, a.value.c_str()));
+    }
+    inputSpecs_.push_back(std::move(spec));
   }
 }
 
@@ -70,21 +79,6 @@ OutputPort* ModuleInstance::findOutput(const std::string& name) {
     if (port->name == name) return port.get();
   }
   return nullptr;
-}
-
-std::vector<std::string> ModuleInstance::dependencyIds() const {
-  std::vector<std::string> deps;
-  for (const auto& spec : inputSpecs_) {
-    std::string id;
-    if (!spec.ref.empty() && spec.ref[0] == '@') {
-      id = spec.ref.substr(1);
-    } else {
-      const std::size_t dot = spec.ref.find('.');
-      id = dot == std::string::npos ? spec.ref : spec.ref.substr(0, dot);
-    }
-    if (!id.empty()) deps.push_back(id);
-  }
-  return deps;
 }
 
 // ---------------------------------------------------------------------------
@@ -131,12 +125,16 @@ const std::string& InstanceContext::inputPortName(const std::string& name,
   return connection(name, index).port->name;
 }
 
+void InstanceContext::requireInit(const char* hook) const {
+  if (instance_.initialized_) {
+    throw ConfigError("[" + instance_.id_ + "] " + hook +
+                      " may only be called during init()");
+  }
+}
+
 int InstanceContext::addOutput(const std::string& name,
                                const std::string& origin) {
-  if (instance_.initialized_) {
-    throw ConfigError("[" + instance_.id_ +
-                      "] outputs must be created during init()");
-  }
+  requireInit("addOutput");
   if (instance_.findOutput(name) != nullptr) {
     throw ConfigError("[" + instance_.id_ + "] duplicate output '" + name +
                       "'");
@@ -167,6 +165,7 @@ void InstanceContext::write(int outputIndex, Value value) {
 }
 
 void InstanceContext::requestPeriodic(double interval) {
+  requireInit("requestPeriodic");
   if (interval <= 0.0) {
     throw ConfigError("[" + instance_.id_ + "] periodic interval must be > 0");
   }
@@ -174,6 +173,7 @@ void InstanceContext::requestPeriodic(double interval) {
 }
 
 void InstanceContext::setInputTrigger(int updates) {
+  requireInit("setInputTrigger");
   if (updates < 1) {
     throw ConfigError("[" + instance_.id_ + "] input trigger must be >= 1");
   }
@@ -181,13 +181,15 @@ void InstanceContext::setInputTrigger(int updates) {
 }
 
 void InstanceContext::requestExclusive(const std::string& domain) {
+  requireInit("requestExclusive");
   if (domain.empty()) {
     throw ConfigError("[" + instance_.id_ +
                       "] exclusivity domain may not be empty");
   }
-  auto& domains = instance_.exclusiveDomains_;
-  if (std::find(domains.begin(), domains.end(), domain) == domains.end()) {
-    domains.push_back(domain);
+  const int id = core_.internDomain(domain);
+  auto& domains = instance_.domains_;
+  if (std::find(domains.begin(), domains.end(), id) == domains.end()) {
+    domains.push_back(id);
   }
 }
 

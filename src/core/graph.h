@@ -68,17 +68,6 @@ class ModuleInstance {
     return outputs_;
   }
 
-  /// The raw "input[name] = ref" assignments from the configuration.
-  struct InputSpec {
-    std::string inputName;
-    std::string ref;  // "@instance" or "instance.output"
-    int line = 0;
-  };
-  const std::vector<InputSpec>& inputSpecs() const { return inputSpecs_; }
-
-  /// Instance ids this instance consumes from (DAG dependencies).
-  std::vector<std::string> dependencyIds() const;
-
   /// Topological depth in the DAG (0 = no inputs). Valid after
   /// configure().
   int level() const { return level_; }
@@ -92,12 +81,21 @@ class ModuleInstance {
   std::string type_;
   IniSection section_;
   std::unique_ptr<Module> module_;
+
+  /// One "input[name] = ref" assignment, parsed at construction and
+  /// resolved to its producer by FptCore::configure().
+  struct InputSpec {
+    std::string inputName;
+    std::string producerId;
+    std::string output;  // empty for "@instance": bind every output
+    ModuleInstance* producer = nullptr;
+    int line = 0;
+  };
   std::vector<InputSpec> inputSpecs_;
 
   std::vector<std::string> inputOrder_;
   std::map<std::string, std::vector<InputConnection>> inputs_;
   std::vector<std::unique_ptr<OutputPort>> outputs_;
-  std::vector<ModuleInstance*> subscribers_;  // who consumes my outputs
 
   bool initialized_ = false;
   double periodicInterval_ = 0.0;  // 0 = no periodic schedule
@@ -108,7 +106,7 @@ class ModuleInstance {
   // --- scheduler state (owned by FptCore's wavefront dispatcher) -------
   int order_ = 0;      // configuration-file position; determinism key
   int level_ = 0;      // topological depth; wavefront grouping key
-  std::vector<std::string> exclusiveDomains_;  // requestExclusive()
+  std::vector<int> domains_;  // interned requestExclusive() domains
   bool queuedPeriodic_ = false;  // a periodic firing awaits dispatch
   bool runQueued_ = false;       // an input-trigger check awaits dispatch
   bool inReadySet_ = false;      // already in the dispatcher's ready set
@@ -156,6 +154,9 @@ class InstanceContext final : public ModuleContext {
  private:
   const InputConnection& connection(const std::string& name,
                                     std::size_t index) const;
+  /// Throws ConfigError once the instance is initialized: outputs and
+  /// scheduling hooks are fixed at configure time.
+  void requireInit(const char* hook) const;
   FptCore& core_;
   ModuleInstance& instance_;
 };

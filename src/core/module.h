@@ -75,7 +75,7 @@ class ModuleContext {
                         const std::string& origin = "") = 0;
   virtual void write(int outputIndex, Value value) = 0;
 
-  // --- scheduling hooks (init only) --------------------------------------
+  // --- scheduling hooks (init only; ConfigError once initialized) --------
   /// Requests periodic run() calls every `interval` seconds.
   virtual void requestPeriodic(double interval) = 0;
   /// Requests input-triggered run() calls after `updates` input writes
@@ -87,8 +87,9 @@ class ModuleContext {
   /// Modules that mutate a shared environment service (a per-node
   /// daemon, a cross-instance synchronizer) declare the service's
   /// domain here so parallel executors stay correct and deterministic.
-  /// May be called multiple times with different domains. No-op under
-  /// the serial executor.
+  /// May be called multiple times with different domains. Under the
+  /// serial executor it still fixes the run order: a level runs group
+  /// by group, each group in configuration order.
   virtual void requestExclusive(const std::string& domain) = 0;
 
   // --- services ----------------------------------------------------------

@@ -77,6 +77,25 @@ class TestSink final : public Module {
 std::vector<double>* TestSink::collected = nullptr;
 int TestSink::runs = 0;
 
+// Periodic module that calls the init-only hook named by "hook" from
+// run(), where it is no longer allowed.
+class TestLateHook final : public Module {
+ public:
+  void init(ModuleContext& ctx) override {
+    hook_ = ctx.param("hook");
+    ctx.requestPeriodic(1.0);
+  }
+  void run(ModuleContext& ctx, RunReason) override {
+    if (hook_ == "periodic") ctx.requestPeriodic(0.5);
+    if (hook_ == "trigger") ctx.setInputTrigger(1);
+    if (hook_ == "exclusive") ctx.requestExclusive("late");
+    if (hook_ == "output") ctx.addOutput("late");
+  }
+
+ private:
+  std::string hook_;
+};
+
 class FptCoreTest : public ::testing::Test {
  protected:
   FptCoreTest() {
@@ -86,6 +105,8 @@ class FptCoreTest : public ::testing::Test {
                            [] { return std::make_unique<TestScale>(); });
     registry_.registerType("sink",
                            [] { return std::make_unique<TestSink>(); });
+    registry_.registerType("latehook",
+                           [] { return std::make_unique<TestLateHook>(); });
     TestSink::collected = &collected_;
     TestSink::runs = 0;
   }
@@ -188,12 +209,29 @@ TEST_F(FptCoreTest, UnknownModuleTypeFails) {
 
 TEST_F(FptCoreTest, UnknownInputInstanceFails) {
   FptCore core(engine_, Environment{}, &registry_);
-  EXPECT_THROW(core.configureFromText(R"(
-[sink]
-id = out
-input[a] = ghost.output0
-)"),
-               ConfigError);
+  try {
+    core.configureFromText("[sink]\nid = out\ninput[a] = ghost.output0\n");
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("config line 3"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("ghost"), std::string::npos);
+  }
+}
+
+TEST_F(FptCoreTest, MalformedInputRefFails) {
+  for (const char* ref : {"src", "@", "src."}) {
+    FptCore core(engine_, Environment{}, &registry_);
+    try {
+      core.configureFromText(std::string("[source]\nid = src\n[sink]\n") +
+                             "id = out\ninput[a] = " + ref + "\n");
+      FAIL() << "expected ConfigError for '" << ref << "'";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("config line 5"),
+                std::string::npos)
+          << ref << ": " << e.what();
+    }
+  }
 }
 
 TEST_F(FptCoreTest, UnknownOutputNameFails) {
@@ -293,6 +331,16 @@ input[a] = @src
   engine_.runUntil(50.0);
   EXPECT_GT(core.cpuSeconds(), 0.0);
   EXPECT_GT(core.memoryFootprintBytes(), 0u);
+}
+
+TEST_F(FptCoreTest, SchedulingHooksAfterInitThrow) {
+  for (const char* hook : {"periodic", "trigger", "exclusive", "output"}) {
+    sim::SimEngine engine;
+    FptCore core(engine, Environment{}, &registry_);
+    core.configureFromText(std::string("[latehook]\nid = late\nhook = ") +
+                           hook + "\n");
+    EXPECT_THROW(engine.runUntil(2.0), ConfigError) << hook;
+  }
 }
 
 TEST(Environment, TypedServiceLookup) {

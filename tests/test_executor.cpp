@@ -9,6 +9,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -101,36 +102,54 @@ TEST(MakeExecutor, SelectsBackEndByThreadCount) {
 
 // --- exclusivity domains through the scheduler -------------------------
 
-/// Periodic module that tracks how many instances of its exclusivity
-/// domain execute concurrently and in which order they start.
+/// Periodic module that tracks how many instances execute concurrently
+/// (all of them, and those that declared a domain) and in which order
+/// they start. Up to two domains: "domain" and "domain2".
 class ExclusiveProbe final : public Module {
  public:
   static std::atomic<int> inside;
   static std::atomic<int> maxInside;
+  static std::atomic<int> insideExclusive;
+  static std::atomic<int> maxInsideExclusive;
   static std::mutex orderMutex;
   static std::vector<std::string> startOrder;
 
   void init(ModuleContext& ctx) override {
     ctx.requestPeriodic(1.0);
-    const std::string domain = ctx.param("domain", "");
-    if (!domain.empty()) ctx.requestExclusive(domain);
+    for (const char* key : {"domain", "domain2"}) {
+      const std::string domain = ctx.param(key, "");
+      if (domain.empty()) continue;
+      ctx.requestExclusive(domain);
+      exclusive_ = true;
+    }
   }
   void run(ModuleContext& ctx, RunReason) override {
     {
       std::lock_guard<std::mutex> lock(orderMutex);
       startOrder.push_back(ctx.instanceId());
     }
-    const int now = inside.fetch_add(1) + 1;
-    int seen = maxInside.load();
-    while (now > seen && !maxInside.compare_exchange_weak(seen, now)) {
-    }
+    enter(inside, maxInside);
+    if (exclusive_) enter(insideExclusive, maxInsideExclusive);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    if (exclusive_) insideExclusive.fetch_sub(1);
     inside.fetch_sub(1);
   }
+
+ private:
+  static void enter(std::atomic<int>& count, std::atomic<int>& max) {
+    const int now = count.fetch_add(1) + 1;
+    int seen = max.load();
+    while (now > seen && !max.compare_exchange_weak(seen, now)) {
+    }
+  }
+
+  bool exclusive_ = false;
 };
 
 std::atomic<int> ExclusiveProbe::inside{0};
 std::atomic<int> ExclusiveProbe::maxInside{0};
+std::atomic<int> ExclusiveProbe::insideExclusive{0};
+std::atomic<int> ExclusiveProbe::maxInsideExclusive{0};
 std::mutex ExclusiveProbe::orderMutex;
 std::vector<std::string> ExclusiveProbe::startOrder;
 
@@ -141,6 +160,8 @@ class ExclusivityTest : public ::testing::Test {
         "probe", [] { return std::make_unique<ExclusiveProbe>(); });
     ExclusiveProbe::inside = 0;
     ExclusiveProbe::maxInside = 0;
+    ExclusiveProbe::insideExclusive = 0;
+    ExclusiveProbe::maxInsideExclusive = 0;
     ExclusiveProbe::startOrder.clear();
   }
 
@@ -199,6 +220,66 @@ id = d
 )");
   engine_.runUntil(10.0);
   EXPECT_GT(ExclusiveProbe::maxInside.load(), 1);
+}
+
+TEST_F(ExclusivityTest, ChainedDomainsFormOneSerialGroup) {
+  // b shares x with a and y with c, so a, b and c form one serial group
+  // although a and c share no domain; d stays independent.
+  {
+    FptCore core(engine_, Environment{}, &registry_);
+    core.setExecutor(std::make_unique<ThreadPoolExecutor>(4));
+    core.configureFromText(R"(
+[probe]
+id = a
+domain = x
+
+[probe]
+id = b
+domain = x
+domain2 = y
+
+[probe]
+id = c
+domain = y
+
+[probe]
+id = d
+)");
+    engine_.runUntil(5.0);
+    EXPECT_EQ(ExclusiveProbe::maxInsideExclusive.load(), 1);
+    // Each tick is its own wavefront, so its four starts are contiguous;
+    // d may start anywhere among them.
+    ASSERT_EQ(ExclusiveProbe::startOrder.size(), 20u);
+    for (std::size_t tick = 0; tick < 5; ++tick) {
+      std::vector<std::string> chained;
+      for (std::size_t i = 0; i < 4; ++i) {
+        const std::string& id = ExclusiveProbe::startOrder[tick * 4 + i];
+        if (id != "d") chained.push_back(id);
+      }
+      EXPECT_EQ(chained, (std::vector<std::string>{"a", "b", "c"}));
+    }
+  }
+
+  // Serial executor: a level runs group by group, so c (grouped with a)
+  // starts before the independent b.
+  ExclusiveProbe::startOrder.clear();
+  sim::SimEngine engine;
+  FptCore core(engine, Environment{}, &registry_);
+  core.configureFromText(R"(
+[probe]
+id = a
+domain = x
+
+[probe]
+id = b
+
+[probe]
+id = c
+domain = x
+)");
+  engine.runUntil(2.0);
+  EXPECT_EQ(ExclusiveProbe::startOrder,
+            (std::vector<std::string>{"a", "c", "b", "a", "c", "b"}));
 }
 
 }  // namespace

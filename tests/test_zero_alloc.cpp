@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -22,6 +23,9 @@
 #include "analysis/peercompare.h"
 #include "common/matrix.h"
 #include "common/rng.h"
+#include "core/fpt_core.h"
+#include "core/module.h"
+#include "core/registry.h"
 #include "core/value.h"
 #include "hadoop/cluster.h"
 #include "metrics/sadc.h"
@@ -255,6 +259,63 @@ TEST(ZeroAlloc, SimSadcCollectionAllocatesNothing) {
   EXPECT_EQ(polls, 54u);
   EXPECT_EQ(flat.size(), metrics::kFlatNodeVectorSize);
   EXPECT_GT(bytes, 0u);
+}
+
+// A collector-shaped periodic module: exclusive on its node's domain,
+// and on "hl-sync" too when "sync" is set, writing one scalar a run.
+class DomainPulse final : public core::Module {
+ public:
+  void init(core::ModuleContext& ctx) override {
+    out_ = ctx.addOutput("out");
+    ctx.requestPeriodic(1.0);
+    ctx.requestExclusive("node" + ctx.param("node"));
+    if (ctx.param("sync") == "1") ctx.requestExclusive("hl-sync");
+  }
+  void run(core::ModuleContext& ctx, core::RunReason) override {
+    ctx.write(out_, ctx.now());
+  }
+
+ private:
+  int out_ = -1;
+};
+
+class ScalarSink final : public core::Module {
+ public:
+  void init(core::ModuleContext& ctx) override { ctx.setInputTrigger(1); }
+  void run(core::ModuleContext& ctx, core::RunReason) override {
+    sum_ += core::asScalar(ctx.input("a", 0).value);
+  }
+
+ private:
+  double sum_ = 0.0;
+};
+
+// Every collector level declares node<k> and hl-sync domains, so each
+// tick's wavefront groups its runs by domain. Once the dispatcher's
+// buffers are warm, that grouping — and the whole wavefront — allocates
+// nothing.
+TEST(ZeroAlloc, WavefrontWithExclusiveDomainsAllocatesNothing) {
+  core::ModuleRegistry registry;
+  registry.registerType("pulse", [] { return std::make_unique<DomainPulse>(); });
+  registry.registerType("sink", [] { return std::make_unique<ScalarSink>(); });
+  std::string config;
+  for (std::size_t k = 1; k <= kNodes; ++k) {
+    const std::string n = std::to_string(k);
+    config += "[pulse]\nid = p" + n + "\nnode = " + n + "\n";
+    config += "[pulse]\nid = q" + n + "\nnode = " + n + "\nsync = 1\n";
+    config += "[sink]\nid = s" + n + "\ninput[a] = p" + n + ".out\n";
+  }
+  sim::SimEngine engine;
+  core::FptCore fpt(engine, core::Environment{}, &registry);
+  fpt.configureFromText(config);
+
+  engine.runUntil(20.0);
+  const std::uint64_t runsBefore = fpt.totalRuns();
+  allochook::reset();
+  engine.runUntil(60.0);
+  EXPECT_EQ(allochook::totals().allocs, 0u)
+      << "wavefront dispatch with exclusivity domains allocated";
+  EXPECT_EQ(fpt.totalRuns() - runsBefore, 40u * 3u * kNodes);
 }
 
 // The net-plane claim (DESIGN.md §15): once a connection's decode
