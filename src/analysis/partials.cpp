@@ -260,9 +260,8 @@ std::size_t mergeWhiteBoxSummaries(const GroupSummary* const* groups,
 void reduceWindowStats(const SlidingWindow* windows, std::size_t dims,
                        double* mean, double* var, double* stddev) {
   for (std::size_t d = 0; d < dims; ++d) {
-    mean[d] = windows[d].mean();
-    var[d] = windows[d].variance();
-    stddev[d] = windows[d].stddev();
+    windows[d].meanVariance(mean[d], var[d]);
+    stddev[d] = std::sqrt(var[d]);
   }
 }
 

@@ -98,7 +98,7 @@ double Rng::pareto(double xm, double alpha) {
   return xm / std::pow(u, 1.0 / alpha);
 }
 
-std::size_t Rng::weightedIndex(const std::vector<double>& weights) {
+std::size_t Rng::weightedIndex(std::span<const double> weights) {
   double total = 0.0;
   for (double w : weights) total += w;
   assert(total > 0.0);

@@ -8,7 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 namespace asdf {
 
@@ -45,7 +45,7 @@ class Rng {
   double pareto(double xm, double alpha);
 
   /// Samples an index in [0, weights.size()) proportional to weights.
-  std::size_t weightedIndex(const std::vector<double>& weights);
+  std::size_t weightedIndex(std::span<const double> weights);
 
   /// Derives an independent child generator; useful for giving each
   /// node / component its own stream while staying reproducible.

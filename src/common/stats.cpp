@@ -15,12 +15,19 @@ double mean(const std::vector<double>& xs) {
   return sum / static_cast<double>(xs.size());
 }
 
-double variance(const std::vector<double>& xs) {
+namespace {
+
+double varianceAbout(const std::vector<double>& xs, double m) {
   if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
   double sum = 0.0;
   for (double x : xs) sum += (x - m) * (x - m);
   return sum / static_cast<double>(xs.size());
+}
+
+}  // namespace
+
+double variance(const std::vector<double>& xs) {
+  return varianceAbout(xs, mean(xs));
 }
 
 double stddev(const std::vector<double>& xs) {
@@ -137,5 +144,10 @@ std::vector<double> SlidingWindow::values() const {
 double SlidingWindow::mean() const { return asdf::mean(buf_); }
 double SlidingWindow::variance() const { return asdf::variance(buf_); }
 double SlidingWindow::stddev() const { return asdf::stddev(buf_); }
+
+void SlidingWindow::meanVariance(double& mean, double& var) const {
+  mean = asdf::mean(buf_);
+  var = varianceAbout(buf_, mean);
+}
 
 }  // namespace asdf

@@ -87,6 +87,9 @@ class SlidingWindow {
   double mean() const;
   double variance() const;
   double stddev() const;
+  /// mean() and variance() in one mean pass and one variance pass,
+  /// bit-identical to the separate calls.
+  void meanVariance(double& mean, double& var) const;
 
  private:
   std::size_t capacity_;

@@ -145,15 +145,7 @@ void FptCore::initializeGraph() {
       logWarn("fpt-core: instance '" + inst->id() +
               "' has neither inputs nor outputs");
     }
-    if (inst->periodicInterval_ > 0.0) {
-      engine_.addPeriodic(
-          inst->periodicInterval_,
-          [this, inst] {
-            inst->queuedPeriodic_ = true;
-            enqueueReady(*inst);
-          },
-          inst->periodicInterval_);
-    }
+    if (inst->periodicInterval_ > 0.0) addToPeriodTimer(*inst);
 
     // This instance's outputs now exist; dependents with no other
     // missing producers become initializable.
@@ -178,6 +170,33 @@ void FptCore::initializeGraph() {
         "fpt-core: DAG construction failed; uninitializable instances:" +
         detail);
   }
+}
+
+void FptCore::addToPeriodTimer(ModuleInstance& instance) {
+  // Every instance registers here, in one configure() at one now(), with
+  // phase = interval: all instances of one period fire at the same
+  // instants, so one engine timer per period readies them all. The
+  // wavefront sorts each level by configuration order, so the run
+  // order is that of one timer per instance.
+  const double interval = instance.periodicInterval_;
+  auto timer = std::find_if(
+      periodTimers_.begin(), periodTimers_.end(),
+      [interval](const PeriodTimer& t) { return t.interval == interval; });
+  if (timer == periodTimers_.end()) {
+    const std::size_t index = periodTimers_.size();
+    periodTimers_.push_back(PeriodTimer{interval, {}});
+    engine_.addPeriodic(
+        interval,
+        [this, index] {
+          for (ModuleInstance* member : periodTimers_[index].members) {
+            member->queuedPeriodic_ = true;
+            enqueueReady(*member);
+          }
+        },
+        interval);
+    timer = periodTimers_.end() - 1;
+  }
+  timer->members.push_back(&instance);
 }
 
 void FptCore::wireInputs(ModuleInstance& instance) {

@@ -118,7 +118,17 @@ class FptCore {
     RunReason reason;
   };
 
+  // The instances of one periodic interval, in initialization order;
+  // one engine timer per interval readies them all.
+  struct PeriodTimer {
+    double interval;
+    std::vector<ModuleInstance*> members;
+  };
+
   void initializeGraph();
+  /// Joins the engine timer of the instance's period, creating it on
+  /// first use.
+  void addToPeriodTimer(ModuleInstance& instance);
   void wireInputs(ModuleInstance& instance);
   void runInstance(ModuleInstance& instance, RunReason reason);
   /// Dense id of an exclusivity domain name, assigned on first use.
@@ -159,6 +169,8 @@ class FptCore {
       instanceIndex_;
   std::unique_ptr<Executor> executor_;
   std::unordered_map<std::string, int> domainIds_;  // see internDomain()
+
+  std::vector<PeriodTimer> periodTimers_;
 
   std::vector<ModuleInstance*> readySet_;
   // Reused dispatch buffers (wavefront hot path; capacity persists so

@@ -101,12 +101,11 @@ void Cluster::tick() {
 
   // Snapshot hook ids: a hook's advance may remove the hook itself
   // (e.g. the DiskHog finishing its 20 GB write).
-  std::vector<int> hookIds;
-  hookIds.reserve(hooks_.size());
-  for (const auto& [id, hook] : hooks_) hookIds.push_back(id);
+  hookIds_.clear();
+  for (const auto& [id, hook] : hooks_) hookIds_.push_back(id);
 
   for (auto& tt : tts_) tt->requestResources(now);
-  for (int id : hookIds) {
+  for (int id : hookIds_) {
     const auto it = hooks_.find(id);
     if (it != hooks_.end() && it->second.request) it->second.request(now);
   }
@@ -115,7 +114,7 @@ void Cluster::tick() {
   if (uplinks_ != nullptr) uplinks_->finalize();
 
   for (auto& tt : tts_) tt->advance(now, 1.0);
-  for (int id : hookIds) {
+  for (int id : hookIds_) {
     const auto it = hooks_.find(id);
     if (it != hooks_.end() && it->second.advance) it->second.advance(now);
   }

@@ -97,6 +97,7 @@ class Cluster : public ClusterView {
   std::vector<std::unique_ptr<TaskTracker>> tts_;  // per slave
   JobTracker jobTracker_;
   std::map<int, TickHook> hooks_;
+  std::vector<int> hookIds_;  // tick()'s snapshot of hooks_, reused
   int nextHookId_ = 0;
   long tickCount_ = 0;
 };

@@ -70,10 +70,10 @@ void Node::endTick(SimTime now) {
   activity_.processes.push_back(dn);
   for (const auto& p : extraProcesses_) activity_.processes.push_back(p);
 
-  lastSnapshot_ = osModel_.tick(now, activity_);
-  lastTrace_ = traceModel_.tick(activity_, hungTasks_, spinningTasks_);
+  osModel_.tickInto(now, activity_, lastSnapshot_);
+  traceModel_.record(activity_, hungTasks_, spinningTasks_);
 
-  activity_ = metrics::NodeActivity{};
+  activity_.reset();
   dnReadBytes_ = 0.0;
   dnWriteBytes_ = 0.0;
   hungTasks_ = 0;

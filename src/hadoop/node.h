@@ -117,9 +117,10 @@ class Node : public metrics::SadcProvider {
     return lastSnapshot_;
   }
   SimTime lastSnapshotTime() const { return lastSnapshot_.time; }
-  /// The syscall trace of the most recent tick (strace module).
-  const syscalls::TraceSecond& lastSyscallTrace() const {
-    return lastTrace_;
+  /// The syscall trace of the most recent tick (strace module). The
+  /// first read of a tick draws it; a tick nobody reads costs no draw.
+  const syscalls::TraceSecond& lastSyscallTrace() {
+    return traceModel_.trace();
   }
 
  private:
@@ -140,7 +141,6 @@ class Node : public metrics::SadcProvider {
   hadooplog::DnLogWriter dnWriter_;
   NodeFaults faults_;
   syscalls::SyscallTraceModel traceModel_;
-  syscalls::TraceSecond lastTrace_;
   double dnReadBytes_ = 0.0;
   double dnWriteBytes_ = 0.0;
   int runningTasks_ = 0;

@@ -18,6 +18,13 @@ constexpr double kPageBytes = 4096.0;
 
 }  // namespace
 
+void NodeActivity::reset() {
+  std::vector<ProcessActivity> kept = std::move(processes);
+  kept.clear();
+  *this = NodeActivity{};
+  processes = std::move(kept);
+}
+
 NodeOsModel::NodeOsModel(Params params, Rng rng)
     : params_(params), rng_(rng) {}
 
@@ -33,8 +40,14 @@ double NodeOsModel::noisyFloor(double value, double floorSigma) {
   return std::max(0.0, noisy(value) + std::abs(rng_.gaussian(0.0, floorSigma)));
 }
 
-SadcSnapshot NodeOsModel::tick(SimTime now, const NodeActivity& a) {
+SadcSnapshot NodeOsModel::tick(SimTime now, const NodeActivity& activity) {
   SadcSnapshot snap;
+  tickInto(now, activity, snap);
+  return snap;
+}
+
+void NodeOsModel::tickInto(SimTime now, const NodeActivity& a,
+                           SadcSnapshot& snap) {
   snap.time = now;
   snap.node.assign(kNodeMetricCount, 0.0);
   snap.nic.assign(kNicMetricCount, 0.0);
@@ -206,8 +219,12 @@ SadcSnapshot NodeOsModel::tick(SimTime now, const NodeActivity& a) {
   n[kNicSpeedMbps] = params_.nicSpeedMbps;
 
   // ---- Tracked processes -------------------------------------------------
-  for (const auto& p : a.processes) {
-    std::vector<double> v(kProcessMetricCount, 0.0);
+  snap.processes.resize(a.processes.size());
+  for (std::size_t i = 0; i < a.processes.size(); ++i) {
+    const ProcessActivity& p = a.processes[i];
+    auto& [name, v] = snap.processes[i];
+    name = p.name;
+    v.assign(kProcessMetricCount, 0.0);
     v[kProcCpuUserPct] = noisy(100.0 * p.cpuUserCores);
     v[kProcCpuSystemPct] = noisy(100.0 * p.cpuSystemCores);
     v[kProcCpuTotalPct] = v[kProcCpuUserPct] + v[kProcCpuSystemPct];
@@ -241,11 +258,7 @@ SadcSnapshot NodeOsModel::tick(SimTime now, const NodeActivity& a) {
     it->second.second += p.cpuUserCores * 100.0;
     v[kProcSysTimeTicks] = it->second.first;
     v[kProcUserTimeTicks] = it->second.second;
-
-    snap.processes.emplace_back(p.name, std::move(v));
   }
-
-  return snap;
 }
 
 }  // namespace asdf::metrics

@@ -54,6 +54,9 @@ struct NodeActivity {
   double forks = 0.0;          // processes created this tick
   int tcpConnections = 0;      // open sockets beyond the baseline
   std::vector<ProcessActivity> processes;
+
+  /// Zeroes every field; `processes` keeps its capacity.
+  void reset();
 };
 
 /// A full sadc sample for one node at one instant.
@@ -77,8 +80,12 @@ class NodeOsModel {
 
   NodeOsModel(Params params, Rng rng);
 
-  /// Consumes one tick of activity and produces the metric snapshot
-  /// at time `now`. Must be called once per simulated second.
+  /// Consumes one tick of activity and writes the metric snapshot at
+  /// time `now` into `snap`, reusing its vectors. Must be called once
+  /// per simulated second.
+  void tickInto(SimTime now, const NodeActivity& activity,
+                SadcSnapshot& snap);
+  /// tickInto() a fresh snapshot.
   SadcSnapshot tick(SimTime now, const NodeActivity& activity);
 
   const Params& params() const { return params_; }

@@ -80,7 +80,10 @@ const syscalls::TraceSecond& StraceDaemon::fetch(
 std::size_t StraceDaemon::memoryFootprintBytes() const {
   // One second of trace buffer (one byte per event, sized for a busy
   // node) plus the ring the tracer writes into before it is drained.
-  return sizeof(StraceDaemon) + 2 * node_.lastSyscallTrace().capacity() +
+  // Sized from the model's bound, not the last trace: reading the trace
+  // would draw it.
+  return sizeof(StraceDaemon) +
+         2 * syscalls::SyscallTraceModel::Params{}.maxEventsPerSecond +
          4096 /* tracer ring scratch */;
 }
 

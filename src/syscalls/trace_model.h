@@ -15,6 +15,7 @@
 // characteristic ways — exactly the signal the strace analysis models.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -46,6 +47,12 @@ const char* syscallName(Syscall s);
 using TraceSecond = std::vector<std::uint8_t>;
 
 /// Generates per-second syscall traces from node activity.
+///
+/// A second is recorded cheaply (category rates and an event count, no
+/// RNG draw) and drawn lazily on the first trace() read of that second.
+/// A consumer that reads every second therefore sees the same stream a
+/// draw-per-second model would produce, and seconds nobody reads cost
+/// no draws at all.
 class SyscallTraceModel {
  public:
   struct Params {
@@ -56,15 +63,29 @@ class SyscallTraceModel {
 
   SyscallTraceModel(Params params, Rng rng);
 
-  /// Produces the trace for one second of the given activity.
-  /// `hungTasks` injects the futex/nanosleep signature of a wedged
-  /// process; `spinningTasks` the no-syscall signature of a CPU spin.
+  /// Records one second of the given activity, replacing the previous
+  /// second. `hungTasks` injects the futex/nanosleep signature of a
+  /// wedged process; `spinningTasks` the no-syscall signature of a CPU
+  /// spin.
+  void record(const metrics::NodeActivity& activity, int hungTasks = 0,
+              int spinningTasks = 0);
+
+  /// The trace of the recorded second (empty before the first record).
+  /// The first read of a second draws it into a reused buffer; later
+  /// reads return the same trace.
+  const TraceSecond& trace();
+
+  /// record() then trace(): produces the trace for one second.
   TraceSecond tick(const metrics::NodeActivity& activity, int hungTasks = 0,
                    int spinningTasks = 0);
 
  private:
   Params params_;
   Rng rng_;
+  std::array<double, kSyscallKinds> rates_{};
+  std::size_t events_ = 0;
+  bool drawn_ = true;  // trace_ holds the recorded second
+  TraceSecond trace_;
 };
 
 }  // namespace asdf::syscalls

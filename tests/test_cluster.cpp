@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/strings.h"
+#include "faults/faults.h"
 #include "hadooplog/parser.h"
 #include "metrics/catalog.h"
 #include "sim/engine.h"
+#include "workload/gridmix.h"
 
 namespace asdf::hadoop {
 namespace {
@@ -198,6 +202,72 @@ TEST(Cluster, DeterministicAcrossIdenticalRuns) {
   };
   EXPECT_EQ(run(42), run(42));
   EXPECT_NE(run(42), run(43));
+}
+
+// FNV-1a 64, fed one 64-bit word at a time.
+class Fnv64 {
+ public:
+  void word(std::uint64_t w) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (w >> (8 * i)) & 0xFFu;
+      h_ *= 1099511628211ULL;
+    }
+  }
+  void real(double x) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &x, sizeof bits);
+    word(bits);
+  }
+  void text(const std::string& s) {
+    word(s.size());
+    for (const char c : s) word(static_cast<unsigned char>(c));
+  }
+  void reals(const std::vector<double>& xs) {
+    word(xs.size());
+    for (const double x : xs) real(x);
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 1469598103934665603ULL;
+};
+
+// Pins the simulator's output bits: every slave's sadc snapshot, every
+// second, over 600 s of GridMix on 24 slaves with a CPUHog that comes
+// and goes (its tracked process joins and leaves the snapshot). The
+// constant was computed before the simulator reused its snapshot
+// buffers, skipped unread syscall traces and scanned only a job's
+// shuffle sources; any change to the simulated cluster moves it.
+TEST(Cluster, SnapshotStreamMatchesParent) {
+  sim::SimEngine engine;
+  Cluster cluster(smallParams(24), 77, engine);
+  workload::GridMixGenerator gridmix(cluster, {}, 78);
+  faults::FaultSpec spec;
+  spec.type = faults::FaultType::kCpuHog;
+  spec.node = 5;
+  spec.startTime = 200.0;
+  spec.endTime = 400.0;
+  faults::FaultInjector injector(cluster, spec);
+  cluster.start();
+  gridmix.start();
+  injector.arm();
+  Fnv64 h;
+  for (int t = 1; t <= 600; ++t) {
+    engine.runUntil(t);
+    for (Node* node : cluster.slaveNodes()) {
+      const metrics::SadcSnapshot& snap = node->sadcCollect();
+      h.real(snap.time);
+      h.reals(snap.node);
+      h.reals(snap.nic);
+      h.word(snap.processes.size());
+      for (const auto& [name, values] : snap.processes) {
+        h.text(name);
+        h.reals(values);
+      }
+    }
+  }
+  EXPECT_GT(cluster.jobTracker().jobsCompleted(), 0);
+  EXPECT_EQ(h.value(), 0x63e178dded592d22ULL);
 }
 
 TEST(Cluster, TickCountMatchesDuration) {

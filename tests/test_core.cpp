@@ -343,6 +343,27 @@ TEST_F(FptCoreTest, SchedulingHooksAfterInitThrow) {
   }
 }
 
+// All instances of one period share one engine timer: a tick costs one
+// timer event per distinct period plus one wavefront dispatch, however
+// many instances are periodic. Periods are interleaved in the config,
+// and every instance still runs once per period.
+TEST_F(FptCoreTest, PeriodicInstancesShareOneEngineTimer) {
+  std::string config;
+  for (int i = 0; i < 60; ++i) {
+    config += "[source]\nid = s" + std::to_string(i) + "\ninterval = " +
+              (i % 6 == 5 ? "5" : "1") + "\n";
+  }
+  FptCore core(engine_, Environment{}, &registry_);
+  core.configureFromText(config);
+  // 1 s timer: 10 firings; 5 s timer: 2; one dispatch per second: 10.
+  EXPECT_EQ(engine_.runUntil(10.0), 22u);
+  EXPECT_EQ(core.wavefronts(), 10u);
+  for (const auto& inst : core.instances()) {
+    const bool slow = std::stoi(inst->id().substr(1)) % 6 == 5;
+    EXPECT_EQ(inst->runCount(), slow ? 2u : 10u) << inst->id();
+  }
+}
+
 TEST(Environment, TypedServiceLookup) {
   Environment env;
   int value = 42;

@@ -115,6 +115,64 @@ TEST_F(ExtensionTest, StracePipelineFlagsHungNode) {
   EXPECT_GT(culpritFlags, otherFlags);
 }
 
+// Pins the strace stream: nodes 1-3's traces, read every second for
+// 300 s across a reduce hang, hash to the value computed when every
+// node drew its trace every second. A consumer that reads every second
+// sees the same bytes now that traces are drawn on first read; node 4,
+// never read, draws nothing and moves no other stream.
+TEST_F(ExtensionTest, StraceStreamMatchesParent) {
+  faults::FaultSpec spec;
+  spec.type = faults::FaultType::kHadoop2080;
+  spec.node = 2;
+  spec.startTime = 100.0;
+  faults::FaultInjector injector(cluster_, spec);
+  injector.arm();
+  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a 64
+  const auto mix = [&h](std::uint64_t byte) {
+    h ^= byte;
+    h *= 1099511628211ULL;
+  };
+  std::size_t events = 0;
+  for (int t = 1; t <= 300; ++t) {
+    engine_.runUntil(t);
+    for (NodeId node = 1; node <= 3; ++node) {
+      const syscalls::TraceSecond& trace =
+          cluster_.node(node).lastSyscallTrace();
+      mix(trace.size() & 0xFFu);
+      mix(trace.size() >> 8);
+      for (const std::uint8_t kind : trace) mix(kind);
+      events += trace.size();
+    }
+  }
+  EXPECT_GT(events, 300u * 3u * 5u);
+  EXPECT_EQ(h, 0x7d7d96ccabf6d5b1ULL);
+}
+
+// A stats query must not draw a trace: reading node 1 every other
+// second yields the same traces whether or not straceMemoryBytes() is
+// called in the seconds between.
+TEST_F(ExtensionTest, StraceMemoryQueryDrawsNoTrace) {
+  sim::SimEngine engine;
+  hadoop::Cluster cluster(makeParams(), 4321, engine);
+  workload::GridMixGenerator gridmix(cluster, {}, 4322);
+  cluster.start();
+  gridmix.start();
+  rpc::RpcHub hub(cluster, 0.0);
+  std::vector<syscalls::TraceSecond> plain;
+  std::vector<syscalls::TraceSecond> queried;
+  for (int t = 1; t <= 60; ++t) {
+    engine.runUntil(t);
+    engine_.runUntil(t);
+    if (t % 2 == 0) {
+      plain.push_back(cluster.node(1).lastSyscallTrace());
+      queried.push_back(cluster_.node(1).lastSyscallTrace());
+    } else {
+      EXPECT_GT(hub_->straceMemoryBytes(), 0u);
+    }
+  }
+  EXPECT_EQ(queried, plain);
+}
+
 TEST_F(ExtensionTest, StraceRequiresNodeParam) {
   core::FptCore fpt(engine_, env_, nullptr);
   EXPECT_THROW(fpt.configureFromText("[strace]\nid = s\n"), ConfigError);

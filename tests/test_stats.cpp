@@ -130,6 +130,24 @@ TEST(SlidingWindow, ClearEmpties) {
   EXPECT_DOUBLE_EQ(w.mean(), 9.0);
 }
 
+// meanVariance() is the one-pass form of mean() and variance(): equal
+// bit for bit, on empty, partly filled and wrapped rings.
+TEST(SlidingWindow, MeanVarianceMatchesSeparateCalls) {
+  Rng rng(17);
+  for (const std::size_t capacity : {1u, 2u, 60u}) {
+    SlidingWindow w(capacity);
+    for (std::size_t i = 0; i <= 3 * capacity; ++i) {
+      double m = -1.0;
+      double var = -1.0;
+      w.meanVariance(m, var);
+      EXPECT_EQ(m, w.mean()) << capacity << " @" << i;
+      EXPECT_EQ(var, w.variance()) << capacity << " @" << i;
+      EXPECT_EQ(std::sqrt(var), w.stddev()) << capacity << " @" << i;
+      w.push(rng.uniform(-1.0e3, 1.0e3));
+    }
+  }
+}
+
 // Property: the sliding window's statistics always equal batch
 // statistics over its current contents, for random push sequences.
 class SlidingWindowProperty : public ::testing::TestWithParam<int> {};

@@ -27,6 +27,7 @@
 #include "core/module.h"
 #include "core/registry.h"
 #include "core/value.h"
+#include "faults/faults.h"
 #include "hadoop/cluster.h"
 #include "metrics/sadc.h"
 #include "modules/modules.h"
@@ -259,6 +260,39 @@ TEST(ZeroAlloc, SimSadcCollectionAllocatesNothing) {
   EXPECT_EQ(polls, 54u);
   EXPECT_EQ(flat.size(), metrics::kFlatNodeVectorSize);
   EXPECT_GT(bytes, 0u);
+}
+
+// Counts the heap allocations of simulated seconds 6..40 of an idle
+// 3-slave cluster (no GridMix): node ticks, heartbeats and, when
+// `hog` is set, a CPUHog's tick hook and tracked process. Once the
+// snapshot, trace and activity buffers are warm, a tick allocates
+// nothing.
+std::uint64_t idleClusterTickAllocs(bool hog) {
+  hadoop::HadoopParams params;
+  params.slaveCount = 3;
+  sim::SimEngine engine;
+  hadoop::Cluster cluster(params, 31, engine);
+  faults::FaultSpec spec;
+  spec.type = faults::FaultType::kCpuHog;
+  spec.node = 2;
+  spec.startTime = 2.0;
+  faults::FaultInjector injector(cluster, spec);
+  cluster.start();
+  if (hog) injector.arm();
+  engine.runUntil(5.0);
+  allochook::reset();
+  for (int t = 6; t <= 40; ++t) engine.runUntil(t);
+  return allochook::totals().allocs;
+}
+
+TEST(ZeroAlloc, IdleClusterTickAllocatesNothing) {
+  EXPECT_EQ(idleClusterTickAllocs(/*hog=*/false), 0u)
+      << "idle cluster ticks allocated in steady state";
+}
+
+TEST(ZeroAlloc, ClusterTickWithFaultHookAllocatesNothing) {
+  EXPECT_EQ(idleClusterTickAllocs(/*hog=*/true), 0u)
+      << "cluster ticks with a CPUHog hook allocated in steady state";
 }
 
 // A collector-shaped periodic module: exclusive on its node's domain,
