@@ -181,10 +181,12 @@ void BM_OsModelTick(benchmark::State& state) {
   activity.diskReadBytes = 1.0e7;
   activity.netRxBytes = 5.0e6;
   activity.memUsedBytes = 3.0e9;
+  metrics::SadcSnapshot snap;  // reused, like a node's
   double t = 0.0;
   for (auto _ : state) {
     t += 1.0;
-    benchmark::DoNotOptimize(model.tick(t, activity));
+    model.tickInto(t, activity, snap);
+    benchmark::DoNotOptimize(snap);
   }
 }
 BENCHMARK(BM_OsModelTick);

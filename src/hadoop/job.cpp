@@ -1,6 +1,5 @@
 #include "hadoop/job.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -104,11 +103,6 @@ bool Job::completeMap(int index, NodeId node, double duration) {
          static_cast<std::size_t>(node) < shuffleAvailPerNode_.size());
   shuffleAvailPerNode_[static_cast<std::size_t>(node)] +=
       mapOutputPerReducePerMap();
-  const auto pos =
-      std::lower_bound(shuffleSources_.begin(), shuffleSources_.end(), node);
-  if (pos == shuffleSources_.end() || *pos != node) {
-    shuffleSources_.insert(pos, node);
-  }
   return true;
 }
 

@@ -94,9 +94,6 @@ class Job {
 
   /// Map-output bytes available for *each* reduce on the given node.
   double shuffleAvailable(NodeId node) const;
-  /// Nodes that completed at least one of this job's maps, ascending:
-  /// every other node has shuffleAvailable() == 0.
-  const std::vector<NodeId>& shuffleSources() const { return shuffleSources_; }
 
   /// HDFS blocks written by this job's reduces (recorded for cleanup).
   void addOutputBlock(long blockId) { outputBlocks_.push_back(blockId); }
@@ -129,7 +126,6 @@ class Job {
   std::vector<int> mapFailures_;
   std::vector<int> reduceFailures_;
   std::vector<double> shuffleAvailPerNode_;  // indexed by NodeId
-  std::vector<NodeId> shuffleSources_;       // sorted, see shuffleSources()
   std::vector<long> outputBlocks_;
   int completedMaps_ = 0;
   int completedReduces_ = 0;

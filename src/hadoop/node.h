@@ -117,11 +117,14 @@ class Node : public metrics::SadcProvider {
     return lastSnapshot_;
   }
   SimTime lastSnapshotTime() const { return lastSnapshot_.time; }
-  /// The syscall trace of the most recent tick (strace module). The
-  /// first read of a tick draws it; a tick nobody reads costs no draw.
+  /// The syscall trace of the most recent tick (strace module). Traces
+  /// are drawn only from the first read or attachSyscallTraceConsumer()
+  /// on; attached before the first tick, the node's stream is the same
+  /// whichever ticks are read.
   const syscalls::TraceSecond& lastSyscallTrace() {
     return traceModel_.trace();
   }
+  void attachSyscallTraceConsumer() { traceModel_.attachConsumer(); }
 
  private:
   NodeId id_;

@@ -179,24 +179,16 @@ void TaskAttempt::requestResources(SimTime now) {
       streams_.clear();
       // Fetch map output from up to kShuffleParallelFetches source
       // nodes that still hold un-fetched output, round-robin for
-      // fairness across sources. Only nodes that completed a map can
-      // hold output, so the rotation visits just the job's sources:
-      // first those at or past the rotation point, then the wrapped
-      // ones. `examined` is how many slaves a scan of every slave
-      // would have visited, which is what advances the rotation.
+      // fairness across sources.
       const int slaves = cluster_.slaveCount();
-      const std::vector<NodeId>& sources = job_.shuffleSources();
-      const auto split =
-          std::lower_bound(sources.begin(), sources.end(),
-                           static_cast<NodeId>(nextSourceRotation_ + 1));
-      const std::size_t first =
-          static_cast<std::size_t>(split - sources.begin());
-      int examined = slaves;
-      for (std::size_t j = 0;
-           j < sources.size() && static_cast<double>(streams_.size()) <
-                                     kShuffleParallelFetches;
-           ++j) {
-        const NodeId s = sources[(first + j) % sources.size()];
+      int examined = 0;
+      for (int k = 0; k < slaves &&
+                      static_cast<double>(streams_.size()) <
+                          kShuffleParallelFetches;
+           ++k) {
+        const NodeId s =
+            static_cast<NodeId>(1 + (nextSourceRotation_ + k) % slaves);
+        ++examined;
         const double avail = job_.shuffleAvailable(s) -
                              fetched_[static_cast<std::size_t>(s)];
         if (avail <= kEps) continue;
@@ -210,10 +202,6 @@ void TaskAttempt::requestResources(SimTime now) {
         stream.hSrcCpu = src.cpu().request(kServeCpuCores);
         stream.flow = requestUplink(src, host_, stream.requested);
         streams_.push_back(stream);
-        if (static_cast<double>(streams_.size()) >= kShuffleParallelFetches) {
-          // The full scan would have stopped right after this source.
-          examined = (s - 1 - nextSourceRotation_ + slaves) % slaves + 1;
-        }
       }
       nextSourceRotation_ = (nextSourceRotation_ + examined) % slaves;
       host_.addTcpConnections(static_cast<int>(streams_.size()));

@@ -85,7 +85,8 @@ class NodeOsModel {
   /// per simulated second.
   void tickInto(SimTime now, const NodeActivity& activity,
                 SadcSnapshot& snap);
-  /// tickInto() a fresh snapshot.
+  /// tickInto() a fresh snapshot; the simulator uses tickInto(), this
+  /// form serves tests and benchmark setup.
   SadcSnapshot tick(SimTime now, const NodeActivity& activity);
 
   const Params& params() const { return params_; }

@@ -39,8 +39,14 @@ class StraceModule final : public core::Module {
     scale_ = ctx.numParam("scale", 4.0);
     // Without an "rpc_client", fetch through the hub's fault-free one.
     client_ = ctx.env().get<rpc::RpcClient>("rpc_client");
+    rpc::RpcHub* hub = ctx.env().get<rpc::RpcHub>("rpc");
     if (client_ == nullptr) {
       client_ = &ctx.env().require<rpc::RpcHub>("rpc").client();
+    }
+    // The node draws its trace every second from now on, so the scored
+    // seconds are the same whichever polls fail or `interval` skips.
+    if (hub != nullptr && node_ <= hub->slaves()) {
+      hub->strace(node_).attachConsumer();
     }
     out_ = ctx.addOutput("output0", strformat("slave%d", node_));
     ctx.requestPeriodic(ctx.numParam("interval", 1.0));

@@ -37,6 +37,12 @@ RpcdServer::RpcdServer(const RpcdOptions& opts)
     cluster_->start();
     gridmix_->start();
     hub_ = std::make_unique<rpc::RpcHub>(*cluster_, /*attachTime=*/0.0);
+    // Which nodes remote pollers trace is not known up front: every
+    // node draws its trace every second, as for an in-process strace
+    // module attached at configure time.
+    for (NodeId node = 1; node <= hub_->slaves(); ++node) {
+      hub_->strace(node).attachConsumer();
+    }
     injector_ = std::make_unique<faults::FaultInjector>(*cluster_,
                                                         opts_.fault);
     injector_->arm();

@@ -77,11 +77,13 @@ const syscalls::TraceSecond& StraceDaemon::fetch(
   return trace;
 }
 
+void StraceDaemon::attachConsumer() { node_.attachSyscallTraceConsumer(); }
+
 std::size_t StraceDaemon::memoryFootprintBytes() const {
   // One second of trace buffer (one byte per event, sized for a busy
   // node) plus the ring the tracer writes into before it is drained.
   // Sized from the model's bound, not the last trace: reading the trace
-  // would draw it.
+  // would attach a consumer and start the node drawing.
   return sizeof(StraceDaemon) +
          2 * syscalls::SyscallTraceModel::Params{}.maxEventsPerSecond +
          4096 /* tracer ring scratch */;

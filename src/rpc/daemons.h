@@ -88,6 +88,11 @@ class StraceDaemon {
   /// (`responseBytes`).
   const syscalls::TraceSecond& fetch(std::size_t& responseBytes);
 
+  /// Called when a poller of this daemon is configured: the node draws
+  /// its trace every second from then on, so what a fetch returns does
+  /// not depend on which earlier seconds were fetched.
+  void attachConsumer();
+
   double cpuSeconds() const { return cpu_.seconds(); }
   std::size_t memoryFootprintBytes() const;
 

@@ -59,12 +59,21 @@ void SyscallTraceModel::record(const metrics::NodeActivity& a, int hungTasks,
                          : static_cast<std::size_t>(std::min(
                                static_cast<double>(params_.maxEventsPerSecond),
                                total));
-  drawn_ = false;
+  if (attached_) draw();
+}
+
+void SyscallTraceModel::attachConsumer() {
+  if (attached_) return;
+  attached_ = true;
+  draw();
 }
 
 const TraceSecond& SyscallTraceModel::trace() {
-  if (drawn_) return trace_;
-  drawn_ = true;
+  attachConsumer();
+  return trace_;
+}
+
+void SyscallTraceModel::draw() {
   trace_.clear();
   // Emit with short runs per category (real traces show bursts:
   // sequential reads, futex storms), not i.i.d. draws — the Markov
@@ -76,7 +85,6 @@ const TraceSecond& SyscallTraceModel::trace() {
       trace_.push_back(kind);
     }
   }
-  return trace_;
 }
 
 TraceSecond SyscallTraceModel::tick(const metrics::NodeActivity& activity,

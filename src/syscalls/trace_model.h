@@ -48,11 +48,12 @@ using TraceSecond = std::vector<std::uint8_t>;
 
 /// Generates per-second syscall traces from node activity.
 ///
-/// A second is recorded cheaply (category rates and an event count, no
-/// RNG draw) and drawn lazily on the first trace() read of that second.
-/// A consumer that reads every second therefore sees the same stream a
-/// draw-per-second model would produce, and seconds nobody reads cost
-/// no draws at all.
+/// Every second is recorded (category rates and an event count), but a
+/// trace is drawn only once a consumer is attached: from then on every
+/// recorded second draws, read or not, so the stream does not depend on
+/// which seconds a consumer reads. Attached before the first record, it
+/// is the stream of a model that draws every second; a model nobody
+/// consumes never draws.
 class SyscallTraceModel {
  public:
   struct Params {
@@ -64,28 +65,34 @@ class SyscallTraceModel {
   SyscallTraceModel(Params params, Rng rng);
 
   /// Records one second of the given activity, replacing the previous
-  /// second. `hungTasks` injects the futex/nanosleep signature of a
-  /// wedged process; `spinningTasks` the no-syscall signature of a CPU
-  /// spin.
+  /// second, and draws its trace if a consumer is attached.
+  /// `hungTasks` injects the futex/nanosleep signature of a wedged
+  /// process; `spinningTasks` the no-syscall signature of a CPU spin.
   void record(const metrics::NodeActivity& activity, int hungTasks = 0,
               int spinningTasks = 0);
 
+  /// Attaches a consumer (idempotent): draws the recorded second, if
+  /// any, and every later one.
+  void attachConsumer();
+
   /// The trace of the recorded second (empty before the first record).
-  /// The first read of a second draws it into a reused buffer; later
-  /// reads return the same trace.
+  /// Attaches a consumer if none is.
   const TraceSecond& trace();
 
-  /// record() then trace(): produces the trace for one second.
+  /// record() then trace(), into a fresh vector; the simulator uses
+  /// record() and trace(), this form serves tests.
   TraceSecond tick(const metrics::NodeActivity& activity, int hungTasks = 0,
                    int spinningTasks = 0);
 
  private:
+  void draw();  // the recorded second's trace into trace_
+
   Params params_;
   Rng rng_;
   std::array<double, kSyscallKinds> rates_{};
   std::size_t events_ = 0;
-  bool drawn_ = true;  // trace_ holds the recorded second
-  TraceSecond trace_;
+  bool attached_ = false;
+  TraceSecond trace_;  // reused buffer
 };
 
 }  // namespace asdf::syscalls

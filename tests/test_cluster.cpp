@@ -236,8 +236,8 @@ class Fnv64 {
 // second, over 600 s of GridMix on 24 slaves with a CPUHog that comes
 // and goes (its tracked process joins and leaves the snapshot). The
 // constant was computed before the simulator reused its snapshot
-// buffers, skipped unread syscall traces and scanned only a job's
-// shuffle sources; any change to the simulated cluster moves it.
+// buffers and skipped unconsumed syscall traces; any change to the
+// simulated cluster moves it.
 TEST(Cluster, SnapshotStreamMatchesParent) {
   sim::SimEngine engine;
   Cluster cluster(smallParams(24), 77, engine);

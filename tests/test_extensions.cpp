@@ -117,9 +117,9 @@ TEST_F(ExtensionTest, StracePipelineFlagsHungNode) {
 
 // Pins the strace stream: nodes 1-3's traces, read every second for
 // 300 s across a reduce hang, hash to the value computed when every
-// node drew its trace every second. A consumer that reads every second
-// sees the same bytes now that traces are drawn on first read; node 4,
-// never read, draws nothing and moves no other stream.
+// node drew its trace every second. The first read attaches a node's
+// consumer; node 4, never read, draws nothing and moves no other
+// stream.
 TEST_F(ExtensionTest, StraceStreamMatchesParent) {
   faults::FaultSpec spec;
   spec.type = faults::FaultType::kHadoop2080;
@@ -146,6 +146,39 @@ TEST_F(ExtensionTest, StraceStreamMatchesParent) {
   }
   EXPECT_GT(events, 300u * 3u * 5u);
   EXPECT_EQ(h, 0x7d7d96ccabf6d5b1ULL);
+}
+
+// A strace module attaches its node at configure time, so the node
+// draws every second and the stream does not depend on which seconds
+// are read: the module polls node 2 every 3 s, the test reads it every
+// 7th second from t = 7, across a reduce hang on node 2, and the hash
+// is the one computed when every node drew its trace every second.
+TEST_F(ExtensionTest, StraceStreamIgnoresReadGaps) {
+  core::FptCore fpt(engine_, env_, nullptr);
+  fpt.configureFromText(
+      "[strace]\nid = st\nnode = 2\ninterval = 3\nwarmup = 30\n");
+  faults::FaultSpec spec;
+  spec.type = faults::FaultType::kHadoop2080;
+  spec.node = 2;
+  spec.startTime = 100.0;
+  faults::FaultInjector injector(cluster_, spec);
+  injector.arm();
+  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a 64
+  const auto mix = [&h](std::uint64_t byte) {
+    h ^= byte;
+    h *= 1099511628211ULL;
+  };
+  std::size_t events = 0;
+  for (int t = 7; t <= 301; t += 7) {
+    engine_.runUntil(t);
+    const syscalls::TraceSecond& trace = cluster_.node(2).lastSyscallTrace();
+    mix(trace.size() & 0xFFu);
+    mix(trace.size() >> 8);
+    for (const std::uint8_t kind : trace) mix(kind);
+    events += trace.size();
+  }
+  EXPECT_GT(events, 43u * 5u);
+  EXPECT_EQ(h, 0xd910f062cfa2261dULL);
 }
 
 // A stats query must not draw a trace: reading node 1 every other
