@@ -1,7 +1,8 @@
 #include "archive/format.h"
 
-#include "common/bytes.h"
 #include "common/strings.h"
+#include "metrics/sadc.h"
+#include "rpc/payloads.h"
 
 namespace asdf::archive {
 namespace {
@@ -216,23 +217,28 @@ SegmentFooter decodeFooter(rpc::Decoder& dec, std::uint32_t version) {
   return footer;
 }
 
-std::vector<std::uint8_t> encodeTrailer(std::uint64_t footerOffset) {
-  std::vector<std::uint8_t> out;
-  out.reserve(kTrailerBytes);
-  bytes::putU32(out, kTrailerMagic);
-  bytes::putU32(out, kFormatVersion);
-  bytes::putU64(out, footerOffset);
-  return out;
+bool flattenSadcPayload(const std::vector<std::uint8_t>& payload,
+                        std::vector<double>& values) {
+  if (payload.empty()) return false;
+  metrics::SadcSnapshot snap;
+  try {
+    rpc::Decoder dec(payload);
+    snap = rpc::decodeSnapshot(dec);
+  } catch (const std::exception&) {
+    return false;
+  }
+  if (snap.node.size() != metrics::kNodeMetricCount ||
+      snap.nic.size() != metrics::kNicMetricCount) {
+    return false;
+  }
+  values = metrics::flattenNodeVector(snap);
+  return true;
 }
 
-bool decodeTrailer(const std::uint8_t* data, std::size_t size,
-                   std::uint64_t& footerOffset) {
-  if (size != kTrailerBytes) return false;
-  if (bytes::readU32(data) != kTrailerMagic) return false;
-  const std::uint32_t version = bytes::readU32(data + 4);
-  if (version < kMinReadVersion || version > kFormatVersion) return false;
-  footerOffset = bytes::readU64(data + 8);
-  return true;
+bool recordMetrics(const SampleRecord& rec, std::vector<double>& values) {
+  return rec.kind == rpc::CollectKind::kSadc && rec.ok &&
+         rec.now != kNoTime &&
+         flattenSadcPayload(rec.payload, values);
 }
 
 std::string segmentFileName(std::uint64_t index) {

@@ -25,14 +25,9 @@
 //                         checkpoints by time and file offset) instead
 //                         of replaying from record zero
 //
-// A sealed segment ends with a fixed 16-byte raw trailer:
-//
-//   offset  size  field
-//   0       4     magic 0x41534654 ("ASFT"), big-endian
-//   4       4     format version (big-endian)
-//   8       8     file offset of the footer frame (big-endian)
-//
-// so a reader can locate the footer without scanning — and any torn or
+// A sealed segment ends with the fixed 16-byte raw trailer of
+// archive/files.h (magic "ASFT", format version, footer offset), so a
+// reader can locate the footer without scanning — and any torn or
 // truncated seal is detectable because the trailer is the very last
 // thing written before fsync + rename-into-place. Active segments have
 // no footer/trailer; on crash-recovery open the reader walks frames
@@ -42,23 +37,16 @@
 
 #include <array>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "archive/files.h"
 #include "common/types.h"
 #include "net/frame.h"
 #include "rpc/collection_tap.h"
 #include "rpc/wire.h"
 
 namespace asdf::archive {
-
-/// Raised on unreadable, corrupt, or version-skewed archives.
-class ArchiveError : public std::runtime_error {
- public:
-  explicit ArchiveError(const std::string& what)
-      : std::runtime_error(what) {}
-};
 
 // v1: PR 5 shape. v2 adds checkpoint records and the footer's
 // checkpoint index; v1 archives remain fully readable.
@@ -76,7 +64,8 @@ inline constexpr net::MsgType kCheckpointRecord =
     static_cast<net::MsgType>(0x44);
 
 inline constexpr std::uint32_t kTrailerMagic = 0x41534654u;  // "ASFT"
-inline constexpr std::size_t kTrailerBytes = 16;
+inline constexpr TrailerFormat kArchiveTrailer{kTrailerMagic, kFormatVersion,
+                                               kMinReadVersion};
 
 /// Run parameters stamped into every segment's first frame. Everything
 /// `asdf_archive replay` needs to retrain the model and rebuild the
@@ -192,11 +181,23 @@ CheckpointRecord decodeCheckpoint(rpc::Decoder& dec);
 void encodeFooter(rpc::Encoder& enc, const SegmentFooter& footer);
 SegmentFooter decodeFooter(rpc::Decoder& dec, std::uint32_t version);
 
-std::vector<std::uint8_t> encodeTrailer(std::uint64_t footerOffset);
-/// False when the 16 bytes are not a valid trailer of any readable
-/// version (kMinReadVersion..kFormatVersion).
-bool decodeTrailer(const std::uint8_t* data, std::size_t size,
-                   std::uint64_t& footerOffset);
+/// The shared trailer codec (files.h) at kArchiveTrailer.
+inline std::vector<std::uint8_t> encodeTrailer(std::uint64_t footerOffset) {
+  return encodeTrailer(kArchiveTrailer, footerOffset);
+}
+inline bool decodeTrailer(const std::uint8_t* data, std::size_t size,
+                          std::uint64_t& footerOffset) {
+  return decodeTrailer(kArchiveTrailer, data, size, footerOffset);
+}
+
+/// The one rule for which archived records carry queryable metrics: an
+/// ok, timestamped sadc record whose payload decodes to a full snapshot
+/// (payloads are opaque at this layer; synthetic test payloads fail).
+/// Fills `values` in metrics::flattenNodeVector order. The writer's
+/// checkpoint builder applies the payload half, flattenSadcPayload.
+bool recordMetrics(const SampleRecord& rec, std::vector<double>& values);
+bool flattenSadcPayload(const std::vector<std::uint8_t>& payload,
+                        std::vector<double>& values);
 
 /// "seg-%08llu.asar" — sealed name; active segments append ".open".
 std::string segmentFileName(std::uint64_t index);

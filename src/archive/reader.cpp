@@ -1,103 +1,23 @@
 #include "archive/reader.h"
 
-#include <dirent.h>
-
-#include <algorithm>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
+#include <iterator>
 
 #include "archive/writer.h"
 
 namespace asdf::archive {
-namespace {
 
-struct SegmentPath {
-  std::string path;
-  std::uint64_t index = 0;
-  bool sealed = false;
-};
-
-std::vector<SegmentPath> listSegments(const std::string& dir) {
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) {
-    throw ArchiveError("archive: cannot open directory " + dir);
-  }
-  std::vector<SegmentPath> out;
-  while (dirent* entry = ::readdir(d)) {
-    unsigned long long index = 0;
-    char suffix[16] = {0};
-    if (std::sscanf(entry->d_name, "seg-%8llu%15s", &index, suffix) != 2) {
-      continue;
-    }
-    SegmentPath sp;
-    if (std::strcmp(suffix, ".asar") == 0) {
-      sp.sealed = true;
-    } else if (std::strcmp(suffix, ".asar.open") == 0) {
-      sp.sealed = false;
-    } else {
-      continue;
-    }
-    sp.index = index;
-    sp.path = dir + "/" + entry->d_name;
-    out.push_back(std::move(sp));
-  }
-  ::closedir(d);
-  std::sort(out.begin(), out.end(),
-            [](const SegmentPath& a, const SegmentPath& b) {
-              return a.index < b.index;
-            });
-  return out;
-}
-
-std::vector<std::uint8_t> readFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw ArchiveError("archive: cannot read " + path);
-  return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
-                                   std::istreambuf_iterator<char>());
-}
-
-}  // namespace
-
-ArchiveReader::ArchiveReader(const std::string& dir) {
-  const std::vector<SegmentPath> paths = listSegments(dir);
-  if (paths.empty()) {
-    throw ArchiveError("archive: no segments in " + dir);
-  }
-  for (const SegmentPath& sp : paths) {
-    loadSegment(sp.path, sp.index, sp.sealed);
-  }
-}
-
-void ArchiveReader::loadSegment(const std::string& path, std::uint64_t index,
-                                bool sealed) {
-  const std::vector<std::uint8_t> bytes = readFile(path);
-  SegmentInfo info;
+SegmentContents readSegment(const SegmentFile& file) {
+  const std::string& path = file.path;
+  const FramedFile bytes = readSegmentFile(kArchiveTrailer, file);
+  SegmentContents out;
+  SegmentInfo& info = out.info;
   info.path = path;
-  info.index = index;
-  info.sealed = sealed;
-  info.fileBytes = static_cast<std::int64_t>(bytes.size());
-
-  std::size_t framedBytes = bytes.size();
-  std::uint64_t footerOffset = 0;
-  if (sealed) {
-    if (bytes.size() < kTrailerBytes) {
-      throw ArchiveError("archive: " + path + ": sealed segment shorter "
-                         "than its trailer");
-    }
-    framedBytes = bytes.size() - kTrailerBytes;
-    if (!decodeTrailer(bytes.data() + framedBytes, kTrailerBytes,
-                       footerOffset)) {
-      throw ArchiveError("archive: " + path + ": invalid trailer");
-    }
-    if (footerOffset >= framedBytes) {
-      throw ArchiveError("archive: " + path + ": trailer points past "
-                         "the footer region");
-    }
-  }
+  info.index = file.index;
+  info.sealed = file.sealed;
+  info.fileBytes = static_cast<std::int64_t>(bytes.bytes.size());
 
   net::FrameDecoder decoder;
-  decoder.feed(bytes.data(), framedBytes);
+  decoder.feed(bytes.bytes.data(), bytes.framedBytes);
   if (decoder.error() != net::FrameDecoder::Error::kNone) {
     throw ArchiveError("archive: " + path + ": frame decode failed (" +
                        net::frameErrorName(decoder.error()) + ")");
@@ -105,7 +25,6 @@ void ArchiveReader::loadSegment(const std::string& path, std::uint64_t index,
 
   bool sawMeta = false;
   bool sawFooter = false;
-  std::uint32_t segVersion = kFormatVersion;
   SegmentFooter footer;
   SegmentFooter counted;
   std::vector<CheckpointIndexEntry> checkpointsSeen;
@@ -123,11 +42,7 @@ void ArchiveReader::loadSegment(const std::string& path, std::uint64_t index,
         throw ArchiveError("archive: " + path + ": first frame is not a "
                            "meta record");
       }
-      // Segments written by later sessions in the same directory carry
-      // their own meta; the archive's parameters come from the first.
-      const ArchiveMeta meta = decodeMeta(dec);
-      segVersion = meta.version;
-      if (segments_.empty()) meta_ = meta;
+      out.meta = decodeMeta(dec);
       sawMeta = true;
     } else if (frame.type == kSampleRecord) {
       SampleRecord rec = decodeSample(dec);
@@ -136,11 +51,11 @@ void ArchiveReader::loadSegment(const std::string& path, std::uint64_t index,
       ++counted.recordCount;
       ++counted.kindCounts[static_cast<int>(rec.kind)];
       counted.payloadBytes += static_cast<std::int64_t>(rec.payload.size());
-      records_.push_back(std::move(rec));
+      out.records.push_back(std::move(rec));
     } else if (frame.type == kTruthRecord) {
-      truth_ = decodeTruth(dec);
+      out.truth = decodeTruth(dec);
     } else if (frame.type == kCheckpointRecord) {
-      if (segVersion < 2) {
+      if (out.meta.version < 2) {
         throw ArchiveError("archive: " + path + ": checkpoint record in a "
                            "v1 segment");
       }
@@ -148,11 +63,11 @@ void ArchiveReader::loadSegment(const std::string& path, std::uint64_t index,
       checkpointsSeen.push_back(
           {cp.now, static_cast<std::uint64_t>(frameStart)});
     } else if (frame.type == kFooterRecord) {
-      if (sealed && frameStart != footerOffset) {
+      if (file.sealed && frameStart != bytes.footerOffset) {
         throw ArchiveError("archive: " + path + ": footer frame not at "
                            "the trailer's offset");
       }
-      footer = decodeFooter(dec, segVersion);
+      footer = decodeFooter(dec, out.meta.version);
       sawFooter = true;
     } else if (frame.type == kMetaRecord) {
       throw ArchiveError("archive: " + path + ": duplicate meta record");
@@ -169,7 +84,7 @@ void ArchiveReader::loadSegment(const std::string& path, std::uint64_t index,
   if (!sawMeta) {
     throw ArchiveError("archive: " + path + ": no meta record");
   }
-  if (sealed) {
+  if (file.sealed) {
     if (!sawFooter) {
       throw ArchiveError("archive: " + path + ": sealed segment has no "
                          "footer frame");
@@ -202,19 +117,35 @@ void ArchiveReader::loadSegment(const std::string& path, std::uint64_t index,
       }
     }
   } else {
-    if (sawFooter) {
-      // A crash between footer write and rename: the segment is
-      // complete in content, only the sealed name is missing.
-    }
+    // A footer here means a crash between footer write and rename: the
+    // segment is complete in content, only the sealed name is missing.
     info.tornTailBytes = decoder.pendingBytes();
   }
 
-  info.version = segVersion;
+  info.version = out.meta.version;
   info.records = counted.recordCount;
   info.checkpoints = static_cast<std::int64_t>(checkpointsSeen.size());
   info.firstNow = counted.firstNow;
   info.lastNow = counted.lastNow;
-  segments_.push_back(std::move(info));
+  return out;
+}
+
+ArchiveReader::ArchiveReader(const std::string& dir) {
+  const std::vector<SegmentFile> files = listSegments(dir, ".asar");
+  if (files.empty()) {
+    throw ArchiveError("archive: no segments in " + dir);
+  }
+  for (const SegmentFile& file : files) {
+    SegmentContents seg = readSegment(file);
+    // Segments written by later sessions in the same directory carry
+    // their own meta; the archive's parameters come from the first.
+    if (segments_.empty()) meta_ = seg.meta;
+    if (seg.truth.has_value()) truth_ = seg.truth;
+    records_.insert(records_.end(),
+                    std::make_move_iterator(seg.records.begin()),
+                    std::make_move_iterator(seg.records.end()));
+    segments_.push_back(std::move(seg.info));
+  }
 }
 
 double ArchiveReader::firstNow() const {

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -39,6 +38,20 @@ struct SegmentInfo {
   double lastNow = kNoTime;
   std::size_t tornTailBytes = 0;  // .open segments only
 };
+
+/// One segment file loaded under the integrity contract above.
+struct SegmentContents {
+  SegmentInfo info;
+  ArchiveMeta meta;
+  std::optional<TruthRecord> truth;
+  std::vector<SampleRecord> records;  // file order
+};
+
+/// Loads and validates one segment — the per-segment step of
+/// ArchiveReader, and the read under which compaction (tsdb/) accepts
+/// exactly the segments `asdf_archive verify` accepts. Throws
+/// ArchiveError on anything the integrity contract rejects.
+SegmentContents readSegment(const SegmentFile& file);
 
 class ArchiveReader {
  public:
@@ -71,9 +84,6 @@ class ArchiveReader {
   static VerifyResult verify(const std::string& dir);
 
  private:
-  void loadSegment(const std::string& path, std::uint64_t index,
-                   bool sealed);
-
   ArchiveMeta meta_;
   std::optional<TruthRecord> truth_;
   std::vector<SegmentInfo> segments_;

@@ -1,75 +1,11 @@
 #include "archive/writer.h"
 
-#include <dirent.h>
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
 
-#include "metrics/sadc.h"
-#include "rpc/payloads.h"
-
 namespace asdf::archive {
-namespace {
-
-std::string errnoString() { return std::strerror(errno); }
-
-// mkdir -p: creates every missing component. EEXIST is fine (races
-// with a concurrent writer or a pre-created directory).
-void ensureDir(const std::string& dir) {
-  std::string partial;
-  for (std::size_t i = 0; i <= dir.size(); ++i) {
-    if (i < dir.size() && dir[i] != '/') {
-      partial.push_back(dir[i]);
-      continue;
-    }
-    if (!partial.empty() && partial != "." && partial != "..") {
-      if (::mkdir(partial.c_str(), 0777) != 0 && errno != EEXIST) {
-        throw ArchiveError("archive: mkdir " + partial + ": " +
-                           errnoString());
-      }
-    }
-    if (i < dir.size()) partial.push_back('/');
-  }
-  struct stat st{};
-  if (::stat(dir.c_str(), &st) != 0 || !S_ISDIR(st.st_mode)) {
-    throw ArchiveError("archive: " + dir + " is not a directory");
-  }
-}
-
-// Highest segment index present (sealed or .open); 0 when none.
-std::uint64_t maxSegmentIndex(const std::string& dir) {
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) {
-    throw ArchiveError("archive: opendir " + dir + ": " + errnoString());
-  }
-  std::uint64_t maxIndex = 0;
-  while (dirent* entry = ::readdir(d)) {
-    unsigned long long index = 0;
-    char suffix[16] = {0};
-    // Matches both "seg-%08llu.asar" and its ".open" form.
-    if (std::sscanf(entry->d_name, "seg-%8llu%15s", &index, suffix) == 2 &&
-        (std::strcmp(suffix, ".asar") == 0 ||
-         std::strcmp(suffix, ".asar.open") == 0)) {
-      maxIndex = std::max<std::uint64_t>(maxIndex, index);
-    }
-  }
-  ::closedir(d);
-  return maxIndex;
-}
-
-void fsyncDir(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd < 0) return;  // best effort: some filesystems refuse dir fds
-  ::fsync(fd);
-  ::close(fd);
-}
-
-}  // namespace
 
 ArchiveWriter::ArchiveWriter(ArchiveWriterOptions opts, ArchiveMeta meta)
     : opts_(std::move(opts)), meta_(std::move(meta)) {
@@ -77,7 +13,8 @@ ArchiveWriter::ArchiveWriter(ArchiveWriterOptions opts, ArchiveMeta meta)
     throw ArchiveError("archive: writer needs a directory");
   }
   ensureDir(opts_.dir);
-  nextIndex_ = maxSegmentIndex(opts_.dir) + 1;
+  const std::vector<SegmentFile> existing = listSegments(opts_.dir, ".asar");
+  nextIndex_ = existing.empty() ? 1 : existing.back().index + 1;
   std::lock_guard<std::mutex> lock(mutex_);
   openSegmentLocked();
 }
@@ -92,16 +29,7 @@ ArchiveWriter::~ArchiveWriter() {
 
 void ArchiveWriter::writeAllLocked(const std::uint8_t* data,
                                    std::size_t size) {
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::write(fd_, data + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw ArchiveError("archive: write " + activePath_ + ": " +
-                         errnoString());
-    }
-    done += static_cast<std::size_t>(n);
-  }
+  writeAll(fd_, activePath_, data, size);
   segmentBytes_ += static_cast<std::int64_t>(size);
   bytesWritten_ += static_cast<std::int64_t>(size);
 }
@@ -135,23 +63,16 @@ void ArchiveWriter::sealSegmentLocked() {
   rpc::Encoder enc;
   encodeFooter(enc, footer_);
   writeFrameLocked(kFooterRecord, enc);
-  const std::vector<std::uint8_t> trailer = encodeTrailer(footerOffset);
+  const std::vector<std::uint8_t> trailer =
+      encodeTrailer(kArchiveTrailer, footerOffset);
   writeAllLocked(trailer.data(), trailer.size());
   // Durability order: data + footer + trailer must be on disk before
   // the rename publishes the sealed name.
-  if (::fsync(fd_) != 0) {
-    throw ArchiveError("archive: fsync " + activePath_ + ": " +
-                       errnoString());
-  }
-  ::close(fd_);
+  const int fd = fd_;
   fd_ = -1;
   const std::string sealedPath =
       activePath_.substr(0, activePath_.size() - std::strlen(kOpenSuffix));
-  if (::rename(activePath_.c_str(), sealedPath.c_str()) != 0) {
-    throw ArchiveError("archive: rename " + activePath_ + ": " +
-                       errnoString());
-  }
-  fsyncDir(opts_.dir);
+  publishFile(fd, activePath_, sealedPath, opts_.dir);
   const std::uint64_t sealedIndex = nextIndex_;
   ++segmentsSealed_;
   ++nextIndex_;
@@ -218,21 +139,11 @@ void ArchiveWriter::writeCheckpointLocked(double now) {
   cp.streams.reserve(streams_.size());
   for (const auto& [key, stream] : streams_) cp.streams.push_back(stream);
   for (const auto& [node, entry] : lastSadc_) {
-    // The payload is opaque at this layer; tolerate bytes that are not
-    // a sadc snapshot (synthetic test payloads) by skipping the node.
-    try {
-      rpc::Decoder dec(entry.second);
-      const metrics::SadcSnapshot snap = rpc::decodeSnapshot(dec);
-      if (snap.node.size() != metrics::kNodeMetricCount ||
-          snap.nic.size() != metrics::kNicMetricCount) {
-        continue;
-      }
-      NodeState state;
-      state.node = node;
-      state.sampleNow = entry.first;
-      state.values = metrics::flattenNodeVector(snap);
+    NodeState state;
+    state.node = node;
+    state.sampleNow = entry.first;
+    if (flattenSadcPayload(entry.second, state.values)) {
       cp.nodes.push_back(std::move(state));
-    } catch (const std::exception&) {
     }
   }
   const std::uint64_t offset = static_cast<std::uint64_t>(segmentBytes_);

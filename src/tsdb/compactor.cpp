@@ -1,90 +1,17 @@
 #include "tsdb/compactor.h"
 
-#include <dirent.h>
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
+#include <map>
 
-#include "archive/format.h"
+#include "archive/reader.h"
 #include "metrics/sadc.h"
 #include "net/frame.h"
-#include "rpc/payloads.h"
+#include "tsdb/store.h"
 
 namespace asdf::tsdb {
 namespace {
-
-std::string errnoString() { return std::strerror(errno); }
-
-std::vector<std::uint8_t> readFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw TsdbError("tsdb: cannot read " + path);
-  return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
-                                   std::istreambuf_iterator<char>());
-}
-
-std::int64_t fileBytesOf(const std::string& path) {
-  struct stat st{};
-  if (::stat(path.c_str(), &st) != 0) return -1;
-  return static_cast<std::int64_t>(st.st_size);
-}
-
-void fsyncDir(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd < 0) return;  // best effort: some filesystems refuse dir fds
-  ::fsync(fd);
-  ::close(fd);
-}
-
-void ensureTsdbDir(const std::string& archiveDir) {
-  const std::string dir = archiveDir + "/" + kTsdbSubdir;
-  if (::mkdir(dir.c_str(), 0777) != 0 && errno != EEXIST) {
-    throw TsdbError("tsdb: mkdir " + dir + ": " + errnoString());
-  }
-}
-
-/// Source identity stamped in an existing .astd, or nullopt when the
-/// file is absent/unreadable (either way: compact from scratch).
-bool readExistingMeta(const std::string& path, TsdbMeta& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::vector<std::uint8_t> head(512);
-  in.read(reinterpret_cast<char*>(head.data()),
-          static_cast<std::streamsize>(head.size()));
-  head.resize(static_cast<std::size_t>(in.gcount()));
-  net::FrameDecoder decoder;
-  decoder.feed(head.data(), head.size());
-  net::Frame frame;
-  if (decoder.error() != net::FrameDecoder::Error::kNone ||
-      !decoder.next(frame) || frame.type != kTsdbMetaRecord) {
-    return false;
-  }
-  try {
-    rpc::Decoder dec(frame.payload);
-    out = decodeTsdbMeta(dec);
-    return dec.exhausted();
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-void writeAll(int fd, const std::string& path, const std::uint8_t* data,
-              std::size_t size) {
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::write(fd, data + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw TsdbError("tsdb: write " + path + ": " + errnoString());
-    }
-    done += static_cast<std::size_t>(n);
-  }
-}
 
 void appendFrame(std::vector<std::uint8_t>& file, net::MsgType type,
                  const rpc::Encoder& enc) {
@@ -92,106 +19,21 @@ void appendFrame(std::vector<std::uint8_t>& file, net::MsgType type,
   file.insert(file.end(), frame.begin(), frame.end());
 }
 
-struct SealedSegmentPath {
-  std::string path;
-  std::uint64_t index = 0;
-};
-
-std::vector<SealedSegmentPath> listSealedSegments(const std::string& dir) {
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) {
-    throw TsdbError("tsdb: cannot open directory " + dir);
+/// True when `path` is a .astd the store can open, built from source
+/// segment `index` when it was `sourceBytes` long.
+bool upToDate(const std::string& path, std::uint64_t index,
+              std::int64_t sourceBytes) {
+  TsdbMeta existing;
+  try {
+    loadTsdbMeta(path, existing);
+  } catch (const std::exception&) {
+    return false;  // absent or damaged: rebuild
   }
-  std::vector<SealedSegmentPath> out;
-  while (dirent* entry = ::readdir(d)) {
-    unsigned long long index = 0;
-    char suffix[16] = {0};
-    if (std::sscanf(entry->d_name, "seg-%8llu%15s", &index, suffix) != 2 ||
-        std::strcmp(suffix, ".asar") != 0) {
-      continue;
-    }
-    out.push_back({dir + "/" + entry->d_name, index});
-  }
-  ::closedir(d);
-  std::sort(out.begin(), out.end(),
-            [](const SealedSegmentPath& a, const SealedSegmentPath& b) {
-              return a.index < b.index;
-            });
-  return out;
+  return existing.sourceIndex == index &&
+         existing.sourceFileBytes == sourceBytes;
 }
 
 }  // namespace
-
-SegmentSeries readSealedSegment(const std::string& segPath) {
-  const std::vector<std::uint8_t> bytes = readFile(segPath);
-  if (bytes.size() < archive::kTrailerBytes) {
-    throw TsdbError("tsdb: " + segPath + ": shorter than a sealed "
-                    "segment's trailer");
-  }
-  const std::size_t framedBytes = bytes.size() - archive::kTrailerBytes;
-  std::uint64_t footerOffset = 0;
-  if (!archive::decodeTrailer(bytes.data() + framedBytes,
-                              archive::kTrailerBytes, footerOffset)) {
-    throw TsdbError("tsdb: " + segPath + ": invalid segment trailer "
-                    "(compaction reads sealed segments only)");
-  }
-
-  net::FrameDecoder decoder;
-  decoder.feed(bytes.data(), framedBytes);
-  if (decoder.error() != net::FrameDecoder::Error::kNone) {
-    throw TsdbError("tsdb: " + segPath + ": frame decode failed (" +
-                    net::frameErrorName(decoder.error()) + ")");
-  }
-
-  SegmentSeries out;
-  out.metricCount = static_cast<std::uint32_t>(metrics::kFlatNodeVectorSize);
-  bool sawMeta = false;
-  net::Frame frame;
-  while (decoder.next(frame)) {
-    rpc::Decoder dec(frame.payload);
-    if (!sawMeta) {
-      if (frame.type != archive::kMetaRecord) {
-        throw TsdbError("tsdb: " + segPath + ": first frame is not an "
-                        "archive meta record");
-      }
-      archive::decodeMeta(dec);
-      sawMeta = true;
-      continue;
-    }
-    if (frame.type != archive::kSampleRecord) continue;  // cp/truth/footer
-    const archive::SampleRecord rec = archive::decodeSample(dec);
-    if (rec.kind != rpc::CollectKind::kSadc || !rec.ok ||
-        rec.payload.empty() || rec.now == kNoTime) {
-      continue;
-    }
-    // Payloads are opaque at the archive layer; skip anything that is
-    // not a sadc snapshot (synthetic test payloads) — the same rule
-    // the writer's checkpoint builder applies.
-    metrics::SadcSnapshot snap;
-    try {
-      rpc::Decoder payload(rec.payload);
-      snap = rpc::decodeSnapshot(payload);
-    } catch (const std::exception&) {
-      continue;
-    }
-    if (snap.node.size() != metrics::kNodeMetricCount ||
-        snap.nic.size() != metrics::kNicMetricCount) {
-      continue;
-    }
-    const std::vector<double> values = metrics::flattenNodeVector(snap);
-    if (out.samplePoints == 0) out.firstNow = rec.now;
-    out.lastNow = rec.now;
-    for (std::uint32_t m = 0; m < values.size(); ++m) {
-      out.series[{rec.node, m}].push_back({rec.now, values[m]});
-      ++out.samplePoints;
-    }
-  }
-  if (decoder.pendingBytes() != 0) {
-    throw TsdbError("tsdb: " + segPath + ": sealed segment has unframed "
-                    "bytes");
-  }
-  return out;
-}
 
 CompactResult compactSegment(const std::string& archiveDir,
                              const std::string& segPath, std::uint64_t index,
@@ -201,32 +43,36 @@ CompactResult compactSegment(const std::string& archiveDir,
   const std::string tsdbDir = archiveDir + "/" + kTsdbSubdir;
   result.path = tsdbDir + "/" + tsdbFileName(index);
 
-  const std::int64_t sourceBytes = fileBytesOf(segPath);
+  const std::int64_t sourceBytes = archive::fileBytesOf(segPath);
   if (sourceBytes < 0) {
-    throw TsdbError("tsdb: stat " + segPath + ": " + errnoString());
+    throw TsdbError("tsdb: stat " + segPath + ": " + archive::errnoString());
   }
-  if (!force) {
-    TsdbMeta existing;
-    if (readExistingMeta(result.path, existing) &&
-        existing.sourceIndex == index &&
-        existing.sourceFileBytes == sourceBytes) {
-      result.skipped = true;
-      result.fileBytes = fileBytesOf(result.path);
-      return result;
-    }
+  if (!force && upToDate(result.path, index, sourceBytes)) {
+    result.skipped = true;
+    result.fileBytes = archive::fileBytesOf(result.path);
+    return result;
   }
 
-  const SegmentSeries series = readSealedSegment(segPath);
-  ensureTsdbDir(archiveDir);
-
-  std::vector<std::uint8_t> file;
+  const archive::SegmentContents segment =
+      archive::readSegment({segPath, index, /*sealed=*/true});
   TsdbMeta meta;
   meta.sourceIndex = index;
   meta.sourceFileBytes = sourceBytes;
-  meta.firstNow = series.firstNow;
-  meta.lastNow = series.lastNow;
-  meta.samplePoints = series.samplePoints;
-  meta.metricCount = series.metricCount;
+  meta.metricCount = static_cast<std::uint32_t>(metrics::kFlatNodeVectorSize);
+  // (node, metric index) -> time-ordered raw points.
+  std::map<std::pair<NodeId, std::uint32_t>, std::vector<RawPoint>> series;
+  std::vector<double> values;
+  for (const archive::SampleRecord& rec : segment.records) {
+    if (!archive::recordMetrics(rec, values)) continue;
+    if (meta.samplePoints == 0) meta.firstNow = rec.now;
+    meta.lastNow = rec.now;
+    for (std::uint32_t m = 0; m < values.size(); ++m) {
+      series[{rec.node, m}].push_back({rec.now, values[m]});
+      ++meta.samplePoints;
+    }
+  }
+
+  std::vector<std::uint8_t> file;
   {
     rpc::Encoder enc;
     encodeTsdbMeta(enc, meta);
@@ -234,10 +80,10 @@ CompactResult compactSegment(const std::string& archiveDir,
   }
 
   TsdbFooter footer;
-  footer.firstNow = series.firstNow;
-  footer.lastNow = series.lastNow;
-  footer.samplePoints = series.samplePoints;
-  for (const auto& [key, points] : series.series) {
+  footer.firstNow = meta.firstNow;
+  footer.lastNow = meta.lastNow;
+  footer.samplePoints = meta.samplePoints;
+  for (const auto& [key, points] : series) {
     const auto [node, metric] = key;
     {
       ChunkIndexEntry entry;
@@ -274,7 +120,7 @@ CompactResult compactSegment(const std::string& archiveDir,
       ++result.chunks;
     }
   }
-  result.rawPoints = series.samplePoints;
+  result.rawPoints = meta.samplePoints;
 
   const std::uint64_t footerOffset = file.size();
   {
@@ -282,34 +128,32 @@ CompactResult compactSegment(const std::string& archiveDir,
     encodeTsdbFooter(enc, footer);
     appendFrame(file, kTsdbFooterRecord, enc);
   }
-  const std::vector<std::uint8_t> trailer = encodeTsdbTrailer(footerOffset);
+  const std::vector<std::uint8_t> trailer =
+      archive::encodeTrailer(kTsdbTrailer, footerOffset);
   file.insert(file.end(), trailer.begin(), trailer.end());
 
   // Same durability receipt as segment sealing: everything on disk
   // before the rename publishes the queryable name.
+  archive::ensureDir(tsdbDir);
   const std::string tmpPath = result.path + ".tmp";
   const int fd = ::open(tmpPath.c_str(),
                         O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) {
-    throw TsdbError("tsdb: open " + tmpPath + ": " + errnoString());
+    throw TsdbError("tsdb: open " + tmpPath + ": " + archive::errnoString());
   }
   try {
-    writeAll(fd, tmpPath, file.data(), file.size());
-    if (::fsync(fd) != 0) {
-      throw TsdbError("tsdb: fsync " + tmpPath + ": " + errnoString());
-    }
+    archive::writeAll(fd, tmpPath, file.data(), file.size());
   } catch (...) {
     ::close(fd);
     ::unlink(tmpPath.c_str());
     throw;
   }
-  ::close(fd);
-  if (::rename(tmpPath.c_str(), result.path.c_str()) != 0) {
-    const std::string err = errnoString();
+  try {
+    archive::publishFile(fd, tmpPath, result.path, tsdbDir);
+  } catch (...) {
     ::unlink(tmpPath.c_str());
-    throw TsdbError("tsdb: rename " + tmpPath + ": " + err);
+    throw;
   }
-  fsyncDir(tsdbDir);
   result.fileBytes = static_cast<std::int64_t>(file.size());
   return result;
 }
@@ -317,8 +161,11 @@ CompactResult compactSegment(const std::string& archiveDir,
 std::vector<CompactResult> compactArchive(const std::string& archiveDir,
                                           bool force) {
   std::vector<CompactResult> out;
-  for (const SealedSegmentPath& sp : listSealedSegments(archiveDir)) {
-    out.push_back(compactSegment(archiveDir, sp.path, sp.index, force));
+  for (const archive::SegmentFile& seg :
+       archive::listSegments(archiveDir, ".asar")) {
+    if (seg.sealed) {
+      out.push_back(compactSegment(archiveDir, seg.path, seg.index, force));
+    }
   }
   return out;
 }

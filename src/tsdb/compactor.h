@@ -1,7 +1,10 @@
 // Delta compaction: sealed raw segments -> queryable column files.
 //
-// A compaction pass reads one sealed archive segment (`seg-N.asar`),
-// decodes every ok sadc sample into per-(node, metric) series, and
+// A compaction pass reads one sealed archive segment (`seg-N.asar`)
+// through archive::readSegment — under the reader's integrity
+// contract, so it accepts exactly the segments `asdf_archive verify`
+// accepts — turns every record that carries queryable metrics
+// (archive::recordMetrics) into per-(node, metric) series, and
 // writes the column-oriented counterpart `tsdb/seg-N.astd` next to it
 // (format in tsdb/format.h): raw column chunks, the three rollup
 // levels, a chunk index footer, and the ASTS trailer. The raw segment
@@ -12,7 +15,8 @@
 //
 // Two drivers share the pass:
 //   * compactArchive() — the offline `asdf_archive compact` command:
-//     compacts every sealed segment that has no up-to-date .astd.
+//     compacts every sealed segment that has no up-to-date .astd (a
+//     .astd the store can open, built from the same source).
 //   * BackgroundCompactor — a single worker thread fed by the
 //     ArchiveWriter's onSeal hook inside asdf_rpcd, so a recording
 //     archive becomes queryable segment by segment while the daemon
@@ -22,7 +26,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -32,21 +35,6 @@
 #include "tsdb/format.h"
 
 namespace asdf::tsdb {
-
-/// The decoded time-series content of one sealed raw segment.
-struct SegmentSeries {
-  double firstNow = kNoTime;  // over the points below, not all records
-  double lastNow = kNoTime;
-  std::int64_t samplePoints = 0;  // total raw points across all series
-  std::uint32_t metricCount = 0;
-  /// (node, metric index) -> time-ordered raw points. Only ok sadc
-  /// records with a decodable snapshot payload contribute.
-  std::map<std::pair<NodeId, std::uint32_t>, std::vector<RawPoint>> series;
-};
-
-/// Decodes one sealed segment file (trailer verified, every frame CRC
-/// checked). Throws TsdbError on corruption or an unsealed file.
-SegmentSeries readSealedSegment(const std::string& segPath);
 
 struct CompactResult {
   std::uint64_t index = 0;
@@ -58,8 +46,11 @@ struct CompactResult {
 };
 
 /// Compacts one sealed segment into `<archiveDir>/tsdb/seg-N.astd`.
-/// Skips (without reading the segment) when an .astd built from a
-/// source file of the same byte size already exists, unless `force`.
+/// Unless `force`, skips (without reading the segment) when a .astd
+/// the store can open (loadTsdbMeta), built from a source segment of
+/// the same index and byte size, already exists; any other .astd is
+/// rebuilt. Throws when the segment fails the reader's integrity
+/// contract.
 CompactResult compactSegment(const std::string& archiveDir,
                              const std::string& segPath, std::uint64_t index,
                              bool force = false);

@@ -286,24 +286,6 @@ TsdbFooter decodeTsdbFooter(rpc::Decoder& dec) {
   return footer;
 }
 
-std::vector<std::uint8_t> encodeTsdbTrailer(std::uint64_t footerOffset) {
-  std::vector<std::uint8_t> out;
-  out.reserve(kTsdbTrailerBytes);
-  bytes::putU32(out, kTsdbTrailerMagic);
-  bytes::putU32(out, kTsdbFormatVersion);
-  bytes::putU64(out, footerOffset);
-  return out;
-}
-
-bool decodeTsdbTrailer(const std::uint8_t* data, std::size_t size,
-                       std::uint64_t& footerOffset) {
-  if (size != kTsdbTrailerBytes) return false;
-  if (bytes::readU32(data) != kTsdbTrailerMagic) return false;
-  if (bytes::readU32(data + 4) != kTsdbFormatVersion) return false;
-  footerOffset = bytes::readU64(data + 8);
-  return true;
-}
-
 std::int64_t bucketIndexOf(double t, std::uint32_t level) {
   return static_cast<std::int64_t>(
       std::floor(t / static_cast<double>(level)));

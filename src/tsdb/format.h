@@ -17,12 +17,12 @@
 //   kTsdbFooterRecord  (0x53)  chunk index: (node, metric, level) ->
 //                              file offset + time range + count
 //
-// and a fixed 16-byte trailer (magic "ASTS", version, footer offset)
-// mirroring the archive trailer, so a reader locates the index with
-// two reads and never scans the body. Files are written to a ".tmp"
-// name, fsynced, renamed into place, and the directory fsynced — the
-// same durability receipt as segment sealing; any flipped bit fails
-// verify via the per-frame CRC-32 plus the index cross-checks.
+// and the archive's 16-byte trailer (archive/files.h) with magic
+// "ASTS", so a reader locates the index with two reads and never scans
+// the body. Files are written to a ".tmp" name and published with the
+// same fsync-rename receipt as segment sealing (archive::publishFile);
+// any flipped bit fails verify via the per-frame CRC-32 plus the index
+// cross-checks.
 //
 // Delta encoding: a column of doubles stores the first value's raw
 // bit pattern (8 bytes, big-endian) and every subsequent value as
@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "archive/files.h"
 #include "common/types.h"
 #include "net/frame.h"
 #include "rpc/wire.h"
@@ -54,7 +55,11 @@ class TsdbError : public std::runtime_error {
 
 inline constexpr std::uint32_t kTsdbFormatVersion = 1;
 inline constexpr std::uint32_t kTsdbTrailerMagic = 0x41535453u;  // "ASTS"
-inline constexpr std::size_t kTsdbTrailerBytes = 16;
+inline constexpr std::size_t kTsdbTrailerBytes = archive::kTrailerBytes;
+/// The shared trailer codec's constants for compacted files (one
+/// readable version).
+inline constexpr archive::TrailerFormat kTsdbTrailer{
+    kTsdbTrailerMagic, kTsdbFormatVersion, kTsdbFormatVersion};
 
 inline constexpr net::MsgType kTsdbMetaRecord =
     static_cast<net::MsgType>(0x50);
@@ -183,10 +188,6 @@ void decodeRollupChunk(rpc::Decoder& dec, NodeId& node,
 
 void encodeTsdbFooter(rpc::Encoder& enc, const TsdbFooter& footer);
 TsdbFooter decodeTsdbFooter(rpc::Decoder& dec);
-
-std::vector<std::uint8_t> encodeTsdbTrailer(std::uint64_t footerOffset);
-bool decodeTsdbTrailer(const std::uint8_t* data, std::size_t size,
-                       std::uint64_t& footerOffset);
 
 // -- rollup aggregation (the one definition both the compactor and
 //    the store's raw-segment fallback use) --------------------------

@@ -1,34 +1,23 @@
 #include "tsdb/store.h"
 
-#include <dirent.h>
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <map>
 
 #include "archive/format.h"
 #include "common/bytes.h"
 #include "metrics/sadc.h"
 #include "net/frame.h"
-#include "rpc/payloads.h"
 
 namespace asdf::tsdb {
 namespace {
 
-std::string errnoString() { return std::strerror(errno); }
-
-std::vector<std::uint8_t> readFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw TsdbError("tsdb: cannot read " + path);
-  return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
-                                   std::istreambuf_iterator<char>());
-}
+using archive::errnoString;
+using archive::fileBytesOf;
 
 class Fd {
  public:
@@ -101,41 +90,6 @@ net::Frame readFrameAt(const Fd& fd, const std::string& path,
   return frame;
 }
 
-/// Loads the meta frame of one compacted file with two small preads
-/// (trailer, meta head) and returns the footer offset the trailer
-/// names. The footer index itself — ~nodes x metrics x 4 entries — is
-/// decoded lazily by loadTsdbFooter() only for segments a scan cannot
-/// prune off the meta's time range; eagerly decoding every footer is
-/// what would make Store construction scale with archive size.
-std::uint64_t loadTsdbMeta(const std::string& path, TsdbMeta& meta) {
-  const Fd fd(path);
-  if (fd.size() < kTsdbTrailerBytes + net::kFrameHeaderBytes) {
-    throw TsdbError("tsdb: " + path + ": shorter than trailer + header");
-  }
-  std::uint8_t trailer[kTsdbTrailerBytes];
-  fd.preadAll(trailer, sizeof(trailer), fd.size() - kTsdbTrailerBytes);
-  std::uint64_t footerOffset = 0;
-  if (!decodeTsdbTrailer(trailer, sizeof(trailer), footerOffset)) {
-    throw TsdbError("tsdb: " + path + ": invalid trailer");
-  }
-  const std::uint64_t framedEnd = fd.size() - kTsdbTrailerBytes;
-  if (footerOffset >= framedEnd) {
-    throw TsdbError("tsdb: " + path + ": trailer points past the footer "
-                    "region");
-  }
-  const net::Frame metaFrame = readFrameAt(fd, path, 0, framedEnd);
-  if (metaFrame.type != kTsdbMetaRecord) {
-    throw TsdbError("tsdb: " + path + ": first frame is not a tsdb meta "
-                    "record");
-  }
-  rpc::Decoder metaDec(metaFrame.payload);
-  meta = decodeTsdbMeta(metaDec);
-  if (!metaDec.exhausted()) {
-    throw TsdbError("tsdb: " + path + ": meta record has trailing bytes");
-  }
-  return footerOffset;
-}
-
 void loadTsdbFooter(const std::string& path, std::uint64_t footerOffset,
                     TsdbFooter& footer) {
   const Fd fd(path);
@@ -154,12 +108,6 @@ void loadTsdbFooter(const std::string& path, std::uint64_t footerOffset,
   if (!footerDec.exhausted()) {
     throw TsdbError("tsdb: " + path + ": footer record has trailing bytes");
   }
-}
-
-std::int64_t fileBytesOf(const std::string& path) {
-  struct stat st{};
-  if (::stat(path.c_str(), &st) != 0) return -1;
-  return static_cast<std::int64_t>(st.st_size);
 }
 
 bool bucketIntersects(const Bucket& b, std::uint32_t level, double from,
@@ -181,31 +129,35 @@ bool rangeMisses(double firstNow, double lastNow, std::uint32_t level,
          bucketIndexOf(lastNow, level) < bucketIndexOf(from, level);
 }
 
-/// Decodes one sadc sample payload into the flattened vector, or
-/// returns false for non-sadc / failed / undecodable records (the
-/// same rule compaction applies).
-bool flattenSample(const archive::SampleRecord& rec,
-                   std::vector<double>& values) {
-  if (rec.kind != rpc::CollectKind::kSadc || !rec.ok ||
-      rec.payload.empty() || rec.now == kNoTime) {
-    return false;
-  }
-  metrics::SadcSnapshot snap;
-  try {
-    rpc::Decoder payload(rec.payload);
-    snap = rpc::decodeSnapshot(payload);
-  } catch (const std::exception&) {
-    return false;
-  }
-  if (snap.node.size() != metrics::kNodeMetricCount ||
-      snap.nic.size() != metrics::kNicMetricCount) {
-    return false;
-  }
-  values = metrics::flattenNodeVector(snap);
-  return true;
-}
-
 }  // namespace
+
+// Reads only the trailer and the meta frame. The footer index — ~nodes
+// x metrics x 4 entries — is decoded lazily by loadTsdbFooter() only
+// for segments a scan cannot prune off the meta's time range; eagerly
+// decoding every footer is what would make Store construction scale
+// with archive size.
+std::uint64_t loadTsdbMeta(const std::string& path, TsdbMeta& meta) {
+  const Fd fd(path);
+  if (fd.size() < kTsdbTrailerBytes + net::kFrameHeaderBytes) {
+    throw TsdbError("tsdb: " + path + ": shorter than trailer + header");
+  }
+  std::uint8_t trailer[kTsdbTrailerBytes];
+  fd.preadAll(trailer, sizeof(trailer), fd.size() - kTsdbTrailerBytes);
+  const std::uint64_t footerOffset =
+      archive::checkTrailer(kTsdbTrailer, path, trailer, fd.size());
+  const std::uint64_t framedEnd = fd.size() - kTsdbTrailerBytes;
+  const net::Frame metaFrame = readFrameAt(fd, path, 0, framedEnd);
+  if (metaFrame.type != kTsdbMetaRecord) {
+    throw TsdbError("tsdb: " + path + ": first frame is not a tsdb meta "
+                    "record");
+  }
+  rpc::Decoder metaDec(metaFrame.payload);
+  meta = decodeTsdbMeta(metaDec);
+  if (!metaDec.exhausted()) {
+    throw TsdbError("tsdb: " + path + ": meta record has trailing bytes");
+  }
+  return footerOffset;
+}
 
 std::uint32_t metricIndexOf(const std::string& name) {
   const std::vector<std::string>& names = metricNames();
@@ -224,52 +176,31 @@ const std::vector<std::string>& metricNames() {
 }
 
 Store::Store(const std::string& archiveDir) : dir_(archiveDir) {
-  DIR* d = ::opendir(archiveDir.c_str());
-  if (d == nullptr) {
-    throw TsdbError("tsdb: cannot open directory " + archiveDir);
-  }
-  while (dirent* entry = ::readdir(d)) {
-    unsigned long long index = 0;
-    char suffix[16] = {0};
-    if (std::sscanf(entry->d_name, "seg-%8llu%15s", &index, suffix) != 2) {
-      continue;
-    }
+  for (const archive::SegmentFile& file :
+       archive::listSegments(archiveDir, ".asar")) {
     Segment seg;
-    if (std::strcmp(suffix, ".asar") == 0) {
-      seg.sealed = true;
-    } else if (std::strcmp(suffix, ".asar.open") == 0) {
-      seg.sealed = false;
-    } else {
-      continue;
-    }
-    seg.index = index;
-    seg.rawPath = archiveDir + "/" + entry->d_name;
+    seg.raw = file;
     segments_.push_back(std::move(seg));
   }
-  ::closedir(d);
   if (segments_.empty()) {
     throw TsdbError("tsdb: no segments in " + archiveDir);
   }
-  std::sort(segments_.begin(), segments_.end(),
-            [](const Segment& a, const Segment& b) {
-              return a.index < b.index;
-            });
 
   for (Segment& seg : segments_) {
-    if (!seg.sealed) continue;
+    if (!seg.raw.sealed) continue;
     const std::string tsdbPath =
-        archiveDir + "/" + kTsdbSubdir + "/" + tsdbFileName(seg.index);
+        archiveDir + "/" + kTsdbSubdir + "/" + tsdbFileName(seg.raw.index);
     if (fileBytesOf(tsdbPath) < 0) continue;  // not compacted yet
     seg.footerOffset = loadTsdbMeta(tsdbPath, seg.tsdbMeta);
-    if (seg.tsdbMeta.sourceIndex != seg.index) {
+    if (seg.tsdbMeta.sourceIndex != seg.raw.index) {
       throw TsdbError("tsdb: " + tsdbPath + ": names segment " +
-                      std::to_string(seg.index) + " but was built from "
+                      std::to_string(seg.raw.index) + " but was built from "
                       "segment " +
                       std::to_string(seg.tsdbMeta.sourceIndex));
     }
     // Built from different raw bytes (e.g. the segment was replaced by
     // a trim into the same directory): fall back to the raw walk.
-    if (seg.tsdbMeta.sourceFileBytes != fileBytesOf(seg.rawPath)) {
+    if (seg.tsdbMeta.sourceFileBytes != fileBytesOf(seg.raw.path)) {
       seg.stale = true;
       continue;
     }
@@ -379,23 +310,15 @@ void Store::scanCompacted(const Segment& seg, const ScanOptions& opts,
 void Store::scanRaw(const Segment& seg, const ScanOptions& opts,
                     std::uint32_t metric, std::uint32_t level,
                     ScanResult& out) const {
-  const std::vector<std::uint8_t> bytes = readFile(seg.rawPath);
-  std::size_t framedBytes = bytes.size();
+  const archive::FramedFile file =
+      archive::readSegmentFile(archive::kArchiveTrailer, seg.raw);
+  const std::vector<std::uint8_t>& bytes = file.bytes;
+  std::size_t framedBytes = file.framedBytes;
+  const std::uint64_t footerOffset = file.footerOffset;
   std::size_t startOffset = 0;
   bool seeked = false;
 
-  if (seg.sealed) {
-    if (bytes.size() < archive::kTrailerBytes) {
-      throw TsdbError("tsdb: " + seg.rawPath + ": sealed segment shorter "
-                      "than its trailer");
-    }
-    framedBytes = bytes.size() - archive::kTrailerBytes;
-    std::uint64_t footerOffset = 0;
-    if (!archive::decodeTrailer(bytes.data() + framedBytes,
-                                archive::kTrailerBytes, footerOffset) ||
-        footerOffset >= framedBytes) {
-      throw TsdbError("tsdb: " + seg.rawPath + ": invalid segment trailer");
-    }
+  if (seg.raw.sealed) {
     // Meta frame (version) and footer frame (time range + checkpoint
     // index) are enough to prune and to seek; the body is only decoded
     // from the chosen start offset.
@@ -404,7 +327,7 @@ void Store::scanRaw(const Segment& seg, const ScanOptions& opts,
       dec.feed(bytes.data(), std::min<std::size_t>(framedBytes, 512));
       net::Frame f;
       if (!dec.next(f) || f.type != archive::kMetaRecord) {
-        throw TsdbError("tsdb: " + seg.rawPath + ": first frame is not a "
+        throw TsdbError("tsdb: " + seg.raw.path + ": first frame is not a "
                         "meta record");
       }
       return f;
@@ -419,7 +342,7 @@ void Store::scanRaw(const Segment& seg, const ScanOptions& opts,
     if (footerDecoder.error() != net::FrameDecoder::Error::kNone ||
         !footerDecoder.next(footerFrame) ||
         footerFrame.type != archive::kFooterRecord) {
-      throw TsdbError("tsdb: " + seg.rawPath + ": trailer does not point "
+      throw TsdbError("tsdb: " + seg.raw.path + ": trailer does not point "
                       "at a footer record");
     }
     rpc::Decoder footerDec(footerFrame.payload);
@@ -454,7 +377,7 @@ void Store::scanRaw(const Segment& seg, const ScanOptions& opts,
   net::FrameDecoder decoder;
   decoder.feed(bytes.data() + startOffset, framedBytes - startOffset);
   if (decoder.error() != net::FrameDecoder::Error::kNone) {
-    throw TsdbError("tsdb: " + seg.rawPath + ": frame decode failed (" +
+    throw TsdbError("tsdb: " + seg.raw.path + ": frame decode failed (" +
                     net::frameErrorName(decoder.error()) + ")");
   }
   std::vector<Bucket> segBuckets;
@@ -465,7 +388,7 @@ void Store::scanRaw(const Segment& seg, const ScanOptions& opts,
     rpc::Decoder dec(frame.payload);
     const archive::SampleRecord rec = archive::decodeSample(dec);
     if (level == 0 && rec.now > opts.to) break;  // time is nondecreasing
-    if (!flattenSample(rec, values)) continue;
+    if (!archive::recordMetrics(rec, values)) continue;
     if (rec.node != opts.node || metric >= values.size()) continue;
     if (level == 0) {
       if (rec.now >= opts.from && rec.now <= opts.to) {
@@ -492,7 +415,7 @@ StoreStats Store::stats() const {
   StoreStats s;
   for (const Segment& seg : segments_) {
     ++s.segments;
-    if (seg.sealed) ++s.sealedSegments;
+    if (seg.raw.sealed) ++s.sealedSegments;
     if (seg.stale) ++s.staleCompactions;
     if (!seg.compacted) continue;
     ++s.compactedSegments;
@@ -508,36 +431,18 @@ StoreStats Store::stats() const {
 TsdbVerifyResult verifyTsdb(const std::string& archiveDir) {
   TsdbVerifyResult out;
   const std::string tsdbDir = archiveDir + "/" + kTsdbSubdir;
-  DIR* d = ::opendir(tsdbDir.c_str());
-  if (d == nullptr) return out;  // nothing compacted yet: vacuously ok
-  std::vector<std::string> files;
-  while (dirent* entry = ::readdir(d)) {
-    unsigned long long index = 0;
-    char suffix[16] = {0};
-    if (std::sscanf(entry->d_name, "seg-%8llu%15s", &index, suffix) == 2 &&
-        std::strcmp(suffix, ".astd") == 0) {
-      files.push_back(tsdbDir + "/" + entry->d_name);
-    }
-  }
-  ::closedir(d);
-  std::sort(files.begin(), files.end());
-
-  for (const std::string& path : files) {
+  if (fileBytesOf(tsdbDir) < 0) return out;  // nothing compacted yet
+  for (const archive::SegmentFile& file :
+       archive::listSegments(tsdbDir, ".astd")) {
+    if (!file.sealed) continue;
+    const std::string& path = file.path;
     ++out.files;
     try {
-      const std::vector<std::uint8_t> bytes = readFile(path);
-      if (bytes.size() < kTsdbTrailerBytes) {
-        throw TsdbError("tsdb: " + path + ": shorter than its trailer");
-      }
-      const std::size_t framedBytes = bytes.size() - kTsdbTrailerBytes;
-      std::uint64_t footerOffset = 0;
-      if (!decodeTsdbTrailer(bytes.data() + framedBytes, kTsdbTrailerBytes,
-                             footerOffset) ||
-          footerOffset >= framedBytes) {
-        throw TsdbError("tsdb: " + path + ": invalid trailer");
-      }
+      const archive::FramedFile sealed =
+          archive::readSegmentFile(kTsdbTrailer, file);
+      const std::uint64_t footerOffset = sealed.footerOffset;
       net::FrameDecoder decoder;
-      decoder.feed(bytes.data(), framedBytes);
+      decoder.feed(sealed.bytes.data(), sealed.framedBytes);
       if (decoder.error() != net::FrameDecoder::Error::kNone) {
         throw TsdbError("tsdb: " + path + ": frame decode failed (" +
                         net::frameErrorName(decoder.error()) + ")");

@@ -88,9 +88,7 @@ class Store {
 
  private:
   struct Segment {
-    std::uint64_t index = 0;
-    std::string rawPath;
-    bool sealed = false;
+    archive::SegmentFile raw;
     std::string tsdbPath;        // empty when not compacted
     TsdbMeta tsdbMeta;           // valid when compacted
     std::uint64_t footerOffset = 0;
@@ -113,6 +111,12 @@ class Store {
   std::string dir_;
   std::vector<Segment> segments_;
 };
+
+/// The store's open of one compacted file: two small preads check the
+/// trailer and decode the meta frame. Returns the footer offset the
+/// trailer names. Throws on a damaged trailer or meta frame; the
+/// compactor rebuilds any file this open rejects.
+std::uint64_t loadTsdbMeta(const std::string& path, TsdbMeta& meta);
 
 /// Integrity check of every compacted file in the archive's tsdb/
 /// subdirectory: every frame CRC, footer index offsets/counts against

@@ -317,13 +317,16 @@ TEST(TsdbFormat, ChunkAndFooterRoundTrip) {
   EXPECT_EQ(fback.chunks[1].level, 10u);
   EXPECT_EQ(fback.chunks[1].offset, 480u);
 
-  const std::vector<std::uint8_t> trailer = encodeTsdbTrailer(4242);
+  const std::vector<std::uint8_t> trailer =
+      archive::encodeTrailer(kTsdbTrailer, 4242);
   std::uint64_t off = 0;
-  ASSERT_TRUE(decodeTsdbTrailer(trailer.data(), trailer.size(), off));
+  ASSERT_TRUE(archive::decodeTrailer(kTsdbTrailer, trailer.data(),
+                                     trailer.size(), off));
   EXPECT_EQ(off, 4242u);
   std::vector<std::uint8_t> flipped = trailer;
   flipped[0] ^= 0x01;
-  EXPECT_FALSE(decodeTsdbTrailer(flipped.data(), flipped.size(), off));
+  EXPECT_FALSE(archive::decodeTrailer(kTsdbTrailer, flipped.data(),
+                                      flipped.size(), off));
 }
 
 TEST(TsdbFormat, BucketMergeSemantics) {
@@ -588,6 +591,64 @@ TEST(TsdbVerify, FlippedBitsFailVerify) {
   }
   writeFileBytes(astd, clean);
   EXPECT_TRUE(verifyTsdb(dir.path).ok);
+}
+
+TEST(TsdbStore, CompactRebuildsDamagedTrailer) {
+  TempDir dir("asdf-tsdb-damaged-trailer");
+  writeArchive(dir.path, 1, 30, 1 << 20, 0.0, /*tear=*/false);
+  compactArchive(dir.path);
+  archive::ArchiveReader reader(dir.path);
+  const std::string astd = dir.path + "/" + std::string(kTsdbSubdir) + "/" +
+                           tsdbFileName(reader.segments().front().index);
+  std::vector<std::uint8_t> damaged = readFileBytes(astd);
+  ASSERT_GT(damaged.size(), kTsdbTrailerBytes);
+  damaged[damaged.size() - kTsdbTrailerBytes] ^= 0x01;  // trailer magic
+  writeFileBytes(astd, damaged);
+  ASSERT_FALSE(verifyTsdb(dir.path).ok);
+
+  // The up-to-date check opens the file the way the store does, so a
+  // damaged trailer is rebuilt rather than skipped.
+  const std::vector<CompactResult> results = compactArchive(dir.path);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_FALSE(results.front().skipped);
+  EXPECT_TRUE(verifyTsdb(dir.path).ok);
+  const Store store(dir.path);
+  const ScanResult r =
+      store.scan({1, "cpu_user_pct", 0.0, 30.0, Resolution::kRaw});
+  EXPECT_EQ(r.compactedScans, 1);
+  expectPointsBitExact(r.points, refRawPoints(reader, 1, 0, 0.0, 30.0));
+}
+
+TEST(TsdbStore, CompactRejectsSegmentThatFailsVerify) {
+  TempDir dir("asdf-tsdb-unknown-record");
+  writeArchive(dir.path, 1, 10, 1 << 20, 0.0, /*tear=*/false);
+  const std::string seg =
+      archive::ArchiveReader(dir.path).segments().front().path;
+  // Rebuild the sealed segment with one CRC-valid frame of an unknown
+  // record type just before the footer, and re-point the trailer.
+  const std::vector<std::uint8_t> clean = readFileBytes(seg);
+  const std::size_t trailerBytes = archive::kTrailerBytes;
+  std::uint64_t footerOffset = 0;
+  ASSERT_TRUE(archive::decodeTrailer(archive::kArchiveTrailer,
+                                     clean.data() + clean.size() -
+                                         trailerBytes,
+                                     trailerBytes, footerOffset));
+  rpc::Encoder enc;
+  enc.putU32(7);
+  const std::vector<std::uint8_t> stray =
+      net::encodeFrame(static_cast<net::MsgType>(0x45), enc);
+  std::vector<std::uint8_t> rebuilt(clean.begin(),
+                                    clean.begin() + footerOffset);
+  rebuilt.insert(rebuilt.end(), stray.begin(), stray.end());
+  rebuilt.insert(rebuilt.end(), clean.begin() + footerOffset,
+                 clean.end() - trailerBytes);
+  const std::vector<std::uint8_t> trailer = archive::encodeTrailer(
+      archive::kArchiveTrailer, footerOffset + stray.size());
+  rebuilt.insert(rebuilt.end(), trailer.begin(), trailer.end());
+  writeFileBytes(seg, rebuilt);
+
+  EXPECT_FALSE(archive::ArchiveReader::verify(dir.path).ok);
+  EXPECT_THROW(compactArchive(dir.path), archive::ArchiveError);
 }
 
 TEST(TsdbStore, UnknownMetricAndResolutionAreErrors) {
