@@ -1,11 +1,12 @@
 // Ablation: decision rule of the black-box fingerpointer.
 //
 // Compares the paper's fixed L1 threshold (trained on fault-free data,
-// Figure 6a) against the self-calibrating MAD rule ([analysis_mad]) on
-// the same recorded windows: detection quality on a CPUHog run and
-// false positives on a fault-free run. The fixed threshold wins when a
-// training trace representative of production exists; MAD needs no
-// training pass but pays with a higher noise floor on small clusters.
+// Figure 6a) against the self-calibrating MAD rule
+// (analysis::madCompare) on the same recorded windows: detection
+// quality on a CPUHog run and false positives on a fault-free run. The
+// fixed threshold wins when a training trace representative of
+// production exists; MAD needs no training pass but pays with a higher
+// noise floor on small clusters.
 #include "analysis/mad.h"
 #include "common/strings.h"
 #include "bench_util.h"

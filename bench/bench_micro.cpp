@@ -58,7 +58,8 @@ void BM_WireCodecSadcSnapshot(benchmark::State& state) {
   metrics::NodeActivity activity;
   activity.cpuUserCores = 2.0;
   activity.memUsedBytes = 3.0e9;
-  const metrics::SadcSnapshot snap = model.tick(1.0, activity);
+  metrics::SadcSnapshot snap;
+  model.tickInto(1.0, activity, snap);
   for (auto _ : state) {
     rpc::Encoder enc;
     enc.putDouble(snap.time);

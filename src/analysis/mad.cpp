@@ -27,14 +27,4 @@ PeerComparisonResult madCompare(const std::vector<double>& scores, double k,
   return result;
 }
 
-PeerComparisonResult blackBoxMadCompare(
-    const std::vector<std::vector<double>>& histograms, double k) {
-  if (histograms.empty()) return {};
-  const std::vector<double> medianHist = componentwiseMedian(histograms);
-  std::vector<double> l1;
-  l1.reserve(histograms.size());
-  for (const auto& h : histograms) l1.push_back(l1Distance(h, medianHist));
-  return madCompare(l1, k);
-}
-
 }  // namespace asdf::analysis

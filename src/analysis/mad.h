@@ -26,9 +26,4 @@ namespace asdf::analysis {
 PeerComparisonResult madCompare(const std::vector<double>& scores, double k,
                                 double minMad = 1.0);
 
-/// Convenience: the black-box StateVector pipeline with a MAD decision
-/// rule instead of the fixed threshold.
-PeerComparisonResult blackBoxMadCompare(
-    const std::vector<std::vector<double>>& histograms, double k);
-
 }  // namespace asdf::analysis

@@ -19,14 +19,6 @@ std::vector<const double*> rowViews(
 
 }  // namespace
 
-std::vector<double> stateHistogram(const std::vector<double>& stateIndices,
-                                   std::size_t numStates) {
-  std::vector<double> hist(numStates, 0.0);
-  stateHistogramInto(stateIndices.data(), stateIndices.size(), hist.data(),
-                     numStates);
-  return hist;
-}
-
 void stateHistogramInto(const double* stateIndices, std::size_t n,
                         double* hist, std::size_t numStates) {
   std::fill(hist, hist + numStates, 0.0);

@@ -33,12 +33,9 @@
 
 namespace asdf::analysis {
 
-/// Histogram of state indices over a window: entry s counts how many
-/// samples were assigned state s. This is the paper's StateVector.
-std::vector<double> stateHistogram(const std::vector<double>& stateIndices,
-                                   std::size_t numStates);
-
-/// Flat form: accumulates into hist[0..numStates) (zeroed first).
+/// Histogram of state indices over a window, into hist[0..numStates)
+/// (zeroed first): entry s counts how many samples were assigned state
+/// s. This is the paper's StateVector.
 void stateHistogramInto(const double* stateIndices, std::size_t n,
                         double* hist, std::size_t numStates);
 

@@ -181,15 +181,6 @@ CheckpointRecord decodeCheckpoint(rpc::Decoder& dec);
 void encodeFooter(rpc::Encoder& enc, const SegmentFooter& footer);
 SegmentFooter decodeFooter(rpc::Decoder& dec, std::uint32_t version);
 
-/// The shared trailer codec (files.h) at kArchiveTrailer.
-inline std::vector<std::uint8_t> encodeTrailer(std::uint64_t footerOffset) {
-  return encodeTrailer(kArchiveTrailer, footerOffset);
-}
-inline bool decodeTrailer(const std::uint8_t* data, std::size_t size,
-                          std::uint64_t& footerOffset) {
-  return decodeTrailer(kArchiveTrailer, data, size, footerOffset);
-}
-
 /// The one rule for which archived records carry queryable metrics: an
 /// ok, timestamped sadc record whose payload decodes to a full snapshot
 /// (payloads are opaque at this layer; synthetic test payloads fail).

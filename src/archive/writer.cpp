@@ -151,7 +151,6 @@ void ArchiveWriter::writeCheckpointLocked(double now) {
   encodeCheckpoint(enc, cp);
   writeFrameLocked(kCheckpointRecord, enc);
   footer_.checkpoints.push_back({now, offset});
-  ++checkpointsWritten_;
 }
 
 void ArchiveWriter::onSample(const rpc::CollectSample& sample) {
@@ -207,11 +206,6 @@ long ArchiveWriter::recordsWritten() const {
 long ArchiveWriter::segmentsSealed() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return segmentsSealed_;
-}
-
-long ArchiveWriter::checkpointsWritten() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return checkpointsWritten_;
 }
 
 std::int64_t ArchiveWriter::bytesWritten() const {

@@ -79,7 +79,6 @@ class ArchiveWriter final : public rpc::CollectionObserver {
 
   long recordsWritten() const;
   long segmentsSealed() const;
-  long checkpointsWritten() const;
   std::int64_t bytesWritten() const;
   /// Bytes committed to the active segment so far (test hook for the
   /// truncation sweep: offsets are exact because writes are unbuffered).
@@ -113,7 +112,6 @@ class ArchiveWriter final : public rpc::CollectionObserver {
   double lastCheckpointNow_ = kNoTime;
   long recordsWritten_ = 0;
   long segmentsSealed_ = 0;
-  long checkpointsWritten_ = 0;
   std::int64_t bytesWritten_ = 0;
 };
 

@@ -92,20 +92,6 @@ class Matrix {
     data_.clear();
   }
 
-  static Matrix fromRows(const std::vector<std::vector<double>>& rows) {
-    Matrix m;
-    for (const auto& row : rows) m.push_back(row);
-    return m;
-  }
-  std::vector<std::vector<double>> toRows() const {
-    std::vector<std::vector<double>> out;
-    out.reserve(rows_);
-    for (std::size_t r = 0; r < rows_; ++r) {
-      out.emplace_back(row(r), row(r) + cols_);
-    }
-    return out;
-  }
-
   friend bool operator==(const Matrix& a, const Matrix& b) {
     return a.rows_ == b.rows_ && a.cols_ == b.cols_ && a.data_ == b.data_;
   }

@@ -57,11 +57,6 @@ double percentile(std::vector<double> xs, double p) {
   return xs[lo] * (1.0 - frac) + xs[hi] * frac;
 }
 
-double l1Distance(const std::vector<double>& a, const std::vector<double>& b) {
-  assert(a.size() == b.size());
-  return l1DistanceN(a.data(), b.data(), a.size());
-}
-
 double l1DistanceN(const double* a, const double* b, std::size_t n) {
   return simd::l1Distance(a, b, n);
 }
@@ -74,21 +69,6 @@ double l2Distance(const std::vector<double>& a, const std::vector<double>& b) {
     sum += d * d;
   }
   return std::sqrt(sum);
-}
-
-std::vector<double> componentwiseMedian(
-    const std::vector<std::vector<double>>& rows) {
-  if (rows.empty()) return {};
-  const std::size_t dims = rows.front().size();
-  std::vector<double> out(dims, 0.0);
-  std::vector<double> column(rows.size());
-  std::vector<const double*> ptrs(rows.size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    assert(rows[r].size() == dims);
-    ptrs[r] = rows[r].data();
-  }
-  componentwiseMedianInto(ptrs.data(), rows.size(), dims, out.data(), column);
-  return out;
 }
 
 void componentwiseMedianInto(const double* const* rows, std::size_t n,

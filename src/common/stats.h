@@ -28,25 +28,17 @@ double medianInPlace(std::vector<double>& xs);
 /// p-th percentile with linear interpolation, p in [0, 100].
 double percentile(std::vector<double> xs, double p);
 
-/// Sum of absolute component differences. Vectors must be equal size.
-double l1Distance(const std::vector<double>& a, const std::vector<double>& b);
-
-/// l1Distance over raw strided rows (the flat-kernel form).
+/// Sum of absolute component differences over two rows of n doubles.
 double l1DistanceN(const double* a, const double* b, std::size_t n);
 
 /// Euclidean distance. Vectors must be equal size.
 double l2Distance(const std::vector<double>& a, const std::vector<double>& b);
 
-/// Component-wise median of a set of equally-sized vectors; used by
-/// both fingerpointing algorithms for peer comparison.
-std::vector<double> componentwiseMedian(
-    const std::vector<std::vector<double>>& rows);
-
-/// Flat-kernel form: rows[r] points at a row of `dims` doubles; the
-/// per-component medians land in out[0..dims). `column` is caller
-/// scratch (resized to n, capacity retained across calls) so the
-/// steady state allocates nothing. Arithmetic is identical to
-/// componentwiseMedian().
+/// Component-wise median of n rows, used by both fingerpointing
+/// algorithms for peer comparison: rows[r] points at a row of `dims`
+/// doubles; the per-component medians (median() arithmetic) land in
+/// out[0..dims). `column` is caller scratch (resized to n, capacity
+/// retained across calls) so the steady state allocates nothing.
 void componentwiseMedianInto(const double* const* rows, std::size_t n,
                              std::size_t dims, double* out,
                              std::vector<double>& column);

@@ -1,7 +1,5 @@
 #include "faults/monitoring_faults.h"
 
-#include "common/error.h"
-
 namespace asdf::faults {
 
 const char* monitoringFaultName(MonitoringFaultKind kind) {
@@ -18,17 +16,6 @@ const char* monitoringFaultName(MonitoringFaultKind kind) {
       return "partition";
   }
   return "unknown";
-}
-
-MonitoringFaultKind monitoringFaultFromName(const std::string& name) {
-  for (MonitoringFaultKind k :
-       {MonitoringFaultKind::kNone, MonitoringFaultKind::kCrash,
-        MonitoringFaultKind::kHang, MonitoringFaultKind::kSlow,
-        MonitoringFaultKind::kPartition}) {
-    if (name == monitoringFaultName(k)) return k;
-  }
-  if (name.empty()) return MonitoringFaultKind::kNone;
-  throw ConfigError("unknown monitoring fault name '" + name + "'");
 }
 
 MonitoringFaultInjector::MonitoringFaultInjector(

@@ -9,7 +9,6 @@
 // the pipeline must report it as "unmonitorable", not "faulty".
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "common/types.h"
@@ -27,9 +26,6 @@ enum class MonitoringFaultKind : int {
 };
 
 const char* monitoringFaultName(MonitoringFaultKind kind);
-/// Parses "crash" / "hang" / "slow" / "partition"; kNone for
-/// "none"/"". Throws ConfigError on unknown names.
-MonitoringFaultKind monitoringFaultFromName(const std::string& name);
 
 struct MonitoringFaultSpec {
   MonitoringFaultKind kind = MonitoringFaultKind::kNone;

@@ -42,11 +42,6 @@ Cluster::Cluster(HadoopParams params, std::uint64_t seed,
 
 Cluster::~Cluster() = default;
 
-Node& Cluster::node(NodeId id) {
-  assert(id >= 0 && static_cast<std::size_t>(id) < nodes_.size());
-  return *nodes_[static_cast<std::size_t>(id)];
-}
-
 TaskTracker& Cluster::taskTracker(NodeId id) {
   assert(id >= 1 && id <= params_.slaveCount);
   return *tts_[static_cast<std::size_t>(id - 1)];

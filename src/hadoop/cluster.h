@@ -14,6 +14,7 @@
 // heartbeat latency, and heartbeat RPC traffic lands between ticks.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -34,10 +35,10 @@
 
 namespace asdf::hadoop {
 
-class Cluster : public ClusterView {
+class Cluster {
  public:
   Cluster(HadoopParams params, std::uint64_t seed, sim::SimEngine& engine);
-  ~Cluster() override;
+  ~Cluster();
 
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
@@ -46,12 +47,15 @@ class Cluster : public ClusterView {
   /// before running the engine.
   void start();
 
-  // --- ClusterView -------------------------------------------------------
-  Node& node(NodeId id) override;
-  NameNode& nameNode() override { return nameNode_; }
-  const HadoopParams& params() const override { return params_; }
-  Rng& rng() override { return rng_; }
-  int slaveCount() const override { return params_.slaveCount; }
+  /// Node by id: 0 is the master, 1..slaveCount the slaves.
+  Node& node(NodeId id) {
+    assert(id >= 0 && static_cast<std::size_t>(id) < nodes_.size());
+    return *nodes_[static_cast<std::size_t>(id)];
+  }
+  NameNode& nameNode() { return nameNode_; }
+  const HadoopParams& params() const { return params_; }
+  Rng& rng() { return rng_; }
+  int slaveCount() const { return params_.slaveCount; }
 
   JobTracker& jobTracker() { return jobTracker_; }
   TaskTracker& taskTracker(NodeId id);

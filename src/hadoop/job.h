@@ -54,7 +54,6 @@ class Job {
   int numMaps() const { return numMaps_; }
   int numReduces() const { return spec_.numReduces; }
   int completedMaps() const { return completedMaps_; }
-  int completedReduces() const { return completedReduces_; }
   bool mapsComplete() const { return completedMaps_ == numMaps_; }
   bool complete() const {
     return mapsComplete() && completedReduces_ == spec_.numReduces;

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/stats.h"
+#include "hadoop/cluster.h"
 
 namespace asdf::hadoop {
 namespace {
@@ -15,7 +16,7 @@ constexpr int kLocalityScanLimit = 64;
 
 }  // namespace
 
-JobTracker::JobTracker(ClusterView& cluster, NameNode& nameNode)
+JobTracker::JobTracker(Cluster& cluster, NameNode& nameNode)
     : cluster_(cluster), nameNode_(nameNode) {}
 
 void JobTracker::setTaskTrackers(std::vector<TaskTracker*> tts) {
@@ -58,11 +59,9 @@ void JobTracker::applyReport(const TaskTracker::Report& report,
       job->noteFailure(e.isMap, e.taskIndex);
       if (job->failureCount(e.isMap, e.taskIndex) >=
           cluster_.params().maxTaskAttempts) {
-        // Too many attempts: Hadoop would fail the job; we record the
-        // surrender and mark the task done so the trace continues —
-        // the experiment cares about per-node anomalies, not job
-        // verdicts.
-        ++tasksGivenUp_;
+        // Too many attempts: Hadoop would fail the job; we mark the
+        // task done so the trace continues — the experiment cares
+        // about per-node anomalies, not job verdicts.
         if (e.isMap) {
           job->completeMap(e.taskIndex, e.node, e.duration);
         } else {

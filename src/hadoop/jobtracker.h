@@ -18,7 +18,7 @@ namespace asdf::hadoop {
 
 class JobTracker {
  public:
-  JobTracker(ClusterView& cluster, NameNode& nameNode);
+  JobTracker(Cluster& cluster, NameNode& nameNode);
 
   /// Wires the slave set (done once by the Cluster after construction).
   void setTaskTrackers(std::vector<TaskTracker*> tts);
@@ -49,7 +49,6 @@ class JobTracker {
   int activeJobCount() const { return static_cast<int>(active_.size()); }
   long jobsSubmitted() const { return jobsSubmitted_; }
   long jobsCompleted() const { return jobsCompleted_; }
-  long tasksGivenUp() const { return tasksGivenUp_; }
   long speculativeLaunches() const { return speculativeLaunches_; }
 
   /// Invoked when a job finishes (workload generator, output cleanup).
@@ -63,7 +62,7 @@ class JobTracker {
   void killOtherAttempts(Job& job, bool isMap, int taskIndex, SimTime now);
   Job* findActive(JobId id);
 
-  ClusterView& cluster_;
+  Cluster& cluster_;
   NameNode& nameNode_;
   std::vector<TaskTracker*> tts_;
   std::vector<std::unique_ptr<Job>> active_;
@@ -72,7 +71,6 @@ class JobTracker {
   JobId nextJobId_ = 1;
   long jobsSubmitted_ = 0;
   long jobsCompleted_ = 0;
-  long tasksGivenUp_ = 0;
   long speculativeLaunches_ = 0;
 };
 

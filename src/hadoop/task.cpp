@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "hadoop/cluster.h"
 #include "hadooplog/writer.h"
 
 namespace asdf::hadoop {
@@ -19,7 +20,7 @@ constexpr double kEps = 1.0;  // byte slop for completion checks
 
 }  // namespace
 
-TaskAttempt::TaskAttempt(ClusterView& cluster, Job& job, bool isMap,
+TaskAttempt::TaskAttempt(Cluster& cluster, Job& job, bool isMap,
                          int taskIndex, int attemptSerial, Node& host)
     : cluster_(cluster),
       job_(job),

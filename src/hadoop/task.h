@@ -24,22 +24,13 @@
 
 namespace asdf::hadoop {
 
-/// Access a TaskAttempt needs to the rest of the cluster.
-class ClusterView {
- public:
-  virtual ~ClusterView() = default;
-  virtual Node& node(NodeId id) = 0;
-  virtual NameNode& nameNode() = 0;
-  virtual const HadoopParams& params() const = 0;
-  virtual Rng& rng() = 0;
-  virtual int slaveCount() const = 0;
-};
+class Cluster;
 
 enum class TaskOutcome { kRunning, kCompleted, kFailed };
 
 class TaskAttempt {
  public:
-  TaskAttempt(ClusterView& cluster, Job& job, bool isMap, int taskIndex,
+  TaskAttempt(Cluster& cluster, Job& job, bool isMap, int taskIndex,
               int attemptSerial, Node& host);
   ~TaskAttempt();
 
@@ -95,7 +86,7 @@ class TaskAttempt {
   void requestCpuWork(double maxCores);
   void requestDiskWrite(Node& node, double remaining, int& handle);
 
-  ClusterView& cluster_;
+  Cluster& cluster_;
   Job& job_;
   bool isMap_;
   int taskIndex_;

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cassert>
 
+#include "hadoop/cluster.h"
+
 namespace asdf::hadoop {
 
-TaskTracker::TaskTracker(ClusterView& cluster, Node& node)
+TaskTracker::TaskTracker(Cluster& cluster, Node& node)
     : cluster_(cluster), node_(node) {}
 
 int TaskTracker::runningMapCount() const {
@@ -34,7 +36,6 @@ TaskAttempt& TaskTracker::launch(Job& job, bool isMap, int taskIndex,
                                                taskIndex, serial, node_);
   attempt->start(now);
   job.noteAttemptStarted(isMap, taskIndex);
-  ++launchedTasks_;
   running_.push_back(std::move(attempt));
   return *running_.back();
 }

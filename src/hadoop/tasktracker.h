@@ -16,7 +16,7 @@ namespace asdf::hadoop {
 
 class TaskTracker {
  public:
-  TaskTracker(ClusterView& cluster, Node& node);
+  TaskTracker(Cluster& cluster, Node& node);
 
   Node& node() { return node_; }
   NodeId nodeId() const { return node_.id(); }
@@ -57,16 +57,14 @@ class TaskTracker {
   }
 
   /// Cumulative counters (for tests and the harness).
-  long launchedTasks() const { return launchedTasks_; }
   long completedTasks() const { return completedTasks_; }
   long failedTasks() const { return failedTasks_; }
 
  private:
-  ClusterView& cluster_;
+  Cluster& cluster_;
   Node& node_;
   std::vector<std::unique_ptr<TaskAttempt>> running_;
   Report pending_;
-  long launchedTasks_ = 0;
   long completedTasks_ = 0;
   long failedTasks_ = 0;
 };

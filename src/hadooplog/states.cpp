@@ -1,7 +1,5 @@
 #include "hadooplog/states.h"
 
-#include <cassert>
-
 namespace asdf::hadooplog {
 namespace {
 
@@ -21,12 +19,6 @@ const std::array<const char*, kTtStateCount>& ttStateNames() {
 
 const std::array<const char*, kDnStateCount>& dnStateNames() {
   return kDnNames;
-}
-
-std::string whiteBoxMetricName(std::size_t index) {
-  assert(index < kWhiteBoxVectorSize);
-  if (index < kTtStateCount) return kTtNames[index];
-  return kDnNames[index - kTtStateCount];
 }
 
 }  // namespace asdf::hadooplog

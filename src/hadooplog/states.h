@@ -14,7 +14,6 @@
 
 #include <array>
 #include <cstddef>
-#include <string>
 
 namespace asdf::hadooplog {
 
@@ -44,7 +43,5 @@ const std::array<const char*, kDnStateCount>& dnStateNames();
 /// (TaskTracker states followed by DataNode states).
 inline constexpr std::size_t kWhiteBoxVectorSize =
     kTtStateCount + kDnStateCount;
-
-std::string whiteBoxMetricName(std::size_t index);
 
 }  // namespace asdf::hadooplog

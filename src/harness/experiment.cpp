@@ -560,15 +560,4 @@ ExperimentSummary summarize(const ExperimentResult& result) {
   return summary;
 }
 
-ApproachSummary summarizeAtThreshold(const analysis::AlarmSeries& series,
-                                     const analysis::GroundTruth& truth,
-                                     double threshold) {
-  const analysis::AlarmSeries rethresholded =
-      analysis::applyThreshold(series, threshold);
-  ApproachSummary out;
-  out.eval = analysis::evaluate(rethresholded, truth);
-  out.latencySeconds = analysis::fingerpointingLatency(rethresholded, truth);
-  return out;
-}
-
 }  // namespace asdf::harness

@@ -207,12 +207,6 @@ ExperimentResult runExperiment(const ExperimentSpec& spec,
 /// Step 3: evaluates recorded alarms against the ground truth.
 ExperimentSummary summarize(const ExperimentResult& result);
 
-/// Re-evaluates at different thresholds using recorded scores
-/// (offline sweeps for Figures 6a/6b).
-ApproachSummary summarizeAtThreshold(const analysis::AlarmSeries& series,
-                                     const analysis::GroundTruth& truth,
-                                     double threshold);
-
 // Result bookkeeping shared by the control node and the live tiered
 // root (harness/aggregator.h), so both report alike.
 

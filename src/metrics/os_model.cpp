@@ -40,12 +40,6 @@ double NodeOsModel::noisyFloor(double value, double floorSigma) {
   return std::max(0.0, noisy(value) + std::abs(rng_.gaussian(0.0, floorSigma)));
 }
 
-SadcSnapshot NodeOsModel::tick(SimTime now, const NodeActivity& activity) {
-  SadcSnapshot snap;
-  tickInto(now, activity, snap);
-  return snap;
-}
-
 void NodeOsModel::tickInto(SimTime now, const NodeActivity& a,
                            SadcSnapshot& snap) {
   snap.time = now;

@@ -20,7 +20,6 @@ std::vector<std::string> numberedInputs(const core::ModuleContext& ctx,
   return names;
 }
 
-void registerAnalysisMadModule(core::ModuleRegistry&);
 void registerCsvSinkModule(core::ModuleRegistry&);
 void registerMergeModules(core::ModuleRegistry&);
 void registerReduceModules(core::ModuleRegistry&);
@@ -44,7 +43,6 @@ void registerBuiltinModules(core::ModuleRegistry* registry) {
   registerKnnModule(r);
   registerReduceModules(r);
   registerMergeModules(r);
-  registerAnalysisMadModule(r);
   registerNodeHealthModule(r);
   registerPrintModule(r);
   registerCsvSinkModule(r);

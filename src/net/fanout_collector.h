@@ -35,8 +35,6 @@ class FanoutCollector final : public rpc::LiveCollector {
   bool collect(const rpc::CollectRequest& req, rpc::CollectOut out,
                std::size_t& responseBytes) override;
 
-  std::size_t endpointCount() const { return transports_.size(); }
-
  private:
   LiveTransport& transportFor(NodeId node);
 

@@ -52,18 +52,6 @@ const char* daemonName(Daemon d) {
   return "unknown";
 }
 
-const char* healthName(NodeHealth h) {
-  switch (h) {
-    case NodeHealth::kHealthy:
-      return "healthy";
-    case NodeHealth::kDegraded:
-      return "degraded";
-    case NodeHealth::kUnmonitorable:
-      return "unmonitorable";
-  }
-  return "unknown";
-}
-
 // ---------------------------------------------------------------------------
 // MonitoringFaultBoard
 

@@ -66,7 +66,6 @@ const char* daemonName(Daemon d);
 ///                    must exclude it and must not raise a fault alarm
 ///                    against it.
 enum class NodeHealth : int { kHealthy = 0, kDegraded = 1, kUnmonitorable = 2 };
-const char* healthName(NodeHealth h);
 
 /// Retry / timeout / breaker tunables (ExperimentSpec::rpcPolicy).
 struct RpcPolicy {

@@ -87,10 +87,4 @@ void SyscallTraceModel::draw() {
   }
 }
 
-TraceSecond SyscallTraceModel::tick(const metrics::NodeActivity& activity,
-                                    int hungTasks, int spinningTasks) {
-  record(activity, hungTasks, spinningTasks);
-  return trace();
-}
-
 }  // namespace asdf::syscalls

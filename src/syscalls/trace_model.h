@@ -79,11 +79,6 @@ class SyscallTraceModel {
   /// Attaches a consumer if none is.
   const TraceSecond& trace();
 
-  /// record() then trace(), into a fresh vector; the simulator uses
-  /// record() and trace(), this form serves tests.
-  TraceSecond tick(const metrics::NodeActivity& activity, int hungTasks = 0,
-                   int spinningTasks = 0);
-
  private:
   void draw();  // the recorded second's trace into trace_
 

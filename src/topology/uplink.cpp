@@ -58,24 +58,9 @@ double UplinkPlane::capacity(int rack) const {
   return tx_[static_cast<std::size_t>(rack)].capacity();
 }
 
-double UplinkPlane::txUtilization(int rack) const {
-  assert(rack >= 0 && rack < racks());
-  return tx_[static_cast<std::size_t>(rack)].utilization();
-}
-
-double UplinkPlane::rxUtilization(int rack) const {
-  assert(rack >= 0 && rack < racks());
-  return rx_[static_cast<std::size_t>(rack)].utilization();
-}
-
 double UplinkPlane::txGranted(int rack) const {
   assert(rack >= 0 && rack < racks());
   return tx_[static_cast<std::size_t>(rack)].totalGranted();
-}
-
-double UplinkPlane::rxGranted(int rack) const {
-  assert(rack >= 0 && rack < racks());
-  return rx_[static_cast<std::size_t>(rack)].totalGranted();
 }
 
 }  // namespace asdf::topology

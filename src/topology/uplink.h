@@ -71,10 +71,7 @@ class UplinkPlane {
 
   double baseCapacity() const { return base_; }
   double capacity(int rack) const;
-  double txUtilization(int rack) const;
-  double rxUtilization(int rack) const;
   double txGranted(int rack) const;
-  double rxGranted(int rack) const;
 
  private:
   double base_;

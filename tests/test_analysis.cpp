@@ -160,8 +160,17 @@ TEST(BlackBoxModel, DeserializeRejectsGarbage) {
   EXPECT_THROW(deserializeModel("sigmas,abc\ncentroid,1\n"), ConfigError);
 }
 
+// stateHistogramInto() over a window, into a fresh histogram.
+std::vector<double> histogramOf(const std::vector<double>& stateIndices,
+                                std::size_t numStates) {
+  std::vector<double> hist(numStates, -1.0);
+  stateHistogramInto(stateIndices.data(), stateIndices.size(), hist.data(),
+                     numStates);
+  return hist;
+}
+
 TEST(StateHistogram, CountsIndices) {
-  const auto hist = stateHistogram({0.0, 1.0, 1.0, 2.0, 1.0}, 3);
+  const auto hist = histogramOf({0.0, 1.0, 1.0, 2.0, 1.0}, 3);
   ASSERT_EQ(hist.size(), 3u);
   EXPECT_DOUBLE_EQ(hist[0], 1.0);
   EXPECT_DOUBLE_EQ(hist[1], 3.0);
@@ -169,7 +178,7 @@ TEST(StateHistogram, CountsIndices) {
 }
 
 TEST(StateHistogram, IgnoresOutOfRangeIndices) {
-  const auto hist = stateHistogram({-1.0, 5.0, 1.0}, 2);
+  const auto hist = histogramOf({-1.0, 5.0, 1.0}, 2);
   EXPECT_DOUBLE_EQ(hist[0], 0.0);
   EXPECT_DOUBLE_EQ(hist[1], 1.0);
 }

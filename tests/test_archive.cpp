@@ -153,16 +153,19 @@ TEST(ArchiveFormat, MetaSampleTruthFooterRoundTrip) {
 }
 
 TEST(ArchiveFormat, TrailerRoundTripAndRejection) {
-  const std::vector<std::uint8_t> trailer = encodeTrailer(0x123456789AULL);
+  const std::vector<std::uint8_t> trailer =
+      encodeTrailer(kArchiveTrailer, 0x123456789AULL);
   ASSERT_EQ(trailer.size(), kTrailerBytes);
   std::uint64_t offset = 0;
-  EXPECT_TRUE(decodeTrailer(trailer.data(), trailer.size(), offset));
+  EXPECT_TRUE(decodeTrailer(kArchiveTrailer, trailer.data(), trailer.size(),
+                            offset));
   EXPECT_EQ(offset, 0x123456789AULL);
 
   std::vector<std::uint8_t> bad = trailer;
   bad[0] ^= 0x01;  // magic
-  EXPECT_FALSE(decodeTrailer(bad.data(), bad.size(), offset));
-  EXPECT_FALSE(decodeTrailer(trailer.data(), kTrailerBytes - 1, offset));
+  EXPECT_FALSE(decodeTrailer(kArchiveTrailer, bad.data(), bad.size(), offset));
+  EXPECT_FALSE(decodeTrailer(kArchiveTrailer, trailer.data(),
+                             kTrailerBytes - 1, offset));
 }
 
 TEST(ArchiveDurability, WriterReaderRoundTripWithRotation) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+
 namespace asdf::analysis {
 namespace {
 
@@ -62,6 +64,47 @@ TEST(Evaluate, BlindDetectorScoresFiftyPercent) {
   AlarmSeries series = {record(1.0, {0, 0}), record(2.0, {0, 0})};
   const EvalResult r = evaluate(series, truth);
   EXPECT_DOUBLE_EQ(r.balancedAccuracyPct(), 50.0);
+}
+
+TEST(Evaluate, InvertedDetectorScoresZero) {
+  // PerfectDetector's series with every flag inverted: each node is
+  // flagged in every window except the culprit while the fault is active.
+  GroundTruth truth;
+  truth.slaveIndex = 1;
+  truth.faultStart = 10.0;
+  AlarmSeries series = {
+      record(5.0, {1, 1, 1}),
+      record(15.0, {1, 0, 1}),
+      record(25.0, {1, 0, 1}),
+  };
+  const EvalResult r = evaluate(series, truth);
+  EXPECT_EQ(r.tp, 0);
+  EXPECT_EQ(r.fn, 2);
+  EXPECT_EQ(r.fp, 7);
+  EXPECT_EQ(r.tn, 0);
+  EXPECT_DOUBLE_EQ(r.balancedAccuracyPct(), 0.0);
+}
+
+TEST(Evaluate, RandomDetectorScoresAboutFifty) {
+  // A detector that ignores its input flags each (window, node) with
+  // probability p: TPR ~ p and TNR ~ 1 - p, so balanced accuracy ~ 50
+  // whatever p is.
+  GroundTruth truth;
+  truth.slaveIndex = 3;
+  truth.faultStart = 500.0;
+  for (double p : {0.2, 0.7}) {
+    Rng rng(17);
+    AlarmSeries series;
+    for (int w = 0; w < 2000; ++w) {
+      std::vector<double> flags(10);
+      for (double& f : flags) f = rng.bernoulli(p) ? 1.0 : 0.0;
+      series.push_back(record(static_cast<double>(w), std::move(flags)));
+    }
+    const EvalResult r = evaluate(series, truth);
+    EXPECT_EQ(r.tp + r.fn, 1500) << "p=" << p;
+    EXPECT_NEAR(r.truePositiveRate(), p, 0.05) << "p=" << p;
+    EXPECT_NEAR(r.balancedAccuracyPct(), 50.0, 3.0) << "p=" << p;
+  }
 }
 
 TEST(Evaluate, WrongNodeIsBothFnAndFp) {

@@ -53,10 +53,18 @@ TEST(MadCompare, OnlyUpperTailFlags) {
   EXPECT_DOUBLE_EQ(result.flags[3], 0.0);
 }
 
+// The black-box StateVector pipeline under the MAD rule: the L1 scores
+// blackBoxCompare() records per node, re-decided by madCompare() (as
+// bench_ablation_analysis does over recorded windows).
+PeerComparisonResult madOverBlackBoxScores(
+    const std::vector<std::vector<double>>& histograms, double k) {
+  return madCompare(blackBoxCompare(histograms, 0.0).scores, k);
+}
+
 TEST(BlackBoxMadCompare, MatchesFixedThresholdOnClearCases) {
   const std::vector<std::vector<double>> hists = {
       {50.0, 10.0}, {49.0, 11.0}, {10.0, 50.0}, {51.0, 9.0}, {50.0, 10.0}};
-  const auto mad = blackBoxMadCompare(hists, 6.0);
+  const auto mad = madOverBlackBoxScores(hists, 6.0);
   const auto fixed = blackBoxCompare(hists, 60.0);
   ASSERT_EQ(mad.flags.size(), fixed.flags.size());
   for (std::size_t i = 0; i < mad.flags.size(); ++i) {
@@ -71,8 +79,8 @@ TEST(BlackBoxMadCompare, SelfCalibratesAcrossScales) {
       {5.0, 1.0}, {5.2, 0.8}, {1.0, 5.0}, {4.9, 1.1}};
   const std::vector<std::vector<double>> large = {
       {50.0, 10.0}, {52.0, 8.0}, {10.0, 50.0}, {49.0, 11.0}};
-  const auto madSmall = blackBoxMadCompare(small, 4.0);
-  const auto madLarge = blackBoxMadCompare(large, 4.0);
+  const auto madSmall = madOverBlackBoxScores(small, 4.0);
+  const auto madLarge = madOverBlackBoxScores(large, 4.0);
   EXPECT_DOUBLE_EQ(madSmall.flags[2], 1.0);
   EXPECT_DOUBLE_EQ(madLarge.flags[2], 1.0);
 }

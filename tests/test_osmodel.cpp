@@ -15,6 +15,14 @@ NodeOsModel makeModel(double noise = 0.02) {
   return NodeOsModel(params, Rng(42));
 }
 
+// One tickInto() into a fresh snapshot.
+SadcSnapshot tickOnce(NodeOsModel& model, SimTime now,
+                      const NodeActivity& activity) {
+  SadcSnapshot snap;
+  model.tickInto(now, activity, snap);
+  return snap;
+}
+
 TEST(Catalog, PaperMetricCounts) {
   // Section 3.5: "64 node-level metrics, 18 network-interface-specific
   // metrics and 19 process-level metrics".
@@ -41,7 +49,7 @@ TEST(OsModel, SnapshotHasFullDimensions) {
   NodeOsModel model = makeModel();
   NodeActivity idle;
   idle.memUsedBytes = 1.0e9;
-  const SadcSnapshot snap = model.tick(1.0, idle);
+  const SadcSnapshot snap = tickOnce(model, 1.0, idle);
   EXPECT_EQ(snap.node.size(), kNodeMetricCount);
   EXPECT_EQ(snap.nic.size(), kNicMetricCount);
   EXPECT_DOUBLE_EQ(snap.time, 1.0);
@@ -53,7 +61,7 @@ TEST(OsModel, CpuPercentagesSumToHundred) {
   busy.cpuUserCores = 2.0;
   busy.cpuSystemCores = 0.5;
   busy.memUsedBytes = 2.0e9;
-  const SadcSnapshot snap = model.tick(1.0, busy);
+  const SadcSnapshot snap = tickOnce(model, 1.0, busy);
   const auto& m = snap.node;
   const double total = m[kCpuUserPct] + m[kCpuNicePct] + m[kCpuSystemPct] +
                        m[kCpuIowaitPct] + m[kCpuStealPct] + m[kCpuIdlePct];
@@ -64,10 +72,10 @@ TEST(OsModel, CpuLoadRaisesUserPct) {
   NodeOsModel model = makeModel(0.0);
   NodeActivity idle;
   idle.memUsedBytes = 1.0e9;
-  const double idleUser = model.tick(1.0, idle).node[kCpuUserPct];
+  const double idleUser = tickOnce(model, 1.0, idle).node[kCpuUserPct];
   NodeActivity busy = idle;
   busy.cpuUserCores = 3.0;
-  const double busyUser = model.tick(2.0, busy).node[kCpuUserPct];
+  const double busyUser = tickOnce(model, 2.0, busy).node[kCpuUserPct];
   EXPECT_GT(busyUser, idleUser + 50.0);
 }
 
@@ -76,7 +84,7 @@ TEST(OsModel, CpuSaturatesAtCapacity) {
   NodeActivity over;
   over.cpuUserCores = 100.0;  // way past 4 cores
   over.memUsedBytes = 1.0e9;
-  const auto& m = model.tick(1.0, over).node;
+  const auto& m = tickOnce(model, 1.0, over).node;
   EXPECT_LE(m[kCpuUserPct], 100.0 + 1e-9);
   EXPECT_GE(m[kCpuIdlePct], 0.0);
 }
@@ -87,7 +95,7 @@ TEST(OsModel, DiskTrafficDrivesIoCounters) {
   io.diskReadBytes = 10.0e6;
   io.diskWriteBytes = 20.0e6;
   io.memUsedBytes = 1.0e9;
-  const auto& m = model.tick(1.0, io).node;
+  const auto& m = tickOnce(model, 1.0, io).node;
   EXPECT_NEAR(m[kIoReadBlocksPerSec], 10.0e6 / 512.0, 1.0);
   EXPECT_NEAR(m[kIoWriteBlocksPerSec], 20.0e6 / 512.0, 1.0);
   EXPECT_GT(m[kIoTps], 50.0);
@@ -100,7 +108,7 @@ TEST(OsModel, NetworkTrafficDrivesNicCounters) {
   net.netRxBytes = 3.0e6;
   net.netTxBytes = 1.5e6;
   net.memUsedBytes = 1.0e9;
-  const SadcSnapshot snap = model.tick(1.0, net);
+  const SadcSnapshot snap = tickOnce(model, 1.0, net);
   EXPECT_NEAR(snap.nic[kNicRxKbPerSec], 3.0e6 / 1024.0, 30.0);
   EXPECT_NEAR(snap.nic[kNicTxKbPerSec], 1.5e6 / 1024.0, 15.0);
   EXPECT_GT(snap.node[kNetRxPktTotalPerSec], 1000.0);
@@ -111,7 +119,7 @@ TEST(OsModel, DropsShowOnNic) {
   NodeActivity lossy;
   lossy.netRxDropPkts = 500.0;
   lossy.memUsedBytes = 1.0e9;
-  const SadcSnapshot snap = model.tick(1.0, lossy);
+  const SadcSnapshot snap = tickOnce(model, 1.0, lossy);
   EXPECT_GT(snap.nic[kNicRxDropPerSec], 400.0);
 }
 
@@ -119,7 +127,7 @@ TEST(OsModel, MemoryAccounting) {
   NodeOsModel model = makeModel(0.0);
   NodeActivity a;
   a.memUsedBytes = 4.0e9;
-  const auto& m = model.tick(1.0, a).node;
+  const auto& m = tickOnce(model, 1.0, a).node;
   EXPECT_GT(m[kMemUsedKb], 4.0e9 / 1024.0 * 0.95);
   EXPECT_GT(m[kMemUsedPct], 50.0);
   EXPECT_LT(m[kMemUsedPct], 100.0);
@@ -132,14 +140,14 @@ TEST(OsModel, LoadAverageIsEwma) {
   busy.memUsedBytes = 1.0e9;
   double prev = 0.0;
   for (int t = 1; t <= 120; ++t) {
-    const auto& m = model.tick(t, busy).node;
+    const auto& m = tickOnce(model, t, busy).node;
     EXPECT_GE(m[kLoadAvg1] + 1e-6, prev * 0.9);  // rising, roughly
     prev = m[kLoadAvg1];
   }
   // After 2 minutes of 8 runnable tasks, ldavg-1 should be well on its
   // way towards 8 and ldavg-15 should lag it.
   NodeActivity snapA = busy;
-  const auto& m = model.tick(121, snapA).node;
+  const auto& m = tickOnce(model, 121, snapA).node;
   EXPECT_GT(m[kLoadAvg1], 4.0);
   EXPECT_LT(m[kLoadAvg15], m[kLoadAvg1]);
 }
@@ -151,7 +159,7 @@ TEST(OsModel, NoiseGivesNonzeroVarianceOnQuietMetrics) {
   RunningStats iowait;
   RunningStats tps;
   for (int t = 1; t <= 200; ++t) {
-    const auto& m = model.tick(t, idle).node;
+    const auto& m = tickOnce(model, t, idle).node;
     iowait.add(m[kCpuIowaitPct]);
     tps.add(m[kIoTps]);
   }
@@ -171,7 +179,7 @@ TEST(OsModel, TracksProcessMetrics) {
   p.threads = 30;
   p.fds = 100;
   a.processes.push_back(p);
-  const SadcSnapshot snap = model.tick(1.0, a);
+  const SadcSnapshot snap = tickOnce(model, 1.0, a);
   ASSERT_EQ(snap.processes.size(), 1u);
   EXPECT_EQ(snap.processes[0].first, "TaskTracker");
   const auto& v = snap.processes[0].second;
@@ -191,7 +199,7 @@ TEST(OsModel, ProcessCpuTicksAccumulate) {
   a.processes.push_back(p);
   double prev = -1.0;
   for (int t = 1; t <= 10; ++t) {
-    const SadcSnapshot snap = model.tick(t, a);
+    const SadcSnapshot snap = tickOnce(model, t, a);
     const double ticks = snap.processes[0].second[kProcUserTimeTicks];
     EXPECT_GT(ticks, prev);
     prev = ticks;
@@ -203,7 +211,7 @@ TEST(Sadc, FlattenConcatenatesNodeAndNic) {
   NodeOsModel model = makeModel();
   NodeActivity a;
   a.memUsedBytes = 1.0e9;
-  const SadcSnapshot snap = model.tick(1.0, a);
+  const SadcSnapshot snap = tickOnce(model, 1.0, a);
   const auto flat = flattenNodeVector(snap);
   ASSERT_EQ(flat.size(), kFlatNodeVectorSize);
   EXPECT_DOUBLE_EQ(flat[0], snap.node[0]);

@@ -18,6 +18,14 @@ metrics::NodeActivity ioActivity() {
   return a;
 }
 
+// Records one second and returns a copy of its trace.
+TraceSecond traceOf(SyscallTraceModel& model,
+                    const metrics::NodeActivity& activity, int hungTasks = 0,
+                    int spinningTasks = 0) {
+  model.record(activity, hungTasks, spinningTasks);
+  return model.trace();
+}
+
 double categoryFraction(const TraceSecond& trace, Syscall kind) {
   if (trace.empty()) return 0.0;
   long hits = 0;
@@ -36,7 +44,7 @@ TEST(SyscallNames, AllKindsNamed) {
 
 TEST(TraceModel, BusyNodeEmitsBoundedTrace) {
   SyscallTraceModel model({256}, Rng(1));
-  const TraceSecond trace = model.tick(ioActivity());
+  const TraceSecond trace = traceOf(model, ioActivity());
   EXPECT_GT(trace.size(), 50u);
   EXPECT_LE(trace.size(), 256u);
   for (auto c : trace) EXPECT_LT(c, kSyscallKinds);
@@ -45,7 +53,7 @@ TEST(TraceModel, BusyNodeEmitsBoundedTrace) {
 TEST(TraceModel, IdleNodeIsQuietButNotSilent) {
   SyscallTraceModel model({256}, Rng(2));
   metrics::NodeActivity idle;
-  const TraceSecond trace = model.tick(idle);
+  const TraceSecond trace = traceOf(model, idle);
   // Daemons still futex/epoll a little.
   EXPECT_GT(trace.size(), 5u);
   EXPECT_LT(trace.size(), 64u);
@@ -55,14 +63,14 @@ TEST(TraceModel, DiskTrafficShowsAsReads) {
   SyscallTraceModel model({256}, Rng(3));
   metrics::NodeActivity diskHeavy;
   diskHeavy.diskReadBytes = 6.0e7;
-  const TraceSecond trace = model.tick(diskHeavy);
+  const TraceSecond trace = traceOf(model, diskHeavy);
   EXPECT_GT(categoryFraction(trace, Syscall::kRead), 0.5);
 }
 
 TEST(TraceModel, HungTaskFloodsFutexAndSleep) {
   SyscallTraceModel model({256}, Rng(4));
-  const TraceSecond normal = model.tick(ioActivity(), 0, 0);
-  const TraceSecond hung = model.tick(ioActivity(), 2, 0);
+  const TraceSecond normal = traceOf(model, ioActivity(), 0, 0);
+  const TraceSecond hung = traceOf(model, ioActivity(), 2, 0);
   const double normalFutex = categoryFraction(normal, Syscall::kFutex) +
                              categoryFraction(normal, Syscall::kNanosleep);
   const double hungFutex = categoryFraction(hung, Syscall::kFutex) +
@@ -73,7 +81,7 @@ TEST(TraceModel, HungTaskFloodsFutexAndSleep) {
 TEST(TraceModel, DeterministicForSeed) {
   SyscallTraceModel a({256}, Rng(5));
   SyscallTraceModel b({256}, Rng(5));
-  EXPECT_EQ(a.tick(ioActivity()), b.tick(ioActivity()));
+  EXPECT_EQ(traceOf(a, ioActivity()), traceOf(b, ioActivity()));
 }
 
 TEST(Markov, UntrainedModelHasUniformBaseline) {
@@ -106,7 +114,7 @@ TEST(Markov, LearnsTransitions) {
 TEST(Markov, OffModelSequenceScoresHigherNll) {
   MarkovModel model;
   SyscallTraceModel gen({256}, Rng(6));
-  for (int i = 0; i < 120; ++i) model.train(gen.tick(ioActivity()));
+  for (int i = 0; i < 120; ++i) model.train(traceOf(gen, ioActivity()));
 
   SyscallTraceModel probe({256}, Rng(7));
   const double baseline = model.entropyBaseline();
@@ -118,9 +126,9 @@ TEST(Markov, OffModelSequenceScoresHigherNll) {
   double hungScore = 0.0;
   for (int i = 0; i < 60; ++i) {
     normalScore += std::abs(
-        model.negLogLikelihood(probe.tick(ioActivity())) - baseline);
+        model.negLogLikelihood(traceOf(probe, ioActivity())) - baseline);
     hungScore += std::abs(
-        model.negLogLikelihood(probe.tick(metrics::NodeActivity{}, 3, 0)) -
+        model.negLogLikelihood(traceOf(probe, metrics::NodeActivity{}, 3, 0)) -
         baseline);
   }
   EXPECT_GT(hungScore, normalScore * 1.5);
@@ -129,7 +137,7 @@ TEST(Markov, OffModelSequenceScoresHigherNll) {
 TEST(Markov, EmptyTraceScoresBaseline) {
   MarkovModel model;
   SyscallTraceModel gen({256}, Rng(8));
-  for (int i = 0; i < 50; ++i) model.train(gen.tick(ioActivity()));
+  for (int i = 0; i < 50; ++i) model.train(traceOf(gen, ioActivity()));
   EXPECT_DOUBLE_EQ(model.negLogLikelihood({}),
                    model.entropyBaseline());
   EXPECT_DOUBLE_EQ(model.negLogLikelihood({1}), model.entropyBaseline());
@@ -138,8 +146,8 @@ TEST(Markov, EmptyTraceScoresBaseline) {
 TEST(Markov, NllIsFiniteAndPositive) {
   MarkovModel model;
   SyscallTraceModel gen({256}, Rng(9));
-  for (int i = 0; i < 30; ++i) model.train(gen.tick(ioActivity()));
-  const double nll = model.negLogLikelihood(gen.tick(ioActivity()));
+  for (int i = 0; i < 30; ++i) model.train(traceOf(gen, ioActivity()));
+  const double nll = model.negLogLikelihood(traceOf(gen, ioActivity()));
   EXPECT_GT(nll, 0.0);
   EXPECT_LT(nll, 10.0);
 }
