@@ -221,14 +221,11 @@ int main(int argc, char** argv) {
   const double minFramesPerSec =
       bench::flagDouble(argc, argv, "min-frames-per-sec", 0.0);
 
-  ShardGroup group(ShardGroupOptions{0, shards, /*preferReusePort=*/true});
+  ShardGroup group(ShardGroupOptions{0, shards});
   const rpc::Encoder response = makeResponse();
-  for (int i = 0; i < group.shardCount(); ++i) {
-    group.server(i).onFrame(
-        [&response](TcpServer::Connection& conn, const Frame&) {
-          conn.send(MsgType::kSadcData, response);
-        });
-  }
+  group.onFrame([&response](TcpServer::Connection& conn, const Frame&) {
+    conn.send(MsgType::kSadcData, response);
+  });
   std::thread serverThread([&group] { group.runOnCaller(); });
 
   const std::size_t requestWire = makeRequest().size();

@@ -207,7 +207,7 @@ void FptCore::wireInputs(ModuleInstance& instance) {
     // the consumers of that port (deduplicated so one consumer with
     // several connections to the port still counts one update per
     // write, matching the historical notification semantics).
-    const auto bind = [&instance, &conns = it->second](OutputPort& port) {
+    const auto connect = [&instance, &conns = it->second](OutputPort& port) {
       conns.push_back(InputConnection{&port, 0});
       auto& listeners = port.listeners;
       if (std::find(listeners.begin(), listeners.end(), &instance) ==
@@ -222,7 +222,7 @@ void FptCore::wireInputs(ModuleInstance& instance) {
             "config line %d: instance '%s' has no outputs to bind",
             spec.line, spec.producerId.c_str()));
       }
-      for (auto& port : producer.outputs_) bind(*port);
+      for (auto& port : producer.outputs_) connect(*port);
     } else {
       OutputPort* port = producer.findOutput(spec.output);
       if (port == nullptr) {
@@ -230,7 +230,7 @@ void FptCore::wireInputs(ModuleInstance& instance) {
             "config line %d: instance '%s' has no output '%s'", spec.line,
             spec.producerId.c_str(), spec.output.c_str()));
       }
-      bind(*port);
+      connect(*port);
     }
   }
 }

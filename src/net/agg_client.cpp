@@ -3,29 +3,13 @@
 #include "common/error.h"
 
 namespace asdf::net {
-namespace {
 
-constexpr const char kGreeting[] = "asdf-root";
-
-FramedClient::Options clientOptions(const AggClient::Options& opts) {
-  FramedClient::Options copts;
-  copts.host = opts.host;
-  copts.port = opts.port;
-  copts.timeoutSeconds = opts.timeoutSeconds;
-  copts.peerName = "asdf_aggd";
-  copts.backoffSeed = opts.backoffSeed;
-  return copts;
-}
-
-}  // namespace
-
-AggClient::AggClient(const Options& opts) : client_(clientOptions(opts)) {}
+AggClient::AggClient(const Options& opts)
+    : client_({opts, "asdf_aggd", "asdf-root"}) {}
 
 bool AggClient::fetchSummary(rpc::SummaryChannel channel, double since,
                              std::vector<rpc::SummaryWindow>& out,
                              std::size_t& responseBytes) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!client_.greet(kGreeting)) return false;
   rpc::Encoder req;
   req.putU32(static_cast<std::uint32_t>(channel));
   req.putDouble(since);
@@ -50,9 +34,6 @@ bool AggClient::fetchSummary(rpc::SummaryChannel channel, double since,
   return true;
 }
 
-void AggClient::shutdownServer() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  client_.requestShutdown(kGreeting);
-}
+void AggClient::shutdownServer() { client_.requestShutdown(); }
 
 }  // namespace asdf::net

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -19,14 +18,10 @@ namespace asdf::net {
 
 class AggClient {
  public:
-  struct Options {
-    std::string host = "127.0.0.1";
-    std::uint16_t port = 0;
-    double timeoutSeconds = 5.0;
-    /// Seeds the redial backoff jitter (see FramedClient::Options).
-    std::uint64_t backoffSeed = 1;
-  };
+  using Options = EndpointOptions;
 
+  /// Connects lazily; throws NetError only when the host is not an
+  /// IPv4 literal.
   explicit AggClient(const Options& opts);
   AggClient(const AggClient&) = delete;
   AggClient& operator=(const AggClient&) = delete;
@@ -52,7 +47,6 @@ class AggClient {
   long suppressedDials() const { return client_.suppressedDials(); }
 
  private:
-  std::mutex mutex_;
   FramedClient client_;
 };
 

@@ -5,17 +5,11 @@ namespace asdf::net {
 AggServer::AggServer(const AggServerOptions& opts)
     : opts_(opts),
       hello_{opts.groupSize, opts.seed, "agg"},
-      group_(ShardGroupOptions{opts.port, opts.shards,
-                               /*preferReusePort=*/true}) {
-  for (int i = 0; i < group_.shardCount(); ++i) {
-    group_.server(i).onFrame(
-        [this](TcpServer::Connection& conn, const Frame& frame) {
-          handleFrame(conn, frame);
-        });
-    if (opts_.idleTimeoutSeconds > 0.0) {
-      group_.server(i).setIdleTimeout(opts_.idleTimeoutSeconds);
-    }
-  }
+      group_(ShardGroupOptions{opts.port, opts.shards}) {
+  group_.onFrame([this](TcpServer::Connection& conn, const Frame& frame) {
+    handleFrame(conn, frame);
+  });
+  group_.setIdleTimeout(opts_.idleTimeoutSeconds);
 }
 
 void AggServer::run() { group_.runOnCaller(); }

@@ -36,7 +36,6 @@ class AggServer {
   explicit AggServer(const AggServerOptions& opts);
 
   std::uint16_t port() const { return group_.port(); }
-  int shardCount() const { return group_.shardCount(); }
 
   /// Serves until stop() or a kShutdown frame.
   void run();

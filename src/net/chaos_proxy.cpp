@@ -1,35 +1,19 @@
 #include "net/chaos_proxy.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cmath>
-#include <cstring>
 
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/strings.h"
+#include "net/socket.h"
 
 namespace asdf::net {
 namespace {
-
-void setNonBlocking(int fd) {
-  const int flags = fcntl(fd, F_GETFL, 0);
-  fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-double monotonicSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// splitmix64 finalizer: the stateless per-byte decision hash.
 std::uint64_t mix64(std::uint64_t x) {
@@ -119,44 +103,18 @@ struct ChaosProxy::Relay {
 };
 
 ChaosProxy::ChaosProxy(EventLoop& loop, ChaosOptions opts)
-    : loop_(loop), opts_(std::move(opts)) {
+    : loop_(loop),
+      opts_(std::move(opts)),
+      listener_(loop, opts_.listenPort, /*reusePort=*/false,
+                [this](int fd) { addRelay(fd); }) {
+  requireIpv4Host(opts_.upstreamHost);
   if (opts_.phases.empty()) opts_.phases.push_back(ChaosPhase{});
-
-  listenFd_ = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listenFd_ < 0) {
-    throw NetError(std::string("chaos: socket: ") + std::strerror(errno));
-  }
-  const int one = 1;
-  setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(opts_.listenPort);
-  if (bind(listenFd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      listen(listenFd_, 64) < 0) {
-    const std::string why = std::strerror(errno);
-    close(listenFd_);
-    listenFd_ = -1;
-    throw NetError("chaos: bind 127.0.0.1:" +
-                   std::to_string(opts_.listenPort) + ": " + why);
-  }
-  socklen_t len = sizeof(addr);
-  getsockname(listenFd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
-  setNonBlocking(listenFd_);
-  loop_.watchFd(listenFd_, /*wantRead=*/true, /*wantWrite=*/false,
-                [this](int, std::uint32_t) { handleAccept(); });
-
   enterPhase(0);
 }
 
 ChaosProxy::~ChaosProxy() {
   if (phaseTimer_ >= 0) loop_.cancelTimer(phaseTimer_);
   while (!relays_.empty()) dropRelay(relays_.begin()->first, /*rst=*/false);
-  if (listenFd_ >= 0) {
-    loop_.unwatchFd(listenFd_);
-    close(listenFd_);
-  }
 }
 
 void ChaosProxy::logEvent(ChaosEvent ev) {
@@ -267,75 +225,49 @@ void ChaosProxy::scheduleNextPhase() {
   });
 }
 
-void ChaosProxy::handleAccept() {
-  for (;;) {
-    const int fd = accept(listenFd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // EAGAIN or transient failure; keep listening
-    }
-    setNonBlocking(fd);
-    const int one = 1;
-    setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+void ChaosProxy::addRelay(int fd) {
+  auto relay = std::make_unique<Relay>();
+  Relay* raw = relay.get();
+  raw->id = nextConnId_++;
+  raw->fd[0] = fd;
+  for (int d = 0; d < 2; ++d) {
+    raw->dirs[d].jitterRng =
+        Rng(mix64(opts_.seed ^ raw->id * 0xA24BAED4963EE407ULL ^
+                  static_cast<std::uint64_t>(d)));
+  }
+  relays_.emplace(raw->id, std::move(relay));
+  {
+    std::lock_guard<std::mutex> lock(statsMutex_);
+    ++accepted_;
+  }
+  ChaosEvent ev;
+  ev.kind = ChaosEvent::Kind::kAccept;
+  ev.conn = raw->id;
+  ev.phase = static_cast<int>(phaseIndex_);
+  logEvent(ev);
 
-    auto relay = std::make_unique<Relay>();
-    Relay* raw = relay.get();
-    raw->id = nextConnId_++;
-    raw->fd[0] = fd;
-    for (int d = 0; d < 2; ++d) {
-      raw->dirs[d].jitterRng =
-          Rng(mix64(opts_.seed ^ raw->id * 0xA24BAED4963EE407ULL ^
-                    static_cast<std::uint64_t>(d)));
-    }
-    relays_.emplace(raw->id, std::move(relay));
-    {
-      std::lock_guard<std::mutex> lock(statsMutex_);
-      ++accepted_;
-    }
-    ChaosEvent ev;
-    ev.kind = ChaosEvent::Kind::kAccept;
-    ev.conn = raw->id;
-    ev.phase = static_cast<int>(phaseIndex_);
-    logEvent(ev);
+  const std::uint64_t id = raw->id;
+  loop_.watchFd(fd, /*wantRead=*/!phase().blackhole, /*wantWrite=*/false,
+                [this, id](int, std::uint32_t events) {
+                  const auto it = relays_.find(id);
+                  if (it != relays_.end()) {
+                    handleClientEvents(*it->second, events);
+                  }
+                });
+  raw->watched[0] = true;
 
-    const std::uint64_t id = raw->id;
-    loop_.watchFd(fd, /*wantRead=*/!phase().blackhole, /*wantWrite=*/false,
-                  [this, id](int, std::uint32_t events) {
-                    const auto it = relays_.find(id);
-                    if (it != relays_.end()) {
-                      handleClientEvents(*it->second, events);
-                    }
-                  });
-    raw->watched[0] = true;
-
-    if (phase().blackhole) {
-      raw->dialDeferred = true;  // the partition also severs new dials
-    } else {
-      startUpstreamConnect(*raw);
-    }
+  if (phase().blackhole) {
+    raw->dialDeferred = true;  // the partition also severs new dials
+  } else {
+    startUpstreamConnect(*raw);
   }
 }
 
 void ChaosProxy::startUpstreamConnect(Relay& relay) {
   relay.dialDeferred = false;
-  const int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  bool inProgress = false;
+  const int fd = dial(opts_.upstreamHost, opts_.upstreamPort, inProgress);
   if (fd < 0) {
-    dropRelay(relay.id, /*rst=*/true);
-    return;
-  }
-  setNonBlocking(fd);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(opts_.upstreamPort);
-  if (inet_pton(AF_INET, opts_.upstreamHost.c_str(), &addr.sin_addr) != 1) {
-    close(fd);
-    dropRelay(relay.id, /*rst=*/true);
-    return;
-  }
-  const int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                           sizeof(addr));
-  if (rc < 0 && errno != EINPROGRESS) {
-    close(fd);
     ChaosEvent ev;
     ev.kind = ChaosEvent::Kind::kUpstreamFailed;
     ev.conn = relay.id;
@@ -344,10 +276,8 @@ void ChaosProxy::startUpstreamConnect(Relay& relay) {
     dropRelay(relay.id, /*rst=*/true);
     return;
   }
-  const int one = 1;
-  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   relay.fd[1] = fd;
-  relay.connecting = rc < 0;
+  relay.connecting = inProgress;
   const std::uint64_t id = relay.id;
   loop_.watchFd(fd, /*wantRead=*/!relay.connecting,
                 /*wantWrite=*/relay.connecting,
@@ -373,10 +303,7 @@ void ChaosProxy::handleClientEvents(Relay& relay, std::uint32_t events) {
 
 void ChaosProxy::handleUpstreamEvents(Relay& relay, std::uint32_t events) {
   if (relay.connecting) {
-    int err = 0;
-    socklen_t len = sizeof(err);
-    getsockopt(relay.fd[1], SOL_SOCKET, SO_ERROR, &err, &len);
-    if ((events & EventLoop::kClosed) || err != 0) {
+    if ((events & EventLoop::kClosed) || dialError(relay.fd[1]) != 0) {
       ChaosEvent ev;
       ev.kind = ChaosEvent::Kind::kUpstreamFailed;
       ev.conn = relay.id;

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "net/event_loop.h"
+#include "net/socket.h"
 
 namespace asdf::net {
 
@@ -104,7 +105,8 @@ struct ChaosEvent {
 class ChaosProxy {
  public:
   /// Binds 127.0.0.1:listenPort and schedules the phase timeline on
-  /// `loop`. Throws NetError on bind failure. Everything but the
+  /// `loop`. Throws NetError on bind failure, or naming the upstream
+  /// host unless it is an IPv4 literal. Everything but the
   /// counters/log accessors must run with the loop (construct before
   /// starting it, destroy after stopping it).
   ChaosProxy(EventLoop& loop, ChaosOptions opts);
@@ -112,7 +114,7 @@ class ChaosProxy {
   ChaosProxy(const ChaosProxy&) = delete;
   ChaosProxy& operator=(const ChaosProxy&) = delete;
 
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return listener_.port(); }
 
   /// Thread-safe counters / log (mutex-guarded; callable mid-run).
   std::vector<ChaosEvent> events() const;
@@ -133,7 +135,7 @@ class ChaosProxy {
  private:
   struct Relay;  // one proxied connection (client fd + upstream fd)
 
-  void handleAccept();
+  void addRelay(int fd);  // one accepted client connection
   void enterPhase(std::size_t index);
   void scheduleNextPhase();
   const ChaosPhase& phase() const { return opts_.phases[phaseIndex_]; }
@@ -160,8 +162,7 @@ class ChaosProxy {
 
   EventLoop& loop_;
   ChaosOptions opts_;
-  int listenFd_ = -1;
-  std::uint16_t port_ = 0;
+  Listener listener_;
   std::size_t phaseIndex_ = 0;
   int phaseTimer_ = -1;
   std::uint64_t nextConnId_ = 1;

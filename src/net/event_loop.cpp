@@ -5,10 +5,11 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <string>
+
+#include "net/socket.h"
 
 namespace asdf::net {
 namespace {
@@ -74,12 +75,6 @@ void EventLoop::unwatchFd(int fd) {
   epoll_ctl(epollFd_, EPOLL_CTL_DEL, fd, nullptr);
 }
 
-double EventLoop::monotonicSeconds() const {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 int EventLoop::addTimer(double delaySeconds, TimerCallback cb) {
   const int id = nextTimerId_++;
   timers_[id] = std::move(cb);
@@ -127,7 +122,6 @@ int EventLoop::runOnce(double maxWaitSeconds) {
   }
 
   int dispatched = dispatchDueTimers();
-  dispatched += drainPostedTasks();
   for (int i = 0; i < n; ++i) {
     const int fd = events[i].data.fd;
     if (fd == wakeupFd_) {
@@ -154,9 +148,9 @@ void EventLoop::run() {
   while (!stopped_) {
     runOnce(-1.0);
   }
-  // Final non-blocking drain: readiness that raced with stop() — a
-  // peer close, a posted task — is dispatched instead of dropped, so
-  // observable teardown state (connection counts, close callbacks) is
+  // Final non-blocking drain: readiness that raced with stop(), such as
+  // a peer close, is dispatched instead of dropped, so observable
+  // teardown state (connection counts, close callbacks) is
   // settled by the time run() returns. Without this, whether an EOF
   // that arrived just before stop() is processed depends on whether it
   // shared an epoll batch with the wakeup.
@@ -168,26 +162,6 @@ void EventLoop::stop() {
   const std::uint64_t one = 1;
   // Best-effort: the loop also re-checks stopped_ after every wait.
   [[maybe_unused]] ssize_t n = write(wakeupFd_, &one, sizeof(one));
-}
-
-void EventLoop::post(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(tasksMutex_);
-    tasks_.push_back(std::move(task));
-  }
-  const std::uint64_t one = 1;
-  [[maybe_unused]] ssize_t n = write(wakeupFd_, &one, sizeof(one));
-}
-
-int EventLoop::drainPostedTasks() {
-  std::vector<std::function<void()>> run;
-  {
-    std::lock_guard<std::mutex> lock(tasksMutex_);
-    if (tasks_.empty()) return 0;
-    run.swap(tasks_);
-  }
-  for (auto& task : run) task();
-  return static_cast<int>(run.size());
 }
 
 }  // namespace asdf::net

@@ -7,18 +7,16 @@
 // cluster simulation deterministic: requests are handled in arrival
 // order, never concurrently.
 //
-// Level-triggered, single-threaded by design. Only stop() and post()
-// may be called from another thread (they signal the wakeup fd);
-// everything else must run on the loop thread. post() is how the
-// sharded plane hands accepted fds across shard loops without sharing
-// any connection state.
+// Level-triggered, single-threaded by design. Only stop() may be
+// called from another thread (it signals the wakeup fd); everything
+// else must run on the loop thread. Nothing crosses loops: each shard
+// of the sharded plane accepts on its own listener.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <queue>
 #include <vector>
 
@@ -69,10 +67,6 @@ class EventLoop {
   /// Thread-safe: wakes the loop and makes run() return.
   void stop();
 
-  /// Thread-safe: queues `task` to run on the loop thread during its
-  /// next dispatch round and wakes the loop.
-  void post(std::function<void()> task);
-
   bool stopped() const { return stopped_; }
   std::size_t watchedFds() const { return fds_.size(); }
 
@@ -91,9 +85,7 @@ class EventLoop {
     }
   };
 
-  double monotonicSeconds() const;
   int dispatchDueTimers();
-  int drainPostedTasks();
 
   int epollFd_ = -1;
   int wakeupFd_ = -1;
@@ -102,8 +94,6 @@ class EventLoop {
   std::map<int, TimerCallback> timers_;  // id -> callback (empty = canceled)
   int nextTimerId_ = 1;
   std::uint64_t nextTimerSeq_ = 0;
-  std::mutex tasksMutex_;
-  std::vector<std::function<void()>> tasks_;  // guarded by tasksMutex_
   std::atomic<bool> stopped_{false};
 };
 

@@ -3,7 +3,7 @@
 #include <cstdlib>
 
 #include "common/error.h"
-#include "net/event_loop.h"
+#include "net/socket.h"
 
 namespace asdf::net {
 
@@ -16,6 +16,7 @@ void parseEndpoint(const std::string& endpoint, std::string& host,
                    "' (expected host:port)");
   }
   host = endpoint.substr(0, colon);
+  requireIpv4Host(host);
   const long p = std::atol(endpoint.c_str() + colon + 1);
   if (p < 1 || p > 65535) {
     throw NetError("malformed endpoint '" + endpoint + "' (bad port)");

@@ -42,7 +42,8 @@ class FanoutCollector final : public rpc::LiveCollector {
   std::vector<std::unique_ptr<LiveTransport>> transports_;
 };
 
-/// Splits "host:port" (throws NetError on a malformed endpoint).
+/// Splits "host:port" (throws NetError on a malformed endpoint, or
+/// naming the host unless it is an IPv4 literal).
 void parseEndpoint(const std::string& endpoint, std::string& host,
                    std::uint16_t& port);
 

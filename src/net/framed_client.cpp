@@ -1,29 +1,19 @@
 #include "net/framed_client.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 
 #include "common/error.h"
 #include "common/logging.h"
+#include "net/socket.h"
 #include "rpc/rpc_client.h"
 
 namespace asdf::net {
 namespace {
-
-double monotonicSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 int pollMillis(double remaining) {
   return static_cast<int>(std::max(1.0, remaining * 1000.0));
@@ -32,11 +22,18 @@ int pollMillis(double remaining) {
 }  // namespace
 
 FramedClient::FramedClient(Options opts)
-    : opts_(std::move(opts)), backoffRng_(opts_.backoffSeed) {}
+    : opts_(std::move(opts)), backoffRng_(opts_.backoffSeed) {
+  requireIpv4Host(opts_.host);
+}
 
-FramedClient::~FramedClient() { disconnect(); }
+FramedClient::~FramedClient() { closeLocked(); }
 
 void FramedClient::disconnect() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  closeLocked();
+}
+
+void FramedClient::closeLocked() {
   if (fd_ >= 0) {
     close(fd_);
     fd_ = -1;
@@ -52,65 +49,33 @@ void FramedClient::backoffFailure() {
   nextDialAllowed_ = monotonicSeconds() + backoff;
 }
 
-bool FramedClient::connect() {
+bool FramedClient::dialLocked() {
   if (fd_ >= 0) return true;
   if (monotonicSeconds() < nextDialAllowed_) {
     ++suppressedDials_;
     return false;
   }
-  const int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  bool inProgress = false;
+  const int fd = dial(opts_.host, opts_.port, inProgress);
   if (fd < 0) {
     backoffFailure();
     return false;
   }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(opts_.port);
-  if (inet_pton(AF_INET, opts_.host.c_str(), &addr.sin_addr) != 1) {
-    close(fd);
-    backoffFailure();
-    return false;
-  }
-  const int flags = fcntl(fd, F_GETFL, 0);
-  fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  const int rc =
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-  if (rc < 0 && errno != EINPROGRESS) {
-    close(fd);
-    backoffFailure();
-    return false;
-  }
-  if (rc < 0) {
-    // Dial in flight: bound it by the per-call deadline.
-    const double deadline = monotonicSeconds() + opts_.timeoutSeconds;
-    for (;;) {
-      const double remaining = deadline - monotonicSeconds();
-      if (remaining <= 0) {
-        close(fd);
-        backoffFailure();
-        return false;
-      }
-      pollfd pfd{fd, POLLOUT, 0};
-      const int ready = poll(&pfd, 1, pollMillis(remaining));
-      if (ready < 0 && errno == EINTR) continue;
-      if (ready <= 0) {
-        close(fd);
-        backoffFailure();
-        return false;
-      }
-      int err = 0;
-      socklen_t len = sizeof(err);
-      getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len);
-      if (err != 0) {
-        close(fd);
-        backoffFailure();
-        return false;
-      }
-      break;
+  // A dial in flight is bounded by the per-call deadline.
+  const double deadline = monotonicSeconds() + opts_.timeoutSeconds;
+  while (inProgress) {
+    const double remaining = deadline - monotonicSeconds();
+    pollfd pfd{fd, POLLOUT, 0};
+    const int ready =
+        remaining > 0 ? poll(&pfd, 1, pollMillis(remaining)) : 0;
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready <= 0 || dialError(fd) != 0) {
+      close(fd);
+      backoffFailure();
+      return false;
     }
+    break;
   }
-  const int one = 1;
-  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   fd_ = fd;
   decoder_ = FrameDecoder();
   if (everConnected_) ++reconnects_;
@@ -118,14 +83,19 @@ bool FramedClient::connect() {
   return true;
 }
 
-bool FramedClient::greet(const std::string& greeting) {
-  if (connected()) return true;
-  if (!connect()) return false;
+bool FramedClient::greet() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return greetLocked();
+}
+
+bool FramedClient::greetLocked() {
+  if (fd_ >= 0) return true;
+  if (!dialLocked()) return false;
   rpc::Encoder hello;
   hello.putU32(kProtocolVersion);
-  hello.putString(greeting);
+  hello.putString(opts_.greeting);
   Frame ack;
-  if (call(MsgType::kHello, hello, MsgType::kHelloAck, ack)) {
+  if (exchange(MsgType::kHello, hello, MsgType::kHelloAck, ack)) {
     try {
       rpc::Decoder dec(ack.payload);
       HelloAck peer;
@@ -140,20 +110,29 @@ bool FramedClient::greet(const std::string& greeting) {
     } catch (const RpcError&) {
     }
   }
-  disconnect();
+  closeLocked();
   backoffFailure();
   return false;
 }
 
-void FramedClient::requestShutdown(const std::string& greeting) {
-  if (!greet(greeting)) return;
+void FramedClient::requestShutdown() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!greetLocked()) return;
   Frame ack;
-  (void)call(MsgType::kShutdown, rpc::Encoder{}, MsgType::kShutdownAck, ack);
-  disconnect();
+  (void)exchange(MsgType::kShutdown, rpc::Encoder{}, MsgType::kShutdownAck,
+                 ack);
+  closeLocked();
 }
 
 bool FramedClient::call(MsgType request, const rpc::Encoder& payload,
                         MsgType expected, Frame& response) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!opts_.greeting.empty() && !greetLocked()) return false;
+  return exchange(request, payload, expected, response);
+}
+
+bool FramedClient::exchange(MsgType request, const rpc::Encoder& payload,
+                            MsgType expected, Frame& response) {
   if (fd_ < 0) return false;
   const double deadline = monotonicSeconds() + opts_.timeoutSeconds;
 
@@ -171,18 +150,18 @@ bool FramedClient::call(MsgType request, const rpc::Encoder& payload,
       // Throttled peer: wait for writability, never past the deadline.
       const double remaining = deadline - monotonicSeconds();
       if (remaining <= 0) {
-        disconnect();
+        closeLocked();
         return false;
       }
       pollfd pfd{fd_, POLLOUT, 0};
       const int ready = poll(&pfd, 1, pollMillis(remaining));
       if (ready < 0 && errno != EINTR) {
-        disconnect();
+        closeLocked();
         return false;
       }
       continue;  // deadline re-checked above
     }
-    disconnect();
+    closeLocked();
     return false;
   }
 
@@ -208,20 +187,20 @@ bool FramedClient::call(MsgType request, const rpc::Encoder& payload,
       // Unexpected type (e.g. a stale response after a timeout): a
       // request/response stream this far out of step cannot be
       // trusted — resync by reconnecting.
-      disconnect();
+      closeLocked();
       return false;
     }
 
     const double remaining = deadline - monotonicSeconds();
     if (remaining <= 0) {
-      disconnect();  // a late response would desync the stream
+      closeLocked();  // a late response would desync the stream
       return false;
     }
     pollfd pfd{fd_, POLLIN, 0};
     const int ready = poll(&pfd, 1, pollMillis(remaining));
     if (ready < 0) {
       if (errno == EINTR) continue;
-      disconnect();
+      closeLocked();
       return false;
     }
     if (ready == 0) continue;  // deadline re-checked above
@@ -232,7 +211,7 @@ bool FramedClient::call(MsgType request, const rpc::Encoder& payload,
       if (!decoder_.feed(buf, static_cast<std::size_t>(n))) {
         logWarn("net: malformed frame from " + opts_.peerName + ": " +
                 frameErrorName(decoder_.error()));
-        disconnect();
+        closeLocked();
         return false;
       }
       continue;
@@ -240,7 +219,7 @@ bool FramedClient::call(MsgType request, const rpc::Encoder& payload,
     if (n < 0 && (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
       continue;
     }
-    disconnect();  // peer closed or hard error
+    closeLocked();  // peer closed or hard error
     return false;
   }
 }

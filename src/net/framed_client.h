@@ -9,13 +9,16 @@
 // request write and the response read all respect the per-call
 // deadline even when a throttled peer accepts bytes one at a time.
 // Redials are gated by capped exponential backoff with seeded jitter
-// so a dead daemon is never hammered in a hot loop. The hello
-// exchange and the shutdown request live here too, once for every
-// client; each owner passes its own greeting. NOT thread-safe: the
-// owner serializes calls, typically under its own mutex.
+// so a dead daemon is never hammered in a hot loop. The session lives
+// here too, once for every client: with a greeting in its Options,
+// every fresh connection opens with the hello exchange before its
+// first call, and requestShutdown() closes the session. Every public
+// call is serialized on an internal mutex, so collectors on a pool
+// executor can share one client without interleaving frames.
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <string>
 
 #include "common/rng.h"
@@ -23,24 +26,33 @@
 
 namespace asdf::net {
 
+/// Where a framed-protocol client dials, and how patiently.
+struct EndpointOptions {
+  std::string host = "127.0.0.1";  // an IPv4 literal
+  std::uint16_t port = 0;
+  /// Per-attempt deadline covering request + response (and, on a
+  /// fresh connection, the dial and the hello).
+  double timeoutSeconds = 5.0;
+  /// Seeds the redial backoff jitter.
+  std::uint64_t backoffSeed = 1;
+};
+
 class FramedClient {
  public:
-  struct Options {
-    std::string host = "127.0.0.1";
-    std::uint16_t port = 0;
-    /// Per-attempt deadline covering request + response (and, on a
-    /// fresh connection, the dial).
-    double timeoutSeconds = 5.0;
+  struct Options : EndpointOptions {
     /// Peer name used in log messages ("asdf_rpcd", "asdf_aggd").
     std::string peerName = "daemon";
+    /// Sent in the kHello that opens every fresh connection; empty
+    /// means no session (bare framed exchanges).
+    std::string greeting;
     /// Redial backoff: after the k-th consecutive failure the next
     /// dial is allowed only backoffBase * 2^k seconds later (capped,
     /// jittered: rpc::jitteredBackoff, as RpcClient's retries).
     double backoffBaseSeconds = 0.05;
     double backoffMaxSeconds = 2.0;
-    std::uint64_t backoffSeed = 1;
   };
 
+  /// Throws NetError naming the host unless it is an IPv4 literal.
   explicit FramedClient(Options opts);
   ~FramedClient();
   FramedClient(const FramedClient&) = delete;
@@ -50,30 +62,35 @@ class FramedClient {
   /// greet()). True when already connected. False immediately —
   /// without touching the network — while a redial backoff window is
   /// open.
-  bool connect();
+  bool connect() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return dialLocked();
+  }
 
   /// Connects when not connected and opens the session on the fresh
   /// connection: kHello{version, greeting} answered by a kHelloAck of
   /// the same version serving at least one member, kept in peer().
-  /// Any hello failure disconnects and charges backoffFailure(), so a
-  /// peer that takes the dial but never answers (a partition: SYN
+  /// Any hello failure disconnects and charges the redial backoff, so
+  /// a peer that takes the dial but never answers (a partition: SYN
   /// completes, bytes never do) is not redialed in a hot loop. True
   /// when connected and greeted.
-  bool greet(const std::string& greeting);
+  bool greet();
 
   /// The last successful hello's ack (members 0 before the first).
   const HelloAck& peer() const { return peer_; }
 
   /// Asks the peer to exit (greeting it first if not connected):
   /// kShutdown, then disconnects. Best-effort.
-  void requestShutdown(const std::string& greeting);
+  void requestShutdown();
   void disconnect();
   bool connected() const { return fd_ >= 0; }
 
-  /// One request/response exchange. False on not-connected, timeout,
-  /// disconnect, framing error (all drop the connection), or a kError
-  /// response (logged; the connection stays usable — the peer
-  /// replied). A successful exchange resets the redial backoff.
+  /// One request/response exchange; with a greeting, on a greeted
+  /// connection (greet() first when not connected). False on
+  /// not-connected, timeout, disconnect, framing error (all drop the
+  /// connection), or a kError response (logged; the connection stays
+  /// usable — the peer replied). A successful exchange resets the
+  /// redial backoff.
   bool call(MsgType request, const rpc::Encoder& payload, MsgType expected,
             Frame& response);
 
@@ -85,10 +102,17 @@ class FramedClient {
   long suppressedDials() const { return suppressedDials_; }
 
  private:
+  // The unserialized bodies of the public calls; mutex_ held.
+  bool dialLocked();
+  bool greetLocked();
+  bool exchange(MsgType request, const rpc::Encoder& payload,
+                MsgType expected, Frame& response);
+  void closeLocked();
   /// Charges one failure to the redial backoff.
   void backoffFailure();
 
   Options opts_;
+  std::mutex mutex_;
   HelloAck peer_;
   int fd_ = -1;
   FrameDecoder decoder_;

@@ -5,41 +5,18 @@
 #include "rpc/payloads.h"
 
 namespace asdf::net {
-namespace {
-
-constexpr const char kGreeting[] = "asdf-fpt-core";
-
-FramedClient::Options clientOptions(const LiveTransport::Options& opts) {
-  FramedClient::Options copts;
-  copts.host = opts.host;
-  copts.port = opts.port;
-  copts.timeoutSeconds = opts.timeoutSeconds;
-  copts.peerName = "asdf_rpcd";
-  copts.backoffSeed = opts.backoffSeed;
-  return copts;
-}
-
-}  // namespace
 
 LiveTransport::LiveTransport(const Options& opts)
-    : client_(clientOptions(opts)) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!client_.greet(kGreeting)) {
+    : client_({opts, "asdf_rpcd", "asdf-fpt-core"}) {
+  if (!client_.greet()) {
     throw NetError("asdf_rpcd unreachable at " + opts.host + ":" +
                    std::to_string(opts.port));
   }
 }
 
-LiveTransport::~LiveTransport() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  client_.disconnect();
-}
-
 bool LiveTransport::collect(const rpc::CollectRequest& req,
                             rpc::CollectOut out,
                             std::size_t& responseBytes) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!client_.greet(kGreeting)) return false;
   rpc::Encoder enc;
   rpc::encodeRequest(enc, req);
   const CollectMessages& msgs = kCollectMessages[static_cast<int>(req.kind)];
@@ -55,8 +32,6 @@ bool LiveTransport::collect(const rpc::CollectRequest& req,
 }
 
 bool LiveTransport::fetchStats(double now, ClusterStatsWire& out) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!client_.greet(kGreeting)) return false;
   rpc::Encoder req;
   req.putDouble(now);
   Frame resp;
@@ -73,9 +48,6 @@ bool LiveTransport::fetchStats(double now, ClusterStatsWire& out) {
   return true;
 }
 
-void LiveTransport::shutdownServer() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  client_.requestShutdown(kGreeting);
-}
+void LiveTransport::shutdownServer() { client_.requestShutdown(); }
 
 }  // namespace asdf::net

@@ -8,14 +8,13 @@
 // one response frame (kCollectMessages, frame.h), bounded by a
 // poll()-based deadline; a timeout or a framing error fails the
 // attempt and drops the socket, and the next attempt reconnects.
-// Calls are serialized with an internal mutex so collectors running on
-// a pool executor cannot interleave frames. The socket machinery and
-// the handshake live in FramedClient, shared with the aggregation
-// tier's AggClient.
+// The socket machinery, the handshake and the call serialization that
+// keeps collectors on a pool executor from interleaving frames live in
+// FramedClient, shared with the aggregation tier's AggClient; this
+// class only encodes requests and decodes responses.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 
 #include "net/cluster_stats.h"
@@ -26,19 +25,12 @@ namespace asdf::net {
 
 class LiveTransport final : public rpc::LiveCollector {
  public:
-  struct Options {
-    std::string host = "127.0.0.1";
-    std::uint16_t port = 0;
-    /// Per-attempt deadline covering connect + request + response.
-    double timeoutSeconds = 5.0;
-    /// Seeds the redial backoff jitter (see FramedClient::Options).
-    std::uint64_t backoffSeed = 1;
-  };
+  using Options = EndpointOptions;
 
   /// Connects and handshakes (kHello / kHelloAck). Throws NetError when
-  /// the daemon is unreachable or speaks a different protocol version.
+  /// the host is not an IPv4 literal, or the daemon is unreachable or
+  /// speaks a different protocol version.
   explicit LiveTransport(const Options& opts);
-  ~LiveTransport() override;
   LiveTransport(const LiveTransport&) = delete;
   LiveTransport& operator=(const LiveTransport&) = delete;
 
@@ -65,7 +57,6 @@ class LiveTransport final : public rpc::LiveCollector {
   long suppressedDials() const { return client_.suppressedDials(); }
 
  private:
-  std::mutex mutex_;
   FramedClient client_;
 };
 

@@ -23,8 +23,7 @@ workload::GridMixParams gridmixParamsFor(const RpcdOptions& opts) {
 RpcdServer::RpcdServer(const RpcdOptions& opts)
     : opts_(opts),
       hello_{opts.slaves, opts.seed, opts.source},
-      group_(ShardGroupOptions{opts.port, opts.shards,
-                               opts.preferReusePort}) {
+      group_(ShardGroupOptions{opts.port, opts.shards}) {
   if (opts_.source == "sim") {
     // Seed derivations must match harness::runExperiment exactly: that
     // is what lets a live client observe the same cluster a
@@ -51,15 +50,10 @@ RpcdServer::RpcdServer(const RpcdOptions& opts)
     proc_ = std::make_unique<ProcSource>(opts_.slaves, opts_.seed);
     source_ = proc_.get();
   }
-  for (int i = 0; i < group_.shardCount(); ++i) {
-    group_.server(i).onFrame(
-        [this](TcpServer::Connection& conn, const Frame& frame) {
-          handleFrame(conn, frame);
-        });
-    if (opts_.idleTimeoutSeconds > 0.0) {
-      group_.server(i).setIdleTimeout(opts_.idleTimeoutSeconds);
-    }
-  }
+  group_.onFrame([this](TcpServer::Connection& conn, const Frame& frame) {
+    handleFrame(conn, frame);
+  });
+  group_.setIdleTimeout(opts_.idleTimeoutSeconds);
 }
 
 RpcdServer::~RpcdServer() = default;

@@ -57,8 +57,6 @@ struct RpcdOptions {
   /// Network-plane shards (--shards; see ShardGroup). 1 = the classic
   /// single-loop daemon.
   int shards = 1;
-  /// Test hook: force the acceptor-handoff fallback path.
-  bool preferReusePort = true;
 };
 
 class RpcdServer {
@@ -68,7 +66,6 @@ class RpcdServer {
 
   std::uint16_t port() const { return group_.port(); }
   int shardCount() const { return group_.shardCount(); }
-  bool usingReusePort() const { return group_.usingReusePort(); }
 
   /// Serves until stop() or a kShutdown frame. Call from the thread
   /// that owns the daemon (shards 2..N run on spawned threads).

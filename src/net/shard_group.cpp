@@ -8,47 +8,14 @@
 namespace asdf::net {
 
 ShardGroup::ShardGroup(const ShardGroupOptions& options) {
-  const int n = std::max(1, options.shards);
-  loops_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
+  const std::size_t n = static_cast<std::size_t>(std::max(1, options.shards));
+  const bool reusePort = n > 1;
+  for (std::size_t i = 0; i < n; ++i) {
     loops_.push_back(std::make_unique<EventLoop>());
-  }
-  servers_.reserve(static_cast<std::size_t>(n));
-
-  if (options.preferReusePort && n > 1) {
-    try {
-      servers_.push_back(std::make_unique<TcpServer>(
-          *loops_[0], TcpServerOptions{options.port, /*reusePort=*/true,
-                                       /*listen=*/true}));
-      const std::uint16_t bound = servers_[0]->port();
-      for (int i = 1; i < n; ++i) {
-        servers_.push_back(std::make_unique<TcpServer>(
-            *loops_[static_cast<std::size_t>(i)],
-            TcpServerOptions{bound, /*reusePort=*/true, /*listen=*/true}));
-      }
-      reusePort_ = true;
-    } catch (const NetError& e) {
-      logWarn(std::string("net: SO_REUSEPORT sharding unavailable (") +
-              e.what() + "); falling back to acceptor handoff");
-      servers_.clear();
-      reusePort_ = false;
-    }
-  }
-
-  if (servers_.empty()) {
-    // Single shard, or handoff fallback: shard 0 owns the listener.
+    // Shard 0 resolves an ephemeral port; its siblings bind the same.
     servers_.push_back(std::make_unique<TcpServer>(
-        *loops_[0], TcpServerOptions{options.port, /*reusePort=*/false,
-                                     /*listen=*/true}));
-    for (int i = 1; i < n; ++i) {
-      servers_.push_back(std::make_unique<TcpServer>(
-          *loops_[static_cast<std::size_t>(i)],
-          TcpServerOptions{servers_[0]->port(), /*reusePort=*/false,
-                           /*listen=*/false}));
-    }
-    if (n > 1) installHandoff();
+        *loops_[i], i == 0 ? options.port : servers_[0]->port(), reusePort));
   }
-  port_ = servers_[0]->port();
 }
 
 ShardGroup::~ShardGroup() {
@@ -58,18 +25,12 @@ ShardGroup::~ShardGroup() {
   }
 }
 
-void ShardGroup::installHandoff() {
-  // Shard 0's accept interceptor round-robins raw fds across every
-  // shard (keeping its own fair share). The target shard adopts the fd
-  // on its own loop thread — connection state never crosses threads.
-  servers_[0]->onAccept([this](int fd) {
-    const std::size_t target =
-        rr_.fetch_add(1, std::memory_order_relaxed) % servers_.size();
-    if (target == 0) return false;  // shard 0 keeps this one
-    TcpServer* srv = servers_[target].get();
-    loops_[target]->post([srv, fd] { srv->adoptFd(fd); });
-    return true;
-  });
+void ShardGroup::onFrame(const TcpServer::FrameHandler& handler) {
+  for (auto& s : servers_) s->onFrame(handler);
+}
+
+void ShardGroup::setIdleTimeout(double seconds) {
+  for (auto& s : servers_) s->setIdleTimeout(seconds);
 }
 
 void ShardGroup::runOnCaller() {
@@ -120,36 +81,6 @@ bool ShardGroup::answerSession(TcpServer::Connection& conn,
     return true;
   }
   return false;
-}
-
-long ShardGroup::framesServed() const {
-  long total = 0;
-  for (const auto& s : servers_) total += s->framesServed();
-  return total;
-}
-
-long ShardGroup::connectionsRejected() const {
-  long total = 0;
-  for (const auto& s : servers_) total += s->connectionsRejected();
-  return total;
-}
-
-long ShardGroup::connectionsReaped() const {
-  long total = 0;
-  for (const auto& s : servers_) total += s->connectionsReaped();
-  return total;
-}
-
-long ShardGroup::connectionsOverflowed() const {
-  long total = 0;
-  for (const auto& s : servers_) total += s->connectionsOverflowed();
-  return total;
-}
-
-std::size_t ShardGroup::connectionCount() const {
-  std::size_t total = 0;
-  for (const auto& s : servers_) total += s->connectionCount();
-  return total;
 }
 
 }  // namespace asdf::net

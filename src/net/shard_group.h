@@ -1,24 +1,21 @@
 // Per-core sharded network plane (DESIGN.md §15).
 //
 // A ShardGroup owns N independent {EventLoop, TcpServer} pairs that
-// all serve the same port. Preferred mode: every shard's listener
-// binds with SO_REUSEPORT and the kernel spreads incoming connections
-// across them — no shared accept path at all. Fallback (when
-// SO_REUSEPORT is unavailable, or forced for tests): only shard 0
-// listens, and its accept interceptor hands raw fds round-robin to the
-// other shards via EventLoop::post (which signals the target loop's
-// eventfd) + TcpServer::adoptFd.
+// all serve the same port. With N > 1 every shard's listener binds
+// with SO_REUSEPORT and the kernel spreads incoming connections
+// across them: there is one accept path and no shared one. Where
+// SO_REUSEPORT fails the constructor throws NetError.
 //
 // Ownership rules: a connection belongs to exactly one shard for its
 // whole life — its decoder, scratch frame and outbound buffer are
 // plain members touched only by that shard's loop thread. The only
-// cross-shard traffic is the one-time fd handoff (fallback mode) and
-// the relaxed counter reads summed here. Whatever state the frame
-// handler touches (e.g. the hosted simulation in RpcdServer) is the
-// handler owner's problem; see the state mutex there.
+// cross-shard traffic is the relaxed counter reads summed here. The
+// group installs one frame handler and one idle timeout on every
+// shard; whatever state the handler touches (e.g. the hosted
+// simulation in RpcdServer) is the handler owner's problem; see the
+// state mutex there.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -32,9 +29,6 @@ namespace asdf::net {
 struct ShardGroupOptions {
   std::uint16_t port = 0;  // 0 = ephemeral; all shards share the result
   int shards = 1;
-  /// false forces the acceptor-handoff fallback even where
-  /// SO_REUSEPORT works (exercised by tests).
-  bool preferReusePort = true;
 };
 
 class ShardGroup {
@@ -45,12 +39,16 @@ class ShardGroup {
   ShardGroup& operator=(const ShardGroup&) = delete;
 
   int shardCount() const { return static_cast<int>(servers_.size()); }
-  EventLoop& loop(int i) { return *loops_[static_cast<std::size_t>(i)]; }
-  TcpServer& server(int i) {
-    return *servers_[static_cast<std::size_t>(i)];
-  }
-  std::uint16_t port() const { return port_; }
-  bool usingReusePort() const { return reusePort_; }
+  std::uint16_t port() const { return servers_[0]->port(); }
+  bool usingReusePort() const { return servers_.size() > 1; }
+
+  /// Hands every frame on every shard to `handler` (TcpServer::onFrame;
+  /// it runs on the shard's loop thread). Call before runOnCaller().
+  void onFrame(const TcpServer::FrameHandler& handler);
+
+  /// Reaps idle connections on every shard (TcpServer::setIdleTimeout;
+  /// 0 keeps reaping off). Call before runOnCaller().
+  void setIdleTimeout(double seconds);
 
   /// Runs shard 0's loop on the calling thread and shards 1..N-1 on
   /// spawned threads; returns — after stopping and joining everything
@@ -72,21 +70,22 @@ class ShardGroup {
                      const HelloAck& ack, const char* daemonName);
 
   /// Counters summed across shards (relaxed; safe while running).
-  long framesServed() const;
-  long connectionsRejected() const;
-  long connectionsReaped() const;
-  long connectionsOverflowed() const;
-  std::size_t connectionCount() const;
+  long framesServed() const { return sum(&TcpServer::framesServed); }
+  long connectionsRejected() const {
+    return sum(&TcpServer::connectionsRejected);
+  }
+  long connectionsReaped() const { return sum(&TcpServer::connectionsReaped); }
 
  private:
-  void installHandoff();
+  long sum(long (TcpServer::*counter)() const) const {
+    long total = 0;
+    for (const auto& s : servers_) total += (*s.*counter)();
+    return total;
+  }
 
   std::vector<std::unique_ptr<EventLoop>> loops_;
   std::vector<std::unique_ptr<TcpServer>> servers_;
   std::vector<std::thread> threads_;  // shards 1..N-1, runOnCaller only
-  std::uint16_t port_ = 0;
-  bool reusePort_ = false;
-  std::atomic<std::uint64_t> rr_{0};  // fallback round-robin cursor
 };
 
 }  // namespace asdf::net

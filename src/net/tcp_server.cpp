@@ -1,88 +1,20 @@
 #include "net/tcp_server.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
-#include <cstring>
 
 #include "common/logging.h"
 
 namespace asdf::net {
-namespace {
 
-void setNonBlocking(int fd) {
-  const int flags = fcntl(fd, F_GETFL, 0);
-  fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-double monotonicSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
-
-TcpServer::TcpServer(EventLoop& loop, std::uint16_t port)
-    : TcpServer(loop, TcpServerOptions{port, /*reusePort=*/false,
-                                       /*listen=*/true}) {}
-
-TcpServer::TcpServer(EventLoop& loop, const TcpServerOptions& options)
-    : loop_(loop) {
+TcpServer::TcpServer(EventLoop& loop, std::uint16_t port, bool reusePort)
+    : loop_(loop),
+      listener_(loop, port, reusePort, [this](int fd) { addConnection(fd); }) {
   connections_.reserve(64);
-  if (!options.listen) {
-    // Listenerless shard: connections arrive via adoptFd() only.
-    port_ = options.port;
-    return;
-  }
-  listenFd_ = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listenFd_ < 0) {
-    throw NetError(std::string("socket: ") + std::strerror(errno));
-  }
-  const int one = 1;
-  setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (options.reusePort) {
-    if (setsockopt(listenFd_, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) <
-        0) {
-      const std::string why = std::strerror(errno);
-      close(listenFd_);
-      listenFd_ = -1;
-      throw NetError("setsockopt(SO_REUSEPORT): " + why);
-    }
-  }
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(options.port);
-  if (bind(listenFd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    const std::string why = std::strerror(errno);
-    close(listenFd_);
-    listenFd_ = -1;
-    throw NetError("bind 127.0.0.1:" + std::to_string(options.port) + ": " +
-                   why);
-  }
-  if (listen(listenFd_, 64) < 0) {
-    const std::string why = std::strerror(errno);
-    close(listenFd_);
-    listenFd_ = -1;
-    throw NetError("listen: " + why);
-  }
-  socklen_t len = sizeof(addr);
-  getsockname(listenFd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
-  setNonBlocking(listenFd_);
-
-  loop_.watchFd(listenFd_, /*wantRead=*/true, /*wantWrite=*/false,
-                [this](int, std::uint32_t) { handleAccept(); });
 }
 
 TcpServer::~TcpServer() {
@@ -93,31 +25,9 @@ TcpServer::~TcpServer() {
   }
   connections_.clear();
   connectionCount_.store(0, std::memory_order_relaxed);
-  if (listenFd_ >= 0) {
-    loop_.unwatchFd(listenFd_);
-    close(listenFd_);
-  }
 }
-
-void TcpServer::handleAccept() {
-  for (;;) {
-    const int fd = accept(listenFd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == EINTR) continue;
-      return;  // transient accept failure; keep listening
-    }
-    if (acceptHook_ && acceptHook_(fd)) continue;  // handed to a shard
-    addConnection(fd);
-  }
-}
-
-void TcpServer::adoptFd(int fd) { addConnection(fd); }
 
 void TcpServer::addConnection(int fd) {
-  setNonBlocking(fd);
-  const int one = 1;
-  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   const std::uint64_t id = nextConnId_++;
   auto conn = std::make_unique<Connection>(*this, fd, id);
   conn->lastActivity_ = monotonicSeconds();

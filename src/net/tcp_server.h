@@ -16,14 +16,12 @@
 // responses go out via sendmsg scatter-gather (stack header + payload
 // iovec) without ever copying the payload next to its header.
 //
-// Sharding hooks: TcpServerOptions can request SO_REUSEPORT (several
-// shard servers bind the same port and the kernel spreads accepts), or
-// no listener at all — connections then arrive via adoptFd(), handed
-// across loops with EventLoop::post by an acceptor shard whose
-// onAccept interceptor round-robins raw fds (the fallback when
-// SO_REUSEPORT is unavailable). Each shard owns its connections
-// outright; no lock is ever taken on the data path. Counters are
-// relaxed atomics so a ShardGroup can sum them across live shards.
+// Sharding: with `reusePort` several shard servers bind the same port
+// with SO_REUSEPORT and the kernel spreads accepts across them (see
+// ShardGroup). The listener and its accept loop are the socket
+// layer's (net/socket.h). Each shard owns its connections outright;
+// no lock is ever taken on the data path. Counters are relaxed
+// atomics so a ShardGroup can sum them across live shards.
 //
 // Robustness contract: a connection that sends malformed framing (bad
 // magic, version skew, oversized length, CRC mismatch) is counted and
@@ -48,17 +46,9 @@
 
 #include "net/event_loop.h"
 #include "net/frame.h"
+#include "net/socket.h"
 
 namespace asdf::net {
-
-struct TcpServerOptions {
-  std::uint16_t port = 0;  // 0 = ephemeral (when listening)
-  /// SO_REUSEPORT on the listener so sibling shard servers can bind
-  /// the same port.
-  bool reusePort = false;
-  /// false: no listener at all — connections arrive via adoptFd().
-  bool listen = true;
-};
 
 class TcpServer {
  public:
@@ -102,26 +92,15 @@ class TcpServer {
   /// connection — copy out anything that must outlive the call.
   using FrameHandler = std::function<void(Connection&, const Frame&)>;
 
-  /// Accept interceptor: offered every freshly accepted fd before the
-  /// server builds a connection for it. Return true to take ownership
-  /// (e.g. hand it to a sibling shard via EventLoop::post + adoptFd);
-  /// false lets this server keep it.
-  using AcceptInterceptor = std::function<bool(int fd)>;
-
   /// Binds and listens on 127.0.0.1:`port` (0 = ephemeral; see
-  /// port()). Throws NetError on bind/listen failure.
-  TcpServer(EventLoop& loop, std::uint16_t port);
-  TcpServer(EventLoop& loop, const TcpServerOptions& options);
+  /// port()), with SO_REUSEPORT when `reusePort` so sibling shard
+  /// servers can bind the same port. Throws NetError on failure.
+  TcpServer(EventLoop& loop, std::uint16_t port, bool reusePort = false);
   ~TcpServer();
   TcpServer(const TcpServer&) = delete;
   TcpServer& operator=(const TcpServer&) = delete;
 
   void onFrame(FrameHandler handler) { handler_ = std::move(handler); }
-  void onAccept(AcceptInterceptor cb) { acceptHook_ = std::move(cb); }
-
-  /// Takes ownership of an established socket as a new connection.
-  /// Must run on this server's loop thread (post() it across shards).
-  void adoptFd(int fd);
 
   /// Reaps connections with no read/write progress for `seconds`
   /// (checked at half that interval on the loop). 0 disables (the
@@ -133,7 +112,7 @@ class TcpServer {
   /// default).
   void setMaxOutboundBytes(std::size_t bytes) { maxOutboundBytes_ = bytes; }
 
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return listener_.port(); }
   std::size_t connectionCount() const {
     return connectionCount_.load(std::memory_order_relaxed);
   }
@@ -151,7 +130,6 @@ class TcpServer {
   }
 
  private:
-  void handleAccept();
   void addConnection(int fd);
   void handleConnection(Connection& conn, std::uint32_t events);
   void dispatchDecoded(Connection& conn);
@@ -162,10 +140,7 @@ class TcpServer {
   void reapIdle();
 
   EventLoop& loop_;
-  int listenFd_ = -1;
-  std::uint16_t port_ = 0;
   FrameHandler handler_;
-  AcceptInterceptor acceptHook_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> connections_;
   std::uint64_t nextConnId_ = 1;
   // Relaxed atomics: bumped on the loop thread, summed cross-thread by
@@ -178,6 +153,7 @@ class TcpServer {
   double idleTimeoutSeconds_ = 0.0;
   std::size_t maxOutboundBytes_ = 0;
   int reapTimer_ = -1;
+  Listener listener_;  // last: accepts only into a fully built server
 };
 
 }  // namespace asdf::net

@@ -324,6 +324,25 @@ TEST(ChaosProxy, DescribeScheduleIsAPureFunctionOfOptions) {
   EXPECT_NE(schedule, c.describeSchedule(3, 4096));
 }
 
+// An upstream given by hostname cannot be dialed: the proxy refuses
+// it at construction, naming the host, instead of resetting every
+// relay it accepts.
+TEST(ChaosProxy, HostnameUpstreamIsRejectedAtConstruction) {
+  ChaosOptions opts;
+  opts.upstreamHost = "localhost";
+  opts.upstreamPort = 1;
+  EventLoop loop;
+  try {
+    ChaosProxy proxy(loop, opts);
+    ADD_FAILURE() << "a hostname upstream was accepted";
+  } catch (const NetError& e) {
+    EXPECT_NE(std::string(e.what()).find("'localhost' is not an IPv4 literal"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(loop.watchedFds(), 0u);  // nothing left listening
+}
+
 // The corruption toxic flips exactly the scheduled bytes — one bit
 // each, at the offsets the event log claims, nothing else.
 TEST(ChaosProxy, CorruptionFlipsExactlyTheScheduledBytes) {

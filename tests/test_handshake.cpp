@@ -5,7 +5,9 @@
 //   * asdf_rpcd and asdf_aggd both answer a hello of another protocol
 //     version with kError(kVersionSkew) and then close the connection;
 //   * a client greeted by a peer serving no members disconnects and
-//     backs off instead of using the connection; and
+//     backs off instead of using the connection;
+//   * an endpoint whose host is not an IPv4 literal is rejected where
+//     it is configured, naming the host; and
 //   * a truncated collect request is answered kBadRequest, and the
 //     same connection then serves a valid request.
 #include <gtest/gtest.h>
@@ -15,11 +17,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "net/agg_client.h"
 #include "net/agg_server.h"
+#include "net/fanout_collector.h"
 #include "net/frame.h"
 #include "net/rpcd_server.h"
 #include "rpc/payloads.h"
@@ -144,6 +148,40 @@ TEST(Handshake, AggClientDropsAnAckServingNoMembers) {
   EXPECT_FALSE(client.fetchSummary(bb, 0.0, windows, bytes));
   EXPECT_EQ(client.suppressedDials(), 1);
   EXPECT_EQ(client.groupSize(), 0);
+}
+
+/// Runs `construct` and expects a NetError that names `host` as not
+/// an IPv4 literal.
+template <typename Construct>
+void expectHostRejected(const std::string& host, Construct construct) {
+  try {
+    construct();
+    ADD_FAILURE() << "host '" << host << "' was accepted";
+  } catch (const NetError& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + host +
+                                         "' is not an IPv4 literal"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// An aggregator endpoint given by hostname fails where it is
+// configured, not as a region that never answers.
+TEST(Handshake, AggClientRejectsAHostnameEndpoint) {
+  AggClient::Options copts;
+  copts.host = "localhost";
+  copts.port = 1;
+  expectHostRejected("localhost", [&] { AggClient client(copts); });
+}
+
+TEST(Handshake, ParseEndpointRejectsAHostname) {
+  std::string host;
+  std::uint16_t port = 0;
+  expectHostRejected("aggd.example",
+                     [&] { parseEndpoint("aggd.example:4601", host, port); });
+  parseEndpoint("127.0.0.1:4601", host, port);
+  EXPECT_EQ(host, "127.0.0.1");
+  EXPECT_EQ(port, 4601);
 }
 
 // A kFetchTt carrying only {node, now} lacks its watermark: the shared

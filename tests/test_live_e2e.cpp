@@ -11,6 +11,7 @@
 //     RpcChannelStats exactly like simulated failures do.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 
 #include "harness/experiment.h"
@@ -120,6 +121,27 @@ TEST(LiveTransport, ProcSourceServesCountersButNotStrace) {
   syscalls::TraceSecond trace;
   EXPECT_FALSE(transport.collect({rpc::CollectKind::kStrace, 1, 1.0, kNoTime},
                                  &trace, bytes));
+}
+
+// Only IPv4 literals can be dialed: a hostname fails at construction
+// and says so, even while the daemon it names is serving.
+TEST(LiveTransport, HostnameEndpointThrowsNamingTheHost) {
+  RpcdOptions opts;
+  opts.slaves = 2;
+  ServerFixture fx(opts);
+  LiveTransport serving(clientOptions(fx));
+  EXPECT_EQ(serving.slaves(), 2);
+
+  LiveTransport::Options topts = clientOptions(fx);
+  topts.host = "localhost";
+  try {
+    LiveTransport transport(topts);
+    ADD_FAILURE() << "a hostname endpoint was accepted";
+  } catch (const NetError& e) {
+    EXPECT_NE(std::string(e.what()).find("'localhost' is not an IPv4 literal"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(LiveTransport, ConnectToDeadPortThrows) {

@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <dirent.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -74,6 +79,49 @@ class TestClient {
  private:
   int fd_ = -1;
   FrameDecoder decoder_;
+};
+
+/// Runs the process out of descriptors for its lifetime: lowers the
+/// soft RLIMIT_NOFILE to one above the highest open descriptor and
+/// fills every free one below it with a placeholder, so the next
+/// accept() fails with EMFILE. The destructor restores the limit and
+/// closes the placeholders, on every exit path of the test.
+class DescriptorStarvation {
+ public:
+  DescriptorStarvation() {
+    if (getrlimit(RLIMIT_NOFILE, &saved_) != 0) return;
+    int highest = 0;
+    if (DIR* dir = ::opendir("/proc/self/fd")) {
+      const int own = ::dirfd(dir);
+      while (const dirent* entry = ::readdir(dir)) {
+        const int fd = std::atoi(entry->d_name);
+        if (fd != own) highest = std::max(highest, fd);
+      }
+      ::closedir(dir);
+    }
+    rlimit low = saved_;
+    low.rlim_cur = static_cast<rlim_t>(highest) + 1;
+    if (setrlimit(RLIMIT_NOFILE, &low) != 0) return;
+    lowered_ = true;
+    for (;;) {
+      const int fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+      if (fd < 0) break;
+      placeholders_.push_back(fd);
+    }
+  }
+  ~DescriptorStarvation() {
+    if (lowered_) setrlimit(RLIMIT_NOFILE, &saved_);
+    for (const int fd : placeholders_) ::close(fd);
+  }
+  DescriptorStarvation(const DescriptorStarvation&) = delete;
+  DescriptorStarvation& operator=(const DescriptorStarvation&) = delete;
+
+  bool lowered() const { return lowered_; }
+
+ private:
+  rlimit saved_{};
+  bool lowered_ = false;
+  std::vector<int> placeholders_;
 };
 
 TEST(EventLoop, TimersFireInDeadlineOrderAndCancelWorks) {
@@ -322,6 +370,48 @@ TEST(TcpServer, WriteToClosedPeerDoesNotKillTheProcess) {
   loop.stop();
   loopThread.join();
   EXPECT_EQ(server.connectionCount(), 0u);
+}
+
+// With no descriptor left, accept() fails with EMFILE while the queued
+// connections keep the listener readable. The server must step off the
+// loop for a while instead of spinning on that readiness, and serve
+// the whole queue once descriptors free up.
+TEST(TcpServer, AcceptPausesWhenOutOfDescriptors) {
+  EventLoop loop;
+  TcpServer server(loop, 0);
+  server.onFrame([](TcpServer::Connection& conn, const Frame& frame) {
+    rpc::Encoder out;
+    out.putU32(0);
+    conn.send(frame.type, out);
+  });
+  constexpr int kClients = 4;
+  std::vector<std::unique_ptr<TestClient>> clients;
+  for (int i = 0; i < kClients; ++i) {
+    clients.push_back(std::make_unique<TestClient>(server.port()));
+  }
+
+  long dispatches = 0;
+  {
+    DescriptorStarvation starved;
+    ASSERT_TRUE(starved.lowered());
+    const auto end =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+    while (std::chrono::steady_clock::now() < end) {
+      dispatches += loop.runOnce(0.05);
+    }
+  }
+  EXPECT_LT(dispatches, 100);
+  EXPECT_EQ(server.connectionCount(), 0u);
+
+  std::thread loopThread([&] { loop.run(); });
+  for (auto& client : clients) {
+    client->sendAll(encodeFrame(MsgType::kStats, nullptr, 0));
+    Frame reply;
+    EXPECT_TRUE(client->readFrame(reply));
+  }
+  loop.stop();
+  loopThread.join();
+  EXPECT_EQ(server.framesServed(), kClients);
 }
 
 // --- RealTimeDriver ------------------------------------------------

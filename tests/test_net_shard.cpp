@@ -2,9 +2,8 @@
 // event loops each owning their own listener and connections.
 // Contracts under test —
 //
-//   * SO_REUSEPORT mode: every shard serves frames on the shared port;
-//   * the acceptor-handoff fallback round-robins accepted fds to the
-//     other shards' loops, which adopt them on their own threads;
+//   * every shard binds the shared port with SO_REUSEPORT and serves
+//     frames on it;
 //   * a sharded asdf_rpcd returns byte-identical payloads to the
 //     classic single-loop daemon for the same (channel, node, now); and
 //   * a full live harness run against an N-shard daemon produces the
@@ -78,14 +77,11 @@ class ShardTestClient {
 /// Runs a ShardGroup on background threads for a test's lifetime.
 struct GroupFixture {
   explicit GroupFixture(ShardGroupOptions opts) : group(opts) {
-    for (int i = 0; i < group.shardCount(); ++i) {
-      group.server(i).onFrame([](TcpServer::Connection& conn,
-                                 const Frame& frame) {
-        rpc::Encoder out;
-        out.putU32(42);
-        conn.send(frame.type, out);
-      });
-    }
+    group.onFrame([](TcpServer::Connection& conn, const Frame& frame) {
+      rpc::Encoder out;
+      out.putU32(42);
+      conn.send(frame.type, out);
+    });
     thread = std::thread([this] { group.runOnCaller(); });
   }
   ~GroupFixture() {
@@ -98,14 +94,10 @@ struct GroupFixture {
 };
 
 TEST(ShardGroup, ReusePortModeServesEveryConnection) {
-  GroupFixture fx(ShardGroupOptions{0, 3, /*preferReusePort=*/true});
+  GroupFixture fx(ShardGroupOptions{0, 3});
   ASSERT_GT(fx.group.port(), 0);
   EXPECT_EQ(fx.group.shardCount(), 3);
-  // Linux always has SO_REUSEPORT; if a platform doesn't, the fallback
-  // must have engaged instead of failing.
-  if (!fx.group.usingReusePort()) {
-    GTEST_LOG_(INFO) << "SO_REUSEPORT unavailable; fallback engaged";
-  }
+  EXPECT_TRUE(fx.group.usingReusePort());
 
   constexpr int kClients = 9;
   std::vector<std::unique_ptr<ShardTestClient>> clients;
@@ -121,7 +113,7 @@ TEST(ShardGroup, ReusePortModeServesEveryConnection) {
 }
 
 TEST(ShardGroup, SingleShardIsTheClassicLoop) {
-  GroupFixture fx(ShardGroupOptions{0, 1, /*preferReusePort=*/true});
+  GroupFixture fx(ShardGroupOptions{0, 1});
   EXPECT_EQ(fx.group.shardCount(), 1);
   EXPECT_FALSE(fx.group.usingReusePort());  // no point: one listener
   ShardTestClient client(fx.group.port());
@@ -129,29 +121,6 @@ TEST(ShardGroup, SingleShardIsTheClassicLoop) {
   Frame reply;
   ASSERT_TRUE(client.readFrame(reply));
   EXPECT_EQ(fx.group.framesServed(), 1);
-}
-
-TEST(ShardGroup, AcceptorHandoffRoundRobinsAcrossShards) {
-  GroupFixture fx(ShardGroupOptions{0, 3, /*preferReusePort=*/false});
-  EXPECT_FALSE(fx.group.usingReusePort());
-
-  // Sequential connects accept in order on shard 0's listener, so the
-  // round-robin interceptor deals them 0,1,2,0,1,2: every shard ends
-  // up serving exactly two of the six connections.
-  constexpr int kClients = 6;
-  std::vector<std::unique_ptr<ShardTestClient>> clients;
-  for (int i = 0; i < kClients; ++i) {
-    clients.push_back(std::make_unique<ShardTestClient>(fx.group.port()));
-    clients.back()->sendAll(encodeFrame(MsgType::kStats, nullptr, 0));
-    Frame reply;
-    ASSERT_TRUE(clients.back()->readFrame(reply)) << "client " << i;
-  }
-  EXPECT_EQ(fx.group.framesServed(), kClients);
-  for (int i = 0; i < fx.group.shardCount(); ++i) {
-    EXPECT_EQ(fx.group.server(i).framesServed(), 2) << "shard " << i;
-  }
-  EXPECT_EQ(fx.group.connectionCount(), static_cast<std::size_t>(kClients));
-  clients.clear();
 }
 
 // --- sharded asdf_rpcd ----------------------------------------------
@@ -201,24 +170,6 @@ TEST(RpcdSharded, ResponsesMatchTheSingleLoopDaemonByteForByte) {
                 fetchSadcPayload(wide.server.port(), node, now))
           << "node " << node << " now " << now;
     }
-  }
-}
-
-TEST(RpcdSharded, HandoffFallbackServesTheSameBytesToo) {
-  RpcdOptions base;
-  base.slaves = 2;
-  base.seed = 31;
-  RpcdOptions fallback = base;
-  fallback.shards = 2;
-  fallback.preferReusePort = false;
-
-  RpcdFixture classic(base);
-  RpcdFixture wide(fallback);
-  EXPECT_FALSE(wide.server.usingReusePort());
-  for (NodeId node = 1; node <= 2; ++node) {
-    EXPECT_EQ(fetchSadcPayload(classic.server.port(), node, 8.0),
-              fetchSadcPayload(wide.server.port(), node, 8.0))
-        << "node " << node;
   }
 }
 

@@ -246,6 +246,51 @@ TEST(Tiered, SummaryChannelsReportedAsTierTwo) {
   EXPECT_TRUE(sawTier1);
 }
 
+// Every health vector is indexed by node id - 1 under racks and tiers
+// alike. Ragged racks of 4/4/2 set the aggregation groups; a partition
+// of node 7's daemons marks index 6, and only index 6, unmonitorable,
+// and a node-7 fault is scored against index 6.
+TEST(Tiered, HealthIndexFollowsNodeIdUnderRacks) {
+  ExperimentSpec spec = baseSpec();
+  spec.slaves = 10;
+  spec.topology.racks = 3;
+  spec.topology.nodesPerRack = 4;
+  spec.tiered = true;  // no explicit groups: one per rack
+  spec.faultTolerantRpc = true;
+  spec.fault.node = 7;
+  faults::MonitoringFaultSpec mf;
+  mf.kind = faults::MonitoringFaultKind::kPartition;
+  mf.node = 7;
+  mf.startTime = 70.0;
+  mf.endTime = 120.0;
+  spec.monitoringFaults.push_back(mf);
+  ASSERT_EQ((std::vector<int>{4, 4, 2}), tierGroupsFor(spec));
+
+  const analysis::BlackBoxModel model = trainModel(spec);
+  const ExperimentResult result = runExperiment(spec, model);
+  EXPECT_EQ(result.truth.slaveIndex, 6);
+
+  for (const analysis::AlarmSeries* series :
+       {&result.blackBox, &result.whiteBox}) {
+    const char* label = series == &result.blackBox ? "black-box" : "white-box";
+    int partitioned = 0;
+    for (const analysis::AlarmRecord& rec : *series) {
+      ASSERT_EQ(rec.health.size(), 10u) << label;
+      for (std::size_t i = 0; i < rec.health.size(); ++i) {
+        if (i != 6) {
+          EXPECT_NE(rec.health[i], 2.0)
+              << label << " index " << i << " at " << rec.time;
+        }
+      }
+      if (rec.time >= mf.startTime + 10.0 && rec.time <= mf.endTime) {
+        EXPECT_EQ(rec.health[6], 2.0) << label << " at " << rec.time;
+        ++partitioned;
+      }
+    }
+    EXPECT_GT(partitioned, 0) << label;
+  }
+}
+
 TEST(Tiered, TopologyResolution) {
   ExperimentSpec spec;
   spec.slaves = 10;
