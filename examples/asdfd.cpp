@@ -29,8 +29,7 @@
 #include "faults/faults.h"
 #include "harness/experiment.h"
 #include "modules/modules.h"
-#include "rpc/daemons.h"
-#include "workload/gridmix.h"
+#include "net/sim_cluster.h"
 
 namespace {
 
@@ -95,20 +94,19 @@ int main(int argc, char** argv) {
     std::printf("[asdfd] saved model to %s\n", modelOut.c_str());
   }
 
-  // --- cluster + workload --------------------------------------------
+  // --- cluster + workload + optional fault -----------------------------
+  faults::FaultSpec faultSpec;
+  faultSpec.type =
+      faults::faultFromName(flagValue(argc, argv, "fault", "none"));
+  faultSpec.node = static_cast<NodeId>(flagInt(argc, argv, "node", 3));
+  faultSpec.startTime = flagDouble(argc, argv, "inject-at", 600.0);
   sim::SimEngine engine;
-  hadoop::HadoopParams params;
-  params.slaveCount = slaves;
-  hadoop::Cluster cluster(params, seed * 6151 + 3, engine);
-  workload::GridMixGenerator gridmix(cluster, {}, seed * 7411 + 1);
-  cluster.start();
-  gridmix.start();
-  rpc::RpcHub hub(cluster, 0.0);
+  net::SimCluster sim(engine, slaves, seed, faultSpec);
   modules::HadoopLogSync sync;
-  BlacklistMitigator mitigator(cluster);
+  BlacklistMitigator mitigator(sim.cluster);
 
   core::Environment env;
-  env.provide("rpc", &hub);
+  env.provide("rpc", &sim.hub);
   env.provide("bb_model", &model);
   env.provide("hl_sync", &sync);
   env.provide<modules::Mitigator>("mitigator", &mitigator);
@@ -148,14 +146,8 @@ int main(int argc, char** argv) {
   std::printf("[asdfd] DAG up: %zu module instances (%s executor)\n",
               fpt.instances().size(), fpt.executor().name().c_str());
 
-  // --- optional fault --------------------------------------------------
-  faults::FaultSpec faultSpec;
-  faultSpec.type =
-      faults::faultFromName(flagValue(argc, argv, "fault", "none"));
-  faultSpec.node = static_cast<NodeId>(flagInt(argc, argv, "node", 3));
-  faultSpec.startTime = flagDouble(argc, argv, "inject-at", 600.0);
-  faults::FaultInjector injector(cluster, faultSpec);
-  injector.arm();
+  // --- arm the fault once the DAG is up --------------------------------
+  sim.injector.arm();
   if (faultSpec.type != faults::FaultType::kNone) {
     std::printf("[asdfd] will inject %s on slave%d at t=%.0f\n",
                 faults::faultName(faultSpec.type), faultSpec.node,
@@ -176,9 +168,9 @@ int main(int argc, char** argv) {
               duration, alarmWindows, flaggedDecisions);
   std::printf("[asdfd] jobs %ld/%ld completed; fpt-core %.4f%% CPU; "
               "blacklisted nodes: %zu\n",
-              cluster.jobTracker().jobsCompleted(),
-              cluster.jobTracker().jobsSubmitted(),
+              sim.cluster.jobTracker().jobsCompleted(),
+              sim.cluster.jobTracker().jobsSubmitted(),
               100.0 * fpt.cpuSeconds() / duration,
-              cluster.jobTracker().blacklistedCount());
+              sim.cluster.jobTracker().blacklistedCount());
   return 0;
 }

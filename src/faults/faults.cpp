@@ -49,13 +49,45 @@ const std::vector<FaultType>& allFaults() {
 }
 
 FaultInjector::FaultInjector(hadoop::Cluster& cluster, FaultSpec spec)
-    : cluster_(cluster), spec_(spec) {
+    : cluster_(cluster), spec_(spec), diskHog_(spec.diskHogBytes) {
   assert(spec_.type == FaultType::kNone ||
          (spec_.node >= 1 && spec_.node <= cluster.slaveCount()));
 }
 
 FaultInjector::~FaultInjector() {
   if (hookId_ >= 0) cluster_.removeTickHook(hookId_);
+}
+
+void DiskHogWriter::request(hadoop::Node& node) {
+  const double remaining = total_ - written_;
+  if (remaining <= 0.0) return;
+  // A dd-style sequential writer keeps the queue saturated: its
+  // outstanding demand dwarfs the tasks' small spill/merge writes,
+  // which is what starves them (the paper's "excessive messages
+  // logged to file" symptom).
+  handle_ =
+      node.disk().request(std::min(remaining, 4.0 * node.disk().capacity()));
+}
+
+bool DiskHogWriter::advance(hadoop::Node& node) {
+  if (handle_ < 0) return false;
+  const double wrote = node.disk().granted(handle_);
+  node.addDiskWrite(wrote);
+  node.addCpuIowait(0.3);
+  node.addCpuSystem(0.1);
+  node.addProcesses(1);
+  node.addMemUsed(3.0e7);
+  written_ += wrote;
+  metrics::ProcessActivity p;
+  p.name = "diskhog";
+  p.cpuSystemCores = 0.1;
+  p.writeBytes = wrote;
+  p.rssBytes = 3.0e7;
+  p.threads = 1;
+  p.fds = 4;
+  node.addTrackedProcess(p);
+  handle_ = -1;
+  return true;
 }
 
 void FaultInjector::arm() {
@@ -101,37 +133,11 @@ void FaultInjector::installHogHook() {
     };
   } else if (spec_.type == FaultType::kDiskHog) {
     hook.request = [this, &node](SimTime) {
-      if (!active_) return;
-      const double remaining = spec_.diskHogBytes - diskWritten_;
-      if (remaining <= 0.0) return;
-      // A dd-style sequential writer keeps the queue saturated: its
-      // outstanding demand dwarfs the tasks' small spill/merge writes,
-      // which is what starves them (the paper's "excessive messages
-      // logged to file" symptom).
-      diskHandle_ = node.disk().request(
-          std::min(remaining, 4.0 * node.disk().capacity()));
+      if (active_) diskHog_.request(node);
     };
     hook.advance = [this, &node](SimTime) {
-      if (!active_ || diskHandle_ < 0) return;
-      const double wrote = node.disk().granted(diskHandle_);
-      node.addDiskWrite(wrote);
-      node.addCpuIowait(0.3);
-      node.addCpuSystem(0.1);
-      node.addProcesses(1);
-      node.addMemUsed(3.0e7);
-      diskWritten_ += wrote;
-      metrics::ProcessActivity p;
-      p.name = "diskhog";
-      p.cpuSystemCores = 0.1;
-      p.writeBytes = wrote;
-      p.rssBytes = 3.0e7;
-      p.threads = 1;
-      p.fds = 4;
-      node.addTrackedProcess(p);
-      diskHandle_ = -1;
-      if (diskWritten_ >= spec_.diskHogBytes) {
-        deactivate();  // the 20 GB write is finished
-      }
+      if (!active_ || !diskHog_.advance(node)) return;
+      if (diskHog_.done()) deactivate();  // the 20 GB write is finished
     };
   }
   hookId_ = cluster_.addTickHook(std::move(hook));

@@ -57,6 +57,28 @@ struct FaultSpec {
   double packetLossRate = 0.50;
 };
 
+/// The DiskHog's process: a dd-style sequential writer of `totalBytes`
+/// on one node. Its tick hook calls request() and then advance() every
+/// second; the CascadeHotspot scenario's hog is the same writer.
+class DiskHogWriter {
+ public:
+  explicit DiskHogWriter(double totalBytes) : total_(totalBytes) {}
+
+  /// Claims this second's disk share, unless the write is finished.
+  void request(hadoop::Node& node);
+  /// Charges the granted share to the node; false when nothing was
+  /// requested this second.
+  bool advance(hadoop::Node& node);
+
+  bool done() const { return written_ >= total_; }
+  double written() const { return written_; }
+
+ private:
+  double total_;
+  double written_ = 0.0;
+  int handle_ = -1;
+};
+
 /// Arms a fault on a cluster: activation/deactivation are scheduled on
 /// the cluster's engine. Keep the injector alive for the whole run.
 class FaultInjector {
@@ -74,7 +96,7 @@ class FaultInjector {
   const FaultSpec& spec() const { return spec_; }
 
   /// Bytes the DiskHog has written so far (test visibility).
-  double diskHogWritten() const { return diskWritten_; }
+  double diskHogWritten() const { return diskHog_.written(); }
 
   /// When the fault stopped being active (kNoTime while active): the
   /// scheduled endTime, or the moment the DiskHog finished its write.
@@ -90,8 +112,7 @@ class FaultInjector {
   bool active_ = false;
   int hookId_ = -1;
   int cpuHandle_ = -1;
-  int diskHandle_ = -1;
-  double diskWritten_ = 0.0;
+  DiskHogWriter diskHog_;
   double cpuDemand_ = 1.0;     // adaptive hog demand
   double lastAchieved_ = 0.0;  // utilization achieved last tick
   SimTime endedAt_ = kNoTime;

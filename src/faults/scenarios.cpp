@@ -112,7 +112,8 @@ ScenarioInjector::ScenarioInjector(hadoop::Cluster& cluster,
                                    ScenarioSpec spec)
     : cluster_(cluster),
       spec_(spec),
-      rng_(spec.seed * 2654435761ULL + 1013904223ULL) {
+      rng_(spec.seed * 2654435761ULL + 1013904223ULL),
+      cascadeHog_(spec.cascadeDiskBytes) {
   if (spec_.cls == ScenarioClass::kNone) return;
   const topology::ClusterLayout& layout = cluster_.layout();
   // Resolve placement defaults: the last rack (exercising ragged
@@ -241,7 +242,7 @@ void ScenarioInjector::deactivate() {
     }
     case ScenarioClass::kCascadeHotspot:
       logEvent(now, formatted("cascade ended written_bytes=%.0f",
-                              cascadeWritten_));
+                              cascadeHog_.written()));
       break;
     case ScenarioClass::kNoisyNeighbor:
       logEvent(now, "noisy tenants evicted");
@@ -280,12 +281,7 @@ void ScenarioInjector::installCascadeHook() {
   hadoop::Cluster::TickHook hook;
   hook.request = [this, &hog, dstRack](SimTime) {
     if (!active_) return;
-    const double remaining = spec_.cascadeDiskBytes - cascadeWritten_;
-    if (remaining > 0.0) {
-      // The dd-style hog itself, as in the Table 2 DiskHog.
-      cascadeDiskHandle_ = hog.disk().request(
-          std::min(remaining, 4.0 * hog.disk().capacity()));
-    }
+    cascadeHog_.request(hog);  // the Table 2 DiskHog's writer
     topology::UplinkPlane* uplinks = cluster_.uplinks();
     for (RepairFlow& rf : repairFlows_) {
       hadoop::Node& peer = cluster_.node(rf.peer);
@@ -296,24 +292,7 @@ void ScenarioInjector::installCascadeHook() {
   };
   hook.advance = [this, &hog, dstNodes](SimTime) {
     if (!active_) return;
-    if (cascadeDiskHandle_ >= 0) {
-      const double wrote = hog.disk().granted(cascadeDiskHandle_);
-      hog.addDiskWrite(wrote);
-      hog.addCpuIowait(0.3);
-      hog.addCpuSystem(0.1);
-      hog.addProcesses(1);
-      hog.addMemUsed(3.0e7);
-      cascadeWritten_ += wrote;
-      metrics::ProcessActivity p;
-      p.name = "diskhog";
-      p.cpuSystemCores = 0.1;
-      p.writeBytes = wrote;
-      p.rssBytes = 3.0e7;
-      p.threads = 1;
-      p.fds = 4;
-      hog.addTrackedProcess(p);
-      cascadeDiskHandle_ = -1;
-    }
+    cascadeHog_.advance(hog);
     topology::UplinkPlane* uplinks = cluster_.uplinks();
     for (RepairFlow& rf : repairFlows_) {
       if (rf.hNic < 0) continue;
@@ -331,7 +310,7 @@ void ScenarioInjector::installCascadeHook() {
       }
       rf.hNic = -1;
     }
-    if (cascadeWritten_ >= spec_.cascadeDiskBytes) deactivate();
+    if (cascadeHog_.done()) deactivate();
   };
   hookId_ = cluster_.addTickHook(std::move(hook));
 }

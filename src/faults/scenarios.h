@@ -40,6 +40,7 @@
 
 #include "common/rng.h"
 #include "common/types.h"
+#include "faults/faults.h"
 #include "hadoop/cluster.h"
 
 namespace asdf::faults {
@@ -148,8 +149,7 @@ class ScenarioInjector {
   std::vector<ScenarioEvent> events_;
 
   // Cascade state.
-  double cascadeWritten_ = 0.0;
-  int cascadeDiskHandle_ = -1;
+  DiskHogWriter cascadeHog_;
   struct RepairFlow {
     NodeId peer = kInvalidNode;
     int hNic = -1;

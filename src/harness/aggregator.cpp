@@ -4,118 +4,84 @@
 #include <chrono>
 #include <cmath>
 #include <deque>
+#include <memory>
+#include <thread>
 
 #include "analysis/partials.h"
-#include "archive/writer.h"
 #include "common/error.h"
 #include "common/logging.h"
 #include "common/strings.h"
-#include "core/fpt_core.h"
-#include "core/realtime.h"
-#include "modules/modules.h"
 #include "modules/merge.h"
 #include "net/agg_client.h"
-#include "net/agg_server.h"
-#include "net/fanout_collector.h"
-#include "rpc/rpc_client.h"
-#include "sim/engine.h"
 
 namespace asdf::harness {
 namespace {
 
-net::AggServerOptions serverOptionsFor(const AggregatorOptions& opts,
-                                       const rpc::SummaryBoard& board) {
-  net::AggServerOptions sopts;
-  sopts.port = opts.port;
-  sopts.groupSize = opts.groupSize;
-  sopts.seed = opts.base.seed;
-  sopts.board = &board;
-  sopts.idleTimeoutSeconds = opts.idleTimeoutSeconds;
-  sopts.shards = opts.shards;
-  return sopts;
+/// The region's pipeline; throws ConfigError for a region that is
+/// empty or runs past the cluster, before any leaf is dialed.
+std::string aggregatorConfigFor(const AggregatorOptions& opts) {
+  const int lastNode = opts.firstNode + opts.groupSize - 1;
+  if (opts.firstNode < 1 || lastNode > opts.base.slaves) {
+    throw ConfigError(
+        strformat("aggregator: region %d..%d runs past the cluster's "
+                  "nodes 1..%d",
+                  opts.firstNode, lastNode, opts.base.slaves));
+  }
+  PipelineParams pipeline = opts.base.pipeline;
+  pipeline.slaves = opts.base.slaves;
+  return buildAggregatorConfig(pipeline, opts.firstNode, opts.groupSize);
 }
 
 }  // namespace
 
-struct AggregatorNode::Impl {
-  Impl(const AggregatorOptions& o, const analysis::BlackBoxModel& model,
-       rpc::SummaryBoard& board)
-      : opts(o),
-        collector(o.leafEndpoints, o.firstNode,
-                  o.base.rpcPolicy.timeoutSeconds,
-                  o.base.seed * 2654435761ULL + 131),
-        client(collector, o.base.rpcPolicy, o.base.seed * 2654435761ULL + 97),
-        recorder(makeRecorder(o.base, "agg")),
-        driver(engine, o.base.realtimeScale),
-        server(serverOptionsFor(o, board)),
-        fpt(engine, makeEnv(model, board)) {
-    if (recorder != nullptr) client.setObserver(recorder.get());
-    fpt.setExecutor(core::makeExecutor(o.base.threads));
-    PipelineParams pipeline = o.base.pipeline;
-    pipeline.slaves = o.base.slaves;
-    fpt.configureFromText(
-        buildAggregatorConfig(pipeline, o.firstNode, o.groupSize));
-  }
-
-  // The environment is copied into FptCore at construction, so every
-  // service must be registered here, before the fpt member initializes.
-  core::Environment makeEnv(const analysis::BlackBoxModel& model,
-                            rpc::SummaryBoard& board) {
-    core::Environment env;
-    env.provide("bb_model", const_cast<analysis::BlackBoxModel*>(&model));
-    env.provide("hl_sync", &sync);
-    env.provide("rpc_client", &client);
-    env.provide("node_health", &client.health());
-    env.provide("summary_board", &board);
-    env.provide("transports", &client.transports());
-    return env;
-  }
-
-  AggregatorOptions opts;
-  net::FanoutCollector collector;
-  rpc::RpcClient client;
-  std::unique_ptr<archive::ArchiveWriter> recorder;
-  sim::SimEngine engine;
-  modules::HadoopLogSync sync;
-  core::RealTimeDriver driver;
-  net::AggServer server;
-  core::FptCore fpt;
-  std::thread pumpThread;
-};
-
 AggregatorNode::AggregatorNode(const AggregatorOptions& opts,
-                               const analysis::BlackBoxModel& model) {
-  if (opts.groupSize < 1) {
-    throw ConfigError("aggregator: group size must be >= 1");
-  }
-  if (opts.leafEndpoints.empty()) {
-    throw ConfigError("aggregator: at least one leaf endpoint required");
-  }
-  impl_ = std::make_unique<Impl>(opts, model, board_);
-}
-
-AggregatorNode::~AggregatorNode() {
-  if (impl_ == nullptr) return;
-  impl_->driver.stop();
-  if (impl_->pumpThread.joinable()) impl_->pumpThread.join();
-}
-
-std::uint16_t AggregatorNode::port() const { return impl_->server.port(); }
+                               const analysis::BlackBoxModel& model)
+    : opts_(opts),
+      model_(model),
+      config_(aggregatorConfigFor(opts)),
+      collector_(opts.leafEndpoints, opts.firstNode,
+                 opts.base.rpcPolicy.timeoutSeconds,
+                 opts.base.seed * 2654435761ULL + 131),
+      driver_(engine_, opts.base.realtimeScale),
+      server_({.port = opts.port,
+               .groupSize = opts.groupSize,
+               .seed = opts.base.seed,
+               .board = &board_,
+               .idleTimeoutSeconds = opts.idleTimeoutSeconds,
+               .shards = opts.shards}) {}
 
 void AggregatorNode::run() {
-  impl_->pumpThread = std::thread([this] {
-    impl_->driver.run(impl_->opts.base.duration /
-                      impl_->opts.base.realtimeScale);
-  });
-  impl_->server.run();
-  impl_->driver.stop();
-  if (impl_->pumpThread.joinable()) impl_->pumpThread.join();
-  if (impl_->recorder != nullptr) impl_->recorder->close();
+  // An aggregator is one region of a tiered deployment: its agg modules
+  // charge the summary traffic to tier-2 channels.
+  ExperimentSpec spec = opts_.base;
+  spec.tiered = true;
+  Plane plane;
+  plane.collector = &collector_;
+  plane.realBackoff = true;
+  plane.recordAs = "agg";
+  plane.config = config_;
+  plane.board = &board_;
+  // The pipeline is pumped on its own thread while this one serves the
+  // board; serving outlives the pipeline until stop() or kShutdown.
+  plane.drive = [this, &spec] {
+    std::thread pump(
+        [this, &spec] { driver_.run(spec.duration / spec.realtimeScale); });
+    try {
+      server_.run();
+    } catch (...) {
+      driver_.stop();
+      pump.join();
+      throw;
+    }
+    driver_.stop();
+    pump.join();
+  };
+  runControlNode(spec, model_, engine_, plane);
 }
 
 void AggregatorNode::stop() {
-  impl_->driver.stop();
-  impl_->server.stop();
+  driver_.stop();
+  server_.stop();
 }
 
 namespace {

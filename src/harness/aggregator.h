@@ -1,9 +1,10 @@
 // The aggregation tier's live processes (DESIGN.md §12).
 //
 // AggregatorNode is the heart of asdf_aggd: one region's collection
-// and reduce stages. It runs the buildAggregatorConfig() pipeline —
-// per-leaf collection chains feeding one agg_bb and one agg_wb — on a
-// RealTimeDriver against the region's leaf asdf_rpcd daemons, and
+// and reduce stages. It is a control node (runControlNode) whose plane
+// collects from the region's leaf asdf_rpcd daemons, runs the
+// buildAggregatorConfig() pipeline — per-leaf collection chains
+// feeding one agg_bb and one agg_wb — on a RealTimeDriver, and
 // re-serves the published GroupSummary windows upward through a
 // net::AggServer on the same CRC-framed protocol.
 //
@@ -20,24 +21,15 @@
 // published window (DESIGN.md §13 rejoin state machine).
 #pragma once
 
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "core/realtime.h"
 #include "harness/experiment.h"
+#include "net/agg_server.h"
+#include "net/fanout_collector.h"
 #include "rpc/summary.h"
-
-namespace asdf {
-namespace net {
-class AggServer;
-class FanoutCollector;
-}  // namespace net
-namespace core {
-class FptCore;
-class RealTimeDriver;
-}  // namespace core
-}  // namespace asdf
+#include "sim/engine.h"
 
 namespace asdf::harness {
 
@@ -64,28 +56,38 @@ struct AggregatorOptions {
 class AggregatorNode {
  public:
   /// Connects to every leaf (throws NetError when one is unreachable).
+  /// Throws ConfigError first when the region runs past base.slaves.
   /// The model must be the same one every other tier trained — same
-  /// base seed, same derivations (trainModel()).
+  /// base seed, same derivations (trainModel()) — and must outlive the
+  /// node.
   AggregatorNode(const AggregatorOptions& opts,
                  const analysis::BlackBoxModel& model);
-  ~AggregatorNode();
   AggregatorNode(const AggregatorNode&) = delete;
   AggregatorNode& operator=(const AggregatorNode&) = delete;
 
-  std::uint16_t port() const;
+  std::uint16_t port() const { return server_.port(); }
   const rpc::SummaryBoard& board() const { return board_; }
 
   /// Pumps the pipeline for base.duration virtual seconds while
   /// serving summary fetches; keeps serving after the pipeline
-  /// finishes until stop() or a kShutdown frame. Blocks.
+  /// finishes until stop() or a kShutdown frame. Blocks. Throws
+  /// ConfigError, before serving, when the leaves serve fewer slaves
+  /// than base.slaves.
   void run();
-  /// Thread-safe; makes run() return.
+  /// Thread-safe; makes run() return, also when called before it.
   void stop();
 
  private:
-  struct Impl;
+  // What a region adds to the control node: its leaves, the wall-clock
+  // pump and the summary server. runControlNode builds the rest.
+  AggregatorOptions opts_;
+  const analysis::BlackBoxModel& model_;
+  std::string config_;
   rpc::SummaryBoard board_;
-  std::unique_ptr<Impl> impl_;
+  net::FanoutCollector collector_;
+  sim::SimEngine engine_;
+  core::RealTimeDriver driver_;
+  net::AggServer server_;
 };
 
 /// The root of a live tiered deployment: merges summaries fetched

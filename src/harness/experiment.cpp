@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 
 #include "archive/collector.h"
 #include "harness/aggregator.h"
@@ -18,27 +16,13 @@
 #include "hadoop/cluster.h"
 #include "metrics/sadc.h"
 #include "modules/modules.h"
-#include "net/cluster_stats.h"
 #include "net/live_transport.h"
-#include "rpc/daemons.h"
+#include "net/sim_cluster.h"
 #include "sim/engine.h"
 #include "workload/gridmix.h"
 
 namespace asdf::harness {
 namespace {
-
-hadoop::HadoopParams hadoopParamsFor(const ExperimentSpec& spec) {
-  hadoop::HadoopParams p;
-  p.slaveCount = spec.slaves;
-  p.topology = spec.topology;
-  return p;
-}
-
-workload::GridMixParams gridmixParamsFor(const ExperimentSpec& spec) {
-  workload::GridMixParams g;
-  g.mixChangeTime = spec.mixChangeTime;
-  return g;
-}
 
 /// Routes alarms and monitoring events into `result` (shared between
 /// the sim and live transports so both record identically).
@@ -94,30 +78,6 @@ archive::TruthRecord truthFromResult(const ExperimentResult& result) {
   return truth;
 }
 
-/// The parts of a control-node run that differ by transport: where
-/// the samples come from, how the pipeline is pumped, and where ground
-/// truth and Table 3 come from. runControlNode does everything else.
-struct Plane {
-  rpc::LiveCollector* collector = nullptr;
-  /// Sim fault gate for the client; null = fault-free collection.
-  hadoop::Cluster* faultGate = nullptr;
-  /// Live sockets sleep each backoff in wall time.
-  bool realBackoff = false;
-  /// Recorder meta source; null for replay, whose archiveDir is the
-  /// archive being played.
-  const char* recordAs = nullptr;
-  /// Runs once fpt-core is configured, before the pipeline is pumped.
-  std::function<void(rpc::RpcClient&)> arm;
-  /// Advances the pipeline through spec.duration.
-  std::function<void()> drive;
-  /// Cluster-side accounting after the run: daemon costs (Table 3),
-  /// fault end time and job counters; nullopt when unavailable. Unset
-  /// for replay, whose archive carries no daemon costs.
-  std::function<std::optional<net::ClusterStatsWire>()> stats;
-  /// Replaces the spec's ground truth where the plane knows better.
-  std::function<void(ExperimentResult&)> truth;
-};
-
 /// Applies a cluster-side snapshot: the observed fault end, Table 3
 /// daemon costs and job counters.
 void recordClusterStats(ExperimentResult& result,
@@ -148,9 +108,8 @@ void recordClusterStats(ExperimentResult& result,
   result.speculativeLaunches = stats.speculativeLaunches;
 }
 
-/// The control node: one RpcClient over the plane's collector (plus the
-/// flight recorder), fpt-core running the generated pipeline, and the
-/// result's alarms, Table 3/4 accounting and robustness counters.
+}  // namespace
+
 ExperimentResult runControlNode(const ExperimentSpec& spec,
                                 const analysis::BlackBoxModel& model,
                                 sim::SimEngine& engine, const Plane& plane) {
@@ -193,15 +152,20 @@ ExperimentResult runControlNode(const ExperimentSpec& spec,
   // client's registry so Table 4 reports bandwidth per tier. (FptCore
   // copies the environment, so this must precede its construction.)
   if (spec.tiered) env.provide("transports", &client->transports());
+  if (plane.board != nullptr) env.provide("summary_board", plane.board);
   std::mutex eventMutex;
   wireSinks(env, result, eventMutex);
 
   core::FptCore fpt(engine, env);
   fpt.setExecutor(core::makeExecutor(spec.threads));
-  PipelineParams pipeline = spec.pipeline;
-  pipeline.slaves = spec.slaves;
-  if (spec.tiered) pipeline.tierGroups = tierGroupsFor(spec);
-  fpt.configureFromText(buildCombinedConfig(pipeline));
+  if (plane.config.empty()) {
+    PipelineParams pipeline = spec.pipeline;
+    pipeline.slaves = spec.slaves;
+    if (spec.tiered) pipeline.tierGroups = tierGroupsFor(spec);
+    fpt.configureFromText(buildCombinedConfig(pipeline));
+  } else {
+    fpt.configureFromText(plane.config);
+  }
 
   if (plane.arm) plane.arm(*client);
   plane.drive();
@@ -229,36 +193,31 @@ ExperimentResult runControlNode(const ExperimentSpec& spec,
   return result;
 }
 
+namespace {
+
 /// Sim transport: the simulated cluster, its RpcHub daemons and the
 /// fault injectors all run on the engine that pumps fpt-core.
 ExperimentResult runSimExperiment(const ExperimentSpec& spec,
                                   const analysis::BlackBoxModel& model) {
   sim::SimEngine engine;
-  hadoop::Cluster cluster(hadoopParamsFor(spec), spec.seed * 6151 + 3,
-                          engine);
-  workload::GridMixGenerator gridmix(cluster, gridmixParamsFor(spec),
-                                     spec.seed * 7411 + 1);
-  cluster.start();
-  gridmix.start();
-  rpc::RpcHub hub(cluster, /*attachTime=*/0.0);
-
-  faults::FaultInjector injector(cluster, spec.fault);
+  net::SimCluster sim(engine, spec.slaves, spec.seed, spec.fault,
+                      spec.mixChangeTime, spec.topology);
   std::unique_ptr<faults::ScenarioInjector> scenario;
   std::vector<std::unique_ptr<faults::MonitoringFaultInjector>> monInjectors;
 
   Plane plane;
-  plane.collector = &hub;
+  plane.collector = &sim.hub;
   // Collection failures (the fault gate) are opt-in; injecting a
   // monitoring fault implies them.
   if (spec.faultTolerantRpc || !spec.monitoringFaults.empty()) {
-    plane.faultGate = &cluster;
+    plane.faultGate = &sim.cluster;
   }
   plane.recordAs = "sim";
   plane.arm = [&](rpc::RpcClient& client) {
-    injector.arm();
+    sim.injector.arm();
     if (spec.scenario.cls != faults::ScenarioClass::kNone) {
-      scenario =
-          std::make_unique<faults::ScenarioInjector>(cluster, spec.scenario);
+      scenario = std::make_unique<faults::ScenarioInjector>(sim.cluster,
+                                                            spec.scenario);
       scenario->arm();
     }
     for (const faults::MonitoringFaultSpec& mf : spec.monitoringFaults) {
@@ -269,10 +228,7 @@ ExperimentResult runSimExperiment(const ExperimentSpec& spec,
     }
   };
   plane.drive = [&] { engine.runUntil(spec.duration); };
-  plane.stats = [&] {
-    return std::optional(
-        net::simClusterStats(cluster, hub, injector.endedAt()));
-  };
+  plane.stats = [&] { return std::optional(sim.stats()); };
   plane.truth = [&](ExperimentResult& result) {
     if (scenario == nullptr) return;
     result.truth.culprits = scenario->culpritIndices();
@@ -502,10 +458,11 @@ void validateSpec(const ExperimentSpec& spec) {
 analysis::BlackBoxModel trainModel(const ExperimentSpec& spec) {
   validateSpec(spec);
   sim::SimEngine engine;
-  hadoop::Cluster cluster(hadoopParamsFor(spec), spec.seed * 7919 + 17,
-                          engine);
-  workload::GridMixGenerator gridmix(cluster, gridmixParamsFor(spec),
-                                     spec.seed * 104729 + 5);
+  hadoop::Cluster cluster(
+      {.slaveCount = spec.slaves, .topology = spec.topology},
+      spec.seed * 7919 + 17, engine);
+  workload::GridMixGenerator gridmix(
+      cluster, {.mixChangeTime = spec.mixChangeTime}, spec.seed * 104729 + 5);
   cluster.start();
   gridmix.start();
 

@@ -15,8 +15,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,7 +29,10 @@
 #include "faults/monitoring_faults.h"
 #include "faults/scenarios.h"
 #include "harness/pipelines.h"
+#include "net/cluster_stats.h"
 #include "rpc/rpc_client.h"
+#include "rpc/summary.h"
+#include "sim/engine.h"
 #include "topology/topology.h"
 
 namespace asdf::archive {
@@ -206,6 +211,47 @@ ExperimentResult runExperiment(const ExperimentSpec& spec,
 
 /// Step 3: evaluates recorded alarms against the ground truth.
 ExperimentSummary summarize(const ExperimentResult& result);
+
+/// The parts of a control-node run that differ by transport or role:
+/// where the samples come from, which pipeline runs and where its
+/// summaries go, how it is pumped, and where ground truth and Table 3
+/// come from. runControlNode does everything else.
+struct Plane {
+  rpc::LiveCollector* collector = nullptr;
+  /// Sim fault gate for the client; null = fault-free collection.
+  hadoop::Cluster* faultGate = nullptr;
+  /// Live sockets sleep each backoff in wall time.
+  bool realBackoff = false;
+  /// Recorder meta source; null for replay, whose archiveDir is the
+  /// archive being played.
+  const char* recordAs = nullptr;
+  /// The fpt-core configuration; empty = buildCombinedConfig of the
+  /// spec's pipeline.
+  std::string config;
+  /// A regional aggregator's board, provided to the agg modules as
+  /// "summary_board" so they publish their windows there.
+  rpc::SummaryBoard* board = nullptr;
+  /// Runs once fpt-core is configured, before the pipeline is pumped.
+  std::function<void(rpc::RpcClient&)> arm;
+  /// Advances the pipeline through spec.duration.
+  std::function<void()> drive;
+  /// Cluster-side accounting after the run: daemon costs (Table 3),
+  /// fault end time and job counters; nullopt when unavailable. Unset
+  /// where no daemon costs are known (replay, an aggregator).
+  std::function<std::optional<net::ClusterStatsWire>()> stats;
+  /// Replaces the spec's ground truth where the plane knows better.
+  std::function<void(ExperimentResult&)> truth;
+};
+
+/// The control node: one RpcClient over the plane's collector (plus the
+/// flight recorder, which ends with a truth record), fpt-core running
+/// the plane's pipeline, and the result's alarms, Table 3/4 accounting
+/// and robustness counters. Throws ConfigError when the collector
+/// serves fewer slaves than the spec monitors. Every transport's
+/// control node and each live aggregator region run through here.
+ExperimentResult runControlNode(const ExperimentSpec& spec,
+                                const analysis::BlackBoxModel& model,
+                                sim::SimEngine& engine, const Plane& plane);
 
 // Result bookkeeping shared by the control node and the live tiered
 // root (harness/aggregator.h), so both report alike.

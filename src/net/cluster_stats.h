@@ -3,19 +3,12 @@
 // A live harness run has no in-process Cluster or RpcHub to interrogate
 // for Table 3 daemon costs, fault end time, or cluster-health sanity
 // counters; asdf_rpcd reports them instead. Sim harness runs read the
-// same snapshot in process. The struct round-trips through the same
+// same snapshot in process (SimCluster::stats). The struct round-trips through the same
 // XDR-style codec as every other payload.
 #pragma once
 
 #include "common/types.h"
 #include "rpc/wire.h"
-
-namespace asdf::hadoop {
-class Cluster;
-}
-namespace asdf::rpc {
-class RpcHub;
-}
 
 namespace asdf::net {
 
@@ -34,12 +27,6 @@ struct ClusterStatsWire {
   std::int64_t tasksFailed = 0;
   std::int64_t speculativeLaunches = 0;
 };
-
-/// The accounting of a simulated cluster and its hub daemons at the
-/// engine's current time; `faultEndedAt` is the injector's end time.
-ClusterStatsWire simClusterStats(hadoop::Cluster& cluster,
-                                 const rpc::RpcHub& hub,
-                                 SimTime faultEndedAt);
 
 inline void encodeClusterStats(rpc::Encoder& enc,
                                const ClusterStatsWire& s) {

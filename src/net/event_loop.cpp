@@ -144,10 +144,13 @@ int EventLoop::runOnce(double maxWaitSeconds) {
 }
 
 void EventLoop::run() {
-  stopped_ = false;
-  while (!stopped_) {
+  // Returns on the first stop() this loop has not yet returned for,
+  // including one made before run() was entered; the stops seen are
+  // then spent, so a later run() waits for a later stop().
+  while (stopRequests_.load() == stopsSpent_) {
     runOnce(-1.0);
   }
+  stopsSpent_ = stopRequests_.load();
   // Final non-blocking drain: readiness that raced with stop(), such as
   // a peer close, is dispatched instead of dropped, so observable
   // teardown state (connection counts, close callbacks) is
@@ -158,9 +161,9 @@ void EventLoop::run() {
 }
 
 void EventLoop::stop() {
-  stopped_ = true;
+  stopRequests_.fetch_add(1);
   const std::uint64_t one = 1;
-  // Best-effort: the loop also re-checks stopped_ after every wait.
+  // Best-effort: run() also re-checks the stop count after every wait.
   [[maybe_unused]] ssize_t n = write(wakeupFd_, &one, sizeof(one));
 }
 

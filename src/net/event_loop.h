@@ -61,13 +61,16 @@ class EventLoop {
   /// callbacks run. Returns promptly on stop().
   int runOnce(double maxWaitSeconds);
 
-  /// Dispatches until stop() is called.
+  /// Dispatches until stop() is called. A stop() that comes before
+  /// run() is kept: run() then returns at once. The loop may run again;
+  /// the next run() waits for the next stop().
   void run();
 
   /// Thread-safe: wakes the loop and makes run() return.
   void stop();
 
-  bool stopped() const { return stopped_; }
+  /// Whether stop() has ever been called.
+  bool stopped() const { return stopRequests_.load() != 0; }
   std::size_t watchedFds() const { return fds_.size(); }
 
  private:
@@ -94,7 +97,8 @@ class EventLoop {
   std::map<int, TimerCallback> timers_;  // id -> callback (empty = canceled)
   int nextTimerId_ = 1;
   std::uint64_t nextTimerSeq_ = 0;
-  std::atomic<bool> stopped_{false};
+  std::atomic<std::uint64_t> stopRequests_{0};
+  std::uint64_t stopsSpent_ = 0;  // stop requests run() has returned for
 };
 
 }  // namespace asdf::net

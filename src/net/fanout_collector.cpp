@@ -1,5 +1,6 @@
 #include "net/fanout_collector.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/error.h"
@@ -41,7 +42,13 @@ FanoutCollector::FanoutCollector(const std::vector<std::string>& endpoints,
   }
 }
 
-int FanoutCollector::slaves() const { return transports_[0]->slaves(); }
+int FanoutCollector::slaves() const {
+  // The client polls every node through some leaf: the fewest any leaf
+  // serves is what the region can rely on.
+  int fewest = transports_[0]->slaves();
+  for (const auto& t : transports_) fewest = std::min(fewest, t->slaves());
+  return fewest;
+}
 
 LiveTransport& FanoutCollector::transportFor(NodeId node) {
   const std::size_t offset =

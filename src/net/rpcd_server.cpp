@@ -1,51 +1,24 @@
 #include "net/rpcd_server.h"
 
-#include "net/cluster_stats.h"
 #include "rpc/payloads.h"
 
 namespace asdf::net {
-namespace {
-
-hadoop::HadoopParams hadoopParamsFor(const RpcdOptions& opts) {
-  hadoop::HadoopParams p;
-  p.slaveCount = opts.slaves;
-  return p;
-}
-
-workload::GridMixParams gridmixParamsFor(const RpcdOptions& opts) {
-  workload::GridMixParams g;
-  g.mixChangeTime = opts.mixChangeTime;
-  return g;
-}
-
-}  // namespace
 
 RpcdServer::RpcdServer(const RpcdOptions& opts)
     : opts_(opts),
       hello_{opts.slaves, opts.seed, opts.source},
       group_(ShardGroupOptions{opts.port, opts.shards}) {
   if (opts_.source == "sim") {
-    // Seed derivations must match harness::runExperiment exactly: that
-    // is what lets a live client observe the same cluster a
-    // sim-transport run simulates in-process.
-    engine_ = std::make_unique<sim::SimEngine>();
-    cluster_ = std::make_unique<hadoop::Cluster>(
-        hadoopParamsFor(opts_), opts_.seed * 6151 + 3, *engine_);
-    gridmix_ = std::make_unique<workload::GridMixGenerator>(
-        *cluster_, gridmixParamsFor(opts_), opts_.seed * 7411 + 1);
-    cluster_->start();
-    gridmix_->start();
-    hub_ = std::make_unique<rpc::RpcHub>(*cluster_, /*attachTime=*/0.0);
+    sim_ = std::make_unique<SimCluster>(engine_, opts_.slaves, opts_.seed,
+                                        opts_.fault, opts_.mixChangeTime);
     // Which nodes remote pollers trace is not known up front: every
     // node draws its trace every second, as for an in-process strace
     // module attached at configure time.
-    for (NodeId node = 1; node <= hub_->slaves(); ++node) {
-      hub_->strace(node).attachConsumer();
+    for (NodeId node = 1; node <= sim_->hub.slaves(); ++node) {
+      sim_->hub.strace(node).attachConsumer();
     }
-    injector_ = std::make_unique<faults::FaultInjector>(*cluster_,
-                                                        opts_.fault);
-    injector_->arm();
-    source_ = hub_.get();
+    sim_->injector.arm();
+    source_ = &sim_->hub;
   } else {
     proc_ = std::make_unique<ProcSource>(opts_.slaves, opts_.seed);
     source_ = proc_.get();
@@ -67,9 +40,7 @@ void RpcdServer::advanceTo(double now) {
   // is answered — the same order an in-process run executes them in,
   // where cluster/gridmix/injector events sort before the module fetch
   // at an equal timestamp.
-  if (engine_ != nullptr && now > engine_->now()) {
-    engine_->runUntil(now);
-  }
+  if (sim_ != nullptr && now > engine_.now()) engine_.runUntil(now);
 }
 
 void RpcdServer::observeSample(const rpc::CollectRequest& req) {
@@ -86,46 +57,11 @@ void RpcdServer::observeSample(const rpc::CollectRequest& req) {
   opts_.observer->onSample(sample);
 }
 
-ClusterStatsWire simClusterStats(hadoop::Cluster& cluster,
-                                 const rpc::RpcHub& hub,
-                                 SimTime faultEndedAt) {
-  ClusterStatsWire stats;
-  stats.simNow = cluster.engine().now();
-  stats.faultEndedAt = faultEndedAt;
-  stats.sadcCpuSeconds = hub.sadcCpuSeconds();
-  stats.hadoopLogCpuSeconds = hub.hadoopLogCpuSeconds();
-  stats.straceCpuSeconds = hub.straceCpuSeconds();
-  stats.sadcMemoryBytes = static_cast<std::int64_t>(hub.sadcMemoryBytes());
-  stats.hadoopLogMemoryBytes =
-      static_cast<std::int64_t>(hub.hadoopLogMemoryBytes());
-  stats.straceMemoryBytes =
-      static_cast<std::int64_t>(hub.straceMemoryBytes());
-  stats.jobsSubmitted = cluster.jobTracker().jobsSubmitted();
-  stats.jobsCompleted = cluster.jobTracker().jobsCompleted();
-  stats.speculativeLaunches = cluster.jobTracker().speculativeLaunches();
-  for (int i = 1; i <= cluster.slaveCount(); ++i) {
-    stats.tasksCompleted += cluster.taskTracker(i).completedTasks();
-    stats.tasksFailed += cluster.taskTracker(i).failedTasks();
-  }
-  return stats;
-}
-
 ClusterStatsWire RpcdServer::snapshotStats(double now) {
   std::lock_guard<std::mutex> lock(stateMutex_);
   advanceTo(now);
-  if (engine_ != nullptr) {
-    return simClusterStats(*cluster_, *hub_, injector_->endedAt());
-  }
-  ClusterStatsWire stats;
-  stats.simNow = now;
-  stats.faultEndedAt = kNoTime;
-  return stats;
-}
-
-void RpcdServer::handleStats(TcpServer::Connection& conn, double now) {
-  rpc::Encoder enc;
-  encodeClusterStats(enc, snapshotStats(now));
-  conn.send(MsgType::kStatsData, enc);
+  if (sim_ != nullptr) return sim_->stats();
+  return {.simNow = now, .faultEndedAt = kNoTime};
 }
 
 void RpcdServer::handleFrame(TcpServer::Connection& conn,
@@ -140,7 +76,9 @@ void RpcdServer::handleFrame(TcpServer::Connection& conn,
       return;
     case MsgType::kStats: {
       rpc::Decoder dec(frame.payload);
-      handleStats(conn, dec.getDouble());
+      rpc::Encoder enc;
+      encodeClusterStats(enc, snapshotStats(dec.getDouble()));
+      conn.send(MsgType::kStatsData, enc);
       return;
     }
     default:

@@ -4,12 +4,12 @@
 // node over the framed TCP protocol. Two data sources:
 //
 //   sim  — the daemon hosts the monitored-cluster simulation itself
-//          (Cluster + GridMix + RpcHub + FaultInjector, seeded exactly
-//          as harness::runExperiment seeds them) and advances it lazily
-//          to the virtual `now` carried in each request. A live client
-//          driving the same module schedule therefore reads byte-for-
-//          byte the same data a sim-transport run reads, which is what
-//          makes the sim/live alarm-equality contract testable.
+//          (the SimCluster harness::runExperiment builds, from the same
+//          seed) and advances it lazily to the virtual `now` carried in
+//          each request. A live client driving the same module schedule
+//          therefore reads byte-for-byte the same data a sim-transport
+//          run reads, which is what makes the sim/live alarm-equality
+//          contract testable.
 //   proc — serves this host's real /proc counters (synthetic random
 //          walk when /proc is unavailable) plus replayed hadoop-log
 //          rows; the honest "online on a real machine" mode.
@@ -31,13 +31,11 @@
 #include <string>
 
 #include "faults/faults.h"
-#include "hadoop/cluster.h"
 #include "net/cluster_stats.h"
 #include "net/proc_source.h"
 #include "net/shard_group.h"
-#include "rpc/daemons.h"
+#include "net/sim_cluster.h"
 #include "sim/engine.h"
-#include "workload/gridmix.h"
 
 namespace asdf::net {
 
@@ -88,7 +86,6 @@ class RpcdServer {
   /// Serves kFetchSadc/Tt/Dn/Strace through source_.
   void handleCollect(TcpServer::Connection& conn, const Frame& frame);
   void advanceTo(double now);
-  void handleStats(TcpServer::Connection& conn, double now);
   void observeSample(const rpc::CollectRequest& req);
 
   RpcdOptions opts_;
@@ -104,16 +101,13 @@ class RpcdServer {
   rpc::Encoder payload_;
 
   // sim source (null in proc mode).
-  std::unique_ptr<sim::SimEngine> engine_;
-  std::unique_ptr<hadoop::Cluster> cluster_;
-  std::unique_ptr<workload::GridMixGenerator> gridmix_;
-  std::unique_ptr<rpc::RpcHub> hub_;
-  std::unique_ptr<faults::FaultInjector> injector_;
+  sim::SimEngine engine_;
+  std::unique_ptr<SimCluster> sim_;
 
   // proc source (null in sim mode).
   std::unique_ptr<ProcSource> proc_;
 
-  /// What collect requests are served from: hub_ or proc_.
+  /// What collect requests are served from: sim_->hub or proc_.
   rpc::LiveCollector* source_ = nullptr;
 };
 

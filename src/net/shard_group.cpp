@@ -40,9 +40,8 @@ void ShardGroup::runOnCaller() {
     threads_.emplace_back([loop] { loop->run(); });
   }
   loops_[0]->run();
-  // Shard 0 stopped (stop(), or a handler on this shard): bring the
-  // rest down and join before returning to the caller.
-  stop();
+  // Shard 0 returns only for stop(), which stops every shard: join the
+  // rest before returning to the caller.
   for (auto& t : threads_) {
     if (t.joinable()) t.join();
   }

@@ -25,8 +25,11 @@
 
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "common/error.h"
 #include "harness/aggregator.h"
 #include "harness/experiment.h"
 #include "modules/modules.h"
@@ -252,6 +255,117 @@ TEST(AggE2E, DegradedAnalysisSurvivesAggregatorDeath) {
   // And the fault in the surviving region is localized.
   const ExperimentSummary summary = summarize(live);
   EXPECT_GE(summary.combined.latencySeconds, 0.0);
+}
+
+// A region that runs past the cluster is refused with the range named,
+// before the node dials its leaves.
+TEST(AggE2E, RegionPastTheClusterIsRejected) {
+  modules::registerBuiltinModules();
+  ExperimentSpec spec = baseSpec(/*slaves=*/6);
+  const analysis::BlackBoxModel model = trainModel(spec);
+
+  net::RpcdOptions leafOpts;
+  leafOpts.slaves = spec.slaves;
+  leafOpts.seed = spec.seed;
+  LeafFixture leaf(leafOpts);
+
+  AggregatorOptions opts;
+  opts.base = spec;
+  opts.firstNode = 5;
+  opts.groupSize = 4;
+  opts.leafEndpoints = {endpointOf(leaf)};
+  try {
+    AggregatorNode node(opts, model);
+    ADD_FAILURE() << "a region of nodes 5..8 in a 6-slave cluster started";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("5..8"), std::string::npos)
+        << e.what();
+  }
+}
+
+// A leaf serving fewer slaves than the cluster the aggregator was told
+// about is refused when the node runs, before anything is served —
+// also when it is not the region's first leaf.
+TEST(AggE2E, LeafServingTooFewSlavesIsRejected) {
+  modules::registerBuiltinModules();
+  ExperimentSpec spec = baseSpec(/*slaves=*/8);
+  const analysis::BlackBoxModel model = trainModel(spec);
+
+  net::RpcdOptions leafOpts;
+  leafOpts.seed = spec.seed;
+  leafOpts.slaves = 8;
+  LeafFixture full(leafOpts);
+  leafOpts.slaves = 6;
+  LeafFixture small(leafOpts);
+
+  for (const std::vector<std::string>& leaves :
+       {std::vector<std::string>{endpointOf(small)},
+        std::vector<std::string>{endpointOf(full), endpointOf(small)}}) {
+    AggregatorOptions opts;
+    opts.base = spec;
+    opts.firstNode = 5;
+    opts.groupSize = 4;
+    opts.leafEndpoints = leaves;
+    AggregatorNode node(opts, model);
+    try {
+      node.run();
+      ADD_FAILURE() << "an aggregator over a 6-slave leaf ran for 8 slaves";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("serves 6 slaves"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// The aggregator's client sleeps each retry backoff in wall time, like
+// the flat live control node's: against a leaf that has gone away, a
+// failed round must not retry at once. Every node's first sadc round
+// fails (the breaker then stays open for the rest of the run), so the
+// first black-box window cannot be published before those rounds'
+// backoffs have been slept — far later than its nominal wall time.
+TEST(AggE2E, RetriesAgainstADeadLeafSleepTheirBackoff) {
+  modules::registerBuiltinModules();
+  ExperimentSpec spec = baseSpec(/*slaves=*/3);
+  const analysis::BlackBoxModel model = trainModel(spec);
+  spec.realtimeScale = 3000.0;  // first window due ~0.02 s wall
+  spec.rpcPolicy.timeoutSeconds = 1.0;
+  spec.rpcPolicy.maxRetries = 1;
+  spec.rpcPolicy.backoffBase = 0.2;
+  spec.rpcPolicy.backoffMax = 0.2;
+  spec.rpcPolicy.breakerThreshold = 1;
+  spec.rpcPolicy.breakerRecoverySeconds = 1.0e6;
+
+  net::RpcdOptions leafOpts;
+  leafOpts.slaves = spec.slaves;
+  leafOpts.seed = spec.seed;
+  auto leaf = std::make_unique<LeafFixture>(leafOpts);
+
+  AggregatorOptions opts;
+  opts.base = spec;
+  opts.firstNode = 1;
+  opts.groupSize = spec.slaves;
+  opts.leafEndpoints = {endpointOf(*leaf)};
+  AggregatorNode node(opts, model);
+  leaf.reset();  // the leaf goes away after the node has dialed it
+
+  const auto start = std::chrono::steady_clock::now();
+  std::thread runner([&node] { node.run(); });
+  while (node.board().windowCount(rpc::SummaryChannel::kBlackBox) == 0 &&
+         std::chrono::steady_clock::now() - start < std::chrono::seconds(30)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const double firstWindowSeconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  node.stop();
+  runner.join();
+
+  // One failed sadc round per node, each sleeping one backoff of at
+  // least 0.75 * backoffBase (the jitter is +/-25%).
+  const double minSlept = spec.slaves * 0.75 * spec.rpcPolicy.backoffBase;
+  EXPECT_GE(firstWindowSeconds, minSlept);
+  EXPECT_LT(firstWindowSeconds, 30.0) << "no window was ever published";
 }
 
 }  // namespace

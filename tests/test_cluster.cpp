@@ -9,6 +9,7 @@
 
 #include "common/strings.h"
 #include "faults/faults.h"
+#include "faults/scenarios.h"
 #include "hadooplog/parser.h"
 #include "metrics/catalog.h"
 #include "sim/engine.h"
@@ -232,6 +233,28 @@ class Fnv64 {
   std::uint64_t h_ = 1469598103934665603ULL;
 };
 
+// Hashes every slave's sadc snapshot, every second through `seconds`:
+// the simulator's output bits, process table included.
+std::uint64_t snapshotStreamHash(sim::SimEngine& engine, Cluster& cluster,
+                                 int seconds) {
+  Fnv64 h;
+  for (int t = 1; t <= seconds; ++t) {
+    engine.runUntil(t);
+    for (Node* node : cluster.slaveNodes()) {
+      const metrics::SadcSnapshot& snap = node->sadcCollect();
+      h.real(snap.time);
+      h.reals(snap.node);
+      h.reals(snap.nic);
+      h.word(snap.processes.size());
+      for (const auto& [name, values] : snap.processes) {
+        h.text(name);
+        h.reals(values);
+      }
+    }
+  }
+  return h.value();
+}
+
 // Pins the simulator's output bits: every slave's sadc snapshot, every
 // second, over 600 s of GridMix on 24 slaves with a CPUHog that comes
 // and goes (its tracked process joins and leaves the snapshot). The
@@ -268,6 +291,50 @@ TEST(Cluster, SnapshotStreamMatchesParent) {
   }
   EXPECT_GT(cluster.jobTracker().jobsCompleted(), 0);
   EXPECT_EQ(h.value(), 0x63e178dded592d22ULL);
+}
+
+// The same pin over a Table 2 DiskHog that finishes its write mid-run
+// (so the injector ends itself), computed before the DiskHog and the
+// CascadeHotspot scenario shared one writer.
+TEST(Cluster, DiskHogSnapshotStreamMatchesParent) {
+  sim::SimEngine engine;
+  Cluster cluster(smallParams(24), 77, engine);
+  workload::GridMixGenerator gridmix(cluster, {}, 78);
+  faults::FaultSpec spec;
+  spec.type = faults::FaultType::kDiskHog;
+  spec.node = 5;
+  spec.startTime = 200.0;
+  spec.diskHogBytes = 8.0e9;
+  faults::FaultInjector injector(cluster, spec);
+  cluster.start();
+  gridmix.start();
+  injector.arm();
+  const std::uint64_t hash = snapshotStreamHash(engine, cluster, 600);
+  EXPECT_NE(injector.endedAt(), kNoTime);
+  EXPECT_DOUBLE_EQ(injector.diskHogWritten(), spec.diskHogBytes);
+  EXPECT_EQ(hash, 0xa48e8e0c73f29ad4ULL);
+}
+
+// The same pin over a CascadeHotspot on a three-rack cluster: the hog
+// writes until done while its rack peers push repair traffic.
+TEST(Cluster, CascadeHotspotSnapshotStreamMatchesParent) {
+  sim::SimEngine engine;
+  HadoopParams params = smallParams(24);
+  params.topology.racks = 3;
+  Cluster cluster(params, 77, engine);
+  workload::GridMixGenerator gridmix(cluster, {}, 78);
+  faults::ScenarioSpec spec;
+  spec.cls = faults::ScenarioClass::kCascadeHotspot;
+  spec.rack = 1;
+  spec.startTime = 200.0;
+  spec.cascadeDiskBytes = 8.0e9;
+  faults::ScenarioInjector injector(cluster, spec);
+  cluster.start();
+  gridmix.start();
+  injector.arm();
+  const std::uint64_t hash = snapshotStreamHash(engine, cluster, 600);
+  EXPECT_NE(injector.endedAt(), kNoTime);
+  EXPECT_EQ(hash, 0x2538cd434b718b68ULL);
 }
 
 TEST(Cluster, TickCountMatchesDuration) {

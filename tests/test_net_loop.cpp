@@ -173,6 +173,44 @@ TEST(EventLoop, StopFromAnotherThreadUnblocksRun) {
   EXPECT_TRUE(loop.stopped());
 }
 
+// A stop() made before run() is kept, and the loop can still run
+// again: the next run() waits for a later stop(). A watchdog stops a
+// run() that missed its stop, so the test fails instead of hanging.
+TEST(EventLoop, StopBeforeRunIsKeptAndTheLoopRunsAgain) {
+  EventLoop loop;
+  std::atomic<bool> done{false};
+  std::atomic<bool> watchdogFired{false};
+  std::thread watchdog([&] {
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!done.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      if (std::chrono::steady_clock::now() < deadline) continue;
+      watchdogFired = true;
+      loop.stop();
+      deadline += std::chrono::seconds(1);
+    }
+  });
+
+  loop.stop();
+  loop.run();  // returns at once: the stop came first
+  EXPECT_FALSE(watchdogFired.load());
+
+  std::atomic<bool> secondReturned{false};
+  std::thread second([&] {
+    loop.run();
+    secondReturned = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(secondReturned.load());  // the first stop is spent
+  loop.stop();
+  second.join();
+  EXPECT_TRUE(secondReturned.load());
+
+  done = true;
+  watchdog.join();
+  EXPECT_FALSE(watchdogFired.load());
+}
+
 TEST(EventLoop, RunOnceHonorsTimeout) {
   EventLoop loop;
   EXPECT_EQ(loop.runOnce(0.01), 0);  // nothing due, returns after timeout
