@@ -32,13 +32,13 @@ int main(int argc, char** argv) {
   std::printf("%-18s %12s %12s   %s\n", "Process", "% CPU", "Memory (MB)",
               "(paper: %CPU / MB)");
   bench::printRule();
-  std::printf("%-18s %12.4f %12.2f   (0.0245 / 2.36)\n", "hadoop_log_rpcd",
+  std::printf("%-18s %12.3g %12.2f   (0.0245 / 2.36)\n", "hadoop_log_rpcd",
               r.hadoopLogRpcdCpuPct, r.hadoopLogRpcdMemMb);
-  std::printf("%-18s %12.4f %12.2f   (0.3553 / 0.77)\n", "sadc_rpcd",
+  std::printf("%-18s %12.3g %12.2f   (0.3553 / 0.77)\n", "sadc_rpcd",
               r.sadcRpcdCpuPct, r.sadcRpcdMemMb);
-  std::printf("%-18s %12.4f %12.2f   (n/a: Section 5 extension)\n",
+  std::printf("%-18s %12.3g %12.2f   (n/a: Section 5 extension)\n",
               "strace_rpcd", r.straceRpcdCpuPct, r.straceRpcdMemMb);
-  std::printf("%-18s %12.4f %12.2f   (0.8063 / 5.11)\n", "fpt-core",
+  std::printf("%-18s %12.3g %12.2f   (0.8063 / 5.11)\n", "fpt-core",
               r.fptCoreCpuPct, r.fptCoreMemMb);
   bench::printRule();
   const bool holds = r.hadoopLogRpcdCpuPct < 1.0 && r.sadcRpcdCpuPct < 1.0 &&

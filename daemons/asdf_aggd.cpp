@@ -116,6 +116,8 @@ int main(int argc, char** argv) {
   opts.leafEndpoints = split(leaves, ',');
 
   try {
+    // A bad region is refused before the model is trained.
+    harness::checkRegion(opts);
     analysis::BlackBoxModel model;
     bool cached = false;
     if (!modelCache.empty()) {
@@ -148,13 +150,15 @@ int main(int argc, char** argv) {
     g_node = &node;
     std::signal(SIGINT, handleSignal);
     std::signal(SIGTERM, handleSignal);
-    std::printf("asdf_aggd: nodes %d..%d from %zu leaves, serving "
-                "summaries on 127.0.0.1:%u\n",
-                opts.firstNode, opts.firstNode + opts.groupSize - 1,
-                opts.leafEndpoints.size(),
-                static_cast<unsigned>(node.port()));
-    std::fflush(stdout);
-    node.run();
+    // Announced only once run() has checked the leaves.
+    node.run([&] {
+      std::printf("asdf_aggd: nodes %d..%d from %zu leaves, serving "
+                  "summaries on 127.0.0.1:%u\n",
+                  opts.firstNode, opts.firstNode + opts.groupSize - 1,
+                  opts.leafEndpoints.size(),
+                  static_cast<unsigned>(node.port()));
+      std::fflush(stdout);
+    });
     std::printf("asdf_aggd: published %zu black-box / %zu white-box "
                 "summary windows\n",
                 node.board().windowCount(rpc::SummaryChannel::kBlackBox),

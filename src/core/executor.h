@@ -16,12 +16,24 @@
 //                       executor; only intra-level wall-clock
 //                       interleaving differs.
 //
+// A batch is one wavefront level, handed over as a few *chunks*. The
+// scheduler splits a level into serial groups (runs sharing an
+// exclusivity domain), then cuts the groups, in configuration order,
+// into contiguous chunks of similar run counts: exactly one chunk when
+// concurrency() is 1, at most kChunksPerWorker x concurrency()
+// otherwise. A chunk is one task: it runs its groups in order on one
+// thread and is metered once (two thread-CPU clock reads), and a pool
+// worker takes the mutex once per chunk, not once per group. A group
+// that throws ends its chunk, so the chunk's later groups do not run
+// in that wavefront; the lowest-indexed throwing group's exception is
+// the one rethrown, as the chunks are contiguous.
+//
 // Executors are deliberately dumb: a batch of opaque closures, run to
 // completion, first exception rethrown after the barrier. All DAG
-// knowledge (levels, exclusivity domains, deterministic notification
-// merging) stays in the scheduler, which is what makes the back-end
-// swappable from the command line (`asdfd --threads N`) without any
-// semantic change.
+// knowledge (levels, exclusivity domains, chunking, deterministic
+// notification merging) stays in the scheduler, which is what makes
+// the back-end swappable from the command line (`asdfd --threads N`)
+// without any semantic change.
 #pragma once
 
 #include <condition_variable>
@@ -36,6 +48,11 @@
 #include <vector>
 
 namespace asdf::core {
+
+/// Upper bound on the chunks a level is cut into, per unit of
+/// concurrency(): a few per worker, so a worker that finishes early
+/// can take another while lock traffic and meter reads stay fixed.
+inline constexpr int kChunksPerWorker = 4;
 
 class Executor {
  public:

@@ -333,6 +333,36 @@ void FptCore::buildExclusiveGroups(const std::vector<ReadyRun>& runs) {
   }
 }
 
+void FptCore::buildChunks(std::size_t runCount) {
+  const int concurrency = executor_->concurrency();
+  const std::size_t limit =
+      concurrency <= 1
+          ? 1
+          : std::min(groupCount_, static_cast<std::size_t>(kChunksPerWorker) *
+                                      static_cast<std::size_t>(concurrency));
+  chunkEnd_.clear();
+  std::size_t runsSoFar = 0;
+  for (std::size_t g = 0; g + 1 < groupCount_; ++g) {
+    runsSoFar += groups_[g].size();
+    if (runsSoFar * limit >= (chunkEnd_.size() + 1) * runCount) {
+      chunkEnd_.push_back(g + 1);
+    }
+  }
+  chunkEnd_.push_back(groupCount_);
+}
+
+void FptCore::runChunk(std::size_t chunk) {
+  // Metered per chunk, not per group or run: each scope costs two
+  // thread-CPU clock reads, a syscall each.
+  CpuMeter::Scope scope(cpu_);
+  const std::size_t first = chunk == 0 ? 0 : chunkEnd_[chunk - 1];
+  for (std::size_t g = first; g < chunkEnd_[chunk]; ++g) {
+    for (const ReadyRun& run : groups_[g]) {
+      runInstance(*run.instance, run.reason);
+    }
+  }
+}
+
 void FptCore::dispatchWavefront() {
   wavefrontScheduled_ = false;
   if (readySet_.empty()) return;
@@ -378,17 +408,12 @@ void FptCore::dispatchWavefront() {
     if (levelRuns_.empty()) continue;
 
     buildExclusiveGroups(levelRuns_);
+    buildChunks(levelRuns_.size());
     tasks_.clear();
-    for (std::size_t g = 0; g < groupCount_; ++g) {
-      const std::vector<ReadyRun>* group = &groups_[g];
-      // Metered per task, not per run: a task is one serial group on
-      // one thread, and each scope costs two thread-CPU clock reads.
-      tasks_.push_back([this, group] {
-        CpuMeter::Scope scope(cpu_);
-        for (const ReadyRun& run : *group) {
-          runInstance(*run.instance, run.reason);
-        }
-      });
+    // Two words of capture fit std::function's local buffer, so a
+    // chunk closure never allocates.
+    for (std::size_t c = 0; c < chunkEnd_.size(); ++c) {
+      tasks_.push_back([this, c] { runChunk(c); });
     }
     try {
       executor_->runBatch(tasks_);

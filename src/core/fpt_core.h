@@ -94,7 +94,7 @@ class FptCore {
   sim::SimEngine& engine() { return engine_; }
 
   /// Real CPU seconds spent executing module code (Table 3), metered
-  /// once per executor task (one serial group of runs). Under a
+  /// once per executor task (one chunk of a level's groups). Under a
   /// parallel executor this sums CPU time across worker threads.
   double cpuSeconds() const { return cpu_.seconds(); }
   /// Approximate resident footprint of the graph (Table 3).
@@ -152,13 +152,22 @@ class FptCore {
   /// level through the executor, merges deferred notifications at the
   /// level barrier, and repeats for newly readied (deeper) levels.
   void dispatchWavefront();
-  /// Splits one level's runs into executor tasks: one union-find pass
+  /// Splits one level's runs into serial groups: one union-find pass
   /// joins the two entries of one instance and every run sharing an
-  /// exclusivity domain into one serial task (configuration order);
-  /// all other instances get a task each. Groups are ordered by their
+  /// exclusivity domain into one group (configuration order); all
+  /// other instances get a group each. Groups are ordered by their
   /// first run. Fills groups_/groupCount_ from reused buffers, so the
   /// steady state allocates nothing.
   void buildExclusiveGroups(const std::vector<ReadyRun>& runs);
+  /// Cuts the level's groups into the executor's tasks: contiguous
+  /// chunks in group order, one for a serial executor and at most
+  /// kChunksPerWorker x concurrency() otherwise, cut where the running
+  /// count of runs crosses each equal share of the level. Fills
+  /// chunkEnd_.
+  void buildChunks(std::size_t runCount);
+  /// Runs chunk `chunk`'s groups in order under one CPU scope; a
+  /// throwing group ends the chunk.
+  void runChunk(std::size_t chunk);
 
   sim::SimEngine& engine_;
   Environment env_;
@@ -188,6 +197,7 @@ class FptCore {
   std::vector<std::size_t> parent_;
   std::vector<std::size_t> groupOfRoot_;
   std::vector<std::size_t> firstRunOfDomain_;
+  std::vector<std::size_t> chunkEnd_;  // one past each chunk's last group
   std::vector<Executor::Task> tasks_;
   bool wavefrontScheduled_ = false;  // dispatch event already queued
   bool dispatching_ = false;         // inside dispatchWavefront

@@ -15,11 +15,8 @@
 #include "net/agg_client.h"
 
 namespace asdf::harness {
-namespace {
 
-/// The region's pipeline; throws ConfigError for a region that is
-/// empty or runs past the cluster, before any leaf is dialed.
-std::string aggregatorConfigFor(const AggregatorOptions& opts) {
+void checkRegion(const AggregatorOptions& opts) {
   const int lastNode = opts.firstNode + opts.groupSize - 1;
   if (opts.firstNode < 1 || lastNode > opts.base.slaves) {
     throw ConfigError(
@@ -27,6 +24,14 @@ std::string aggregatorConfigFor(const AggregatorOptions& opts) {
                   "nodes 1..%d",
                   opts.firstNode, lastNode, opts.base.slaves));
   }
+}
+
+namespace {
+
+/// The region's pipeline; throws ConfigError for a region that is
+/// empty or runs past the cluster, before any leaf is dialed.
+std::string aggregatorConfigFor(const AggregatorOptions& opts) {
+  checkRegion(opts);
   PipelineParams pipeline = opts.base.pipeline;
   pipeline.slaves = opts.base.slaves;
   return buildAggregatorConfig(pipeline, opts.firstNode, opts.groupSize);
@@ -50,7 +55,7 @@ AggregatorNode::AggregatorNode(const AggregatorOptions& opts,
                .idleTimeoutSeconds = opts.idleTimeoutSeconds,
                .shards = opts.shards}) {}
 
-void AggregatorNode::run() {
+void AggregatorNode::run(const std::function<void()>& onServing) {
   // An aggregator is one region of a tiered deployment: its agg modules
   // charge the summary traffic to tier-2 channels.
   ExperimentSpec spec = opts_.base;
@@ -63,7 +68,8 @@ void AggregatorNode::run() {
   plane.board = &board_;
   // The pipeline is pumped on its own thread while this one serves the
   // board; serving outlives the pipeline until stop() or kShutdown.
-  plane.drive = [this, &spec] {
+  plane.drive = [this, &spec, &onServing] {
+    if (onServing) onServing();
     std::thread pump(
         [this, &spec] { driver_.run(spec.duration / spec.realtimeScale); });
     try {

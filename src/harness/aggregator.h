@@ -21,6 +21,7 @@
 // published window (DESIGN.md §13 rejoin state machine).
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -53,6 +54,11 @@ struct AggregatorOptions {
   int shards = 1;
 };
 
+/// Throws ConfigError when the region is empty or runs past
+/// base.slaves. Needs no model or leaf, so a daemon can refuse a bad
+/// region before it trains.
+void checkRegion(const AggregatorOptions& opts);
+
 class AggregatorNode {
  public:
   /// Connects to every leaf (throws NetError when one is unreachable).
@@ -72,8 +78,9 @@ class AggregatorNode {
   /// serving summary fetches; keeps serving after the pipeline
   /// finishes until stop() or a kShutdown frame. Blocks. Throws
   /// ConfigError, before serving, when the leaves serve fewer slaves
-  /// than base.slaves.
-  void run();
+  /// than base.slaves; `onServing`, when set, is called once those
+  /// checks passed, just before serving starts.
+  void run(const std::function<void()>& onServing = {});
   /// Thread-safe; makes run() return, also when called before it.
   void stop();
 

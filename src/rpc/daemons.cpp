@@ -18,7 +18,7 @@ void chargeNode(hadoop::Node& node, double cpuSeconds, double txBytes) {
 SadcDaemon::SadcDaemon(hadoop::Node& node) : node_(node) {}
 
 const metrics::SadcSnapshot& SadcDaemon::fetch(std::size_t& responseBytes) {
-  CpuMeter::Scope scope(cpu_);
+  BusyMeter::Scope scope(busy_);
   const metrics::SadcSnapshot& snap = node_.sadcCollect();
   responseBytes = encodedSize(snap);
   chargeNode(node_, 2.0e-5, static_cast<double>(responseBytes));
@@ -44,7 +44,7 @@ HadoopLogDaemon::HadoopLogDaemon(hadoop::Node& node, SimTime attachTime)
 void HadoopLogDaemon::fetch(CollectKind kind, SimTime watermark,
                             std::vector<hadooplog::StateSample>& out,
                             std::size_t& responseBytes) {
-  CpuMeter::Scope scope(cpu_);
+  BusyMeter::Scope scope(busy_);
   if (kind == CollectKind::kTt) {
     ttParser_.consume(node_.ttLog().linesFrom(ttCursor_));
     ttCursor_ = node_.ttLog().lineCount();
@@ -69,7 +69,7 @@ StraceDaemon::StraceDaemon(hadoop::Node& node) : node_(node) {}
 
 const syscalls::TraceSecond& StraceDaemon::fetch(
     std::size_t& responseBytes) {
-  CpuMeter::Scope scope(cpu_);
+  BusyMeter::Scope scope(busy_);
   const syscalls::TraceSecond& trace = node_.lastSyscallTrace();
   // Wire format: one byte per event plus a length prefix.
   responseBytes = 4 + trace.size();

@@ -10,10 +10,14 @@
 // round trip, and reports the size the codec would marshal it to
 // (rpc::encodedSize, Table 4 bytes, charged by the client). It charges
 // the host node a sliver of CPU and network (the monitoring
-// perturbation the paper measures in Table 3) and accumulates the real
-// CPU time this process spent executing daemon code, which the Table 3
-// bench reports; that time covers the collection itself, not a
-// marshal and unmarshal that no real daemon does in one process.
+// perturbation the paper measures in Table 3) and accumulates the time
+// this process spent executing daemon code, which the Table 3 bench
+// reports; that time covers the collection itself, not a marshal and
+// unmarshal that no real daemon does in one process. A fetch is pure
+// in-memory work on the caller's thread that never blocks, so it is
+// metered as on-thread busy time from the steady clock (BusyMeter,
+// common/cputime.h): a thread-CPU read is a syscall that costs about
+// as much as the fetch it would bracket.
 //
 // RpcHub serves the daemons as an rpc::LiveCollector, so sim runs
 // collect through the same RpcClient loop as live and replay runs. A
@@ -44,12 +48,12 @@ class SadcDaemon {
   /// its marshalled size.
   const metrics::SadcSnapshot& fetch(std::size_t& responseBytes);
 
-  double cpuSeconds() const { return cpu_.seconds(); }
+  double cpuSeconds() const { return busy_.seconds(); }
   std::size_t memoryFootprintBytes() const;
 
  private:
   hadoop::Node& node_;
-  CpuMeter cpu_;
+  BusyMeter busy_;
 };
 
 class HadoopLogDaemon {
@@ -65,7 +69,7 @@ class HadoopLogDaemon {
              std::vector<hadooplog::StateSample>& out,
              std::size_t& responseBytes);
 
-  double cpuSeconds() const { return cpu_.seconds(); }
+  double cpuSeconds() const { return busy_.seconds(); }
   std::size_t memoryFootprintBytes() const;
 
  private:
@@ -74,7 +78,7 @@ class HadoopLogDaemon {
   hadooplog::DnLogParser dnParser_;
   std::size_t ttCursor_ = 0;
   std::size_t dnCursor_ = 0;
-  CpuMeter cpu_;
+  BusyMeter busy_;
 };
 
 /// strace_rpcd (Section 5 extension): ships the node's per-second
@@ -93,12 +97,12 @@ class StraceDaemon {
   /// not depend on which earlier seconds were fetched.
   void attachConsumer();
 
-  double cpuSeconds() const { return cpu_.seconds(); }
+  double cpuSeconds() const { return busy_.seconds(); }
   std::size_t memoryFootprintBytes() const;
 
  private:
   hadoop::Node& node_;
-  CpuMeter cpu_;
+  BusyMeter busy_;
 };
 
 /// One hub per monitored cluster: owns the per-node daemons, like the

@@ -282,5 +282,186 @@ domain = x
             (std::vector<std::string>{"a", "c", "b", "a", "c", "b"}));
 }
 
+// --- chunked dispatch (one executor task per chunk of groups) ----------
+
+/// Periodic probe that logs (task, instance id) for every run. With an
+/// `input[a]` it is instead triggered by one update of it; "domain"
+/// joins an exclusivity domain, "throw_at" throws the instance id as a
+/// runtime_error when run at that time, and "out" is written each run.
+class ChunkProbe final : public Module {
+ public:
+  struct Entry {
+    int task;
+    std::string id;
+  };
+  static std::mutex logMutex;
+  static std::vector<Entry> log;
+  static thread_local int currentTask;
+
+  void init(ModuleContext& ctx) override {
+    out_ = ctx.addOutput("out");
+    if (ctx.inputNames().empty()) {
+      ctx.requestPeriodic(1.0);
+    } else {
+      ctx.setInputTrigger(1);
+    }
+    const std::string domain = ctx.param("domain", "");
+    if (!domain.empty()) ctx.requestExclusive(domain);
+    throwAt_ = std::stod(ctx.param("throw_at", "-1"));
+  }
+  void run(ModuleContext& ctx, RunReason) override {
+    {
+      std::lock_guard<std::mutex> lock(logMutex);
+      log.push_back(Entry{currentTask, ctx.instanceId()});
+    }
+    volatile double sink = 0.0;
+    for (int i = 0; i < 2000; ++i) sink = sink + i;
+    if (ctx.now() == throwAt_) throw std::runtime_error(ctx.instanceId());
+    ctx.write(out_, ctx.now());
+  }
+
+ private:
+  int out_ = -1;
+  double throwAt_ = -1.0;
+};
+
+std::mutex ChunkProbe::logMutex;
+std::vector<ChunkProbe::Entry> ChunkProbe::log;
+thread_local int ChunkProbe::currentTask = -1;
+
+/// Runs a batch inline in order, like SerialExecutor, while reporting
+/// any concurrency(); records every batch's size and tags each task's
+/// runs with its index.
+class RecordingExecutor final : public Executor {
+ public:
+  explicit RecordingExecutor(int concurrency, std::vector<std::size_t>& sizes)
+      : concurrency_(concurrency), sizes_(sizes) {}
+  const std::string& name() const override { return name_; }
+  int concurrency() const override { return concurrency_; }
+  void runBatch(std::vector<Task>& batch) override {
+    sizes_.push_back(batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      ChunkProbe::currentTask = static_cast<int>(i);
+      batch[i]();
+    }
+    ChunkProbe::currentTask = -1;
+  }
+
+ private:
+  int concurrency_;
+  std::vector<std::size_t>& sizes_;
+  std::string name_ = "recording";
+};
+
+/// `count` periodic probes p0..p{count-1}; every third pair shares a
+/// domain, so some groups hold two instances out of configuration
+/// order. Each probe feeds a triggered sink s<i> one level deeper.
+std::string chunkConfig(int count, int throwA = -1, int throwB = -1) {
+  std::string config;
+  for (int i = 0; i < count; ++i) {
+    const std::string n = std::to_string(i);
+    config += "[probe]\nid = p" + n + "\n";
+    if (i % 3 == 0 && i + 2 < count) config += "domain = d" + n + "\n";
+    if (i % 3 == 2) config += "domain = d" + std::to_string(i - 2) + "\n";
+    if (i == throwA || i == throwB) config += "throw_at = 2\n";
+    config += "[probe]\nid = s" + n + "\ninput[a] = p" + n + ".out\n";
+  }
+  return config;
+}
+
+class CoreExecutorChunks : public ::testing::Test {
+ protected:
+  CoreExecutorChunks() {
+    registry_.registerType("probe",
+                           [] { return std::make_unique<ChunkProbe>(); });
+    ChunkProbe::log.clear();
+  }
+
+  /// Runs one tick of chunkConfig(count) under a RecordingExecutor of
+  /// the given concurrency and returns its batch sizes; the runs are
+  /// in ChunkProbe::log.
+  std::vector<std::size_t> oneTick(int concurrency, int count) {
+    std::vector<std::size_t> sizes;
+    sim::SimEngine engine;
+    FptCore core(engine, Environment{}, &registry_);
+    core.setExecutor(std::make_unique<RecordingExecutor>(concurrency, sizes));
+    core.configureFromText(chunkConfig(count));
+    engine.runUntil(1.0);
+    return sizes;
+  }
+
+  ModuleRegistry registry_;
+};
+
+TEST_F(CoreExecutorChunks, SerialConcurrencyHandsEachLevelAsOneTask) {
+  const std::vector<std::size_t> sizes = oneTick(1, 30);
+  // Level 0 (the probes) and level 1 (the sinks), one task each.
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{1, 1}));
+  ASSERT_EQ(ChunkProbe::log.size(), 60u);
+  for (const ChunkProbe::Entry& e : ChunkProbe::log) EXPECT_EQ(e.task, 0);
+}
+
+TEST_F(CoreExecutorChunks, PoolConcurrencyCutsLevelsIntoContiguousChunks) {
+  oneTick(1, 30);
+  const std::vector<ChunkProbe::Entry> serialLog = ChunkProbe::log;
+  ChunkProbe::log.clear();
+  const std::vector<std::size_t> sizes = oneTick(4, 30);
+
+  // 30 probes in 20 groups, then 30 sinks in 30 groups: each level is
+  // cut into more than one and at most the bound of chunks.
+  ASSERT_EQ(sizes.size(), 2u);
+  for (const std::size_t size : sizes) {
+    EXPECT_GT(size, 1u);
+    EXPECT_LE(size, static_cast<std::size_t>(kChunksPerWorker * 4));
+  }
+  // Every run happens once, in the serial executor's order: chunks are
+  // contiguous runs of groups, each in group order, and their indices
+  // rise along it.
+  ASSERT_EQ(ChunkProbe::log.size(), serialLog.size());
+  int lastTask = 0;
+  for (std::size_t i = 0; i < serialLog.size(); ++i) {
+    EXPECT_EQ(ChunkProbe::log[i].id, serialLog[i].id) << i;
+    if (i == 30) lastTask = 0;  // the sinks' level starts over
+    EXPECT_GE(ChunkProbe::log[i].task, lastTask) << i;
+    lastTask = ChunkProbe::log[i].task;
+  }
+  // A group is never split: p0 and p2 share a domain, so they run in
+  // the same chunk.
+  EXPECT_EQ(ChunkProbe::log[0].id, "p0");
+  EXPECT_EQ(ChunkProbe::log[1].id, "p2");
+  EXPECT_EQ(ChunkProbe::log[0].task, ChunkProbe::log[1].task);
+}
+
+TEST_F(CoreExecutorChunks, PoolMetersCpuPerChunk) {
+  sim::SimEngine engine;
+  FptCore core(engine, Environment{}, &registry_);
+  core.setExecutor(std::make_unique<ThreadPoolExecutor>(4));
+  core.configureFromText(chunkConfig(30));
+  engine.runUntil(3.0);
+  EXPECT_EQ(core.totalRuns(), 3u * 60u);
+  EXPECT_GT(core.cpuSeconds(), 0.0);
+}
+
+TEST_F(CoreExecutorChunks, ThrowingGroupSurfacesLowestAndNextWavefrontRuns) {
+  // p7 and p25 throw from different chunks; p7's exception surfaces
+  // whichever chunk ends first.
+  sim::SimEngine engine;
+  FptCore core(engine, Environment{}, &registry_);
+  core.setExecutor(std::make_unique<ThreadPoolExecutor>(4));
+  core.configureFromText(chunkConfig(30, 7, 25));
+  engine.runUntil(1.0);
+  try {
+    engine.runUntil(2.0);
+    FAIL() << "expected the probes' exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "p7");
+  }
+  // The failed wavefront left no state behind: the next tick runs every
+  // probe and every sink.
+  ChunkProbe::log.clear();
+  engine.runUntil(3.0);
+  EXPECT_EQ(ChunkProbe::log.size(), 60u);
+}
+
 }  // namespace
 }  // namespace asdf::core
