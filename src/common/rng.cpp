@@ -18,6 +18,16 @@ std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
 
+// One out-of-line transform, so a pair computed now and a pair whose
+// computation skipGaussian() deferred compile to the same instructions
+// (one sincos) and give the same bits.
+[[gnu::noinline]] void boxMuller(double u1, double u2, double& c, double& s) {
+  const double r = std::sqrt(-2.0 * std::log(u1));
+  const double theta = 2.0 * M_PI * u2;
+  c = r * std::cos(theta);
+  s = r * std::sin(theta);
+}
+
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -55,21 +65,45 @@ std::int64_t Rng::uniformInt(std::int64_t lo, std::int64_t hi) {
   return lo + static_cast<std::int64_t>(next() % span);
 }
 
+void Rng::drawGaussianPair(double& u1, double& u2) {
+  do {
+    u1 = uniform();
+  } while (u1 <= 1e-300);
+  u2 = uniform();
+}
+
 double Rng::gaussian() {
   if (haveCachedGaussian_) {
     haveCachedGaussian_ = false;
     return cachedGaussian_;
   }
+  double c = 0.0;
+  double s = 0.0;
+  if (havePendingPair_) {
+    havePendingPair_ = false;
+    boxMuller(pendingU1_, pendingU2_, c, s);
+    return s;
+  }
   double u1 = 0.0;
-  do {
-    u1 = uniform();
-  } while (u1 <= 1e-300);
-  const double u2 = uniform();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * M_PI * u2;
-  cachedGaussian_ = r * std::sin(theta);
+  double u2 = 0.0;
+  drawGaussianPair(u1, u2);
+  boxMuller(u1, u2, c, s);
+  cachedGaussian_ = s;
   haveCachedGaussian_ = true;
-  return r * std::cos(theta);
+  return c;
+}
+
+void Rng::skipGaussian() {
+  if (haveCachedGaussian_) {
+    haveCachedGaussian_ = false;
+    return;
+  }
+  if (havePendingPair_) {
+    havePendingPair_ = false;
+    return;
+  }
+  drawGaussianPair(pendingU1_, pendingU2_);
+  havePendingPair_ = true;
 }
 
 double Rng::gaussian(double mean, double stddev) {

@@ -31,6 +31,13 @@ class Rng {
   /// Standard normal via Box-Muller (cached pair).
   double gaussian();
 
+  /// Advances the stream exactly as gaussian() would, without computing
+  /// the value: the same uniforms are drawn (rejection loop included)
+  /// and a cached second half is consumed. When a fresh pair is drawn,
+  /// its unread half stays pending, so a following gaussian() returns
+  /// the same bits it would have without the skip.
+  void skipGaussian();
+
   /// Normal with the given mean and standard deviation.
   double gaussian(double mean, double stddev);
 
@@ -52,9 +59,17 @@ class Rng {
   Rng split();
 
  private:
+  /// Draws the uniform pair of one Box-Muller transform.
+  void drawGaussianPair(double& u1, double& u2);
+
   std::uint64_t s_[4];
   bool haveCachedGaussian_ = false;
   double cachedGaussian_ = 0.0;
+  // A pair drawn by skipGaussian(): its second half is computed only if
+  // gaussian() asks for it.
+  bool havePendingPair_ = false;
+  double pendingU1_ = 0.0;
+  double pendingU2_ = 0.0;
 };
 
 }  // namespace asdf

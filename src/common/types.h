@@ -7,9 +7,11 @@
 // times" (Section 3.7).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
 
 namespace asdf {
 
@@ -29,13 +31,26 @@ inline constexpr NodeId kInvalidNode = -1;
 /// Monotonically increasing identifier for MapReduce jobs.
 using JobId = std::int32_t;
 
+/// Width of a log timestamp, "YYYY-MM-DD HH:MM:SS,mmm".
+inline constexpr std::size_t kLogTimestampLen = 23;
+
 /// Formats a SimTime as "YYYY-MM-DD HH:MM:SS,mmm" the way Hadoop 0.18
 /// log4j timestamps look (Figure 5 of the paper). The epoch is an
 /// arbitrary fixed date; only differences matter to the analyses.
 std::string formatLogTimestamp(SimTime t);
+/// The same text appended to `out`, written digit by digit (no printf
+/// unless the year outgrows four digits).
+void appendLogTimestamp(std::string& out, SimTime t);
 
 /// Parses a "YYYY-MM-DD HH:MM:SS,mmm" timestamp back to SimTime.
-/// Returns kNoTime on malformed input.
-SimTime parseLogTimestamp(const std::string& text);
+/// Returns kNoTime on malformed input. Fixed-width text takes the
+/// strict reader below; anything else falls back to sscanf's "%d"
+/// rules (leading blanks, signs, other widths).
+SimTime parseLogTimestamp(std::string_view text);
+
+/// The strict reader: false unless `text` is exactly the fixed-width
+/// layout (optionally followed by a non-digit). When it accepts, `out`
+/// is what the lenient reader would return for the same text.
+bool parseFixedLogTimestamp(std::string_view text, SimTime& out);
 
 }  // namespace asdf

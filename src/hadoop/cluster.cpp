@@ -56,6 +56,10 @@ std::vector<Node*> Cluster::slaveNodes() {
   return out;
 }
 
+void Cluster::setProcessRows(bool on) {
+  for (const auto& node : nodes_) node->setProcessRows(on);
+}
+
 void Cluster::start() {
   // The main tick, at every whole second (phase 1.0 so the first tick
   // covers [0, 1)).

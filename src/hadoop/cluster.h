@@ -68,6 +68,12 @@ class Cluster {
   /// Slave nodes 1..slaveCount, in id order.
   std::vector<Node*> slaveNodes();
 
+  /// Whether every node computes its sadc per-process rows (the
+  /// default). A host whose snapshots are never encoded — no wire, no
+  /// recorder — turns them off before the first tick; node and NIC
+  /// values stay bit-identical either way (NodeOsModel::setProcessRows).
+  void setProcessRows(bool on);
+
   /// External per-tick resource consumers (the fault hogs). The
   /// request callback runs in the demand phase, advance in the grant
   /// phase. Returns a handle for removeTickHook.

@@ -117,6 +117,9 @@ class Node : public metrics::SadcProvider {
     return lastSnapshot_;
   }
   SimTime lastSnapshotTime() const { return lastSnapshot_.time; }
+  /// Per-process rows computed (default) or only drawn; see
+  /// NodeOsModel::setProcessRows.
+  void setProcessRows(bool on) { osModel_.setProcessRows(on); }
   /// The syscall trace of the most recent tick (strace module). Traces
   /// are drawn only from the first read or attachSyscallTraceConsumer()
   /// on; attached before the first tick, the node's stream is the same

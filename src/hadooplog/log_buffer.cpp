@@ -1,23 +1,32 @@
 #include "hadooplog/log_buffer.h"
 
+#include <algorithm>
 #include <cassert>
-#include <utility>
 
 namespace asdf::hadooplog {
 
-void LogBuffer::append(std::string line) {
+void LogBuffer::append(std::string_view line) {
   totalBytes_ += static_cast<double>(line.size()) + 1.0;
-  lines_.push_back(std::move(line));
+  lines_.emplace_back(line);
 }
 
 const std::string& LogBuffer::line(std::size_t index) const {
-  assert(index < lines_.size());
-  return lines_[index];
+  assert(index >= base_ && index < lineCount());
+  return lines_[index - base_];
 }
 
 std::span<const std::string> LogBuffer::linesFrom(std::size_t from) const {
-  if (from >= lines_.size()) return {};
-  return std::span<const std::string>(lines_).subspan(from);
+  assert(from >= base_);
+  from = std::max(from, base_);
+  if (from >= lineCount()) return {};
+  return std::span<const std::string>(lines_).subspan(from - base_);
+}
+
+void LogBuffer::discardBefore(std::size_t end) {
+  if (end <= base_) return;
+  const std::size_t n = std::min(end, lineCount()) - base_;
+  lines_.erase(lines_.begin(), lines_.begin() + static_cast<long>(n));
+  base_ += n;
 }
 
 double LogBuffer::drainNewBytes() {

@@ -7,11 +7,16 @@
 // parsing. Readers keep their own cursor, which reproduces the
 // paper's "on-demand, lazy parsing" of logs (Section 4.3): each RPC
 // poll consumes only the lines appended since the previous poll.
+// Line numbers are global and never reused. The one cursor reader that
+// owns a buffer's tail (the node's hadoop_log daemon) discards the lines
+// it has parsed, so a monitored node holds only its unread lines; a
+// buffer nobody discards keeps every line from 0.
 #pragma once
 
 #include <cstddef>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace asdf::hadooplog {
@@ -19,17 +24,25 @@ namespace asdf::hadooplog {
 class LogBuffer {
  public:
   /// Appends one already-formatted line (without trailing newline).
-  void append(std::string line);
+  void append(std::string_view line);
 
-  std::size_t lineCount() const { return lines_.size(); }
+  /// Lines ever appended, discarded ones included: the next line's
+  /// number.
+  std::size_t lineCount() const { return base_ + lines_.size(); }
+  /// The lowest line number still held (lines before it were discarded).
+  std::size_t firstLine() const { return base_; }
 
-  /// Returns the line at the given index (0-based).
+  /// Returns the line with the given number (0-based); it must not
+  /// have been discarded.
   const std::string& line(std::size_t index) const;
 
   /// Lines [from, lineCount()) in place — what a tail-reading daemon
-  /// would see since its cursor. The view is invalidated by the next
-  /// append().
+  /// would see since its cursor. `from` must not precede a discarded
+  /// line. The view is invalidated by the next append() or discard.
   std::span<const std::string> linesFrom(std::size_t from) const;
+
+  /// Frees every line numbered below `end` (at most lineCount()).
+  void discardBefore(std::size_t end);
 
   /// Total bytes appended (including implied newlines); used to model
   /// the disk traffic of log writing.
@@ -39,7 +52,8 @@ class LogBuffer {
   double drainNewBytes();
 
  private:
-  std::vector<std::string> lines_;
+  std::vector<std::string> lines_;  // lines base_, base_ + 1, ...
+  std::size_t base_ = 0;
   double totalBytes_ = 0.0;
   double drainedBytes_ = 0.0;
 };

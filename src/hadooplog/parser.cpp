@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cctype>
 #include <cmath>
 
 #include "common/strings.h"
@@ -12,28 +13,30 @@ namespace {
 // A log line looks like:
 //   2008-04-15 14:23:15,324 INFO org.apache.hadoop....: <message>
 // The timestamp is the first 23 characters; the message follows the
-// first ": " after the class name.
-constexpr std::size_t kTimestampLen = 23;
-
-bool splitLine(const std::string& line, SimTime& time, std::string& message) {
-  if (line.size() < kTimestampLen + 4) return false;
-  time = parseLogTimestamp(line.substr(0, kTimestampLen));
+// first ": " after the class name. Lines are read in place: the time,
+// message and tokens are views into the caller's line.
+bool splitLine(std::string_view line, SimTime& time,
+               std::string_view& message) {
+  if (line.size() < kLogTimestampLen + 4) return false;
+  time = parseLogTimestamp(line.substr(0, kLogTimestampLen));
   if (time == kNoTime) return false;
   // Skip past "<class>: " — the first ": " after the level field.
-  const std::size_t colon = line.find(": ", kTimestampLen);
-  if (colon == std::string::npos) return false;
+  const std::size_t colon = line.find(": ", kLogTimestampLen);
+  if (colon == std::string_view::npos) return false;
   message = line.substr(colon + 2);
   return true;
 }
 
 /// Extracts the task id following a prefix, e.g.
 /// "LaunchTaskAction: task_0001_m_000096_0" -> "task_0001_m_000096_0".
-std::string tokenAfter(const std::string& message, const std::string& prefix) {
+std::string_view tokenAfter(std::string_view message,
+                            std::string_view prefix) {
   const std::size_t pos = message.find(prefix);
-  if (pos == std::string::npos) return {};
+  if (pos == std::string_view::npos) return {};
   std::size_t b = pos + prefix.size();
   std::size_t e = b;
-  while (e < message.size() && !std::isspace(static_cast<unsigned char>(message[e]))) {
+  while (e < message.size() &&
+         !std::isspace(static_cast<unsigned char>(message[e]))) {
     ++e;
   }
   return message.substr(b, e - b);
@@ -141,7 +144,7 @@ void TtLogParser::consume(std::span<const std::string> lines) {
   for (const auto& line : lines) handleLine(line);
 }
 
-void TtLogParser::closeTask(long second, const std::string& taskId) {
+void TtLogParser::closeTask(long second, std::string_view taskId) {
   auto it = tasks_.find(taskId);
   if (it == tasks_.end()) return;
   if (it->second.phase >= 0) counter_.exit(second, it->second.phase);
@@ -151,9 +154,9 @@ void TtLogParser::closeTask(long second, const std::string& taskId) {
   tasks_.erase(it);
 }
 
-void TtLogParser::handleLine(const std::string& line) {
+void TtLogParser::handleLine(std::string_view line) {
   SimTime t = 0.0;
-  std::string msg;
+  std::string_view msg;
   if (!splitLine(line, t, msg)) {
     ++ignored_;
     return;
@@ -162,20 +165,20 @@ void TtLogParser::handleLine(const std::string& line) {
   lastSeenSecond_ = std::max(lastSeenSecond_, second);
 
   if (startsWith(msg, "LaunchTaskAction: ")) {
-    const std::string taskId = tokenAfter(msg, "LaunchTaskAction: ");
+    const std::string_view taskId = tokenAfter(msg, "LaunchTaskAction: ");
     if (taskId.empty()) {
       ++ignored_;
       return;
     }
     const bool isMap = contains(taskId, "_m_");
-    tasks_[taskId] = OpenTask{isMap, -1};
+    tasks_.insert_or_assign(std::string(taskId), OpenTask{isMap, -1});
     counter_.entrance(second, static_cast<int>(isMap ? TtState::kMapTask
                                                      : TtState::kReduceTask));
     return;
   }
   if (startsWith(msg, "Task ")) {
     // "Task <id> is done." or "Task <id> failed: ..."
-    const std::string taskId = tokenAfter(msg, "Task ");
+    const std::string_view taskId = tokenAfter(msg, "Task ");
     if (!taskId.empty() &&
         (contains(msg, "is done") || contains(msg, "failed"))) {
       closeTask(second, taskId);
@@ -185,7 +188,7 @@ void TtLogParser::handleLine(const std::string& line) {
     return;
   }
   if (startsWith(msg, "KillTaskAction: ")) {
-    const std::string taskId = tokenAfter(msg, "KillTaskAction: ");
+    const std::string_view taskId = tokenAfter(msg, "KillTaskAction: ");
     closeTask(second, taskId);
     return;
   }
@@ -195,14 +198,14 @@ void TtLogParser::handleLine(const std::string& line) {
   if (startsWith(msg, "task_")) {
     // Progress line: "task_X 12.00% reduce > copy (3 of 24)" or a map
     // progress line "task_X 50.00% hdfs://input".
-    const std::string taskId = tokenAfter(msg, "");
+    const std::string_view taskId = tokenAfter(msg, "");
     auto it = tasks_.find(taskId);
     if (it == tasks_.end()) {
       // Progress for a task whose launch we never saw (e.g. the
       // monitor attached mid-run). Synthesize the entrance so the
       // state counting stays consistent.
       const bool isMap = contains(taskId, "_m_");
-      it = tasks_.emplace(taskId, OpenTask{isMap, -1}).first;
+      it = tasks_.emplace(std::string(taskId), OpenTask{isMap, -1}).first;
       counter_.entrance(second, static_cast<int>(
                                     isMap ? TtState::kMapTask
                                           : TtState::kReduceTask));
@@ -252,9 +255,9 @@ void DnLogParser::consume(std::span<const std::string> lines) {
   for (const auto& line : lines) handleLine(line);
 }
 
-void DnLogParser::handleLine(const std::string& line) {
+void DnLogParser::handleLine(std::string_view line) {
   SimTime t = 0.0;
-  std::string msg;
+  std::string_view msg;
   if (!splitLine(line, t, msg)) {
     ++ignored_;
     return;
@@ -263,16 +266,16 @@ void DnLogParser::handleLine(const std::string& line) {
   lastSeenSecond_ = std::max(lastSeenSecond_, second);
 
   if (startsWith(msg, "Serving block ")) {
-    const std::string block = tokenAfter(msg, "Serving block ");
-    const std::string client = tokenAfter(msg, " to ");
-    reads_[block + " " + client] = 1;
+    const std::string_view block = tokenAfter(msg, "Serving block ");
+    const std::string_view client = tokenAfter(msg, " to ");
+    reads_[readKey(block, client)] = 1;
     counter_.entrance(second, static_cast<int>(DnState::kReadBlock));
     return;
   }
   if (startsWith(msg, "Served block ")) {
-    const std::string block = tokenAfter(msg, "Served block ");
-    const std::string client = tokenAfter(msg, " to ");
-    const auto it = reads_.find(block + " " + client);
+    const std::string_view block = tokenAfter(msg, "Served block ");
+    const std::string_view client = tokenAfter(msg, " to ");
+    const auto it = reads_.find(readKey(block, client));
     if (it != reads_.end()) {
       reads_.erase(it);
       counter_.exit(second, static_cast<int>(DnState::kReadBlock));
@@ -280,7 +283,7 @@ void DnLogParser::handleLine(const std::string& line) {
     return;
   }
   if (startsWith(msg, "Receiving block ")) {
-    const std::string block = tokenAfter(msg, "Receiving block ");
+    const std::string_view block = tokenAfter(msg, "Receiving block ");
     long id = 0;
     if (block.size() > 4 && parseInt(block.substr(4), id)) {
       writes_[id] = 1;
@@ -291,7 +294,7 @@ void DnLogParser::handleLine(const std::string& line) {
     return;
   }
   if (startsWith(msg, "Received block ")) {
-    const std::string block = tokenAfter(msg, "Received block ");
+    const std::string_view block = tokenAfter(msg, "Received block ");
     long id = 0;
     if (block.size() > 4 && parseInt(block.substr(4), id)) {
       const auto it = writes_.find(id);
@@ -309,6 +312,14 @@ void DnLogParser::handleLine(const std::string& line) {
     return;
   }
   ++ignored_;
+}
+
+const std::string& DnLogParser::readKey(std::string_view block,
+                                        std::string_view client) {
+  key_.assign(block);
+  key_ += ' ';
+  key_ += client;
+  return key_;
 }
 
 void DnLogParser::poll(SimTime watermark, std::vector<StateSample>& out,

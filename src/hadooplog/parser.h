@@ -20,9 +20,11 @@
 
 #include <cstddef>
 #include <deque>
+#include <functional>
 #include <map>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.h"
@@ -105,11 +107,11 @@ class TtLogParser {
     int phase = -1;  // TtState of the active reduce phase, -1 if none
   };
 
-  void handleLine(const std::string& line);
-  void closeTask(long second, const std::string& taskId);
+  void handleLine(std::string_view line);
+  void closeTask(long second, std::string_view taskId);
 
   StateCounter counter_;
-  std::map<std::string, OpenTask> tasks_;
+  std::map<std::string, OpenTask, std::less<>> tasks_;  // find by view
   long lastSeenSecond_ = -1;
   std::size_t ignored_ = 0;
 };
@@ -133,10 +135,13 @@ class DnLogParser {
   std::size_t ignoredLineCount() const { return ignored_; }
 
  private:
-  void handleLine(const std::string& line);
+  void handleLine(std::string_view line);
+  /// "<block> <client>" in key_, reused across lines.
+  const std::string& readKey(std::string_view block, std::string_view client);
 
   StateCounter counter_;
   std::map<std::string, char> reads_;   // "blk to client" -> open
+  std::string key_;
   std::map<long, char> writes_;         // blockId -> open
   long lastSeenSecond_ = -1;
   std::size_t ignored_ = 0;

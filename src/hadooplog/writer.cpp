@@ -1,12 +1,14 @@
 #include "hadooplog/writer.h"
 
+#include <charconv>
+
 #include "common/strings.h"
 
 namespace asdf::hadooplog {
 namespace {
 
-constexpr const char* kTtClass = "org.apache.hadoop.mapred.TaskTracker";
-constexpr const char* kDnClass = "org.apache.hadoop.dfs.DataNode";
+constexpr std::string_view kTtClass = "org.apache.hadoop.mapred.TaskTracker";
+constexpr std::string_view kDnClass = "org.apache.hadoop.dfs.DataNode";
 
 }  // namespace
 
@@ -16,87 +18,132 @@ std::string makeTaskAttemptId(int jobId, bool isMap, int taskIndex,
                    taskIndex, attempt);
 }
 
-void TtLogWriter::emit(SimTime t, const std::string& level,
-                       const std::string& message) {
-  buffer_->append(formatLogTimestamp(t) + " " + level + " " + kTtClass +
-                  ": " + message);
+// ---------------------------------------------------------------------------
+// LogLine
+
+LogLine& LogLine::start(SimTime t, std::string_view level) {
+  line_.clear();
+  appendLogTimestamp(line_, t);
+  line_ += ' ';
+  line_ += level;
+  line_ += ' ';
+  line_ += cls_;
+  line_ += ": ";
+  return *this;
 }
 
-void TtLogWriter::launchTask(SimTime t, const std::string& taskId) {
-  emit(t, "INFO", "LaunchTaskAction: " + taskId);
+LogLine& LogLine::operator<<(std::string_view text) {
+  line_ += text;
+  return *this;
 }
 
-void TtLogWriter::taskDone(SimTime t, const std::string& taskId) {
-  emit(t, "INFO", "Task " + taskId + " is done.");
+LogLine& LogLine::operator<<(long value) {
+  char buf[24];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), value);
+  line_.append(buf, r.ptr);
+  return *this;
 }
 
-void TtLogWriter::taskFailed(SimTime t, const std::string& taskId,
-                             const std::string& reason) {
-  emit(t, "WARN", "Task " + taskId + " failed: " + reason);
+LogLine& LogLine::fixed(double value, int precision) {
+  // Room for the widest double in fixed notation (309 integer digits).
+  char buf[400];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), value,
+                               std::chars_format::fixed, precision);
+  line_.append(buf, r.ptr);
+  return *this;
 }
 
-void TtLogWriter::killTask(SimTime t, const std::string& taskId) {
-  emit(t, "INFO", "KillTaskAction: " + taskId);
+void LogLine::commit() { buffer_->append(line_); }
+
+// ---------------------------------------------------------------------------
+// TtLogWriter
+
+TtLogWriter::TtLogWriter(LogBuffer* buffer) : line_(buffer, kTtClass) {}
+
+void TtLogWriter::launchTask(SimTime t, std::string_view taskId) {
+  line_.start(t, "INFO") << "LaunchTaskAction: " << taskId;
+  line_.commit();
 }
 
-void TtLogWriter::mapProgress(SimTime t, const std::string& taskId,
+void TtLogWriter::taskDone(SimTime t, std::string_view taskId) {
+  line_.start(t, "INFO") << "Task " << taskId << " is done.";
+  line_.commit();
+}
+
+void TtLogWriter::taskFailed(SimTime t, std::string_view taskId,
+                             std::string_view reason) {
+  line_.start(t, "WARN") << "Task " << taskId << " failed: " << reason;
+  line_.commit();
+}
+
+void TtLogWriter::killTask(SimTime t, std::string_view taskId) {
+  line_.start(t, "INFO") << "KillTaskAction: " << taskId;
+  line_.commit();
+}
+
+void TtLogWriter::mapProgress(SimTime t, std::string_view taskId,
                               double fraction) {
-  emit(t, "INFO",
-       strformat("%s %.2f%% hdfs://input", taskId.c_str(), fraction * 100.0));
+  line_.start(t, "INFO") << taskId << " ";
+  line_.fixed(fraction * 100.0, 2) << "% hdfs://input";
+  line_.commit();
 }
 
-void TtLogWriter::reduceProgress(SimTime t, const std::string& taskId,
-                                 double fraction, const std::string& phase,
+void TtLogWriter::reduceProgress(SimTime t, std::string_view taskId,
+                                 double fraction, std::string_view phase,
                                  int copiedMaps, int totalMaps) {
-  emit(t, "INFO",
-       strformat("%s %.2f%% reduce > %s (%d of %d)", taskId.c_str(),
-                 fraction * 100.0, phase.c_str(), copiedMaps, totalMaps));
+  line_.start(t, "INFO") << taskId << " ";
+  line_.fixed(fraction * 100.0, 2)
+      << "% reduce > " << phase << " (" << copiedMaps << " of " << totalMaps
+      << ")";
+  line_.commit();
 }
 
-void TtLogWriter::copyFailed(SimTime t, const std::string& taskId,
-                             const std::string& mapTaskId) {
-  emit(t, "WARN",
-       taskId + " copy failed: " + mapTaskId +
-           " java.io.IOException: failed to rename map output");
+void TtLogWriter::copyFailed(SimTime t, std::string_view taskId,
+                             std::string_view mapTaskId) {
+  line_.start(t, "WARN")
+      << taskId << " copy failed: " << mapTaskId
+      << " java.io.IOException: failed to rename map output";
+  line_.commit();
 }
 
-void DnLogWriter::emit(SimTime t, const std::string& level,
-                       const std::string& message) {
-  buffer_->append(formatLogTimestamp(t) + " " + level + " " + kDnClass +
-                  ": " + message);
-}
+// ---------------------------------------------------------------------------
+// DnLogWriter
+
+DnLogWriter::DnLogWriter(LogBuffer* buffer) : line_(buffer, kDnClass) {}
 
 void DnLogWriter::servingBlock(SimTime t, long blockId,
-                               const std::string& clientIp) {
-  emit(t, "INFO", strformat("Serving block blk_%ld to /%s", blockId,
-                            clientIp.c_str()));
+                               std::string_view clientIp) {
+  line_.start(t, "INFO") << "Serving block blk_" << blockId << " to /"
+                         << clientIp;
+  line_.commit();
 }
 
 void DnLogWriter::servedBlock(SimTime t, long blockId,
-                              const std::string& clientIp) {
-  emit(t, "INFO",
-       strformat("Served block blk_%ld to /%s", blockId, clientIp.c_str()));
+                              std::string_view clientIp) {
+  line_.start(t, "INFO") << "Served block blk_" << blockId << " to /"
+                         << clientIp;
+  line_.commit();
 }
 
 void DnLogWriter::receivingBlock(SimTime t, long blockId,
-                                 const std::string& srcIp,
-                                 const std::string& destIp) {
-  emit(t, "INFO",
-       strformat("Receiving block blk_%ld src: /%s:50010 dest: /%s:50010",
-                 blockId, srcIp.c_str(), destIp.c_str()));
+                                 std::string_view srcIp,
+                                 std::string_view destIp) {
+  line_.start(t, "INFO") << "Receiving block blk_" << blockId << " src: /"
+                         << srcIp << ":50010 dest: /" << destIp << ":50010";
+  line_.commit();
 }
 
 void DnLogWriter::receivedBlock(SimTime t, long blockId, double sizeBytes,
-                                const std::string& srcIp) {
-  emit(t, "INFO",
-       strformat("Received block blk_%ld of size %.0f from /%s", blockId,
-                 sizeBytes, srcIp.c_str()));
+                                std::string_view srcIp) {
+  line_.start(t, "INFO") << "Received block blk_" << blockId << " of size ";
+  line_.fixed(sizeBytes, 0) << " from /" << srcIp;
+  line_.commit();
 }
 
 void DnLogWriter::deletingBlock(SimTime t, long blockId) {
-  emit(t, "INFO",
-       strformat("Deleting block blk_%ld file /hadoop/dfs/data/current/blk_%ld",
-                 blockId, blockId));
+  line_.start(t, "INFO") << "Deleting block blk_" << blockId
+                         << " file /hadoop/dfs/data/current/blk_" << blockId;
+  line_.commit();
 }
 
 }  // namespace asdf::hadooplog

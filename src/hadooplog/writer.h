@@ -12,6 +12,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "common/types.h"
 #include "hadooplog/log_buffer.h"
@@ -22,51 +23,72 @@ namespace asdf::hadooplog {
 std::string makeTaskAttemptId(int jobId, bool isMap, int taskIndex,
                               int attempt);
 
+/// One log line under construction: "<timestamp> <level> <class>: "
+/// and then the message pieces, formatted into a buffer reused across
+/// lines (no printf; numbers go through std::to_chars, whose fixed
+/// format is specified to match printf's %.Nf). commit() appends the
+/// line to the log.
+class LogLine {
+ public:
+  LogLine(LogBuffer* buffer, std::string_view cls)
+      : buffer_(buffer), cls_(cls) {}
+
+  LogLine& start(SimTime t, std::string_view level);
+  LogLine& operator<<(std::string_view text);
+  LogLine& operator<<(long value);
+  /// `value` as printf's "%.<precision>f" would print it.
+  LogLine& fixed(double value, int precision);
+  void commit();
+
+ private:
+  LogBuffer* buffer_;
+  std::string_view cls_;
+  std::string line_;
+};
+
 /// Writer for a TaskTracker daemon's log.
 class TtLogWriter {
  public:
-  explicit TtLogWriter(LogBuffer* buffer) : buffer_(buffer) {}
+  explicit TtLogWriter(LogBuffer* buffer);
 
-  void launchTask(SimTime t, const std::string& taskId);
-  void taskDone(SimTime t, const std::string& taskId);
-  void taskFailed(SimTime t, const std::string& taskId,
-                  const std::string& reason);
-  void killTask(SimTime t, const std::string& taskId);
+  void launchTask(SimTime t, std::string_view taskId);
+  void taskDone(SimTime t, std::string_view taskId);
+  void taskFailed(SimTime t, std::string_view taskId,
+                  std::string_view reason);
+  void killTask(SimTime t, std::string_view taskId);
 
   /// Emits a map progress line ("0.50% hdfs://..."); informational.
-  void mapProgress(SimTime t, const std::string& taskId, double fraction);
+  void mapProgress(SimTime t, std::string_view taskId, double fraction);
 
   /// Emits a reduce progress line; `phase` is "copy", "sort" or
   /// "reduce". The parser uses the first line mentioning a new phase
   /// as that phase's entrance event.
-  void reduceProgress(SimTime t, const std::string& taskId, double fraction,
-                      const std::string& phase, int copiedMaps, int totalMaps);
+  void reduceProgress(SimTime t, std::string_view taskId, double fraction,
+                      std::string_view phase, int copiedMaps, int totalMaps);
 
   /// WARN line for a failed shuffle fetch (HADOOP-1152 flavor).
-  void copyFailed(SimTime t, const std::string& taskId,
-                  const std::string& mapTaskId);
+  void copyFailed(SimTime t, std::string_view taskId,
+                  std::string_view mapTaskId);
 
  private:
-  void emit(SimTime t, const std::string& level, const std::string& message);
-  LogBuffer* buffer_;
+  LogLine line_;
 };
 
 /// Writer for a DataNode daemon's log.
 class DnLogWriter {
  public:
-  explicit DnLogWriter(LogBuffer* buffer) : buffer_(buffer) {}
+  explicit DnLogWriter(LogBuffer* buffer);
 
-  void servingBlock(SimTime t, long blockId, const std::string& clientIp);
-  void servedBlock(SimTime t, long blockId, const std::string& clientIp);
-  void receivingBlock(SimTime t, long blockId, const std::string& srcIp,
-                      const std::string& destIp);
+  void servingBlock(SimTime t, long blockId, std::string_view clientIp);
+  void servedBlock(SimTime t, long blockId, std::string_view clientIp);
+  void receivingBlock(SimTime t, long blockId, std::string_view srcIp,
+                      std::string_view destIp);
   void receivedBlock(SimTime t, long blockId, double sizeBytes,
-                     const std::string& srcIp);
+                     std::string_view srcIp);
   void deletingBlock(SimTime t, long blockId);
 
  private:
-  void emit(SimTime t, const std::string& level, const std::string& message);
-  LogBuffer* buffer_;
+  LogLine line_;
 };
 
 }  // namespace asdf::hadooplog

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <deque>
+#include <exception>
 #include <memory>
 #include <thread>
 
@@ -68,10 +69,19 @@ void AggregatorNode::run(const std::function<void()>& onServing) {
   plane.board = &board_;
   // The pipeline is pumped on its own thread while this one serves the
   // board; serving outlives the pipeline until stop() or kShutdown.
+  // A module error on the pump thread stops serving and is rethrown
+  // here, on the caller's thread.
   plane.drive = [this, &spec, &onServing] {
     if (onServing) onServing();
-    std::thread pump(
-        [this, &spec] { driver_.run(spec.duration / spec.realtimeScale); });
+    std::exception_ptr pumpError;
+    std::thread pump([this, &spec, &pumpError] {
+      try {
+        driver_.run(spec.duration / spec.realtimeScale);
+      } catch (...) {
+        pumpError = std::current_exception();
+        server_.stop();
+      }
+    });
     try {
       server_.run();
     } catch (...) {
@@ -81,6 +91,7 @@ void AggregatorNode::run(const std::function<void()>& onServing) {
     }
     driver_.stop();
     pump.join();
+    if (pumpError) std::rethrow_exception(pumpError);
   };
   runControlNode(spec, model_, engine_, plane);
 }

@@ -1,7 +1,6 @@
 #include "harness/experiment.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <memory>
 #include <mutex>
@@ -11,6 +10,7 @@
 #include "archive/writer.h"
 #include "common/error.h"
 #include "common/logging.h"
+#include "common/strings.h"
 #include "core/fpt_core.h"
 #include "core/realtime.h"
 #include "hadoop/cluster.h"
@@ -202,6 +202,9 @@ ExperimentResult runSimExperiment(const ExperimentSpec& spec,
   sim::SimEngine engine;
   net::SimCluster sim(engine, spec.slaves, spec.seed, spec.fault,
                       spec.mixChangeTime, spec.topology);
+  // Per-process sadc rows reach only the flight recorder; without one
+  // they are drawn but not computed.
+  sim.cluster.setProcessRows(!spec.archiveDir.empty());
   std::unique_ptr<faults::ScenarioInjector> scenario;
   std::vector<std::unique_ptr<faults::MonitoringFaultInjector>> monInjectors;
 
@@ -410,6 +413,13 @@ void validateSpec(const ExperimentSpec& spec) {
     throw ConfigError("spec: slaves must be >= 1, got " +
                       std::to_string(spec.slaves));
   }
+  // Training keeps the seconds after the warm-up; none would leave an
+  // empty model that fails only once a run feeds it samples.
+  if (spec.trainDuration <= spec.trainWarmup) {
+    throw ConfigError(strformat(
+        "spec: trainDuration (%g s) must exceed trainWarmup (%g s)",
+        spec.trainDuration, spec.trainWarmup));
+  }
   // The layout constructor enforces the rack-shape invariants
   // (racks >= 1, no empty rack, nodesPerRack covering every slave).
   const topology::ClusterLayout layout(spec.slaves, spec.topology);
@@ -461,6 +471,8 @@ analysis::BlackBoxModel trainModel(const ExperimentSpec& spec) {
   hadoop::Cluster cluster(
       {.slaveCount = spec.slaves, .topology = spec.topology},
       spec.seed * 7919 + 17, engine);
+  // Training reads node and NIC values only.
+  cluster.setProcessRows(false);
   workload::GridMixGenerator gridmix(
       cluster, {.mixChangeTime = spec.mixChangeTime}, spec.seed * 104729 + 5);
   cluster.start();
@@ -480,7 +492,6 @@ analysis::BlackBoxModel trainModel(const ExperimentSpec& spec) {
   }, 1.0);
 
   engine.runUntil(spec.trainDuration);
-  assert(!training.empty());
 
   Rng rng(spec.seed * 31337 + 271);
   return analysis::trainBlackBoxModel(training, spec.centroids, rng);

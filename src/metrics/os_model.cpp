@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace asdf::metrics {
 namespace {
@@ -15,6 +16,9 @@ constexpr double kDecay15 = 0.99889;
 constexpr double kIoBytesPerOp = 256.0 * 1024.0;  // request size
 constexpr double kSectorBytes = 512.0;
 constexpr double kPageBytes = 4096.0;
+
+// What an uncomputed per-process value reads.
+constexpr double kNotComputed = std::numeric_limits<double>::quiet_NaN();
 
 }  // namespace
 
@@ -30,6 +34,10 @@ NodeOsModel::NodeOsModel(Params params, Rng rng)
 
 double NodeOsModel::noisy(double value) {
   if (value == 0.0) return 0.0;
+  if (drawOnly_) {
+    rng_.skipGaussian();
+    return kNotComputed;
+  }
   return std::max(0.0, value * (1.0 + params_.noiseFraction * rng_.gaussian()));
 }
 
@@ -37,7 +45,12 @@ double NodeOsModel::noisyFloor(double value, double floorSigma) {
   // For metrics that are often exactly zero we add a small absolute
   // noise floor so fault-free standard deviations are nonzero
   // (important for the analyses' scaling, Section 4.5).
-  return std::max(0.0, noisy(value) + std::abs(rng_.gaussian(0.0, floorSigma)));
+  const double base = noisy(value);
+  if (drawOnly_) {
+    rng_.skipGaussian();
+    return kNotComputed;
+  }
+  return std::max(0.0, base + std::abs(rng_.gaussian(0.0, floorSigma)));
 }
 
 void NodeOsModel::tickInto(SimTime now, const NodeActivity& a,
@@ -213,6 +226,8 @@ void NodeOsModel::tickInto(SimTime now, const NodeActivity& a,
   n[kNicSpeedMbps] = params_.nicSpeedMbps;
 
   // ---- Tracked processes -------------------------------------------------
+  // Rows off: the same draws, no noise math, and NaN rows.
+  drawOnly_ = !processRows_;
   snap.processes.resize(a.processes.size());
   for (std::size_t i = 0; i < a.processes.size(); ++i) {
     const ProcessActivity& p = a.processes[i];
@@ -252,7 +267,9 @@ void NodeOsModel::tickInto(SimTime now, const NodeActivity& a,
     it->second.second += p.cpuUserCores * 100.0;
     v[kProcSysTimeTicks] = it->second.first;
     v[kProcUserTimeTicks] = it->second.second;
+    if (drawOnly_) std::fill(v.begin(), v.end(), kNotComputed);
   }
+  drawOnly_ = false;
 }
 
 }  // namespace asdf::metrics

@@ -88,12 +88,24 @@ class NodeOsModel {
 
   const Params& params() const { return params_; }
 
+  /// Whether per-process rows are computed (the default). Off, every
+  /// tick still draws each row's noise, so the stream — and with it
+  /// every node/NIC value and the snapshot's shape and encoded size —
+  /// is unchanged, but the rows keep their names and read NaN. Only a
+  /// host that never encodes the rows turns this off, before its first
+  /// tick.
+  void setProcessRows(bool on) { processRows_ = on; }
+
  private:
+  // With drawOnly_ set, both advance the stream exactly as they would
+  // and return NaN without computing the noise.
   double noisy(double value);
   double noisyFloor(double value, double floorSigma);
 
   Params params_;
   Rng rng_;
+  bool processRows_ = true;
+  bool drawOnly_ = false;
   // EWMA load averages with the standard 1/5/15-minute time constants.
   double load1_ = 0.0;
   double load5_ = 0.0;

@@ -45,13 +45,19 @@ void HadoopLogDaemon::fetch(CollectKind kind, SimTime watermark,
                             std::vector<hadooplog::StateSample>& out,
                             std::size_t& responseBytes) {
   BusyMeter::Scope scope(busy_);
+  // This daemon is the log's one tail reader: lines it has parsed are
+  // freed, so the buffer holds only what arrived since the last poll.
   if (kind == CollectKind::kTt) {
-    ttParser_.consume(node_.ttLog().linesFrom(ttCursor_));
-    ttCursor_ = node_.ttLog().lineCount();
+    hadooplog::LogBuffer& log = node_.ttLog();
+    ttParser_.consume(log.linesFrom(ttCursor_));
+    ttCursor_ = log.lineCount();
+    log.discardBefore(ttCursor_);
     ttParser_.poll(watermark, out);
   } else {
-    dnParser_.consume(node_.dnLog().linesFrom(dnCursor_));
-    dnCursor_ = node_.dnLog().lineCount();
+    hadooplog::LogBuffer& log = node_.dnLog();
+    dnParser_.consume(log.linesFrom(dnCursor_));
+    dnCursor_ = log.lineCount();
+    log.discardBefore(dnCursor_);
     dnParser_.poll(watermark, out);
   }
   responseBytes = encodedSize(out);

@@ -368,5 +368,44 @@ TEST(AggE2E, RetriesAgainstADeadLeafSleepTheirBackoff) {
   EXPECT_LT(firstWindowSeconds, 30.0) << "no window was ever published";
 }
 
+// A module that throws on the pump thread (here knn, handed a model of
+// the wrong dimension) stops the node: run() rethrows the error on the
+// caller's thread instead of the process ending in std::terminate.
+TEST(AggE2E, ModuleErrorOnThePumpThreadIsRethrownByRun) {
+  modules::registerBuiltinModules();
+  ExperimentSpec spec = baseSpec(/*slaves=*/3);
+  spec.realtimeScale = 3000.0;
+  analysis::BlackBoxModel model;
+  model.sigmas = {1.0};
+  model.centroids.push_back(std::vector<double>{0.0});
+
+  net::RpcdOptions leafOpts;
+  leafOpts.slaves = spec.slaves;
+  leafOpts.seed = spec.seed;
+  LeafFixture leaf(leafOpts);
+
+  AggregatorOptions opts;
+  opts.base = spec;
+  opts.firstNode = 1;
+  opts.groupSize = spec.slaves;
+  opts.leafEndpoints = {endpointOf(leaf)};
+  opts.port = 0;
+  AggregatorNode node(opts, model);
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    node.run();
+    ADD_FAILURE() << "a knn model of dimension 1 ran on 82-metric samples";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("does not match model dimension 1"),
+              std::string::npos)
+        << e.what();
+  }
+  // The error stops serving; run() does not wait out the schedule.
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count(),
+            30.0);
+}
+
 }  // namespace
 }  // namespace asdf::harness

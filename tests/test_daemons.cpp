@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "hadoop/cluster.h"
@@ -193,6 +194,35 @@ TEST_F(DaemonTest, HadoopLogDaemonProducesStateVectors) {
   // One sample per second, minus the finalization lag.
   EXPECT_GE(ttSamples, 115u);
   EXPECT_GE(dnSamples, 115u);
+}
+
+// The daemon is each log's one tail reader and frees what it parsed: a
+// polled node holds only the lines of the last second, while line
+// numbers keep counting every line ever written.
+TEST_F(DaemonTest, LogBuffersStayBoundedWhileTheDaemonPolls) {
+  RpcHub hub(cluster_, 0.0);
+  for (int j = 0; j < 4; ++j) cluster_.jobTracker().submit(smallJob(), 0.0);
+  hadoop::Node& host = cluster_.node(1);
+  std::vector<hadooplog::StateSample> rows;
+  std::size_t maxHeld = 0;
+  for (int t = 1; t <= 240; ++t) {
+    engine_.runUntil(t);
+    for (const hadooplog::LogBuffer* log : {&host.ttLog(), &host.dnLog()}) {
+      maxHeld = std::max(maxHeld, log->lineCount() - log->firstLine());
+    }
+    std::size_t bytes = 0;
+    hub.hadoopLog(1).fetch(CollectKind::kTt, t, rows, bytes);
+    hub.hadoopLog(1).fetch(CollectKind::kDn, t, rows, bytes);
+    for (const hadooplog::LogBuffer* log : {&host.ttLog(), &host.dnLog()}) {
+      EXPECT_EQ(log->firstLine(), log->lineCount());
+      EXPECT_TRUE(log->linesFrom(log->firstLine()).empty());
+    }
+  }
+  // Every line stays numbered; at most one second's lines are held.
+  const std::size_t written =
+      host.ttLog().lineCount() + host.dnLog().lineCount();
+  EXPECT_GT(written, 60u);
+  EXPECT_LT(maxHeld * 4, written) << maxHeld;
 }
 
 TEST_F(DaemonTest, HadoopLogSamplesAreContiguousSeconds) {

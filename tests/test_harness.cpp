@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.h"
 #include "common/ini.h"
 #include "core/fpt_core.h"
 #include "harness/pipelines.h"
@@ -163,6 +164,27 @@ TEST_F(HarnessTest, ExperimentsAreReproducible) {
     EXPECT_EQ(a.blackBox[i].flags, b.blackBox[i].flags);
   }
   EXPECT_EQ(a.jobsCompleted, b.jobsCompleted);
+}
+
+// Training keeps only the seconds after the warm-up: a spec with none
+// is refused, naming both values, before anything is simulated (an
+// empty model would fail only later, inside a run).
+TEST(HarnessSpec, TrainingNoLongerThanWarmupIsRefused) {
+  ExperimentSpec spec;
+  spec.slaves = 50;
+  spec.trainDuration = 90.0;
+  spec.trainWarmup = 90.0;
+  try {
+    trainModel(spec);
+    ADD_FAILURE() << "trained on an empty window";
+  } catch (const ConfigError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("trainDuration (90 s)"), std::string::npos) << what;
+    EXPECT_NE(what.find("trainWarmup (90 s)"), std::string::npos) << what;
+  }
+  EXPECT_THROW(validateSpec(spec), ConfigError);
+  spec.trainDuration = 91.0;
+  EXPECT_NO_THROW(validateSpec(spec));
 }
 
 }  // namespace
