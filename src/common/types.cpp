@@ -1,7 +1,7 @@
 #include "common/types.h"
 
+#include <cassert>
 #include <cmath>
-#include <cstdio>
 
 namespace asdf {
 namespace {
@@ -37,35 +37,6 @@ bool getDigits(const char* p, int width, int& out) {
   return true;
 }
 
-/// The calendar arithmetic both timestamp readers share.
-SimTime fromFields(int year, int month, int day, int hour, int minute,
-                   int second, int milli) {
-  if (year < kEpochYear || month < 1 || month > 12 || day < 1) return kNoTime;
-
-  // Days elapsed since the epoch date (single-year spans are all the
-  // simulator produces, but handle year wrap for robustness).
-  long long days = 0;
-  int y = kEpochYear, m = kEpochMonth, d = kEpochDay;
-  while (y < year || m < month || d < day) {
-    ++d;
-    ++days;
-    if (d > kDaysPerMonth[m - 1]) {
-      d = 1;
-      ++m;
-      if (m > 12) {
-        m = 1;
-        ++y;
-      }
-    }
-    if (days > 400000) return kNoTime;  // malformed / runaway
-  }
-
-  const long long totalSeconds = ((days * 24 + hour - kEpochHour) * 60 +
-                                  minute) * 60 + second;
-  if (totalSeconds < 0) return kNoTime;
-  return static_cast<SimTime>(totalSeconds) + milli / 1000.0;
-}
-
 }  // namespace
 
 void appendLogTimestamp(std::string& out, SimTime t) {
@@ -92,15 +63,8 @@ void appendLogTimestamp(std::string& out, SimTime t) {
     }
   }
 
-  if (year > 9999) {
-    // Wider than the fixed layout; printf pads and widens as log4j would.
-    char buf[64];
-    std::snprintf(buf, sizeof(buf),
-                  "%04d-%02d-%02d %02lld:%02lld:%02lld,%03lld", year, month,
-                  day, hours, minutes, seconds, millis);
-    out += buf;
-    return;
-  }
+  // Four year digits last about 8000 simulated years.
+  assert(year <= 9999);
   const std::size_t at = out.size();
   out.resize(at + kLogTimestampLen);
   char* p = out.data() + at;
@@ -125,13 +89,13 @@ std::string formatLogTimestamp(SimTime t) {
   return out;
 }
 
-bool parseFixedLogTimestamp(std::string_view text, SimTime& out) {
-  // Longer text is accepted only when the millisecond field ends at the
-  // fixed width, so a lenient scan would read the same seven fields.
-  if (text.size() < kLogTimestampLen) return false;
+SimTime parseLogTimestamp(std::string_view text) {
+  // Only the fixed layout the writer produces is read, optionally
+  // followed by a non-digit (the rest of a log line).
+  if (text.size() < kLogTimestampLen) return kNoTime;
   if (text.size() > kLogTimestampLen &&
       static_cast<unsigned>(text[kLogTimestampLen] - '0') <= 9) {
-    return false;
+    return kNoTime;
   }
   const char* p = text.data();
   int year = 0, month = 0, day = 0, hour = 0, minute = 0, second = 0,
@@ -142,24 +106,32 @@ bool parseFixedLogTimestamp(std::string_view text, SimTime& out) {
       !getDigits(p + 14, 2, minute) || p[16] != ':' ||
       !getDigits(p + 17, 2, second) || p[19] != ',' ||
       !getDigits(p + 20, 3, milli)) {
-    return false;
-  }
-  out = fromFields(year, month, day, hour, minute, second, milli);
-  return true;
-}
-
-SimTime parseLogTimestamp(std::string_view text) {
-  SimTime t = kNoTime;
-  if (parseFixedLogTimestamp(text, t)) return t;
-  // Lenient fallback (padding, signs, other widths): sscanf's %d rules.
-  const std::string copy(text);
-  int year = 0, month = 0, day = 0, hour = 0, minute = 0, second = 0,
-      milli = 0;
-  if (std::sscanf(copy.c_str(), "%d-%d-%d %d:%d:%d,%d", &year, &month, &day,
-                  &hour, &minute, &second, &milli) != 7) {
     return kNoTime;
   }
-  return fromFields(year, month, day, hour, minute, second, milli);
+  if (year < kEpochYear || month < 1 || month > 12 || day < 1) return kNoTime;
+
+  // Days elapsed since the epoch date (single-year spans are all the
+  // simulator produces, but handle year wrap for robustness).
+  long long days = 0;
+  int y = kEpochYear, m = kEpochMonth, d = kEpochDay;
+  while (y < year || m < month || d < day) {
+    ++d;
+    ++days;
+    if (d > kDaysPerMonth[m - 1]) {
+      d = 1;
+      ++m;
+      if (m > 12) {
+        m = 1;
+        ++y;
+      }
+    }
+    if (days > 400000) return kNoTime;  // malformed / runaway
+  }
+
+  const long long totalSeconds = ((days * 24 + hour - kEpochHour) * 60 +
+                                  minute) * 60 + second;
+  if (totalSeconds < 0) return kNoTime;
+  return static_cast<SimTime>(totalSeconds) + milli / 1000.0;
 }
 
 }  // namespace asdf

@@ -38,19 +38,13 @@ inline constexpr std::size_t kLogTimestampLen = 23;
 /// log4j timestamps look (Figure 5 of the paper). The epoch is an
 /// arbitrary fixed date; only differences matter to the analyses.
 std::string formatLogTimestamp(SimTime t);
-/// The same text appended to `out`, written digit by digit (no printf
-/// unless the year outgrows four digits).
+/// The same text appended to `out`, written digit by digit.
 void appendLogTimestamp(std::string& out, SimTime t);
 
-/// Parses a "YYYY-MM-DD HH:MM:SS,mmm" timestamp back to SimTime.
-/// Returns kNoTime on malformed input. Fixed-width text takes the
-/// strict reader below; anything else falls back to sscanf's "%d"
-/// rules (leading blanks, signs, other widths).
+/// Parses a "YYYY-MM-DD HH:MM:SS,mmm" timestamp back to SimTime: the
+/// fixed-width layout above, optionally followed by a non-digit.
+/// Returns kNoTime for any other text (padding, signs, other widths)
+/// and for dates the calendar rejects.
 SimTime parseLogTimestamp(std::string_view text);
-
-/// The strict reader: false unless `text` is exactly the fixed-width
-/// layout (optionally followed by a non-digit). When it accepts, `out`
-/// is what the lenient reader would return for the same text.
-bool parseFixedLogTimestamp(std::string_view text, SimTime& out);
 
 }  // namespace asdf

@@ -1,7 +1,7 @@
 #include "hadooplog/log_buffer.h"
 
-#include <algorithm>
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace asdf::hadooplog {
 
@@ -11,22 +11,23 @@ void LogBuffer::append(std::string_view line) {
 }
 
 const std::string& LogBuffer::line(std::size_t index) const {
-  assert(index >= base_ && index < lineCount());
-  return lines_[index - base_];
+  // Below base_ the difference wraps past size(), so at() throws.
+  return lines_.at(index - base_);
 }
 
 std::span<const std::string> LogBuffer::linesFrom(std::size_t from) const {
-  assert(from >= base_);
-  from = std::max(from, base_);
+  if (from < base_) {
+    throw std::logic_error("LogBuffer: line " + std::to_string(from) +
+                           " was discarded (lines from " +
+                           std::to_string(base_) + " are held)");
+  }
   if (from >= lineCount()) return {};
   return std::span<const std::string>(lines_).subspan(from - base_);
 }
 
-void LogBuffer::discardBefore(std::size_t end) {
-  if (end <= base_) return;
-  const std::size_t n = std::min(end, lineCount()) - base_;
-  lines_.erase(lines_.begin(), lines_.begin() + static_cast<long>(n));
-  base_ += n;
+void LogBuffer::discardAll() {
+  base_ = lineCount();
+  lines_.clear();
 }
 
 double LogBuffer::drainNewBytes() {

@@ -9,8 +9,8 @@
 // poll consumes only the lines appended since the previous poll.
 // Line numbers are global and never reused. The one cursor reader that
 // owns a buffer's tail (the node's hadoop_log daemon) discards the lines
-// it has parsed, so a monitored node holds only its unread lines; a
-// buffer nobody discards keeps every line from 0.
+// once it has parsed them all, so a monitored node holds only its unread
+// lines; a buffer nobody discards keeps every line from 0.
 #pragma once
 
 #include <cstddef>
@@ -29,20 +29,21 @@ class LogBuffer {
   /// Lines ever appended, discarded ones included: the next line's
   /// number.
   std::size_t lineCount() const { return base_ + lines_.size(); }
-  /// The lowest line number still held (lines before it were discarded).
-  std::size_t firstLine() const { return base_; }
 
-  /// Returns the line with the given number (0-based); it must not
-  /// have been discarded.
+  /// Returns the line with the given number (0-based). Throws
+  /// std::out_of_range for a discarded or not yet written line.
   const std::string& line(std::size_t index) const;
 
   /// Lines [from, lineCount()) in place — what a tail-reading daemon
-  /// would see since its cursor. `from` must not precede a discarded
-  /// line. The view is invalidated by the next append() or discard.
+  /// would see since its cursor. Throws std::logic_error when `from`
+  /// precedes a discarded line: a second reader, or a cursor that fell
+  /// behind, would otherwise lose lines unnoticed. The view is
+  /// invalidated by the next append() or discardAll().
   std::span<const std::string> linesFrom(std::size_t from) const;
 
-  /// Frees every line numbered below `end` (at most lineCount()).
-  void discardBefore(std::size_t end);
+  /// Frees every line held; the next line appended is still numbered
+  /// lineCount().
+  void discardAll();
 
   /// Total bytes appended (including implied newlines); used to model
   /// the disk traffic of log writing.

@@ -202,9 +202,6 @@ ExperimentResult runSimExperiment(const ExperimentSpec& spec,
   sim::SimEngine engine;
   net::SimCluster sim(engine, spec.slaves, spec.seed, spec.fault,
                       spec.mixChangeTime, spec.topology);
-  // Per-process sadc rows reach only the flight recorder; without one
-  // they are drawn but not computed.
-  sim.cluster.setProcessRows(!spec.archiveDir.empty());
   std::unique_ptr<faults::ScenarioInjector> scenario;
   std::vector<std::unique_ptr<faults::MonitoringFaultInjector>> monInjectors;
 
@@ -217,6 +214,10 @@ ExperimentResult runSimExperiment(const ExperimentSpec& spec,
   }
   plane.recordAs = "sim";
   plane.arm = [&](rpc::RpcClient& client) {
+    // Per-process sadc rows reach only the client's observer (the flight
+    // recorder); without one they are drawn but not computed. Arming
+    // precedes the first tick.
+    sim.cluster.setProcessRows(client.observer() != nullptr);
     sim.injector.arm();
     if (spec.scenario.cls != faults::ScenarioClass::kNone) {
       scenario = std::make_unique<faults::ScenarioInjector>(sim.cluster,

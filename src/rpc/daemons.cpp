@@ -51,13 +51,13 @@ void HadoopLogDaemon::fetch(CollectKind kind, SimTime watermark,
     hadooplog::LogBuffer& log = node_.ttLog();
     ttParser_.consume(log.linesFrom(ttCursor_));
     ttCursor_ = log.lineCount();
-    log.discardBefore(ttCursor_);
+    log.discardAll();
     ttParser_.poll(watermark, out);
   } else {
     hadooplog::LogBuffer& log = node_.dnLog();
     dnParser_.consume(log.linesFrom(dnCursor_));
     dnCursor_ = log.lineCount();
-    log.discardBefore(dnCursor_);
+    log.discardAll();
     dnParser_.poll(watermark, out);
   }
   responseBytes = encodedSize(out);

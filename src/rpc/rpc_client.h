@@ -244,6 +244,7 @@ class RpcClient {
   /// detaches. Thread-safety matches the health registry's: set it
   /// before the run starts.
   void setObserver(CollectionObserver* observer) { observer_ = observer; }
+  CollectionObserver* observer() const { return observer_; }
 
   MonitoringFaultBoard& faults() { return board_; }
   NodeHealthRegistry& health() { return registry_; }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
 
 #include "hadoop/cluster.h"
 #include "hadooplog/parser.h"
@@ -196,6 +197,25 @@ TEST_F(DaemonTest, HadoopLogDaemonProducesStateVectors) {
   EXPECT_GE(dnSamples, 115u);
 }
 
+// discardAll frees the held lines without renumbering, and a read of a
+// freed line fails loudly instead of returning a shortened tail.
+TEST(LogBufferDiscard, KeepsNumberingAndRefusesFreedLines) {
+  hadooplog::LogBuffer buf;
+  buf.append("a");
+  buf.append("b");
+  buf.discardAll();
+  EXPECT_EQ(buf.lineCount(), 2u);
+  EXPECT_TRUE(buf.linesFrom(2).empty());
+  buf.append("c");
+  ASSERT_EQ(buf.linesFrom(2).size(), 1u);
+  EXPECT_EQ(buf.linesFrom(2)[0], "c");
+  EXPECT_EQ(buf.line(2), "c");
+  EXPECT_THROW(buf.linesFrom(0), std::logic_error);
+  EXPECT_THROW(buf.linesFrom(1), std::logic_error);
+  EXPECT_THROW(buf.line(1), std::out_of_range);
+  EXPECT_THROW(buf.line(3), std::out_of_range);
+}
+
 // The daemon is each log's one tail reader and frees what it parsed: a
 // polled node holds only the lines of the last second, while line
 // numbers keep counting every line ever written.
@@ -203,21 +223,29 @@ TEST_F(DaemonTest, LogBuffersStayBoundedWhileTheDaemonPolls) {
   RpcHub hub(cluster_, 0.0);
   for (int j = 0; j < 4; ++j) cluster_.jobTracker().submit(smallJob(), 0.0);
   hadoop::Node& host = cluster_.node(1);
+  const hadooplog::LogBuffer* logs[] = {&host.ttLog(), &host.dnLog()};
+  std::size_t cursor[] = {0, 0};  // each log's line count after a poll
   std::vector<hadooplog::StateSample> rows;
   std::size_t maxHeld = 0;
   for (int t = 1; t <= 240; ++t) {
     engine_.runUntil(t);
-    for (const hadooplog::LogBuffer* log : {&host.ttLog(), &host.dnLog()}) {
-      maxHeld = std::max(maxHeld, log->lineCount() - log->firstLine());
+    for (int k = 0; k < 2; ++k) {
+      // Only the lines since the last poll are held.
+      const std::size_t held = logs[k]->linesFrom(cursor[k]).size();
+      EXPECT_EQ(held, logs[k]->lineCount() - cursor[k]);
+      maxHeld = std::max(maxHeld, held);
     }
     std::size_t bytes = 0;
     hub.hadoopLog(1).fetch(CollectKind::kTt, t, rows, bytes);
     hub.hadoopLog(1).fetch(CollectKind::kDn, t, rows, bytes);
-    for (const hadooplog::LogBuffer* log : {&host.ttLog(), &host.dnLog()}) {
-      EXPECT_EQ(log->firstLine(), log->lineCount());
-      EXPECT_TRUE(log->linesFrom(log->firstLine()).empty());
+    for (int k = 0; k < 2; ++k) {
+      cursor[k] = logs[k]->lineCount();
+      EXPECT_TRUE(logs[k]->linesFrom(cursor[k]).empty());
     }
   }
+  // A line the daemon consumed is gone: reading it again throws.
+  ASSERT_GT(cursor[0], 0u);
+  EXPECT_THROW(logs[0]->linesFrom(cursor[0] - 1), std::logic_error);
   // Every line stays numbered; at most one second's lines are held.
   const std::size_t written =
       host.ttLog().lineCount() + host.dnLog().lineCount();
