@@ -57,6 +57,8 @@ double secondsSince(std::chrono::steady_clock::time_point start) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::requireFlags(argc, argv,
+                      {"records", "nodes", "segment-bytes", "json"});
   const long records = bench::flagInt(argc, argv, "records", 20000);
   const int nodes = static_cast<int>(bench::flagInt(argc, argv, "nodes", 16));
   const std::size_t segmentBytes = static_cast<std::size_t>(

@@ -107,6 +107,9 @@ bool bitExactEqual(const std::vector<tsdb::RawPoint>& a,
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::requireFlags(argc, argv,
+                      {"records", "nodes", "segment-bytes", "window",
+                       "min-speedup", "json"});
   const long records = bench::flagInt(argc, argv, "records", 30000);
   const int nodes = static_cast<int>(bench::flagInt(argc, argv, "nodes", 16));
   const std::size_t segmentBytes = static_cast<std::size_t>(

@@ -457,6 +457,9 @@ VariantResult runVariant(bool legacy, int nodes, int fanout, int dims,
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::requireFlags(argc, argv,
+                      {"nodes", "fanout", "dims", "window", "ticks",
+                       "warmup", "threads", "json", "min-speedup"});
   const int nodes = static_cast<int>(bench::flagInt(argc, argv, "nodes", 50));
   const int fanout = static_cast<int>(bench::flagInt(argc, argv, "fanout", 8));
   const int dims = static_cast<int>(bench::flagInt(argc, argv, "dims", 82));

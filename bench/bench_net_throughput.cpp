@@ -210,6 +210,9 @@ Sample runOne(int channels, int pipeline, double seconds, std::uint16_t port,
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::requireFlags(argc, argv,
+                      {"seconds", "channels", "shards", "pipeline",
+                       "min-frames-per-sec", "json"});
   const double seconds = bench::flagDouble(argc, argv, "seconds", 2.0);
   const std::string channelList =
       bench::flagValue(argc, argv, "channels", "1,8,64");

@@ -127,6 +127,8 @@ RunResult runWith(std::unique_ptr<core::Executor> executor, int collectors,
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::requireFlags(argc, argv,
+                      {"collectors", "ticks", "poll-ms", "threads", "json"});
   using namespace asdf;
   const int collectors =
       static_cast<int>(bench::flagInt(argc, argv, "collectors", 50));

@@ -64,6 +64,9 @@ Point runPoint(int slaves, double duration, double trainDuration,
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::requireFlags(argc, argv,
+                      {"max-nodes", "nodes", "duration", "train-duration",
+                       "seed", "json"});
   modules::registerBuiltinModules();
   const long maxNodes = bench::flagInt(argc, argv, "max-nodes", 50);
   const long onlyNodes = bench::flagInt(argc, argv, "nodes", 0);

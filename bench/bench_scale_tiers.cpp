@@ -71,6 +71,9 @@ bool identicalAlarms(const harness::ExperimentResult& a,
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::requireFlags(argc, argv,
+                      {"nodes", "aggregators", "threads", "duration",
+                       "train-duration", "seed", "max-kbps", "json"});
   modules::registerBuiltinModules();
   const long nodes = bench::flagInt(argc, argv, "nodes", 5000);
   long aggregators = bench::flagInt(argc, argv, "aggregators", 0);

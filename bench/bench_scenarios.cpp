@@ -66,6 +66,9 @@ void printRow(const harness::ScenarioOutcome& row, bool last) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::requireFlags(argc, argv,
+                      {"slaves", "racks", "uplink-gbps", "duration",
+                       "train-duration", "seed", "scenario", "json"});
   modules::registerBuiltinModules();
   const long slaves = bench::flagInt(argc, argv, "slaves", 12);
   const long racks = bench::flagInt(argc, argv, "racks", 3);

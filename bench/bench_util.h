@@ -7,52 +7,39 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <initializer_list>
 #include <string>
 
+#include "../examples/example_util.h"
 #include "harness/experiment.h"
 #include "modules/modules.h"
 
 namespace asdf::bench {
 
-inline std::string flagValue(int argc, char** argv, const std::string& name,
-                             const std::string& fallback) {
-  const std::string prefix = "--" + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::string(argv[i] + prefix.size());
-    }
+// One flag parser for every binary: the strict one in
+// examples/example_util.h.
+using examples::flagDouble;
+using examples::flagInt;
+using examples::flagPresent;
+using examples::flagValue;
+
+/// Exits 2, naming the argument, unless every argument is one of
+/// `allowed`: a misspelled gate such as --min-speedupp must fail the
+/// run, not switch the gate off.
+inline void requireFlags(int argc, char** argv,
+                         std::initializer_list<const char*> allowed) {
+  std::string usage;
+  for (const char* name : allowed) {
+    usage += std::string(usage.empty() ? "" : " ") + "[--" + name + "]";
   }
-  return fallback;
-}
-
-/// True when `--name` appears bare (no value) or as `--name=...`.
-inline bool flagPresent(int argc, char** argv, const std::string& name) {
-  const std::string bare = "--" + name;
-  const std::string prefix = bare + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (bare == argv[i] ||
-        std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
-inline double flagDouble(int argc, char** argv, const std::string& name,
-                         double fallback) {
-  const std::string v = flagValue(argc, argv, name, "");
-  return v.empty() ? fallback : std::atof(v.c_str());
-}
-
-inline long flagInt(int argc, char** argv, const std::string& name,
-                    long fallback) {
-  const std::string v = flagValue(argc, argv, name, "");
-  return v.empty() ? fallback : std::atol(v.c_str());
+  if (!examples::checkFlags(argc, argv, allowed, usage + "\n")) std::exit(2);
 }
 
 /// The common experiment shape used by the figure benches.
 inline harness::ExperimentSpec benchSpec(int argc, char** argv) {
+  requireFlags(argc, argv,
+               {"nodes", "threads", "duration", "train-duration", "seed",
+                "fault-node", "inject-at"});
   modules::registerBuiltinModules();
   harness::ExperimentSpec spec;
   spec.slaves = static_cast<int>(flagInt(argc, argv, "nodes", 8));

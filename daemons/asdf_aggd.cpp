@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
   opts.base.archiveDir = flagValue(argc, argv, "archive-dir", "");
   opts.firstNode = static_cast<int>(flagInt(argc, argv, "first-node", 1));
   opts.groupSize = static_cast<int>(flagInt(argc, argv, "group-size", 0));
-  opts.port = static_cast<std::uint16_t>(flagInt(argc, argv, "port", 4600));
+  opts.port = examples::flagPort(argc, argv, "port", 4600);
   opts.idleTimeoutSeconds = flagDouble(argc, argv, "idle-timeout", 0.0);
   if (!examples::parseShards(argc, argv, opts.shards)) return 2;
   const std::string modelCache = flagValue(argc, argv, "model-cache", "");

@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
 
   net::RpcdOptions opts;
-  opts.port = static_cast<std::uint16_t>(flagInt(argc, argv, "port", 4588));
+  opts.port = examples::flagPort(argc, argv, "port", 4588);
   opts.slaves = static_cast<int>(flagInt(argc, argv, "slaves", 16));
   opts.seed = static_cast<std::uint64_t>(flagInt(argc, argv, "seed", 42));
   opts.source = flagValue(argc, argv, "source", "sim");
@@ -86,8 +86,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  opts.fault.type =
-      faults::faultFromName(flagValue(argc, argv, "fault", "none"));
   opts.fault.node = static_cast<NodeId>(flagInt(argc, argv, "fault-node", 4));
   opts.fault.startTime = flagDouble(argc, argv, "fault-start", 300.0);
   opts.fault.endTime = flagDouble(argc, argv, "fault-end", kNoTime);
@@ -96,6 +94,10 @@ int main(int argc, char** argv) {
   const std::string archiveDir = flagValue(argc, argv, "archive-dir", "");
 
   try {
+    opts.fault.type =
+        faults::faultFromName(flagValue(argc, argv, "fault", "none"));
+    // Refused before the archive or the listener exists.
+    faults::validateFault(opts.fault, opts.slaves);
     // Declared before the recorder so it outlives the writer: the
     // final close() (destructor included) seals a segment, and that
     // onSeal hand-off must land in a live queue.

@@ -21,6 +21,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/error.h"
 #include "common/logging.h"
 #include "common/strings.h"
 #include "core/fpt_core.h"
@@ -64,6 +65,17 @@ int main(int argc, char** argv) {
   const double duration = flagDouble(argc, argv, "duration", 1800.0);
   const auto seed =
       static_cast<std::uint64_t>(flagInt(argc, argv, "seed", 42));
+  faults::FaultSpec faultSpec;
+  faultSpec.node = static_cast<NodeId>(flagInt(argc, argv, "node", 3));
+  faultSpec.startTime = flagDouble(argc, argv, "inject-at", 600.0);
+  try {
+    faultSpec.type =
+        faults::faultFromName(flagValue(argc, argv, "fault", "none"));
+    faults::validateFault(faultSpec, slaves);
+  } catch (const ConfigError& e) {
+    std::fprintf(stderr, "asdfd: %s\n", e.what());
+    return 1;
+  }
 
   // --- black-box model: load or train -------------------------------
   analysis::BlackBoxModel model;
@@ -95,11 +107,6 @@ int main(int argc, char** argv) {
   }
 
   // --- cluster + workload + optional fault -----------------------------
-  faults::FaultSpec faultSpec;
-  faultSpec.type =
-      faults::faultFromName(flagValue(argc, argv, "fault", "none"));
-  faultSpec.node = static_cast<NodeId>(flagInt(argc, argv, "node", 3));
-  faultSpec.startTime = flagDouble(argc, argv, "inject-at", 600.0);
   sim::SimEngine engine;
   net::SimCluster sim(engine, slaves, seed, faultSpec);
   modules::HadoopLogSync sync;

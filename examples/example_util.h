@@ -1,10 +1,15 @@
-// Tiny command-line flag helpers shared by the example binaries.
+// Tiny command-line flag helpers shared by the examples, daemons, tools
+// and benches.
 #pragma once
 
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <initializer_list>
+#include <limits>
 #include <string>
 
 namespace asdf::examples {
@@ -19,18 +24,6 @@ inline std::string flagValue(int argc, char** argv, const std::string& name,
     }
   }
   return fallback;
-}
-
-inline double flagDouble(int argc, char** argv, const std::string& name,
-                         double fallback) {
-  const std::string v = flagValue(argc, argv, name, "");
-  return v.empty() ? fallback : std::atof(v.c_str());
-}
-
-inline long flagInt(int argc, char** argv, const std::string& name,
-                    long fallback) {
-  const std::string v = flagValue(argc, argv, name, "");
-  return v.empty() ? fallback : std::atol(v.c_str());
 }
 
 /// Strict argument validation: every argument must be "--name" or
@@ -64,6 +57,26 @@ inline bool checkFlags(int argc, char** argv,
   return true;
 }
 
+/// Finds the last "--name=value" or bare "--name" (value "") among
+/// the arguments; false when the flag is absent.
+inline bool lastFlag(int argc, char** argv, const std::string& name,
+                     std::string& value) {
+  const std::string bare = "--" + name;
+  const std::string prefix = bare + "=";
+  bool present = false;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == bare) {
+      present = true;
+      value.clear();
+    } else if (arg.compare(0, prefix.size(), prefix) == 0) {
+      present = true;
+      value = arg.substr(prefix.size());
+    }
+  }
+  return present;
+}
+
 /// Strict bounded-integer flag parsing: "--name" absent leaves `out`
 /// at `fallback` and succeeds; present, the value must be a fully
 /// numeric integer within [lo, hi] — a bare "--name", an empty value,
@@ -74,32 +87,69 @@ inline bool checkFlags(int argc, char** argv,
 inline bool parseBoundedInt(int argc, char** argv, const std::string& name,
                             long lo, long hi, long fallback, long& out) {
   out = fallback;
-  const std::string bare = "--" + name;
-  const std::string prefix = bare + "=";
   std::string value;
-  bool present = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == bare) {
-      present = true;  // bare form: no value, rejected below
-      value.clear();
-    } else if (arg.compare(0, prefix.size(), prefix) == 0) {
-      present = true;
-      value = arg.substr(prefix.size());
-    }
-  }
-  if (!present) return true;
+  if (!lastFlag(argc, argv, name, value)) return true;
+  errno = 0;
   char* end = nullptr;
   const long parsed =
       value.empty() ? 0 : std::strtol(value.c_str(), &end, 10);
-  if (value.empty() || end == value.c_str() || *end != '\0' || parsed < lo ||
-      parsed > hi) {
-    std::fprintf(stderr, "--%s must be an integer in [%ld, %ld], got '%s'\n",
-                 name.c_str(), lo, hi, value.c_str());
+  if (value.empty() || end == value.c_str() || *end != '\0' ||
+      errno == ERANGE || parsed < lo || parsed > hi) {
+    if (lo == std::numeric_limits<long>::min() &&
+        hi == std::numeric_limits<long>::max()) {
+      std::fprintf(stderr, "--%s must be an integer, got '%s'\n",
+                   name.c_str(), value.c_str());
+    } else {
+      std::fprintf(stderr,
+                   "--%s must be an integer in [%ld, %ld], got '%s'\n",
+                   name.c_str(), lo, hi, value.c_str());
+    }
     return false;
   }
   out = parsed;
   return true;
+}
+
+/// "--name=N" as a whole integer; `fallback` when absent. Any other
+/// value exits 2 after parseBoundedInt names the flag, as an unknown
+/// flag does: "--slaves=abc" must not run with 0 slaves.
+inline long flagInt(int argc, char** argv, const std::string& name,
+                    long fallback) {
+  long out = fallback;
+  if (!parseBoundedInt(argc, argv, name, std::numeric_limits<long>::min(),
+                       std::numeric_limits<long>::max(), fallback, out)) {
+    std::exit(2);
+  }
+  return out;
+}
+
+/// flagInt's rules for a decimal value: present, it must be a whole
+/// finite number, or the run exits 2 naming the flag.
+inline double flagDouble(int argc, char** argv, const std::string& name,
+                         double fallback) {
+  std::string value;
+  if (!lastFlag(argc, argv, name, value)) return fallback;
+  char* end = nullptr;
+  const double parsed =
+      value.empty() ? 0.0 : std::strtod(value.c_str(), &end);
+  if (value.empty() || end == value.c_str() || *end != '\0' ||
+      !std::isfinite(parsed)) {
+    std::fprintf(stderr, "--%s must be a number, got '%s'\n", name.c_str(),
+                 value.c_str());
+    std::exit(2);
+  }
+  return parsed;
+}
+
+/// A TCP port flag: 0 (an ephemeral port) through 65535, so
+/// "--port=70000" is refused rather than wrapped to 4464.
+inline std::uint16_t flagPort(int argc, char** argv, const std::string& name,
+                              long fallback) {
+  long port = fallback;
+  if (!parseBoundedInt(argc, argv, name, 0, 65535, fallback, port)) {
+    std::exit(2);
+  }
+  return static_cast<std::uint16_t>(port);
 }
 
 /// Strict --shards parsing: accepts only a positive integer (capped at

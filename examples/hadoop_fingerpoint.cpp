@@ -9,6 +9,7 @@
 //                      [--inject-at=600] [--seed=42] [--verbose]
 #include <cstdio>
 
+#include "common/error.h"
 #include "common/logging.h"
 #include "common/strings.h"
 #include "examples/example_util.h"
@@ -33,11 +34,17 @@ int main(int argc, char** argv) {
   spec.duration = flagDouble(argc, argv, "duration", 1800.0);
   spec.trainDuration = flagDouble(argc, argv, "train-duration", 600.0);
   spec.seed = static_cast<std::uint64_t>(flagInt(argc, argv, "seed", 42));
-  spec.fault.type =
-      faults::faultFromName(flagValue(argc, argv, "fault", "CPUHog"));
   spec.fault.node = static_cast<NodeId>(flagInt(argc, argv, "node", 3));
   spec.fault.startTime = flagDouble(argc, argv, "inject-at", 600.0);
   spec.pipeline.quietPrint = !flagPresent(argc, argv, "verbose");
+  try {
+    spec.fault.type =
+        faults::faultFromName(flagValue(argc, argv, "fault", "CPUHog"));
+    harness::validateSpec(spec);
+  } catch (const ConfigError& e) {
+    std::fprintf(stderr, "hadoop_fingerpoint: %s\n", e.what());
+    return 1;
+  }
 
   std::printf("ASDF fingerpointing demo\n");
   std::printf("  cluster: %d slaves, %.0f s run, fault %s on slave %d at %.0f s\n",

@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <thread>
 
+#include "common/error.h"
 #include "common/logging.h"
 #include "common/strings.h"
 #include "examples/example_util.h"
@@ -61,14 +62,11 @@ int main(int argc, char** argv) {
   spec.duration = flagDouble(argc, argv, "duration", 600.0);
   spec.trainDuration = flagDouble(argc, argv, "train-duration", 300.0);
   spec.seed = static_cast<std::uint64_t>(flagInt(argc, argv, "seed", 42));
-  spec.fault.type =
-      faults::faultFromName(flagValue(argc, argv, "fault", "CPUHog"));
   spec.fault.node = static_cast<NodeId>(flagInt(argc, argv, "node", 3));
   spec.fault.startTime = flagDouble(argc, argv, "inject-at", 200.0);
   spec.pipeline.quietPrint = !flagPresent(argc, argv, "verbose");
   spec.liveHost = flagValue(argc, argv, "host", "127.0.0.1");
-  spec.livePort =
-      static_cast<std::uint16_t>(flagInt(argc, argv, "port", 4588));
+  spec.livePort = examples::flagPort(argc, argv, "port", 4588);
   spec.realtimeScale = flagDouble(argc, argv, "scale", 20.0);
   // Live attempts ride real localhost sockets; the sim default of
   // 250 ms is tight when the daemon is advancing its hosted cluster,
@@ -76,6 +74,14 @@ int main(int argc, char** argv) {
   spec.rpcPolicy.timeoutSeconds =
       flagDouble(argc, argv, "rpc-timeout", 5.0);
   spec.archiveDir = flagValue(argc, argv, "record", "");
+  try {
+    spec.fault.type =
+        faults::faultFromName(flagValue(argc, argv, "fault", "CPUHog"));
+    harness::validateSpec(spec);
+  } catch (const ConfigError& e) {
+    std::fprintf(stderr, "live_fingerpoint: %s\n", e.what());
+    return 1;
+  }
 
   // Optionally host the daemon inside this process on an ephemeral
   // port — the zero-setup demo path, and exactly what CI's external

@@ -1,49 +1,29 @@
-// Runtime-dispatched SIMD kernels for the analysis hot loops.
+// The analysis hot-loop kernels, in one fixed summation order.
 //
-// Every kernel here has one scalar reference implementation and
-// (when the build enables them) SSE2/AVX2 variants that are
-// **bit-exact** against it on every input — including NaNs, signed
-// zeros and denormals. The trick is a fixed *blocked reduction
-// contract*: reductions accumulate into four independent lanes
-// (lane j owns elements i with i % 4 == j over the blocked prefix),
-// the four lane totals combine in the fixed order
-// (lane0 + lane1) + (lane2 + lane3), and the tail (n % 4 elements)
-// folds in sequentially afterwards. The scalar path follows the same
-// order, AVX2 maps the four lanes onto one ymm register, and SSE2
-// onto two xmm registers — same additions, same order, identical
-// IEEE-754 results on every ISA (simd.cpp is compiled with
-// -ffp-contract=off so no path fuses a*b+c into an FMA). That is
-// what keeps alarms byte-identical between ASDF_SIMD=ON and OFF
-// builds and across machines (DESIGN.md §15).
-//
-// Dispatch: the widest ISA the CPU supports is chosen once at first
-// use. The ASDF_SIMD environment variable overrides it
-// ("off"/"scalar", "sse2", "avx2" — clamped to what the CPU has),
-// and building with -DASDF_SIMD=OFF compiles the vector paths out
-// entirely. forceIsa() narrows the choice at runtime for tests.
+// Reductions follow a *blocked reduction contract*: they accumulate
+// into four independent lanes (lane j owns elements i with i % 4 == j
+// over the blocked prefix), the four lane totals combine in the fixed
+// order (lane0 + lane1) + (lane2 + lane3), and the tail (n % 4
+// elements) folds in sequentially afterwards. That order is part of
+// the result: it differs in the last bits from a left-to-right sum, so
+// it is pinned by tests, and any faster kernel must reproduce it bit
+// for bit (NaNs, signed zeros and denormals included). simd.cpp is
+// compiled with -ffp-contract=off so no build fuses a*b+c into an FMA,
+// which would round differently and move alarms (DESIGN.md §15).
 #pragma once
 
 #include <cstddef>
 
 namespace asdf::simd {
 
+/// The instruction set the kernels run on: one portable path.
 enum class Isa {
   kScalar = 0,
-  kSse2 = 1,
-  kAvx2 = 2,
 };
 
-/// The ISA the kernels below currently run on.
-Isa activeIsa();
+inline Isa activeIsa() { return Isa::kScalar; }
 
-/// Widest ISA this build + CPU can run (kScalar when ASDF_SIMD=OFF).
-Isa bestSupportedIsa();
-
-/// Test hook: pins dispatch to `isa` (clamped to bestSupportedIsa()).
-/// Returns the level actually selected.
-Isa forceIsa(Isa isa);
-
-const char* isaName(Isa isa);
+inline const char* isaName(Isa) { return "scalar"; }
 
 /// Sum of squared differences over a[0..n) / b[0..n) in the blocked
 /// reduction order (kmeans distance kernel).
@@ -60,14 +40,12 @@ double l1Distance(const double* a, const double* b, std::size_t n);
 ///       : 0
 /// with std::max's NaN-dropping semantics (a NaN candidate never
 /// replaces the accumulator). Max is order-independent under that
-/// rule, so this needs no lane contract — but the SIMD paths still
-/// mirror the scalar comparison-select exactly.
+/// rule, so this needs no lane contract.
 double whiteBoxCriticalK(const double* mean, const double* median,
                          const double* sigma, std::size_t n,
                          double sentinel);
 
-/// out[i] = |x[i] - center| (the MAD deviation pass). Elementwise, so
-/// trivially bit-exact; vectorized for throughput.
+/// out[i] = |x[i] - center| (the MAD deviation pass).
 void absDeviations(const double* x, double center, double* out,
                    std::size_t n);
 

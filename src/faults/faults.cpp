@@ -1,7 +1,6 @@
 #include "faults/faults.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "common/error.h"
 #include "metrics/os_model.h"
@@ -48,10 +47,18 @@ const std::vector<FaultType>& allFaults() {
   return kAll;
 }
 
+void validateFault(const FaultSpec& spec, int slaves) {
+  if (spec.type == FaultType::kNone) return;
+  if (spec.node < 1 || spec.node > slaves) {
+    throw ConfigError(std::string("fault ") + faultName(spec.type) +
+                      ": node " + std::to_string(spec.node) +
+                      " out of range [1, " + std::to_string(slaves) + "]");
+  }
+}
+
 FaultInjector::FaultInjector(hadoop::Cluster& cluster, FaultSpec spec)
     : cluster_(cluster), spec_(spec), diskHog_(spec.diskHogBytes) {
-  assert(spec_.type == FaultType::kNone ||
-         (spec_.node >= 1 && spec_.node <= cluster.slaveCount()));
+  validateFault(spec_, cluster.slaveCount());
 }
 
 FaultInjector::~FaultInjector() {

@@ -57,6 +57,11 @@ struct FaultSpec {
   double packetLossRate = 0.50;
 };
 
+/// Throws ConfigError, naming the valid range, unless an injectable
+/// fault targets a slave of a `slaves`-node cluster (ids 1..slaves;
+/// node 0 is the master). kNone is accepted with any node.
+void validateFault(const FaultSpec& spec, int slaves);
+
 /// The DiskHog's process: a dd-style sequential writer of `totalBytes`
 /// on one node. Its tick hook calls request() and then advance() every
 /// second; the CascadeHotspot scenario's hog is the same writer.

@@ -148,6 +148,7 @@ ExperimentResult runTieredLiveExperiment(const ExperimentSpec& spec) {
         "(need exactly one per group, in topology order)",
         spec.aggEndpoints.size(), groups.size()));
   }
+  faults::validateFault(spec.fault, spec.slaves);
 
   // Per-node labels matching the generated configuration's origins
   // (sadc/hadoop_log emit "slave<node>") and merge instance ids, so

@@ -421,6 +421,7 @@ void validateSpec(const ExperimentSpec& spec) {
         "spec: trainDuration (%g s) must exceed trainWarmup (%g s)",
         spec.trainDuration, spec.trainWarmup));
   }
+  faults::validateFault(spec.fault, spec.slaves);
   // The layout constructor enforces the rack-shape invariants
   // (racks >= 1, no empty rack, nodesPerRack covering every slave).
   const topology::ClusterLayout layout(spec.slaves, spec.topology);

@@ -125,11 +125,12 @@ struct ExperimentSpec {
 std::vector<int> tierGroupsFor(const ExperimentSpec& spec);
 
 /// Validates a spec's cross-field invariants before a run: slave
-/// count, rack layout (via ClusterLayout), explicit tier groups that
-/// must cover every slave exactly, and scenario requirements (sim
-/// transport, no simultaneous single-node fault, class constraints via
-/// validateScenario). Throws ConfigError. trainModel/runExperiment
-/// call this; examples may call it early for friendlier errors.
+/// count, the fault's node (via validateFault), rack layout (via
+/// ClusterLayout), explicit tier groups that must cover every slave
+/// exactly, and scenario requirements (sim transport, no simultaneous
+/// single-node fault, class constraints via validateScenario). Throws
+/// ConfigError. trainModel/runExperiment call this; examples may call
+/// it early for friendlier errors.
 void validateSpec(const ExperimentSpec& spec);
 
 struct RpcChannelReport {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.h"
 #include "metrics/catalog.h"
 #include "sim/engine.h"
@@ -140,6 +142,46 @@ TEST(FaultInjector, DiskHogSaturatesDiskCounters) {
   const auto snap = cluster.node(2).sadcCollect();
   // Writing flat out: ~80 MB/s -> bwrtn ~ 156k sectors/s.
   EXPECT_GT(snap.node[metrics::kIoWriteBlocksPerSec], 1.0e5);
+}
+
+// A fault lands on a slave, ids 1..slaves: node 0 is the master (a
+// fault there would leave the ground truth saying fault-free), and a
+// node past the cluster has no Node to hook.
+TEST(FaultValidation, NodeOutsideTheSlavesIsRefusedNamingTheRange) {
+  FaultSpec spec;
+  spec.type = FaultType::kCpuHog;
+  for (NodeId node : {0, 5, 9}) {
+    spec.node = node;
+    try {
+      validateFault(spec, 4);
+      ADD_FAILURE() << "node " << node << " accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("out of range [1, 4]"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  for (NodeId node : {1, 4}) {
+    spec.node = node;
+    EXPECT_NO_THROW(validateFault(spec, 4)) << node;
+  }
+}
+
+TEST(FaultValidation, NoneIsAcceptedWithAnyNode) {
+  FaultSpec spec;  // kNone
+  for (NodeId node : {kInvalidNode, 0, 5, 1000}) {
+    spec.node = node;
+    EXPECT_NO_THROW(validateFault(spec, 4)) << node;
+  }
+}
+
+TEST(FaultInjector, RefusesANodeOutsideTheCluster) {
+  sim::SimEngine engine;
+  hadoop::Cluster cluster(smallParams(), 3, engine);
+  FaultSpec spec;
+  spec.type = FaultType::kCpuHog;
+  spec.node = 5;
+  EXPECT_THROW(FaultInjector(cluster, spec), ConfigError);
 }
 
 TEST(FaultInjector, NoneFaultIsInert) {

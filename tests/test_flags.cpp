@@ -177,6 +177,65 @@ TEST(ParseBoundedInt, LastOccurrenceWins) {
   EXPECT_EQ(out, 5);
 }
 
+// flagInt / flagDouble / flagPort read every numeric flag of the
+// daemons, examples, tools and benches by parseBoundedInt's rules, and
+// exit 2 naming the flag instead of returning a partial or wrapped
+// value: --slaves=abc used to run with 0 slaves, --ticks=5O with 5
+// ticks, and --port=70000 served on port 4464.
+TEST(NumericFlag, ReadsWholeValuesAndFallsBackWhenAbsent) {
+  std::vector<std::string> storage;
+  std::vector<char*> ptrs;
+  char** argv = argvOf(storage, ptrs,
+                       {"prog", "--slaves=12", "--seed=-3", "--scale=2.5",
+                        "--rate=1e6", "--port=65535", "--listen=0"});
+  EXPECT_EQ(flagInt(7, argv, "slaves", 4), 12);
+  EXPECT_EQ(flagInt(7, argv, "seed", 42), -3);
+  EXPECT_EQ(flagInt(7, argv, "threads", 4), 4);
+  EXPECT_DOUBLE_EQ(flagDouble(7, argv, "scale", 1.0), 2.5);
+  EXPECT_DOUBLE_EQ(flagDouble(7, argv, "rate", 0.0), 1e6);
+  EXPECT_DOUBLE_EQ(flagDouble(7, argv, "duration", 600.0), 600.0);
+  EXPECT_EQ(flagPort(7, argv, "port", 4588), 65535);
+  EXPECT_EQ(flagPort(7, argv, "listen", 4588), 0);
+  EXPECT_EQ(flagPort(7, argv, "absent", 4588), 4588);
+}
+
+TEST(NumericFlagDeathTest, MalformedIntegerExitsTwoNamingTheFlag) {
+  std::vector<std::string> storage;
+  std::vector<char*> ptrs;
+  for (const char* bad : {"--slaves=abc", "--slaves=5O", "--slaves=",
+                          "--slaves", "--slaves=2.5",
+                          "--slaves=99999999999999999999"}) {
+    char** argv = argvOf(storage, ptrs, {"prog", bad});
+    EXPECT_EXIT(flagInt(2, argv, "slaves", 16), ::testing::ExitedWithCode(2),
+                "--slaves must be an integer")
+        << bad;
+  }
+}
+
+TEST(NumericFlagDeathTest, MalformedNumberExitsTwoNamingTheFlag) {
+  std::vector<std::string> storage;
+  std::vector<char*> ptrs;
+  for (const char* bad : {"--scale=fast", "--scale=2x", "--scale=",
+                          "--scale", "--scale=nan", "--scale=inf",
+                          "--scale=1e999"}) {
+    char** argv = argvOf(storage, ptrs, {"prog", bad});
+    EXPECT_EXIT(flagDouble(2, argv, "scale", 20.0),
+                ::testing::ExitedWithCode(2), "--scale must be a number")
+        << bad;
+  }
+}
+
+TEST(NumericFlagDeathTest, PortPastTheRangeExitsTwoNamingTheFlag) {
+  std::vector<std::string> storage;
+  std::vector<char*> ptrs;
+  for (const char* bad : {"--port=70000", "--port=65536", "--port=-1"}) {
+    char** argv = argvOf(storage, ptrs, {"prog", bad});
+    EXPECT_EXIT(flagPort(2, argv, "port", 4588), ::testing::ExitedWithCode(2),
+                "--port must be an integer in \\[0, 65535\\]")
+        << bad;
+  }
+}
+
 TEST(CheckFlags, AcceptsEmptyCommandLine) {
   std::vector<std::string> storage;
   std::vector<char*> ptrs;

@@ -187,5 +187,20 @@ TEST(HarnessSpec, TrainingNoLongerThanWarmupIsRefused) {
   EXPECT_NO_THROW(validateSpec(spec));
 }
 
+TEST(HarnessSpec, FaultNodeOutsideTheClusterIsRefused) {
+  ExperimentSpec spec;
+  spec.slaves = 4;
+  spec.fault.type = faults::FaultType::kCpuHog;
+  spec.fault.node = 0;
+  EXPECT_THROW(validateSpec(spec), ConfigError);
+  spec.fault.node = 5;
+  EXPECT_THROW(validateSpec(spec), ConfigError);
+  spec.fault.node = 4;
+  EXPECT_NO_THROW(validateSpec(spec));
+  spec.fault.type = faults::FaultType::kNone;
+  spec.fault.node = 5;
+  EXPECT_NO_THROW(validateSpec(spec));
+}
+
 }  // namespace
 }  // namespace asdf::harness

@@ -1,10 +1,8 @@
-// The SIMD dispatch contract (src/common/simd.h, DESIGN.md §15):
-// every vector path is bit-exact against the scalar reference on every
-// input — length sweeps that cover every tail residue, NaNs, signed
-// zeros, denormals — and the analysis consumers (kmeans, the peer
-// comparisons, MAD) produce identical results whichever ISA dispatch
-// picks. These are the tests that make ASDF_SIMD=ON vs OFF a pure
-// performance knob: alarms cannot move.
+// The analysis kernels (src/common/simd.h, DESIGN.md §15): their
+// blocked summation order is pinned bit for bit against test-local
+// references — on every tail residue, on inputs where a left-to-right
+// sum rounds differently, and on NaNs, signed zeros and denormals — and
+// the white-box max keeps std::max's NaN-dropping and sentinel rules.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,11 +10,6 @@
 #include <limits>
 #include <vector>
 
-#include "analysis/kmeans.h"
-#include "analysis/mad.h"
-#include "analysis/peercompare.h"
-#include "common/matrix.h"
-#include "common/rng.h"
 #include "common/simd.h"
 #include "common/stats.h"
 
@@ -34,21 +27,37 @@ bool sameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-/// The ISAs this machine can actually run (kScalar always; wider ones
-/// when forceIsa doesn't clamp them away).
-std::vector<simd::Isa> supportedIsas() {
-  std::vector<simd::Isa> isas{simd::Isa::kScalar};
-  for (simd::Isa isa : {simd::Isa::kSse2, simd::Isa::kAvx2}) {
-    if (simd::forceIsa(isa) == isa) isas.push_back(isa);
-  }
-  simd::forceIsa(simd::bestSupportedIsa());
-  return isas;
+/// The blocked reduction contract, written out independently of the
+/// kernels: four lanes over the blocked prefix, combined as
+/// (lane0 + lane1) + (lane2 + lane3), then the tail in order.
+template <typename Term>
+double blockedSum(std::size_t n, Term term) {
+  double lane[4] = {0.0, 0.0, 0.0, 0.0};
+  const std::size_t blocked = n - n % 4;
+  for (std::size_t i = 0; i < blocked; ++i) lane[i % 4] += term(i);
+  double sum = (lane[0] + lane[1]) + (lane[2] + lane[3]);
+  for (std::size_t i = blocked; i < n; ++i) sum += term(i);
+  return sum;
 }
 
-/// Restores best-ISA dispatch when a test returns, even on failure.
-struct IsaGuard {
-  ~IsaGuard() { simd::forceIsa(simd::bestSupportedIsa()); }
-};
+template <typename Term>
+double sequentialSum(std::size_t n, Term term) {
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) sum += term(i);
+  return sum;
+}
+
+double blockedSq(const std::vector<double>& a, const std::vector<double>& b) {
+  return blockedSum(a.size(), [&](std::size_t i) {
+    const double d = a[i] - b[i];
+    return d * d;
+  });
+}
+
+double blockedL1(const std::vector<double>& a, const std::vector<double>& b) {
+  return blockedSum(a.size(),
+                    [&](std::size_t i) { return std::fabs(a[i] - b[i]); });
+}
 
 void fillDeterministic(std::vector<double>& v, std::uint64_t seed) {
   std::uint64_t s = seed;
@@ -60,50 +69,40 @@ void fillDeterministic(std::vector<double>& v, std::uint64_t seed) {
   }
 }
 
-// --- length sweep: every vector-width residue -----------------------
+TEST(SimdKernels, FollowTheBlockedSummationOrder) {
+  // Squares {1, 1e-16 x4}: left to right, each 1e-16 is under half an
+  // ulp of 1.0 and vanishes; blocked, lanes 2 and 3 pair up first and
+  // their 2e-16 survives as one ulp.
+  const std::vector<double> a = {1.0, 1e-8, 1e-8, 1e-8, 1e-8};
+  const std::vector<double> zero(a.size(), 0.0);
+  std::vector<double> squares(a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) squares[i] = a[i] * a[i];
+  const double sequential = sequentialSum(
+      squares.size(), [&](std::size_t i) { return squares[i]; });
+  ASSERT_FALSE(sameBits(sequential, blockedSq(a, zero)));
+  EXPECT_TRUE(sameBits(blockedSq(a, zero),
+                       simd::sqDistance(a.data(), zero.data(), a.size())));
+  // The same terms as absolute differences.
+  ASSERT_FALSE(sameBits(sequential, blockedL1(squares, zero)));
+  EXPECT_TRUE(sameBits(
+      blockedL1(squares, zero),
+      simd::l1Distance(squares.data(), zero.data(), squares.size())));
 
-TEST(SimdKernels, BitExactAcrossIsasForEveryLength1To67) {
-  IsaGuard guard;
+  // Every tail residue, on inputs with no exact sum.
   for (std::size_t n = 1; n <= 67; ++n) {
-    std::vector<double> a(n), b(n), sigma(n), outRef(n), outIsa(n);
-    fillDeterministic(a, n * 3 + 1);
-    fillDeterministic(b, n * 5 + 2);
-    fillDeterministic(sigma, n * 7 + 3);
-    for (double& s : sigma) s = std::fabs(s);
-    // A few exact ties exercise the |mean - median| <= 1 branch.
-    for (std::size_t i = 0; i < n; i += 5) b[i] = a[i] + 0.5;
-
-    simd::forceIsa(simd::Isa::kScalar);
-    const double sqRef = simd::sqDistance(a.data(), b.data(), n);
-    const double l1Ref = simd::l1Distance(a.data(), b.data(), n);
-    const double wbRef =
-        simd::whiteBoxCriticalK(a.data(), b.data(), sigma.data(), n, 1e18);
-    simd::absDeviations(a.data(), 12.5, outRef.data(), n);
-
-    for (simd::Isa isa : supportedIsas()) {
-      simd::forceIsa(isa);
-      EXPECT_TRUE(sameBits(sqRef, simd::sqDistance(a.data(), b.data(), n)))
-          << "sqDistance n=" << n << " isa=" << simd::isaName(isa);
-      EXPECT_TRUE(sameBits(l1Ref, simd::l1Distance(a.data(), b.data(), n)))
-          << "l1Distance n=" << n << " isa=" << simd::isaName(isa);
-      EXPECT_TRUE(sameBits(wbRef, simd::whiteBoxCriticalK(
-                                      a.data(), b.data(), sigma.data(), n,
-                                      1e18)))
-          << "whiteBoxCriticalK n=" << n << " isa=" << simd::isaName(isa);
-      simd::absDeviations(a.data(), 12.5, outIsa.data(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_TRUE(sameBits(outRef[i], outIsa[i]))
-            << "absDeviations n=" << n << " i=" << i
-            << " isa=" << simd::isaName(isa);
-      }
-    }
+    std::vector<double> x(n), y(n);
+    fillDeterministic(x, n * 3 + 1);
+    fillDeterministic(y, n * 5 + 2);
+    EXPECT_TRUE(
+        sameBits(blockedSq(x, y), simd::sqDistance(x.data(), y.data(), n)))
+        << "sqDistance n=" << n;
+    EXPECT_TRUE(
+        sameBits(blockedL1(x, y), simd::l1Distance(x.data(), y.data(), n)))
+        << "l1Distance n=" << n;
   }
 }
 
-// --- special values -------------------------------------------------
-
 TEST(SimdKernels, SpecialValuesMatchScalarBitForBit) {
-  IsaGuard guard;
   // NaN, +-inf, -0.0, denormals, and huge/tiny magnitudes, scattered
   // so they land in different lanes and in the tail.
   const std::vector<double> a = {kNan,  1.0,   -0.0, kDenormal, 1e308,
@@ -112,179 +111,52 @@ TEST(SimdKernels, SpecialValuesMatchScalarBitForBit) {
   const std::vector<double> b = {1.0,  kNan,  0.0,  -kDenormal, 1e308,
                                  1e308, -0.0, kInf, kInf,       2.5,
                                  kNan, 7.75,  -1e-300};
-  std::vector<double> sigma = {0.0, 1.0, kNan, kDenormal, 1e-12,
-                               2.0, 0.5, 1.0,  1.0,       0.25,
-                               1.0, 4.0, 1e-13};
   const std::size_t n = a.size();
-  std::vector<double> outRef(n), outIsa(n);
+  EXPECT_TRUE(
+      sameBits(blockedSq(a, b), simd::sqDistance(a.data(), b.data(), n)));
+  EXPECT_TRUE(
+      sameBits(blockedL1(a, b), simd::l1Distance(a.data(), b.data(), n)));
+  // Finite lanes only: the NaN and inf lanes above already poison both
+  // sums, so check the denormal and signed-zero arithmetic on its own.
+  const std::vector<double> c = {-0.0, kDenormal, -kDenormal, 1e-300, 0.0};
+  const std::vector<double> d = {0.0, -kDenormal, kDenormal, -1e-300, -0.0};
+  EXPECT_TRUE(
+      sameBits(blockedSq(c, d), simd::sqDistance(c.data(), d.data(), 5)));
+  EXPECT_TRUE(
+      sameBits(blockedL1(c, d), simd::l1Distance(c.data(), d.data(), 5)));
 
-  simd::forceIsa(simd::Isa::kScalar);
-  const double sqRef = simd::sqDistance(a.data(), b.data(), n);
-  const double l1Ref = simd::l1Distance(a.data(), b.data(), n);
-  const double wbRef =
-      simd::whiteBoxCriticalK(a.data(), b.data(), sigma.data(), n, 1e18);
-  simd::absDeviations(a.data(), -0.0, outRef.data(), n);
-
-  for (simd::Isa isa : supportedIsas()) {
-    simd::forceIsa(isa);
-    EXPECT_TRUE(sameBits(sqRef, simd::sqDistance(a.data(), b.data(), n)))
-        << simd::isaName(isa);
-    EXPECT_TRUE(sameBits(l1Ref, simd::l1Distance(a.data(), b.data(), n)))
-        << simd::isaName(isa);
-    EXPECT_TRUE(sameBits(wbRef, simd::whiteBoxCriticalK(
-                                    a.data(), b.data(), sigma.data(), n,
-                                    1e18)))
-        << simd::isaName(isa);
-    simd::absDeviations(a.data(), -0.0, outIsa.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_TRUE(sameBits(outRef[i], outIsa[i]))
-          << "i=" << i << " isa=" << simd::isaName(isa);
-    }
+  std::vector<double> out(n);
+  simd::absDeviations(a.data(), -0.0, out.data(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_TRUE(sameBits(std::fabs(a[i] - -0.0), out[i])) << "i=" << i;
   }
 }
 
 TEST(SimdKernels, NanCandidateNeverReplacesTheWhiteBoxMax) {
-  IsaGuard guard;
   // Metric 1 produces a NaN critical k (NaN mean); metric 2 a real
   // one. std::max semantics: the NaN candidate is dropped, the real
-  // max survives — on every ISA.
+  // max survives.
   const std::vector<double> mean = {5.0, kNan, 30.0, 5.0};
   const std::vector<double> median = {5.0, 1.0, 10.0, 5.0};
   const std::vector<double> sigma = {1.0, 1.0, 4.0, 1.0};
-  simd::forceIsa(simd::Isa::kScalar);
-  const double ref = simd::whiteBoxCriticalK(mean.data(), median.data(),
-                                             sigma.data(), 4, 1e18);
-  EXPECT_TRUE(sameBits(ref, 5.0));
-  for (simd::Isa isa : supportedIsas()) {
-    simd::forceIsa(isa);
-    EXPECT_TRUE(sameBits(ref, simd::whiteBoxCriticalK(
-                                  mean.data(), median.data(), sigma.data(),
-                                  4, 1e18)))
-        << simd::isaName(isa);
-  }
+  EXPECT_TRUE(sameBits(5.0, simd::whiteBoxCriticalK(mean.data(),
+                                                    median.data(),
+                                                    sigma.data(), 4, 1e18)));
 }
 
 TEST(SimdKernels, ZeroSigmaFallsToTheSentinelOnEveryIsa) {
-  IsaGuard guard;
   const std::vector<double> mean = {10.0, 1.0};
   const std::vector<double> median = {1.0, 1.0};
   const std::vector<double> sigma = {0.0, 1.0};  // below the 1e-12 floor
   const double sentinel = 424242.0;
-  for (simd::Isa isa : supportedIsas()) {
-    simd::forceIsa(isa);
-    EXPECT_TRUE(sameBits(sentinel,
-                         simd::whiteBoxCriticalK(mean.data(), median.data(),
-                                                 sigma.data(), 2, sentinel)))
-        << simd::isaName(isa);
-  }
-}
-
-// --- dispatch plumbing ----------------------------------------------
-
-TEST(SimdDispatch, ForceIsaClampsToSupportAndReports) {
-  IsaGuard guard;
-  EXPECT_EQ(simd::forceIsa(simd::Isa::kScalar), simd::Isa::kScalar);
-  EXPECT_EQ(simd::activeIsa(), simd::Isa::kScalar);
-  const simd::Isa best = simd::bestSupportedIsa();
-  EXPECT_LE(static_cast<int>(simd::forceIsa(simd::Isa::kAvx2)),
-            static_cast<int>(best));
-  EXPECT_EQ(simd::forceIsa(best), best);
-  EXPECT_EQ(simd::activeIsa(), best);
-  EXPECT_STREQ(simd::isaName(simd::Isa::kScalar), "scalar");
-}
-
-// --- end-to-end: the analysis consumers -----------------------------
-
-template <typename Fn>
-void compareAcrossIsas(Fn&& run) {
-  IsaGuard guard;
-  simd::forceIsa(simd::Isa::kScalar);
-  const auto ref = run();
-  for (simd::Isa isa : supportedIsas()) {
-    simd::forceIsa(isa);
-    const auto got = run();
-    ASSERT_EQ(ref, got) << "diverged on " << simd::isaName(isa);
-  }
-}
-
-Matrix makePoints(std::size_t rows, std::size_t cols, std::uint64_t seed) {
-  Matrix m(rows, cols);
-  std::vector<double> row(cols);
-  for (std::size_t r = 0; r < rows; ++r) {
-    fillDeterministic(row, seed + r);
-    for (std::size_t c = 0; c < cols; ++c) m.row(r)[c] = row[c];
-  }
-  return m;
-}
-
-TEST(SimdEndToEnd, KMeansTrainingIsIsaInvariant) {
-  const Matrix points = makePoints(60, 17, 99);  // odd dims: nonzero tail
-  compareAcrossIsas([&] {
-    analysis::KMeansOptions options;
-    options.k = 5;
-    Rng rng(1234);
-    const analysis::KMeansResult result =
-        analysis::kmeans(points, options, rng);
-    std::vector<double> flat;
-    for (std::size_t r = 0; r < result.centroids.rows(); ++r) {
-      const double* row = result.centroids.row(r);
-      flat.insert(flat.end(), row, row + result.centroids.cols());
-    }
-    flat.push_back(result.inertia);
-    flat.push_back(static_cast<double>(result.iterations));
-    for (int a : result.assignment) flat.push_back(static_cast<double>(a));
-    return flat;
-  });
-}
-
-TEST(SimdEndToEnd, PeerComparisonsAreIsaInvariant) {
-  const std::size_t nodes = 23, dims = 19;
-  const Matrix hists = makePoints(nodes, dims, 7);
-  const Matrix means = makePoints(nodes, dims, 11);
-  Matrix stddevs = makePoints(nodes, dims, 13);
-  for (std::size_t r = 0; r < nodes; ++r) {
-    for (std::size_t c = 0; c < dims; ++c) {
-      stddevs.row(r)[c] = std::fabs(stddevs.row(r)[c]) + 0.25;
-    }
-  }
-  std::vector<const double*> histRows(nodes), meanRows(nodes), sdRows(nodes);
-  for (std::size_t r = 0; r < nodes; ++r) {
-    histRows[r] = hists.row(r);
-    meanRows[r] = means.row(r);
-    sdRows[r] = stddevs.row(r);
-  }
-  compareAcrossIsas([&] {
-    analysis::PeerScratch scratch;
-    std::vector<double> flags(nodes), scores(nodes);
-    analysis::blackBoxCompareInto(histRows.data(), nodes, dims, 40.0,
-                                  scratch, flags.data(), scores.data());
-    std::vector<double> all(flags);
-    all.insert(all.end(), scores.begin(), scores.end());
-    analysis::whiteBoxCompareInto(meanRows.data(), sdRows.data(), nodes,
-                                  dims, 2.0, scratch, flags.data(),
-                                  scores.data());
-    all.insert(all.end(), flags.begin(), flags.end());
-    all.insert(all.end(), scores.begin(), scores.end());
-    return all;
-  });
-}
-
-TEST(SimdEndToEnd, MadCompareIsIsaInvariant) {
-  std::vector<double> scores(37);
-  fillDeterministic(scores, 21);
-  for (double& s : scores) s = std::fabs(s);
-  scores[5] *= 50.0;  // one loud node
-  compareAcrossIsas([&] {
-    const analysis::PeerComparisonResult r = analysis::madCompare(scores, 3.0);
-    std::vector<double> all(r.flags);
-    all.insert(all.end(), r.scores.begin(), r.scores.end());
-    return all;
-  });
+  EXPECT_TRUE(sameBits(sentinel,
+                       simd::whiteBoxCriticalK(mean.data(), median.data(),
+                                               sigma.data(), 2, sentinel)));
 }
 
 TEST(SimdEndToEnd, L1DistanceNMatchesNaiveSum) {
-  // l1DistanceN (stats.cpp) now routes through the blocked kernel;
-  // the blocked order must still equal the naive left-to-right sum
+  // l1DistanceN (stats.cpp) routes through the blocked kernel; the
+  // blocked order must still equal the naive left-to-right sum
   // whenever the sum is exact — integers small enough that every
   // partial is representable.
   std::vector<double> a(31), b(31);

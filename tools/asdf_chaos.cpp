@@ -62,8 +62,7 @@ int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
 
   net::ChaosOptions opts;
-  opts.listenPort =
-      static_cast<std::uint16_t>(flagInt(argc, argv, "listen", 0));
+  opts.listenPort = examples::flagPort(argc, argv, "listen", 0);
   opts.seed = static_cast<std::uint64_t>(flagInt(argc, argv, "seed", 1));
   const std::string upstream = flagValue(argc, argv, "upstream", "");
   if (upstream.empty()) {
