@@ -55,6 +55,9 @@ namespace {
 using namespace asdf;
 using namespace asdf::net;
 
+// --channels bound: each channel is one client thread.
+constexpr long kMaxChannels = 1024;
+
 // Representative payloads: a kFetchSadc request and a sadc-snapshot
 // sized response (64 node metrics + 18 NIC metrics + a handful of
 // per-process vectors), the largest frame the collection plane sends
@@ -214,8 +217,8 @@ int main(int argc, char** argv) {
                       {"seconds", "channels", "shards", "pipeline",
                        "min-frames-per-sec", "json"});
   const double seconds = bench::flagDouble(argc, argv, "seconds", 2.0);
-  const std::string channelList =
-      bench::flagValue(argc, argv, "channels", "1,8,64");
+  const std::vector<long> channelList = bench::flagIntList(
+      argc, argv, "channels", 1, kMaxChannels, {1, 8, 64});
   const std::string jsonPath = bench::flagValue(argc, argv, "json", "");
   const int shards =
       std::max(1, static_cast<int>(bench::flagInt(argc, argv, "shards", 1)));
@@ -246,15 +249,9 @@ int main(int argc, char** argv) {
   bench::printRule();
 
   std::vector<Sample> samples;
-  std::size_t pos = 0;
-  while (pos < channelList.size()) {
-    std::size_t comma = channelList.find(',', pos);
-    if (comma == std::string::npos) comma = channelList.size();
-    const int channels = std::atoi(channelList.substr(pos, comma - pos).c_str());
-    pos = comma + 1;
-    if (channels <= 0) continue;
-    const Sample s =
-        runOne(channels, pipeline, seconds, group.port(), bytesPerExchange);
+  for (const long channels : channelList) {
+    const Sample s = runOne(static_cast<int>(channels), pipeline, seconds,
+                            group.port(), bytesPerExchange);
     samples.push_back(s);
     std::printf("%10d %14.0f %10.2f %10.1f %10.1f %10ld\n", s.channels,
                 s.framesPerSec, s.mbPerSec, s.p50Us, s.p99Us, s.frames);

@@ -20,6 +20,7 @@ namespace asdf::bench {
 // examples/example_util.h.
 using examples::flagDouble;
 using examples::flagInt;
+using examples::flagIntList;
 using examples::flagPresent;
 using examples::flagValue;
 

@@ -58,6 +58,16 @@ class BlacklistMitigator : public modules::Mitigator {
 int main(int argc, char** argv) {
   using namespace asdf;
   using namespace asdf::examples;
+  if (!checkFlags(argc, argv,
+                  {"config", "slaves", "duration", "seed", "fault", "node",
+                   "inject-at", "model-out", "model-in", "mitigate",
+                   "realtime", "threads"},
+                  "asdfd [--config=FILE] [--slaves=N] [--duration=T] "
+                  "[--seed=N] [--fault=NAME] [--node=N] [--inject-at=T] "
+                  "[--model-out=FILE] [--model-in=FILE] [--mitigate] "
+                  "[--realtime] [--threads=N]\n")) {
+    return 2;
+  }
   modules::registerBuiltinModules();
   setLogLevel(LogLevel::kInfo);
 
@@ -137,18 +147,23 @@ int main(int argc, char** argv) {
   const int threads = static_cast<int>(flagInt(argc, argv, "threads", 1));
   fpt.setExecutor(core::makeExecutor(threads));
   const std::string configFile = flagValue(argc, argv, "config", "");
-  if (!configFile.empty()) {
-    fpt.configureFromFile(configFile);
-  } else {
-    harness::PipelineParams pipeline;
-    pipeline.slaves = slaves;
-    std::string config = harness::buildCombinedConfig(pipeline);
-    if (flagPresent(argc, argv, "mitigate")) {
-      config +=
-          "\n[mitigate]\nid = medic\nconsecutive = 3\ninput[a] = "
-          "@analysis_wb\n";
+  try {
+    if (!configFile.empty()) {
+      fpt.configureFromFile(configFile);
+    } else {
+      harness::PipelineParams pipeline;
+      pipeline.slaves = slaves;
+      std::string config = harness::buildCombinedConfig(pipeline);
+      if (flagPresent(argc, argv, "mitigate")) {
+        config +=
+            "\n[mitigate]\nid = medic\nconsecutive = 3\ninput[a] = "
+            "@analysis_wb\n";
+      }
+      fpt.configureFromText(config);
     }
-    fpt.configureFromText(config);
+  } catch (const ConfigError& e) {
+    std::fprintf(stderr, "asdfd: %s\n", e.what());
+    return 1;
   }
   std::printf("[asdfd] DAG up: %zu module instances (%s executor)\n",
               fpt.instances().size(), fpt.executor().name().c_str());

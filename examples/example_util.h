@@ -11,6 +11,7 @@
 #include <initializer_list>
 #include <limits>
 #include <string>
+#include <vector>
 
 namespace asdf::examples {
 
@@ -77,6 +78,32 @@ inline bool lastFlag(int argc, char** argv, const std::string& name,
   return present;
 }
 
+/// The check behind every integer flag: `value` must be a fully
+/// numeric integer within [lo, hi]. Otherwise prints an error naming
+/// `what` (a flag, or an item of one) to stderr and returns false.
+inline bool parseBoundedValue(const std::string& what,
+                              const std::string& value, long lo, long hi,
+                              long& out) {
+  errno = 0;
+  char* end = nullptr;
+  const long parsed =
+      value.empty() ? 0 : std::strtol(value.c_str(), &end, 10);
+  if (value.empty() || end == value.c_str() || *end != '\0' ||
+      errno == ERANGE || parsed < lo || parsed > hi) {
+    if (lo == std::numeric_limits<long>::min() &&
+        hi == std::numeric_limits<long>::max()) {
+      std::fprintf(stderr, "%s must be an integer, got '%s'\n", what.c_str(),
+                   value.c_str());
+    } else {
+      std::fprintf(stderr, "%s must be an integer in [%ld, %ld], got '%s'\n",
+                   what.c_str(), lo, hi, value.c_str());
+    }
+    return false;
+  }
+  out = parsed;
+  return true;
+}
+
 /// Strict bounded-integer flag parsing: "--name" absent leaves `out`
 /// at `fallback` and succeeds; present, the value must be a fully
 /// numeric integer within [lo, hi] — a bare "--name", an empty value,
@@ -89,25 +116,31 @@ inline bool parseBoundedInt(int argc, char** argv, const std::string& name,
   out = fallback;
   std::string value;
   if (!lastFlag(argc, argv, name, value)) return true;
-  errno = 0;
-  char* end = nullptr;
-  const long parsed =
-      value.empty() ? 0 : std::strtol(value.c_str(), &end, 10);
-  if (value.empty() || end == value.c_str() || *end != '\0' ||
-      errno == ERANGE || parsed < lo || parsed > hi) {
-    if (lo == std::numeric_limits<long>::min() &&
-        hi == std::numeric_limits<long>::max()) {
-      std::fprintf(stderr, "--%s must be an integer, got '%s'\n",
-                   name.c_str(), value.c_str());
-    } else {
-      std::fprintf(stderr,
-                   "--%s must be an integer in [%ld, %ld], got '%s'\n",
-                   name.c_str(), lo, hi, value.c_str());
+  return parseBoundedValue("--" + name, value, lo, hi, out);
+}
+
+/// A comma-separated integer list ("--groups=4,4,2"): `fallback` when
+/// absent; present, every item must pass parseBoundedInt's rules, or
+/// the run exits 2 naming the flag — "--groups=4x,4" must not read 4.
+inline std::vector<long> flagIntList(int argc, char** argv,
+                                     const std::string& name, long lo,
+                                     long hi, std::vector<long> fallback) {
+  std::string value;
+  if (!lastFlag(argc, argv, name, value)) return fallback;
+  std::vector<long> items;
+  std::size_t pos = 0;
+  for (;;) {
+    const std::size_t comma = value.find(',', pos);
+    const std::string item = value.substr(
+        pos, comma == std::string::npos ? std::string::npos : comma - pos);
+    long parsed = 0;
+    if (!parseBoundedValue("--" + name + " item", item, lo, hi, parsed)) {
+      std::exit(2);
     }
-    return false;
+    items.push_back(parsed);
+    if (comma == std::string::npos) return items;
+    pos = comma + 1;
   }
-  out = parsed;
-  return true;
 }
 
 /// "--name=N" as a whole integer; `fallback` when absent. Any other

@@ -6,7 +6,8 @@
 //   hadoop_fingerpoint [--fault=CPUHog|DiskHog|PacketLoss|HADOOP-1036|
 //                         HADOOP-1152|HADOOP-2080|none]
 //                      [--node=3] [--slaves=16] [--duration=1800]
-//                      [--inject-at=600] [--seed=42] [--verbose]
+//                      [--train-duration=600] [--inject-at=600]
+//                      [--seed=42] [--verbose]
 #include <cstdio>
 
 #include "common/error.h"
@@ -24,6 +25,15 @@ int main(int argc, char** argv) {
   using examples::flagPresent;
   using examples::flagValue;
 
+  if (!examples::checkFlags(
+          argc, argv,
+          {"fault", "node", "slaves", "duration", "train-duration",
+           "inject-at", "seed", "verbose"},
+          "hadoop_fingerpoint [--fault=NAME] [--node=N] [--slaves=N] "
+          "[--duration=T] [--train-duration=T] [--inject-at=T] [--seed=N] "
+          "[--verbose]\n")) {
+    return 2;
+  }
   modules::registerBuiltinModules();
   if (flagPresent(argc, argv, "verbose")) {
     setLogLevel(LogLevel::kInfo);

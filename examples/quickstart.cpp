@@ -25,6 +25,10 @@
 
 int main(int argc, char** argv) {
   using namespace asdf;
+  if (!examples::checkFlags(argc, argv, {"realtime"},
+                            "quickstart [--realtime]\n")) {
+    return 2;
+  }
   modules::registerBuiltinModules();
   setLogLevel(LogLevel::kInfo);  // show the print module's alarms
 

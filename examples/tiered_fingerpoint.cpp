@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 #include "common/logging.h"
@@ -83,12 +84,11 @@ int main(int argc, char** argv) {
     return 2;
   }
   spec.aggEndpoints = split(agg, ',');
-  const std::string groupsCsv = flagValue(argc, argv, "groups", "");
-  if (!groupsCsv.empty()) {
-    for (const std::string& g : split(groupsCsv, ',')) {
-      spec.tierGroups.push_back(std::atoi(g.c_str()));
-    }
-  } else {
+  for (const long g : examples::flagIntList(
+           argc, argv, "groups", 1, std::numeric_limits<int>::max(), {})) {
+    spec.tierGroups.push_back(static_cast<int>(g));
+  }
+  if (spec.tierGroups.empty()) {
     spec.aggregators = static_cast<int>(spec.aggEndpoints.size());
   }
 

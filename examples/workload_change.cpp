@@ -15,6 +15,11 @@
 
 int main(int argc, char** argv) {
   using namespace asdf;
+  if (!examples::checkFlags(argc, argv, {"slaves", "duration", "seed"},
+                            "workload_change [--slaves=N] [--duration=T] "
+                            "[--seed=N]\n")) {
+    return 2;
+  }
   modules::registerBuiltinModules();
 
   harness::ExperimentSpec spec;

@@ -39,27 +39,28 @@ BlackBoxModel trainBlackBoxModel(
   BlackBoxModel model;
   model.sigmas.assign(dims, 1.0);
 
-  // Per-metric sigma of log(1+x) over the training corpus.
+  // One log1p per value: fill the training matrix with log(1+x), take
+  // each metric's sigma from it, then divide in place. The quotient is
+  // the one transformInto computes, bit for bit.
+  Matrix transformed;
+  transformed.resizeRows(rawTraining.size(), dims);
   std::vector<RunningStats> stats(dims);
-  for (const auto& row : rawTraining) {
-    assert(row.size() == dims);
+  for (std::size_t r = 0; r < rawTraining.size(); ++r) {
+    const std::vector<double>& raw = rawTraining[r];
+    assert(raw.size() == dims);
+    double* row = transformed.row(r);
     for (std::size_t d = 0; d < dims; ++d) {
-      stats[d].add(std::log1p(std::max(0.0, row[d])));
+      row[d] = std::log1p(std::max(0.0, raw[d]));
+      stats[d].add(row[d]);
     }
   }
   for (std::size_t d = 0; d < dims; ++d) {
     const double s = stats[d].stddev();
     model.sigmas[d] = s > 1e-12 ? s : 1.0;
   }
-
-  Matrix transformed;
-  transformed.reserveRows(rawTraining.size(), dims);
-  {
-    std::vector<double> row(dims);
-    for (const auto& raw : rawTraining) {
-      model.transformInto(raw.data(), raw.size(), row.data());
-      transformed.push_back(row);
-    }
+  for (std::size_t r = 0; r < transformed.rows(); ++r) {
+    double* row = transformed.row(r);
+    for (std::size_t d = 0; d < dims; ++d) row[d] /= model.sigmas[d];
   }
 
   KMeansOptions options;

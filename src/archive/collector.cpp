@@ -25,29 +25,33 @@ ArchiveCollector::ArchiveCollector(const std::string& dir) : reader_(dir) {
   }
 }
 
-bool ArchiveCollector::collect(const rpc::CollectRequest& req,
-                               rpc::CollectOut out,
-                               std::size_t& responseBytes) {
+void ArchiveCollector::collect(std::span<const rpc::CollectRequest> requests,
+                               std::span<rpc::CollectResult> results) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(std::make_tuple(static_cast<int>(req.kind),
-                                              req.node, timeKey(req.now)));
-  if (it == index_.end()) {
-    ++misses_;
-    return false;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const rpc::CollectRequest& req = requests[i];
+    rpc::CollectResult& result = results[i];
+    const auto it = index_.find(std::make_tuple(static_cast<int>(req.kind),
+                                                req.node, timeKey(req.now)));
+    if (it == index_.end()) {
+      ++misses_;
+      continue;
+    }
+    // A recorded failed round fails every attempt, a recorded retry its
+    // first attempts - 1, and an undecodable payload every attempt.
+    Entry& e = it->second;
+    const bool replayRetry =
+        e.rec->ok && e.failuresServed < e.rec->attempts - 1;
+    if (replayRetry) ++e.failuresServed;
+    rpc::Decoder dec(e.rec->payload);
+    if (!e.rec->ok || replayRetry || !rpc::decodeInto(dec, result.out)) {
+      ++replayedFailures_;
+      continue;
+    }
+    ++hits_;
+    result.ok = true;
+    result.responseBytes = e.rec->payload.size();
   }
-  // A recorded failed round fails every attempt, a recorded retry its
-  // first attempts - 1, and an undecodable payload every attempt.
-  Entry& e = it->second;
-  const bool replayRetry = e.rec->ok && e.failuresServed < e.rec->attempts - 1;
-  if (replayRetry) ++e.failuresServed;
-  rpc::Decoder dec(e.rec->payload);
-  if (!e.rec->ok || replayRetry || !rpc::decodeInto(dec, out)) {
-    ++replayedFailures_;
-    return false;
-  }
-  ++hits_;
-  responseBytes = e.rec->payload.size();
-  return true;
 }
 
 long ArchiveCollector::hits() const {

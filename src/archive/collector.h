@@ -44,8 +44,10 @@ class ArchiveCollector final : public rpc::LiveCollector {
   const ArchiveReader& reader() const { return reader_; }
 
   int slaves() const override { return reader_.meta().slaves; }
-  bool collect(const rpc::CollectRequest& req, rpc::CollectOut out,
-               std::size_t& responseBytes) override;
+  /// Serves each request of the batch from its record; the index is
+  /// per (kind, node, now), so the batch's order does not matter.
+  void collect(std::span<const rpc::CollectRequest> requests,
+               std::span<rpc::CollectResult> results) override;
 
   /// Successful attempts served from the archive.
   long hits() const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <typeinfo>
 
 #include "common/error.h"
 #include "common/logging.h"
@@ -76,6 +77,7 @@ void FptCore::configure(const IniFile& config) {
     auto instance = std::make_unique<ModuleInstance>(
         *this, id, section.name, section, registry_->create(section.name));
     instance->order_ = static_cast<int>(instances_.size());
+    instance->sibling_ = internSibling(*instance);
     if (!instanceIndex_.emplace(id, instance.get()).second) {
       throw ConfigError(strformat("config line %d: duplicate instance id '%s'",
                                   section.line, id.c_str()));
@@ -104,6 +106,16 @@ int FptCore::internDomain(const std::string& name) {
       domainIds_.try_emplace(name, static_cast<int>(domainIds_.size()));
   if (isNew) firstRunOfDomain_.push_back(kNoRun);
   return it->second;
+}
+
+int FptCore::internSibling(const ModuleInstance& instance) {
+  // A registry factory could return different classes under one type
+  // name; keying on the class too lets a runBatch override treat every
+  // member as its own class.
+  const Module& module = *instance.module_;
+  const std::string key = instance.type() + '\0' + typeid(module).name();
+  return siblingIds_.try_emplace(key, static_cast<int>(siblingIds_.size()))
+      .first->second;
 }
 
 void FptCore::initializeGraph() {
@@ -349,16 +361,52 @@ void FptCore::buildChunks(std::size_t runCount) {
     }
   }
   chunkEnd_.push_back(groupCount_);
+  if (batchScratch_.size() < chunkEnd_.size()) {
+    batchScratch_.resize(chunkEnd_.size());
+  }
 }
 
 void FptCore::runChunk(std::size_t chunk) {
   // Metered per chunk, not per group or run: each scope costs two
   // thread-CPU clock reads, a syscall each.
   CpuMeter::Scope scope(cpu_);
+  BatchScratch& scratch = batchScratch_[chunk];
   const std::size_t first = chunk == 0 ? 0 : chunkEnd_[chunk - 1];
   for (std::size_t g = first; g < chunkEnd_[chunk]; ++g) {
-    for (const ReadyRun& run : groups_[g]) {
-      runInstance(*run.instance, run.reason);
+    const std::span<const ReadyRun> runs = groups_[g];
+    for (std::size_t begin = 0; begin < runs.size();) {
+      std::size_t end = begin + 1;
+      while (end < runs.size() && runs[end].reason == runs[begin].reason &&
+             runs[end].instance->sibling_ == runs[begin].instance->sibling_) {
+        ++end;
+      }
+      runBatch(scratch, runs.subspan(begin, end - begin));
+      begin = end;
+    }
+  }
+}
+
+void FptCore::runBatch(BatchScratch& scratch,
+                       std::span<const ReadyRun> runs) {
+  scratch.contexts.clear();
+  scratch.contextPtrs.clear();
+  scratch.members.clear();
+  for (const ReadyRun& run : runs) {
+    ++run.instance->runs_;
+    scratch.contexts.emplace_back(*this, *run.instance);
+    scratch.members.push_back(run.instance->module_.get());
+  }
+  for (InstanceContext& ctx : scratch.contexts) {
+    scratch.contextPtrs.push_back(&ctx);
+  }
+  scratch.members.front()->runBatch(scratch.members, scratch.contextPtrs,
+                                    runs.front().reason);
+  // Mark everything read: freshness is relative to the end of the run.
+  // No member reads another's output (they share a level), so marking
+  // after the batch equals marking after each member.
+  for (const ReadyRun& run : runs) {
+    for (auto& [name, conns] : run.instance->inputs_) {
+      for (auto& conn : conns) conn.lastSeenVersion = conn.port->version;
     }
   }
 }
@@ -443,16 +491,6 @@ void FptCore::dispatchWavefront() {
 
   dispatching_ = false;
   if (!readySet_.empty()) scheduleWavefront();
-}
-
-void FptCore::runInstance(ModuleInstance& instance, RunReason reason) {
-  ++instance.runs_;
-  InstanceContext ctx(*this, instance);
-  instance.module_->run(ctx, reason);
-  // Mark everything read: freshness is relative to the end of the run.
-  for (auto& [name, conns] : instance.inputs_) {
-    for (auto& conn : conns) conn.lastSeenVersion = conn.port->version;
-  }
 }
 
 std::uint64_t FptCore::totalRuns() const {

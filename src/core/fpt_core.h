@@ -27,6 +27,11 @@
 //   are merged in deterministic (configuration) order at the barrier,
 //   which is what keeps results independent of the executor.
 //
+//   Inside an executor task, consecutive runs of sibling instances
+//   (one module type) for the same reason go to Module::runBatch as
+//   one batch, never across a chunk or an exclusivity group, so the
+//   serial run order is unchanged.
+//
 //   Executor (executor.h) — carries out the runs of one level. The
 //   default SerialExecutor is bit-reproducible (same seed → same
 //   alarms, byte for byte); ThreadPoolExecutor runs independent
@@ -99,8 +104,8 @@ class FptCore {
   double cpuSeconds() const { return cpu_.seconds(); }
   /// Approximate resident footprint of the graph (Table 3).
   std::size_t memoryFootprintBytes() const;
-  /// Total module run() invocations (sanity/throughput metrics): the
-  /// sum of every instance's run count.
+  /// Total module runs (sanity/throughput metrics): the sum of every
+  /// instance's run count. A sibling batch counts each member.
   std::uint64_t totalRuns() const;
   /// Wavefront dispatches performed (each covers >= 1 level).
   std::uint64_t wavefronts() const { return wavefronts_; }
@@ -130,7 +135,9 @@ class FptCore {
   /// first use.
   void addToPeriodTimer(ModuleInstance& instance);
   void wireInputs(ModuleInstance& instance);
-  void runInstance(ModuleInstance& instance, RunReason reason);
+  /// Dense id of an instance's sibling set: its type name and the
+  /// module's class.
+  int internSibling(const ModuleInstance& instance);
   /// Dense id of an exclusivity domain name, assigned on first use.
   /// Called from init() only, so dispatch never hashes a string.
   int internDomain(const std::string& name);
@@ -165,9 +172,21 @@ class FptCore {
   /// count of runs crosses each equal share of the level. Fills
   /// chunkEnd_.
   void buildChunks(std::size_t runCount);
-  /// Runs chunk `chunk`'s groups in order under one CPU scope; a
-  /// throwing group ends the chunk.
+  /// Runs chunk `chunk`'s groups in order under one CPU scope, each
+  /// group as its maximal sibling batches; a throwing group ends the
+  /// chunk.
   void runChunk(std::size_t chunk);
+
+  /// A chunk's reused batch buffers: one per chunk, so pool workers
+  /// never share them, and warm capacity keeps dispatch allocation-free.
+  struct BatchScratch {
+    std::vector<InstanceContext> contexts;
+    std::vector<ModuleContext*> contextPtrs;
+    std::vector<Module*> members;
+  };
+  /// Runs `runs` (siblings, one reason) as one Module::runBatch, then
+  /// marks each member's inputs read.
+  void runBatch(BatchScratch& scratch, std::span<const ReadyRun> runs);
 
   sim::SimEngine& engine_;
   Environment env_;
@@ -178,6 +197,7 @@ class FptCore {
       instanceIndex_;
   std::unique_ptr<Executor> executor_;
   std::unordered_map<std::string, int> domainIds_;  // see internDomain()
+  std::unordered_map<std::string, int> siblingIds_;  // see internSibling()
 
   std::vector<PeriodTimer> periodTimers_;
 
@@ -198,6 +218,7 @@ class FptCore {
   std::vector<std::size_t> groupOfRoot_;
   std::vector<std::size_t> firstRunOfDomain_;
   std::vector<std::size_t> chunkEnd_;  // one past each chunk's last group
+  std::vector<BatchScratch> batchScratch_;  // by chunk
   std::vector<Executor::Task> tasks_;
   bool wavefrontScheduled_ = false;  // dispatch event already queued
   bool dispatching_ = false;         // inside dispatchWavefront

@@ -106,6 +106,7 @@ class ModuleInstance {
   // --- scheduler state (owned by FptCore's wavefront dispatcher) -------
   int order_ = 0;      // configuration-file position; determinism key
   int level_ = 0;      // topological depth; wavefront grouping key
+  int sibling_ = 0;    // interned (type, class): batch key, see runBatch
   std::vector<int> domains_;  // interned requestExclusive() domains
   bool queuedPeriodic_ = false;  // a periodic firing awaits dispatch
   bool runQueued_ = false;       // an input-trigger check awaits dispatch

@@ -14,9 +14,21 @@
 // Modules never see each other directly; they communicate only
 // through their ports, which is what lets a configuration file rewire
 // collection into analysis arbitrarily.
+//
+// Sibling batches: instances of one module type are siblings. When a
+// wavefront runs consecutive siblings for the same reason — inside one
+// executor chunk and one exclusivity group, in configuration order —
+// fpt-core hands them to runBatch() in one call, on the first member.
+// The default loops over run(), so a module that does not override it
+// behaves exactly as if each member ran alone. An override may share
+// work across the set (one pipelined collection burst for every
+// node's collector, say), but must leave each member's outputs and
+// side effects as the one-at-a-time loop would, member by member in
+// order. The batch is an optimization the configuration never sees.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -103,6 +115,19 @@ class Module {
   /// Throws ConfigError on bad configuration or wiring.
   virtual void init(ModuleContext& ctx) = 0;
   virtual void run(ModuleContext& ctx, RunReason reason) = 0;
+  /// Runs a sibling batch: `members[i]` with `contexts[i]`, every one
+  /// for `reason`, in order; called on members[0]. Every member is an
+  /// instance of this module's own class, created by the same
+  /// registered type. If a member throws, the batch ends there; the
+  /// core counts every member it handed over as run, and marks no
+  /// member's inputs read.
+  virtual void runBatch(std::span<Module* const> members,
+                        std::span<ModuleContext* const> contexts,
+                        RunReason reason) {
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      members[i]->run(*contexts[i], reason);
+    }
+  }
 };
 
 }  // namespace asdf::core

@@ -33,7 +33,17 @@
 // the cross-node release cadence survives a dead collector. Real rows
 // for seconds already synthesized are discarded when the daemon
 // recovers.
+//
+// A sibling batch (every hadoop_log instance of one wavefront group)
+// fetches as one: first the TaskTracker rows of every member, then the
+// DataNode rows of the members whose TaskTracker fetch succeeded — one
+// pipelined burst each on a live socket. Each member then ingests,
+// pushes to the sync, drains and writes in configuration order, as a
+// run per member would, so release timing is unchanged.
+#include <cassert>
 #include <map>
+#include <span>
+#include <vector>
 
 #include "common/error.h"
 #include "common/strings.h"
@@ -79,12 +89,52 @@ class HadoopLogModule final : public core::Module {
     ctx.requestExclusive("hl-sync");
   }
 
-  void run(core::ModuleContext& ctx, core::RunReason) override {
+  void run(core::ModuleContext& ctx, core::RunReason reason) override {
+    core::Module* self = this;
+    core::ModuleContext* context = &ctx;
+    runBatch({&self, 1}, {&context, 1}, reason);
+  }
+
+  void runBatch(std::span<core::Module* const> members,
+                std::span<core::ModuleContext* const> contexts,
+                core::RunReason) override {
+    const auto member = [&members](std::size_t i) -> HadoopLogModule& {
+      return static_cast<HadoopLogModule&>(*members[i]);
+    };
+    requests_.clear();
+    outs_.clear();
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      HadoopLogModule& m = member(i);
+      assert(m.client_ == client_);
+      const SimTime watermark = contexts[i]->now();
+      requests_.push_back(
+          {rpc::CollectKind::kTt, m.node_, watermark, watermark});
+      outs_.push_back(&m.tt_);
+    }
+    client_->fetchBatch<std::vector<hadooplog::StateSample>>(requests_, outs_);
+    requests_.clear();
+    outs_.clear();
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      HadoopLogModule& m = member(i);
+      m.dn_.ok = false;
+      if (!m.tt_.ok) continue;
+      const SimTime watermark = contexts[i]->now();
+      requests_.push_back(
+          {rpc::CollectKind::kDn, m.node_, watermark, watermark});
+      outs_.push_back(&m.dn_);
+    }
+    client_->fetchBatch<std::vector<hadooplog::StateSample>>(requests_, outs_);
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      member(i).publish(*contexts[i]);
+    }
+  }
+
+ private:
+  /// Feeds this poll's fetches (or synthesized rows) to the sync and
+  /// writes the node's newly released rows.
+  void publish(core::ModuleContext& ctx) {
     const SimTime watermark = ctx.now();
     rpc::NodeHealth health = rpc::NodeHealth::kUnmonitorable;
-    client_->fetchTt(node_, watermark, watermark, tt_);
-    dn_.ok = false;
-    if (tt_.ok) client_->fetchDn(node_, watermark, watermark, dn_);
     if (tt_.ok && dn_.ok) {
       ingestTt(tt_.value);
       ingestDn(dn_.value);
@@ -103,7 +153,6 @@ class HadoopLogModule final : public core::Module {
     ctx.write(healthOut_, core::VecBuf{static_cast<double>(health)});
   }
 
- private:
   void ingestTt(std::vector<hadooplog::StateSample>& samples) {
     for (auto& s : samples) {
       lastTt_ = s.counts;
@@ -202,6 +251,10 @@ class HadoopLogModule final : public core::Module {
   rpc::Fetched<std::vector<hadooplog::StateSample>> tt_;
   rpc::Fetched<std::vector<hadooplog::StateSample>> dn_;
   HadoopLogSync::Drained drained_;
+  // A batch's fetch requests and targets, reused while this instance
+  // leads batches.
+  std::vector<rpc::CollectRequest> requests_;
+  std::vector<rpc::Fetched<std::vector<hadooplog::StateSample>>*> outs_;
 };
 
 void registerHadoopLogModule(core::ModuleRegistry& registry) {

@@ -18,6 +18,14 @@
 // cadence and the analysis modules can exclude the stale stream. A
 // fault-free client never fails a round: the paper's infallible
 // collection.
+//
+// A sibling batch (every sadc instance of one wavefront group) fetches
+// as one: one fetch batch for the set — one pipelined burst on a live
+// socket — then each member writes its outputs in order.
+#include <cassert>
+#include <span>
+#include <vector>
+
 #include "common/error.h"
 #include "common/strings.h"
 #include "core/module.h"
@@ -50,9 +58,34 @@ class SadcModule final : public core::Module {
     ctx.requestExclusive(strformat("node%d", node_));
   }
 
-  void run(core::ModuleContext& ctx, core::RunReason) override {
+  void run(core::ModuleContext& ctx, core::RunReason reason) override {
+    core::Module* self = this;
+    core::ModuleContext* context = &ctx;
+    runBatch({&self, 1}, {&context, 1}, reason);
+  }
+
+  void runBatch(std::span<core::Module* const> members,
+                std::span<core::ModuleContext* const> contexts,
+                core::RunReason) override {
+    requests_.clear();
+    outs_.clear();
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      auto& member = static_cast<SadcModule&>(*members[i]);
+      assert(member.client_ == client_);
+      requests_.push_back({rpc::CollectKind::kSadc, member.node_,
+                           contexts[i]->now(), kNoTime});
+      outs_.push_back(&member.fetched_);
+    }
+    client_->fetchBatch<metrics::SadcSnapshot>(requests_, outs_);
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      static_cast<SadcModule&>(*members[i]).publish(*contexts[i]);
+    }
+  }
+
+ private:
+  /// Writes this poll's outputs from fetched_.
+  void publish(core::ModuleContext& ctx) {
     rpc::NodeHealth health = rpc::NodeHealth::kUnmonitorable;
-    client_->fetchSadc(node_, ctx.now(), fetched_);
     if (fetched_.ok) {
       metrics::flattenNodeVector(fetched_.value, lastKnown_);
       health = fetched_.retried ? rpc::NodeHealth::kDegraded
@@ -70,7 +103,6 @@ class SadcModule final : public core::Module {
     ctx.write(healthOut_, core::VecBuf{static_cast<double>(health)});
   }
 
- private:
   NodeId node_ = kInvalidNode;
   rpc::RpcClient* client_ = nullptr;
   int out_ = -1;
@@ -78,6 +110,10 @@ class SadcModule final : public core::Module {
   rpc::Fetched<metrics::SadcSnapshot> fetched_;  // reused across polls
   std::vector<double> lastKnown_;
   core::VecBuilder builder_;
+  // A batch's fetch requests and targets, reused while this instance
+  // leads batches.
+  std::vector<rpc::CollectRequest> requests_;
+  std::vector<rpc::Fetched<metrics::SadcSnapshot>*> outs_;
 };
 
 void registerSadcModule(core::ModuleRegistry& registry) {

@@ -56,10 +56,12 @@ LiveTransport& FanoutCollector::transportFor(NodeId node) {
   return *transports_[offset % transports_.size()];
 }
 
-bool FanoutCollector::collect(const rpc::CollectRequest& req,
-                              rpc::CollectOut out,
-                              std::size_t& responseBytes) {
-  return transportFor(req.node).collect(req, out, responseBytes);
+void FanoutCollector::collect(std::span<const rpc::CollectRequest> requests,
+                              std::span<rpc::CollectResult> results) {
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    transportFor(requests[i].node)
+        .collect(requests.subspan(i, 1), results.subspan(i, 1));
+  }
 }
 
 }  // namespace asdf::net

@@ -32,8 +32,9 @@ class FanoutCollector final : public rpc::LiveCollector {
 
   int slaves() const override;
 
-  bool collect(const rpc::CollectRequest& req, rpc::CollectOut out,
-               std::size_t& responseBytes) override;
+  /// Routes each request of the batch to its leaf, one at a time.
+  void collect(std::span<const rpc::CollectRequest> requests,
+               std::span<rpc::CollectResult> results) override;
 
  private:
   LiveTransport& transportFor(NodeId node);

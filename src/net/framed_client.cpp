@@ -131,48 +131,56 @@ bool FramedClient::call(MsgType request, const rpc::Encoder& payload,
   return exchange(request, payload, expected, response);
 }
 
+void FramedClient::callBurst(std::span<const std::uint8_t> frames,
+                             std::span<const MsgType> expected,
+                             std::span<Frame> responses,
+                             std::span<CallStatus> statuses) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::fill(statuses.begin(), statuses.end(), CallStatus::kFailed);
+  if (!opts_.greeting.empty() && !greetLocked()) return;
+  burst(frames, expected, responses, statuses);
+}
+
 bool FramedClient::exchange(MsgType request, const rpc::Encoder& payload,
                             MsgType expected, Frame& response) {
-  if (fd_ < 0) return false;
+  const std::vector<std::uint8_t> frame = encodeFrame(request, payload);
+  CallStatus status = CallStatus::kFailed;
+  burst(frame, {&expected, 1}, {&response, 1}, {&status, 1});
+  return status == CallStatus::kOk;
+}
+
+void FramedClient::burst(std::span<const std::uint8_t> frames,
+                         std::span<const MsgType> expected,
+                         std::span<Frame> responses,
+                         std::span<CallStatus> statuses) {
+  if (fd_ < 0) return;
   const double deadline = monotonicSeconds() + opts_.timeoutSeconds;
-
-  const std::vector<std::uint8_t> out = encodeFrame(request, payload);
   std::size_t sent = 0;
-  while (sent < out.size()) {
-    const ssize_t n =
-        send(fd_, out.data() + sent, out.size() - sent, MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      // Throttled peer: wait for writability, never past the deadline.
-      const double remaining = deadline - monotonicSeconds();
-      if (remaining <= 0) {
-        closeLocked();
-        return false;
+  std::size_t answered = 0;
+  Frame frame;
+  while (answered < expected.size()) {
+    // Send as much of the burst as the socket takes now.
+    while (sent < frames.size()) {
+      const ssize_t n =
+          send(fd_, frames.data() + sent, frames.size() - sent, MSG_NOSIGNAL);
+      if (n > 0) {
+        sent += static_cast<std::size_t>(n);
+        continue;
       }
-      pollfd pfd{fd_, POLLOUT, 0};
-      const int ready = poll(&pfd, 1, pollMillis(remaining));
-      if (ready < 0 && errno != EINTR) {
-        closeLocked();
-        return false;
-      }
-      continue;  // deadline re-checked above
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+      closeLocked();
+      return;
     }
-    closeLocked();
-    return false;
-  }
 
-  for (;;) {
-    Frame frame;
-    if (decoder_.next(frame)) {
-      if (frame.type == expected) {
-        response = std::move(frame);
+    // Match every complete response, in request order.
+    while (answered < expected.size() && decoder_.next(frame)) {
+      if (frame.type == expected[answered]) {
+        responses[answered] = std::move(frame);
+        statuses[answered++] = CallStatus::kOk;
         failStreak_ = 0;  // a full exchange proves the peer healthy
         nextDialAllowed_ = 0.0;
-        return true;
+        continue;
       }
       if (frame.type == MsgType::kError) {
         try {
@@ -182,28 +190,35 @@ bool FramedClient::exchange(MsgType request, const rpc::Encoder& payload,
                   std::to_string(code) + ": " + dec.getString());
         } catch (const RpcError&) {
         }
-        return false;  // connection stays usable: the peer replied
+        statuses[answered++] = CallStatus::kPeerError;
+        continue;
       }
       // Unexpected type (e.g. a stale response after a timeout): a
       // request/response stream this far out of step cannot be
       // trusted — resync by reconnecting.
       closeLocked();
-      return false;
+      return;
     }
+    if (answered == expected.size()) return;
 
     const double remaining = deadline - monotonicSeconds();
     if (remaining <= 0) {
       closeLocked();  // a late response would desync the stream
-      return false;
+      return;
     }
-    pollfd pfd{fd_, POLLIN, 0};
+    // Wait to read, and to write while the burst is still going out:
+    // reading while a throttled send waits keeps a peer blocked on its
+    // own full send buffer from deadlocking the burst.
+    const short events =
+        static_cast<short>(sent < frames.size() ? POLLIN | POLLOUT : POLLIN);
+    pollfd pfd{fd_, events, 0};
     const int ready = poll(&pfd, 1, pollMillis(remaining));
     if (ready < 0) {
       if (errno == EINTR) continue;
       closeLocked();
-      return false;
+      return;
     }
-    if (ready == 0) continue;  // deadline re-checked above
+    if (ready == 0 || (pfd.revents & ~POLLOUT) == 0) continue;
 
     std::uint8_t buf[65536];
     const ssize_t n = read(fd_, buf, sizeof(buf));
@@ -212,7 +227,7 @@ bool FramedClient::exchange(MsgType request, const rpc::Encoder& payload,
         logWarn("net: malformed frame from " + opts_.peerName + ": " +
                 frameErrorName(decoder_.error()));
         closeLocked();
-        return false;
+        return;
       }
       continue;
     }
@@ -220,7 +235,7 @@ bool FramedClient::exchange(MsgType request, const rpc::Encoder& payload,
       continue;
     }
     closeLocked();  // peer closed or hard error
-    return false;
+    return;
   }
 }
 

@@ -3,11 +3,13 @@
 // (LiveTransport to asdf_rpcd, AggClient to asdf_aggd).
 //
 // Owns one socket: connect(), one call() per request/response
-// exchange with a poll()-based deadline, disconnect-on-error (a
-// length-prefixed stream cannot be resynchronized after corruption or
-// a timeout). The socket is non-blocking throughout: the dial, the
-// request write and the response read all respect the per-call
-// deadline even when a throttled peer accepts bytes one at a time.
+// exchange or one callBurst() per pipelined burst of them, each with a
+// poll()-based deadline, disconnect-on-error (a length-prefixed stream
+// cannot be resynchronized after corruption or a timeout). A call is a
+// burst of one: there is one exchange routine. The socket is
+// non-blocking throughout: the dial, the request write and the
+// response read all respect the per-call deadline even when a
+// throttled peer accepts bytes one at a time.
 // Redials are gated by capped exponential backoff with seeded jitter
 // so a dead daemon is never hammered in a hot loop. The session lives
 // here too, once for every client: with a greeting in its Options,
@@ -19,6 +21,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <string>
 
 #include "common/rng.h"
@@ -39,6 +42,15 @@ struct EndpointOptions {
 
 class FramedClient {
  public:
+  /// How one request of a burst ended.
+  enum class CallStatus : std::uint8_t {
+    kOk,         // the expected response arrived
+    kPeerError,  // the peer answered kError (logged); the connection
+                 // stays usable — the peer replied
+    kFailed,     // no answer: not connected, timeout, reset, malformed
+                 // or out-of-step frame; the connection was dropped
+  };
+
   struct Options : EndpointOptions {
     /// Peer name used in log messages ("asdf_rpcd", "asdf_aggd").
     std::string peerName = "daemon";
@@ -94,6 +106,22 @@ class FramedClient {
   bool call(MsgType request, const rpc::Encoder& payload, MsgType expected,
             Frame& response);
 
+  /// One pipelined burst, on a greeted connection as call(): `frames`
+  /// holds one request frame per entry of `expected`, back to back
+  /// (encodeFrameInto). They leave in one write as far as the socket
+  /// takes them, and the client reads while a throttled send waits, so
+  /// a burst larger than the socket buffers cannot deadlock. Responses
+  /// are matched to requests in order against one deadline (the
+  /// per-call timeout): `statuses[i]` says how request i ended and, on
+  /// kOk, `responses[i]` holds its response. A kError answers only its
+  /// own request. A timeout, a reset, a malformed frame or a frame of
+  /// an unexpected type drops the connection and fails every request
+  /// still unanswered; the next call redials. Any expected response
+  /// resets the redial backoff.
+  void callBurst(std::span<const std::uint8_t> frames,
+                 std::span<const MsgType> expected, std::span<Frame> responses,
+                 std::span<CallStatus> statuses);
+
   /// Connections re-established after the first one (each is evidence
   /// the peer bounced).
   long reconnects() const { return reconnects_; }
@@ -105,8 +133,14 @@ class FramedClient {
   // The unserialized bodies of the public calls; mutex_ held.
   bool dialLocked();
   bool greetLocked();
+  /// One request/response exchange: a burst of one.
   bool exchange(MsgType request, const rpc::Encoder& payload,
                 MsgType expected, Frame& response);
+  /// The exchange routine under call() and callBurst(); `statuses`
+  /// must come in all kFailed.
+  void burst(std::span<const std::uint8_t> frames,
+             std::span<const MsgType> expected, std::span<Frame> responses,
+             std::span<CallStatus> statuses);
   void closeLocked();
   /// Charges one failure to the redial backoff.
   void backoffFailure();

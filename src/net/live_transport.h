@@ -4,10 +4,15 @@
 // accounting machinery works unchanged over real sockets.
 //
 // One socket carries every channel for every node (asdf_rpcd serves
-// the whole monitored cluster). Each collect is one request frame and
-// one response frame (kCollectMessages, frame.h), bounded by a
-// poll()-based deadline; a timeout or a framing error fails the
-// attempt and drops the socket, and the next attempt reconnects.
+// the whole monitored cluster). Each request is one request frame and
+// one response frame (kCollectMessages, frame.h). A collect batch is
+// one pipelined burst: its request frames leave back to back in one
+// write and the responses are matched in order against one poll()-
+// based deadline (FramedClient::callBurst). A kError or an undecodable
+// response fails only its own request; a timeout, a reset or a framing
+// error fails every request still outstanding and drops the socket,
+// and the next batch reconnects. Wire bytes per request and response
+// are those of one exchange at a time.
 // The socket machinery, the handshake and the call serialization that
 // keeps collectors on a pool executor from interleaving frames live in
 // FramedClient, shared with the aggregation tier's AggClient; this
@@ -15,7 +20,9 @@
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <string>
+#include <vector>
 
 #include "net/cluster_stats.h"
 #include "net/framed_client.h"
@@ -38,8 +45,9 @@ class LiveTransport final : public rpc::LiveCollector {
   std::uint64_t serverSeed() const { return client_.peer().seed; }
   const std::string& serverSource() const { return client_.peer().source; }
 
-  bool collect(const rpc::CollectRequest& req, rpc::CollectOut out,
-               std::size_t& responseBytes) override;
+  /// One pipelined burst of the batch's requests.
+  void collect(std::span<const rpc::CollectRequest> requests,
+               std::span<rpc::CollectResult> results) override;
 
   /// Advances the daemon's clock to `now` and fetches its cluster-side
   /// accounting (Table 3 / ground-truth fields for live harness runs).
@@ -58,6 +66,14 @@ class LiveTransport final : public rpc::LiveCollector {
 
  private:
   FramedClient client_;
+  // Burst scratch, reused across batches; mutex_ serializes collectors
+  // on a pool executor that share the transport.
+  std::mutex mutex_;
+  rpc::Encoder payload_;
+  std::vector<std::uint8_t> frames_;
+  std::vector<MsgType> expected_;
+  std::vector<Frame> responses_;
+  std::vector<FramedClient::CallStatus> statuses_;
 };
 
 }  // namespace asdf::net

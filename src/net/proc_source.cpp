@@ -110,31 +110,38 @@ ProcSource::ProcTotals ProcSource::readProcTotals() const {
   return t;
 }
 
-bool ProcSource::collect(const rpc::CollectRequest& req, rpc::CollectOut out,
-                         std::size_t& responseBytes) {
-  switch (req.kind) {
-    case rpc::CollectKind::kSadc: {
-      // Node 1 reports the real host when /proc is live; everyone else
-      // is synthetic so peer comparison still has a population.
-      metrics::SadcSnapshot& snap = *std::get<metrics::SadcSnapshot*>(out);
-      snap = liveProc_ && req.node == 1 ? sampleLive(req.now)
-                                        : sampleSynthetic(req.node, req.now);
-      responseBytes = rpc::encodedSize(snap);
-      return true;
+void ProcSource::collect(std::span<const rpc::CollectRequest> requests,
+                         std::span<rpc::CollectResult> results) {
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const rpc::CollectRequest& req = requests[i];
+    rpc::CollectResult& result = results[i];
+    switch (req.kind) {
+      case rpc::CollectKind::kSadc: {
+        // Node 1 reports the real host when /proc is live; everyone
+        // else is synthetic so peer comparison still has a population.
+        metrics::SadcSnapshot& snap =
+            *std::get<metrics::SadcSnapshot*>(result.out);
+        snap = liveProc_ && req.node == 1 ? sampleLive(req.now)
+                                          : sampleSynthetic(req.node, req.now);
+        result.responseBytes = rpc::encodedSize(snap);
+        result.ok = true;
+        break;
+      }
+      case rpc::CollectKind::kTt:
+      case rpc::CollectKind::kDn: {
+        const bool tt = req.kind == rpc::CollectKind::kTt;
+        auto& rows =
+            *std::get<std::vector<hadooplog::StateSample>*>(result.out);
+        replayRows(req.node, req.watermark,
+                   tt ? ttCursor_[req.node] : dnCursor_[req.node], tt, rows);
+        result.responseBytes = rpc::encodedSize(rows);
+        result.ok = true;
+        break;
+      }
+      case rpc::CollectKind::kStrace:
+        break;
     }
-    case rpc::CollectKind::kTt:
-    case rpc::CollectKind::kDn: {
-      const bool tt = req.kind == rpc::CollectKind::kTt;
-      auto& rows = *std::get<std::vector<hadooplog::StateSample>*>(out);
-      replayRows(req.node, req.watermark,
-                 tt ? ttCursor_[req.node] : dnCursor_[req.node], tt, rows);
-      responseBytes = rpc::encodedSize(rows);
-      return true;
-    }
-    case rpc::CollectKind::kStrace:
-      return false;
   }
-  return false;
 }
 
 metrics::SadcSnapshot ProcSource::sampleLive(SimTime now) {

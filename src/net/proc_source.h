@@ -47,9 +47,9 @@ class ProcSource final : public rpc::LiveCollector {
   /// kSadc: one sadc sample for `req.node` at virtual time `req.now`.
   /// kTt/kDn: the replayed TaskTracker / DataNode rows finalized up to
   /// `req.watermark` (exclusive of the trailing finalization lag, like
-  /// the real parsers), each row returned once. kStrace: false.
-  bool collect(const rpc::CollectRequest& req, rpc::CollectOut out,
-               std::size_t& responseBytes) override;
+  /// the real parsers), each row returned once. kStrace fails.
+  void collect(std::span<const rpc::CollectRequest> requests,
+               std::span<rpc::CollectResult> results) override;
 
  private:
   struct ProcTotals {

@@ -120,7 +120,7 @@ void RpcdServer::handleCollect(TcpServer::Connection& conn,
                                   ? rpc::CollectOut{&trace_}
                                   : rpc::CollectOut{&rows_};
   std::size_t bytes = 0;
-  if (!source_->collect(req, out, bytes)) {
+  if (!rpc::collectOne(*source_, req, out, bytes)) {
     conn.sendError(ErrorCode::kUnsupported,
                    std::string(rpc::collectKindName(kind)) +
                        " channel requires the sim source");

@@ -116,25 +116,31 @@ StraceDaemon& RpcHub::strace(NodeId node) { return daemons(node).strace; }
 
 int RpcHub::slaves() const { return static_cast<int>(daemons_.size()); }
 
-bool RpcHub::collect(const CollectRequest& req, CollectOut out,
-                     std::size_t& responseBytes) {
-  NodeDaemons& d = daemons(req.node);
-  switch (req.kind) {
-    case CollectKind::kSadc:
-      // Copy-assignment reuses the capacity of the caller's snapshot.
-      *std::get<metrics::SadcSnapshot*>(out) = d.sadc.fetch(responseBytes);
-      return true;
-    case CollectKind::kTt:
-    case CollectKind::kDn:
-      d.log.fetch(req.kind, req.watermark,
-                  *std::get<std::vector<hadooplog::StateSample>*>(out),
-                  responseBytes);
-      return true;
-    case CollectKind::kStrace:
-      *std::get<syscalls::TraceSecond*>(out) = d.strace.fetch(responseBytes);
-      return true;
+void RpcHub::collect(std::span<const CollectRequest> requests,
+                     std::span<CollectResult> results) {
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const CollectRequest& req = requests[i];
+    CollectResult& result = results[i];
+    NodeDaemons& d = daemons(req.node);
+    switch (req.kind) {
+      case CollectKind::kSadc:
+        // Copy-assignment reuses the capacity of the caller's snapshot.
+        *std::get<metrics::SadcSnapshot*>(result.out) =
+            d.sadc.fetch(result.responseBytes);
+        break;
+      case CollectKind::kTt:
+      case CollectKind::kDn:
+        d.log.fetch(req.kind, req.watermark,
+                    *std::get<std::vector<hadooplog::StateSample>*>(result.out),
+                    result.responseBytes);
+        break;
+      case CollectKind::kStrace:
+        *std::get<syscalls::TraceSecond*>(result.out) =
+            d.strace.fetch(result.responseBytes);
+        break;
+    }
+    result.ok = true;
   }
-  return false;
 }
 
 double RpcHub::sadcCpuSeconds() const {

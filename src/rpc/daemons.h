@@ -122,9 +122,11 @@ class RpcHub final : public LiveCollector {
   StraceDaemon& strace(NodeId node);
 
   int slaves() const override;
-  /// Always succeeds: the node's daemon for `req.kind` answers.
-  bool collect(const CollectRequest& req, CollectOut out,
-               std::size_t& responseBytes) override;
+  /// Always succeeds: each request's node daemon for its kind answers,
+  /// in batch order. A daemon charges only its own node, so the order
+  /// across nodes does not change what the simulator computes.
+  void collect(std::span<const CollectRequest> requests,
+               std::span<CollectResult> results) override;
 
   /// The hub's own fault-free client (default policy, no fault gate):
   /// collector modules fall back to it when the environment provides

@@ -280,35 +280,50 @@ bool RpcClient::attemptSucceeds(NodeState& st, NodeId node, Daemon d,
   return true;
 }
 
-template <typename T>
-void RpcClient::round(const CollectRequest& req, Fetched<T>& out) {
-  const NodeId node = req.node;
-  const SimTime now = req.now;
-  const Daemon d = kDaemonOf[static_cast<int>(req.kind)];
-  NodeState& st = state(node);
-  ++st.rounds;
+bool RpcClient::admit(NodeState& st, const CollectRequest& req,
+                      double& costSeconds) {
+  return cluster_ == nullptr ||
+         attemptSucceeds(st, req.node, kDaemonOf[static_cast<int>(req.kind)],
+                         costSeconds);
+}
 
-  if (!st.breaker.allowRound(now)) {
+int RpcClient::openRound(NodeState& st, const CollectRequest& req) {
+  ++st.rounds;
+  if (!st.breaker.allowRound(req.now)) {
     ++st.fastFails;
     ++st.failedRounds;
-    registry_.markFailure(node, d, now);
-    return;  // attempts == 0: never touched the wire
+    registry_.markFailure(req.node, kDaemonOf[static_cast<int>(req.kind)],
+                          req.now);
+    return 0;  // never touches the wire
   }
   // A HALF_OPEN breaker sends exactly one probe; retrying a probe would
   // defeat the point of easing back in.
-  const bool probing = st.breaker.state(now) == CircuitBreaker::State::kHalfOpen;
-  const int maxAttempts = probing ? 1 : 1 + policy_.maxRetries;
+  const bool probing =
+      st.breaker.state(req.now) == CircuitBreaker::State::kHalfOpen;
+  return probing ? 1 : 1 + policy_.maxRetries;
+}
 
+template <typename T>
+void RpcClient::settleRound(const CollectRequest& req, Fetched<T>& out,
+                            const Round& round, bool firstOk,
+                            std::size_t firstResponseBytes) {
+  const NodeId node = req.node;
+  const SimTime now = req.now;
+  const Daemon d = kDaemonOf[static_cast<int>(req.kind)];
+  NodeState& st = *round.st;
   RpcChannelStats& channel = *channels_[static_cast<int>(req.kind)];
   SimTime t = now;
-  for (int i = 0; i < maxAttempts; ++i) {
-    // The fault gate draws first (its loss draw precedes any jitter
-    // draw); an attempt it passes goes to the collector.
-    double cost = 0.0;
-    std::size_t responseBytes = 0;
-    const bool ok =
-        (cluster_ == nullptr || attemptSucceeds(st, node, d, cost)) &&
-        collector_.collect(req, &out.value, responseBytes);
+  bool ok = firstOk;
+  std::size_t responseBytes = firstResponseBytes;
+  double cost = round.firstCost;
+  for (int i = 0; i < round.maxAttempts; ++i) {
+    if (i > 0) {
+      // The fault gate draws first (its loss draw precedes any jitter
+      // draw); an attempt it passes goes to the collector.
+      cost = 0.0;
+      ok = admit(st, req, cost) &&
+           collectOne(collector_, req, &out.value, responseBytes);
+    }
     if (st.log.size() < kMaxLoggedAttempts) {
       st.log.push_back(AttemptRecord{t, d, i, ok});
     }
@@ -331,7 +346,7 @@ void RpcClient::round(const CollectRequest& req, Fetched<T>& out) {
     // the wire.
     channel.recordFailedCall(kCollectRequestBytes);
     t += cost;
-    if (i + 1 < maxAttempts) {
+    if (i + 1 < round.maxAttempts) {
       const double backoff =
           jitteredBackoff(policy_.backoffBase, policy_.backoffMax, i, st.rng);
       t += backoff;
@@ -340,52 +355,126 @@ void RpcClient::round(const CollectRequest& req, Fetched<T>& out) {
       }
     }
   }
-  st.retries += maxAttempts - 1;
+  st.retries += round.maxAttempts - 1;
   ++st.failedRounds;
   st.breaker.onRoundFailure(now);
   registry_.markFailure(node, d, now);
 }
 
 template <typename T>
-void RpcClient::fetch(const CollectRequest& req, Fetched<T>& out) {
-  out.ok = false;
-  out.retried = false;
-  out.attempts = 0;
-  round(req, out);
-  if (observer_ != nullptr) {
-    Encoder enc;
-    if (out.ok) encodePayload(enc, &out.value);
-    CollectSample sample;
-    sample.kind = req.kind;
-    sample.node = req.node;
-    sample.now = req.now;
-    sample.watermark = req.watermark;
-    sample.attempts = out.attempts;
-    sample.ok = out.ok;
-    sample.payload = enc.bytes().data();
-    sample.payloadSize = enc.size();
-    observer_->onSample(sample);
+void RpcClient::report(const CollectRequest& req, Fetched<T>& out) {
+  if (observer_ == nullptr) return;
+  Encoder enc;
+  if (out.ok) encodePayload(enc, &out.value);
+  CollectSample sample;
+  sample.kind = req.kind;
+  sample.node = req.node;
+  sample.now = req.now;
+  sample.watermark = req.watermark;
+  sample.attempts = out.attempts;
+  sample.ok = out.ok;
+  sample.payload = enc.bytes().data();
+  sample.payloadSize = enc.size();
+  observer_->onSample(sample);
+}
+
+template <typename T>
+void RpcClient::fetchBatch(std::span<const CollectRequest> requests,
+                           std::span<Fetched<T>* const> outs) {
+  // Per-thread scratch: collectors on a pool executor may batch
+  // concurrently. Warm buffers keep a steady-state batch allocation-free.
+  struct Scratch {
+    std::vector<Round> rounds;
+    std::vector<CollectRequest> firsts;
+    std::vector<CollectResult> results;
+  };
+  static thread_local Scratch scratch;
+
+  std::size_t begin = 0;
+  while (begin < requests.size()) {
+    scratch.rounds.clear();
+    scratch.firsts.clear();
+    scratch.results.clear();
+    // Open every round and gate its first attempt, until a node repeats:
+    // a node's second round must see its first one settled.
+    std::size_t end = begin;
+    for (; end < requests.size(); ++end) {
+      const CollectRequest& req = requests[end];
+      NodeState& st = state(req.node);
+      if (st.inBatch) break;
+      st.inBatch = true;
+      Fetched<T>& out = *outs[end];
+      out.ok = false;
+      out.retried = false;
+      out.attempts = 0;
+      Round& round = scratch.rounds.emplace_back();
+      round.st = &st;
+      round.maxAttempts = openRound(st, req);
+      if (round.maxAttempts > 0 && admit(st, req, round.firstCost)) {
+        round.slot = scratch.firsts.size();
+        scratch.firsts.push_back(req);
+        scratch.results.push_back(CollectResult{&out.value});
+      }
+    }
+    for (const Round& round : scratch.rounds) round.st->inBatch = false;
+
+    if (!scratch.firsts.empty()) {
+      collector_.collect(scratch.firsts, scratch.results);
+    }
+    for (std::size_t i = begin; i < end; ++i) {
+      const Round& round = scratch.rounds[i - begin];
+      if (round.maxAttempts > 0) {
+        const bool admitted = round.slot != kNotAdmitted;
+        const CollectResult* first =
+            admitted ? &scratch.results[round.slot] : nullptr;
+        settleRound(requests[i], *outs[i], round, admitted && first->ok,
+                    admitted ? first->responseBytes : 0);
+      }
+      report(requests[i], *outs[i]);
+    }
+    begin = end;
   }
 }
 
+template void RpcClient::fetchBatch<metrics::SadcSnapshot>(
+    std::span<const CollectRequest>,
+    std::span<Fetched<metrics::SadcSnapshot>* const>);
+template void RpcClient::fetchBatch<std::vector<hadooplog::StateSample>>(
+    std::span<const CollectRequest>,
+    std::span<Fetched<std::vector<hadooplog::StateSample>>* const>);
+template void RpcClient::fetchBatch<syscalls::TraceSecond>(
+    std::span<const CollectRequest>,
+    std::span<Fetched<syscalls::TraceSecond>* const>);
+
+namespace {
+
+/// One fetch round as a batch of one.
+template <typename T>
+void fetchOne(RpcClient& client, const CollectRequest& req, Fetched<T>& out) {
+  Fetched<T>* const target = &out;
+  client.fetchBatch<T>({&req, 1}, {&target, 1});
+}
+
+}  // namespace
+
 void RpcClient::fetchSadc(NodeId node, SimTime now,
                           Fetched<metrics::SadcSnapshot>& out) {
-  fetch({CollectKind::kSadc, node, now, kNoTime}, out);
+  fetchOne(*this, {CollectKind::kSadc, node, now, kNoTime}, out);
 }
 
 void RpcClient::fetchTt(NodeId node, SimTime now, SimTime watermark,
                         Fetched<std::vector<hadooplog::StateSample>>& out) {
-  fetch({CollectKind::kTt, node, now, watermark}, out);
+  fetchOne(*this, {CollectKind::kTt, node, now, watermark}, out);
 }
 
 void RpcClient::fetchDn(NodeId node, SimTime now, SimTime watermark,
                         Fetched<std::vector<hadooplog::StateSample>>& out) {
-  fetch({CollectKind::kDn, node, now, watermark}, out);
+  fetchOne(*this, {CollectKind::kDn, node, now, watermark}, out);
 }
 
 void RpcClient::fetchStrace(NodeId node, SimTime now,
                             Fetched<syscalls::TraceSecond>& out) {
-  fetch({CollectKind::kStrace, node, now, kNoTime}, out);
+  fetchOne(*this, {CollectKind::kStrace, node, now, kNoTime}, out);
 }
 
 CircuitBreaker::State RpcClient::breakerState(NodeId node,

@@ -14,7 +14,11 @@
 //
 // Every transport collects through this one retry loop: a
 // LiveCollector (the sim RpcHub, a live socket transport, an archive)
-// performs each attempt.
+// performs each attempt. A batch of fetches (fetchBatch, one per
+// sibling set of collector modules) hands the first attempts of all
+// its nodes to the collector in one collect() call — one pipelined
+// burst on a live socket — and each failed first attempt continues in
+// its node's own retry loop. A single fetch is a batch of one.
 //
 // All failure decisions are deterministic for a given seed: each node
 // owns its own Rng stream, and every collector for a node runs inside
@@ -40,6 +44,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -237,6 +242,22 @@ class RpcClient {
   void fetchStrace(NodeId node, SimTime now,
                    Fetched<syscalls::TraceSecond>& out);
 
+  /// One fetch round per request, `requests[i]` into `*outs[i]`, as
+  /// one batch. Each node's breaker check and fault gate run first, in
+  /// batch order; the first attempts of every admitted node then go to
+  /// the collector in one collect() call; each node's outcome then
+  /// settles in batch order, a failed first attempt continuing in the
+  /// node's retry loop, and is reported to the observer. Per node, the
+  /// outcome, attempt log, breaker, health registry, channel counters,
+  /// Rng draws and observer samples are exactly those of fetching the
+  /// requests one at a time (a node asked twice in one batch starts a
+  /// second collect() call at its second request). Every request's
+  /// kind must carry T: kSadc a SadcSnapshot, kTt and kDn state rows,
+  /// kStrace a TraceSecond.
+  template <typename T>
+  void fetchBatch(std::span<const CollectRequest> requests,
+                  std::span<Fetched<T>* const> outs);
+
   /// Flight-recorder tap: after every fetch round the observer sees
   /// the outcome (attempts/ok) plus, on success, the value re-encoded
   /// through the payload codec — byte-identical to what the daemon
@@ -275,22 +296,40 @@ class RpcClient {
     long retries = 0;
     long failedRounds = 0;
     long fastFails = 0;
+    bool inBatch = false;  // has a round in the batch being assembled
     NodeState(std::uint64_t seed, const RpcPolicy& p)
         : rng(seed),
           breaker(p.breakerThreshold, p.breakerRecoverySeconds) {}
   };
+  /// One node's open fetch round inside fetchBatch.
+  struct Round {
+    NodeState* st = nullptr;
+    int maxAttempts = 0;      // 0 = fast-failed on an open breaker
+    double firstCost = 0.0;   // virtual seconds of the first attempt
+    std::size_t slot = kNotAdmitted;  // the first attempt's collect slot
+  };
+  static constexpr std::size_t kNotAdmitted = static_cast<std::size_t>(-1);
+
   NodeState& state(NodeId node);
   const NodeState& state(NodeId node) const;
-  /// One fetch round of `req` into `out` (one collector collect()
-  /// per attempt) and its report to the observer.
-  template <typename T>
-  void fetch(const CollectRequest& req, Fetched<T>& out);
-  /// The retry loop: breaker and probe handling, the fault gate (sim
-  /// clients only) then one collector collect() per try, attempt log,
-  /// byte charges, and backoff plus jitter between tries. Sets
+  /// Opens a round: counts it and checks the breaker. Returns the
+  /// attempts the round may make — 0 when an open breaker fast-failed
+  /// it (the failure is already booked), 1 for a HALF_OPEN probe.
+  int openRound(NodeState& st, const CollectRequest& req);
+  /// The retry loop, from the first attempt's outcome on: attempt log,
+  /// byte charges, backoff plus jitter, then one fault-gated collect
+  /// per further try, and the round's success or failure booking. Sets
   /// out.ok/retried/attempts.
   template <typename T>
-  void round(const CollectRequest& req, Fetched<T>& out);
+  void settleRound(const CollectRequest& req, Fetched<T>& out,
+                   const Round& round, bool firstOk,
+                   std::size_t firstResponseBytes);
+  /// Reports a finished round to the observer, if any.
+  template <typename T>
+  void report(const CollectRequest& req, Fetched<T>& out);
+  /// The fault gate of one attempt: always passes without a Cluster;
+  /// otherwise attemptSucceeds().
+  bool admit(NodeState& st, const CollectRequest& req, double& costSeconds);
   /// The simulated fault gate for one attempt: success flag plus the
   /// virtual seconds a failure consumed (timeout or refusal cost).
   bool attemptSucceeds(NodeState& st, NodeId node, Daemon d,

@@ -7,6 +7,7 @@
 #include "analysis/peercompare.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "common/stats.h"
 
 namespace asdf::analysis {
 namespace {
@@ -139,6 +140,53 @@ TEST(BlackBoxModel, TrainingLearnsSigmasAndStates) {
   EXPECT_GT(model.sigmas[0], 0.5);
   // Classification separates the regimes.
   EXPECT_NE(model.classify({1000.0, 7.0}), model.classify({1.0, 7.0}));
+}
+
+// trainBlackBoxModel takes one log1p per training value; its model must
+// be, bit for bit, the one of the two-pass recipe it replaced: sigmas
+// from a first log1p pass, then transformInto per row.
+TEST(BlackBoxModel, TrainingMatchesTwoPassReference) {
+  Rng corpusRng(2024);
+  std::vector<std::vector<double>> training;
+  for (int i = 0; i < 300; ++i) {
+    std::vector<double> row;
+    for (int d = 0; d < 12; ++d) {
+      // Mixed scales, some negative values (clamped) and one constant.
+      row.push_back(d == 5 ? 3.0 : corpusRng.uniform(-2.0, 10.0 * (d + 1)));
+    }
+    training.push_back(row);
+  }
+
+  BlackBoxModel reference;
+  {
+    const std::size_t dims = training.front().size();
+    std::vector<RunningStats> stats(dims);
+    for (const auto& row : training) {
+      for (std::size_t d = 0; d < dims; ++d) {
+        stats[d].add(std::log1p(std::max(0.0, row[d])));
+      }
+    }
+    reference.sigmas.assign(dims, 1.0);
+    for (std::size_t d = 0; d < dims; ++d) {
+      const double s = stats[d].stddev();
+      reference.sigmas[d] = s > 1e-12 ? s : 1.0;
+    }
+    Matrix transformed;
+    std::vector<double> out(dims);
+    for (const auto& row : training) {
+      reference.transformInto(row.data(), row.size(), out.data());
+      transformed.push_back(out);
+    }
+    KMeansOptions options;
+    options.k = 6;
+    Rng rng(5);
+    reference.centroids =
+        std::move(kmeans(transformed, options, rng).centroids);
+  }
+
+  Rng rng(5);
+  const BlackBoxModel model = trainBlackBoxModel(training, 6, rng);
+  EXPECT_EQ(serializeModel(model), serializeModel(reference));
 }
 
 TEST(BlackBoxModel, SerializeDeserializeRoundTrip) {

@@ -114,8 +114,8 @@ TEST_F(DaemonTest, SimFetchEqualsCodecRoundTrip) {
       Decoder snapDec(snapEnc.bytes());
       const metrics::SadcSnapshot wantSnap = decodeSnapshot(snapDec);
       std::size_t bytes = 0;
-      ASSERT_TRUE(hub.collect({CollectKind::kSadc, node, now, kNoTime}, &snap,
-                              bytes));
+      ASSERT_TRUE(collectOne(hub, {CollectKind::kSadc, node, now, kNoTime},
+                             &snap, bytes));
       EXPECT_EQ(bytes, snapEnc.size());
       expectSameSnapshot(snap, wantSnap);
 
@@ -123,8 +123,8 @@ TEST_F(DaemonTest, SimFetchEqualsCodecRoundTrip) {
       encodeTrace(traceEnc, cluster_.node(node).lastSyscallTrace());
       Decoder traceDec(traceEnc.bytes());
       const syscalls::TraceSecond wantTrace = decodeTrace(traceDec);
-      ASSERT_TRUE(hub.collect({CollectKind::kStrace, node, now, kNoTime},
-                              &trace, bytes));
+      ASSERT_TRUE(collectOne(hub, {CollectKind::kStrace, node, now, kNoTime},
+                             &trace, bytes));
       EXPECT_EQ(bytes, 4 + wantTrace.size());
       EXPECT_EQ(trace, wantTrace);
       traceEvents += trace.size();
@@ -142,9 +142,9 @@ TEST_F(DaemonTest, SimFetchEqualsCodecRoundTrip) {
       const std::vector<hadooplog::StateSample> want = decodeSamples(dec);
       std::vector<hadooplog::StateSample>& got = isTt ? tt : dn;
       std::size_t bytes = 0;
-      ASSERT_TRUE(hub.collect(
-          {isTt ? CollectKind::kTt : CollectKind::kDn, 1, now, now}, &got,
-          bytes));
+      ASSERT_TRUE(collectOne(
+          hub, {isTt ? CollectKind::kTt : CollectKind::kDn, 1, now, now},
+          &got, bytes));
       EXPECT_EQ(bytes, enc.size());
       expectSameSamples(got, want);
       nonEmptyRows += got.size();

@@ -236,6 +236,36 @@ TEST(NumericFlagDeathTest, PortPastTheRangeExitsTwoNamingTheFlag) {
   }
 }
 
+// --groups and --channels read comma-separated lists item by item by
+// parseBoundedInt's rules: "--groups=4x,4" used to read 4 and a
+// non-numeric item 0.
+TEST(NumericFlag, ReadsIntegerListsAndFallsBackWhenAbsent) {
+  std::vector<std::string> storage;
+  std::vector<char*> ptrs;
+  char** argv = argvOf(storage, ptrs, {"prog", "--groups=4,4,2",
+                                       "--channels=64"});
+  EXPECT_EQ(flagIntList(3, argv, "groups", 1, 100, {}),
+            (std::vector<long>{4, 4, 2}));
+  EXPECT_EQ(flagIntList(3, argv, "channels", 1, 1024, {1, 8}),
+            (std::vector<long>{64}));
+  EXPECT_EQ(flagIntList(3, argv, "absent", 1, 1024, {1, 8, 64}),
+            (std::vector<long>{1, 8, 64}));
+}
+
+TEST(NumericFlagDeathTest, MalformedListItemExitsTwoNamingTheFlag) {
+  std::vector<std::string> storage;
+  std::vector<char*> ptrs;
+  for (const char* bad : {"--groups=4x,4", "--groups=4,x", "--groups=4,,4",
+                          "--groups=4,", "--groups=", "--groups",
+                          "--groups=4,0", "--groups=4,101", "--groups=2.5"}) {
+    char** argv = argvOf(storage, ptrs, {"prog", bad});
+    EXPECT_EXIT(flagIntList(2, argv, "groups", 1, 100, {}),
+                ::testing::ExitedWithCode(2),
+                "--groups item must be an integer in \\[1, 100\\]")
+        << bad;
+  }
+}
+
 TEST(CheckFlags, AcceptsEmptyCommandLine) {
   std::vector<std::string> storage;
   std::vector<char*> ptrs;

@@ -63,29 +63,29 @@ TEST(LiveTransport, HandshakeFetchAndApplicationErrors) {
 
   metrics::SadcSnapshot snap;
   std::size_t bytes = 0;
-  ASSERT_TRUE(transport.collect({rpc::CollectKind::kSadc, 1, 5.0, kNoTime},
-                                &snap, bytes));
+  ASSERT_TRUE(rpc::collectOne(
+      transport, {rpc::CollectKind::kSadc, 1, 5.0, kNoTime}, &snap, bytes));
   EXPECT_EQ(snap.node.size(), static_cast<std::size_t>(metrics::kNodeMetricCount));
   EXPECT_EQ(snap.nic.size(), static_cast<std::size_t>(metrics::kNicMetricCount));
   EXPECT_GT(bytes, 0u);
 
   // Unknown node -> kError response: the attempt fails but the
   // connection stays usable (no reconnect needed).
-  EXPECT_FALSE(transport.collect({rpc::CollectKind::kSadc, 99, 5.0, kNoTime},
-                                 &snap, bytes));
+  EXPECT_FALSE(rpc::collectOne(
+      transport, {rpc::CollectKind::kSadc, 99, 5.0, kNoTime}, &snap, bytes));
   EXPECT_EQ(transport.reconnects(), 0);
-  EXPECT_TRUE(transport.collect({rpc::CollectKind::kSadc, 2, 5.0, kNoTime},
-                                &snap, bytes));
+  EXPECT_TRUE(rpc::collectOne(
+      transport, {rpc::CollectKind::kSadc, 2, 5.0, kNoTime}, &snap, bytes));
 
   std::vector<hadooplog::StateSample> rows;
-  EXPECT_TRUE(transport.collect({rpc::CollectKind::kTt, 1, 10.0, 10.0}, &rows,
-                                bytes));
-  EXPECT_TRUE(transport.collect({rpc::CollectKind::kDn, 1, 10.0, 10.0}, &rows,
-                                bytes));
+  EXPECT_TRUE(rpc::collectOne(transport, {rpc::CollectKind::kTt, 1, 10.0, 10.0},
+                              &rows, bytes));
+  EXPECT_TRUE(rpc::collectOne(transport, {rpc::CollectKind::kDn, 1, 10.0, 10.0},
+                              &rows, bytes));
 
   syscalls::TraceSecond trace;
-  EXPECT_TRUE(transport.collect({rpc::CollectKind::kStrace, 1, 10.0, kNoTime},
-                                &trace, bytes));
+  EXPECT_TRUE(rpc::collectOne(
+      transport, {rpc::CollectKind::kStrace, 1, 10.0, kNoTime}, &trace, bytes));
 
   ClusterStatsWire stats;
   ASSERT_TRUE(transport.fetchStats(20.0, stats));
@@ -109,18 +109,18 @@ TEST(LiveTransport, ProcSourceServesCountersButNotStrace) {
 
   metrics::SadcSnapshot snap;
   std::size_t bytes = 0;
-  ASSERT_TRUE(transport.collect({rpc::CollectKind::kSadc, 2, 1.0, kNoTime},
-                                &snap, bytes));
+  ASSERT_TRUE(rpc::collectOne(
+      transport, {rpc::CollectKind::kSadc, 2, 1.0, kNoTime}, &snap, bytes));
   EXPECT_EQ(snap.node.size(), static_cast<std::size_t>(metrics::kNodeMetricCount));
 
   std::vector<hadooplog::StateSample> rows;
-  EXPECT_TRUE(transport.collect({rpc::CollectKind::kTt, 1, 30.0, 30.0}, &rows,
-                                bytes));
+  EXPECT_TRUE(rpc::collectOne(transport, {rpc::CollectKind::kTt, 1, 30.0, 30.0},
+                              &rows, bytes));
 
   // The proc source has no syscall tracer: kUnsupported, not a hang.
   syscalls::TraceSecond trace;
-  EXPECT_FALSE(transport.collect({rpc::CollectKind::kStrace, 1, 1.0, kNoTime},
-                                 &trace, bytes));
+  EXPECT_FALSE(rpc::collectOne(
+      transport, {rpc::CollectKind::kStrace, 1, 1.0, kNoTime}, &trace, bytes));
 }
 
 // Only IPv4 literals can be dialed: a hostname fails at construction

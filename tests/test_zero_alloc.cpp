@@ -249,8 +249,9 @@ TEST(ZeroAlloc, SimSadcCollectionAllocatesNothing) {
     const bool warm = t > 2;
     const std::uint64_t before = allochook::totals().allocs;
     for (NodeId node = 1; node <= params.slaveCount; ++node) {
-      ASSERT_TRUE(hub.collect({rpc::CollectKind::kSadc, node, SimTime(t), kNoTime},
-                              &snap, bytes));
+      ASSERT_TRUE(rpc::collectOne(
+          hub, {rpc::CollectKind::kSadc, node, SimTime(t), kNoTime}, &snap,
+          bytes));
       metrics::flattenNodeVector(snap, flat);
       if (warm) ++polls;
     }
@@ -350,6 +351,54 @@ TEST(ZeroAlloc, WavefrontWithExclusiveDomainsAllocatesNothing) {
   EXPECT_EQ(allochook::totals().allocs, 0u)
       << "wavefront dispatch with exclusivity domains allocated";
   EXPECT_EQ(fpt.totalRuns() - runsBefore, 40u * 3u * kNodes);
+}
+
+// The collector level of the combined pipeline as one sibling batch:
+// sadc instances glued into one exclusivity group (hadoop_log's
+// "hl-sync" domain glues them in the combined pipeline; here a pulse
+// per node does) run as one runBatch per tick — one
+// RpcClient::fetchBatch and one hub collect() for every node. Once
+// warm, the batched wavefront — dispatch, fetch batch, collection and
+// publishing — allocates nothing, and neither does the idle simulator
+// ticking between polls.
+TEST(ZeroAlloc, WarmBatchedSadcWavefrontAllocatesNothing) {
+  constexpr int kSlaves = 8;
+  core::ModuleRegistry registry;
+  modules::registerBuiltinModules(&registry);
+  registry.registerType("pulse",
+                        [] { return std::make_unique<DomainPulse>(); });
+  std::string config;
+  for (int k = 1; k <= kSlaves; ++k) {
+    const std::string n = std::to_string(k);
+    config += "[sadc]\nid = sadc" + n + "\nnode = " + n + "\n";
+  }
+  for (int k = 1; k <= kSlaves; ++k) {
+    const std::string n = std::to_string(k);
+    config += "[pulse]\nid = q" + n + "\nnode = " + n + "\nsync = 1\n";
+  }
+  hadoop::HadoopParams params;
+  params.slaveCount = kSlaves;
+  sim::SimEngine engine;
+  hadoop::Cluster cluster(params, 41, engine);
+  cluster.start();
+  rpc::RpcHub hub(cluster, 0.0);
+  core::Environment env;
+  env.provide("rpc", &hub);
+  core::FptCore fpt(engine, env, &registry);
+  fpt.configureFromText(config);
+
+  // The client's per-node attempt log grows by doubling: one attempt a
+  // second fills capacity 128 from second 65 to second 128.
+  engine.runUntil(70.0);
+  const std::uint64_t runsBefore = fpt.totalRuns();
+  const long callsBefore = hub.transports().channel("sadc-tcp").calls();
+  allochook::reset();
+  engine.runUntil(120.0);
+  EXPECT_EQ(allochook::totals().allocs, 0u)
+      << "a warm batched sadc wavefront allocated";
+  EXPECT_EQ(fpt.totalRuns() - runsBefore, 50u * 2u * kSlaves);
+  EXPECT_EQ(hub.transports().channel("sadc-tcp").calls() - callsBefore,
+            50 * kSlaves);
 }
 
 // The net-plane claim (DESIGN.md §15): once a connection's decode
