@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark) for the performance-critical
 // pieces: the log parser, the wire codec, the 1-NN classifier, k-means
-// training, peer comparison, the event engine, and fpt-core DAG
-// construction. These bound the per-second analysis budget an online
-// deployment has (Section 2's "low fingerpointing latencies").
+// training, peer comparison, the event engine, fpt-core DAG
+// construction, and a warm fetch batch through the hub. These bound
+// the per-second analysis budget an online deployment has (Section
+// 2's "low fingerpointing latencies").
 #include <benchmark/benchmark.h>
 
 #include "analysis/bbmodel.h"
@@ -13,10 +14,12 @@
 #include "core/fpt_core.h"
 #include "hadooplog/parser.h"
 #include "hadooplog/writer.h"
+#include "hadoop/cluster.h"
 #include "harness/pipelines.h"
 #include "metrics/os_model.h"
 #include "metrics/sadc.h"
 #include "modules/modules.h"
+#include "rpc/daemons.h"
 #include "rpc/wire.h"
 #include "sim/engine.h"
 
@@ -191,6 +194,52 @@ void BM_OsModelTick(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OsModelTick);
+
+// One warm collection second through the hub's client: a fetch batch
+// of sadc, one of TaskTracker and one of DataNode rows over N nodes,
+// with the simulator held still so the client's bookkeeping and the
+// daemons' fetches are what is timed. Reports ns per fetch.
+void BM_RpcFetchBatch(benchmark::State& state) {
+  const int nodes = static_cast<int>(state.range(0));
+  hadoop::HadoopParams params;
+  params.slaveCount = nodes;
+  sim::SimEngine engine;
+  hadoop::Cluster cluster(params, 11, engine);
+  cluster.start();
+  rpc::RpcHub hub(cluster, 0.0);
+  engine.runUntil(30.0);
+  rpc::RpcClient& client = hub.client();
+
+  using Rows = std::vector<hadooplog::StateSample>;
+  std::vector<rpc::Fetched<metrics::SadcSnapshot>> sadc(nodes);
+  std::vector<rpc::Fetched<Rows>> rows(2 * nodes);
+  std::vector<rpc::Fetched<metrics::SadcSnapshot>*> sadcOuts;
+  std::vector<rpc::Fetched<Rows>*> ttOuts;
+  std::vector<rpc::Fetched<Rows>*> dnOuts;
+  std::vector<rpc::CollectRequest> sadcReqs;
+  std::vector<rpc::CollectRequest> ttReqs;
+  std::vector<rpc::CollectRequest> dnReqs;
+  for (NodeId n = 1; n <= nodes; ++n) {
+    const auto i = static_cast<std::size_t>(n - 1);
+    sadcReqs.push_back({rpc::CollectKind::kSadc, n, 30.0, kNoTime});
+    ttReqs.push_back({rpc::CollectKind::kTt, n, 30.0, 30.0});
+    dnReqs.push_back({rpc::CollectKind::kDn, n, 30.0, 30.0});
+    sadcOuts.push_back(&sadc[i]);
+    ttOuts.push_back(&rows[i]);
+    dnOuts.push_back(&rows[nodes + i]);
+  }
+  for (auto _ : state) {
+    client.fetchBatch<metrics::SadcSnapshot>(sadcReqs, sadcOuts);
+    client.fetchBatch<Rows>(ttReqs, ttOuts);
+    client.fetchBatch<Rows>(dnReqs, dnOuts);
+    benchmark::DoNotOptimize(sadc.front().ok);
+  }
+  const double fetches = 3.0 * nodes * static_cast<double>(state.iterations());
+  state.SetItemsProcessed(static_cast<long>(fetches));
+  state.counters["per_fetch"] = benchmark::Counter(
+      fetches, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_RpcFetchBatch)->Arg(50);
 
 }  // namespace
 

@@ -10,7 +10,7 @@
 // Usage:
 //   scenario_fingerpoint --slaves=12 --racks=3 --scenario=partition
 //   scenario_fingerpoint --slaves=12 --racks=3 --scenario=all
-//   scenario_fingerpoint --slaves=9 --racks=3 --nodes-per-rack=3 \
+//   scenario_fingerpoint --slaves=9 --racks=3 --nodes-per-rack=3
 //                        --uplink-gbps=10 --scenario=gray --seed=7
 //
 // Scenario names: partition | cascade | noisy-neighbor | gray | all

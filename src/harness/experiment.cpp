@@ -55,12 +55,6 @@ void recordClientCounters(ExperimentResult& result, rpc::RpcClient& client) {
   result.rpcFailedRounds = client.totalFailedRounds();
   result.rpcFastFails = client.totalFastFails();
   result.rpcBreakerOpens = client.totalBreakerOpens();
-  for (NodeId node : client.health().nodes()) {
-    std::vector<double>& times = result.rpcAttemptTimes[node];
-    for (const rpc::AttemptRecord& rec : client.attemptLog(node)) {
-      times.push_back(rec.at);
-    }
-  }
 }
 
 archive::TruthRecord truthFromResult(const ExperimentResult& result) {
@@ -138,6 +132,7 @@ ExperimentResult runControlNode(const ExperimentSpec& spec,
       plane.recordAs != nullptr ? makeRecorder(spec, plane.recordAs)
                                 : nullptr;
   if (recorder != nullptr) client->setObserver(recorder.get());
+  client->setAttemptSink(plane.attempts);
 
   modules::HadoopLogSync sync;
   ExperimentResult result;
@@ -198,14 +193,14 @@ namespace {
 /// Sim transport: the simulated cluster, its RpcHub daemons and the
 /// fault injectors all run on the engine that pumps fpt-core.
 ExperimentResult runSimExperiment(const ExperimentSpec& spec,
-                                  const analysis::BlackBoxModel& model) {
+                                  const analysis::BlackBoxModel& model,
+                                  Plane plane) {
   sim::SimEngine engine;
   net::SimCluster sim(engine, spec.slaves, spec.seed, spec.fault,
                       spec.mixChangeTime, spec.topology);
   std::unique_ptr<faults::ScenarioInjector> scenario;
   std::vector<std::unique_ptr<faults::MonitoringFaultInjector>> monInjectors;
 
-  Plane plane;
   plane.collector = &sim.hub;
   // Collection failures (the fault gate) are opt-in; injecting a
   // monitoring fault implies them.
@@ -254,7 +249,8 @@ ExperimentResult runSimExperiment(const ExperimentSpec& spec,
 /// and are ignored in this mode — live failures are real timeouts and
 /// refused connections.
 ExperimentResult runLiveExperiment(const ExperimentSpec& spec,
-                                   const analysis::BlackBoxModel& model) {
+                                   const analysis::BlackBoxModel& model,
+                                   Plane plane) {
   net::LiveTransport::Options topts;
   topts.host = spec.liveHost;
   topts.port = spec.livePort;
@@ -263,7 +259,6 @@ ExperimentResult runLiveExperiment(const ExperimentSpec& spec,
   net::LiveTransport transport(topts);
   sim::SimEngine engine;
 
-  Plane plane;
   plane.collector = &transport;
   plane.realBackoff = true;
   plane.recordAs = "live";
@@ -289,11 +284,11 @@ ExperimentResult runLiveExperiment(const ExperimentSpec& spec,
 /// deterministic, so every fetch finds its archived record and the run
 /// reproduces the recording run's alarms byte-for-byte.
 ExperimentResult runReplayExperiment(const ExperimentSpec& spec,
-                                     const analysis::BlackBoxModel& model) {
+                                     const analysis::BlackBoxModel& model,
+                                     Plane plane) {
   archive::ArchiveCollector collector(spec.archiveDir);
   sim::SimEngine engine;
 
-  Plane plane;
   plane.collector = &collector;
   plane.drive = [&] { engine.runUntil(spec.duration); };
   // Ground truth: the recorded run's truth record when the recorder
@@ -500,18 +495,21 @@ analysis::BlackBoxModel trainModel(const ExperimentSpec& spec) {
 }
 
 ExperimentResult runExperiment(const ExperimentSpec& spec,
-                               const analysis::BlackBoxModel& model) {
+                               const analysis::BlackBoxModel& model,
+                               rpc::AttemptSink* attempts) {
   validateSpec(spec);
+  Plane plane;
+  plane.attempts = attempts;
   if (spec.transport == TransportMode::kLive) {
     // Tiered live runs merge aggregator summaries instead of
     // collecting from leaves; the model lives in the aggregators.
     if (spec.tiered) return runTieredLiveExperiment(spec);
-    return runLiveExperiment(spec, model);
+    return runLiveExperiment(spec, model, plane);
   }
   if (spec.transport == TransportMode::kReplay) {
-    return runReplayExperiment(spec, model);
+    return runReplayExperiment(spec, model, plane);
   }
-  return runSimExperiment(spec, model);
+  return runSimExperiment(spec, model, plane);
 }
 
 ExperimentSummary summarize(const ExperimentResult& result) {

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -178,9 +177,6 @@ struct ExperimentResult {
   /// Degradation transitions from the analysis modules, sorted by
   /// (time, channel) for deterministic cross-executor comparison.
   std::vector<core::MonitoringEvent> monitoringEvents;
-  /// Per-node RPC attempt issue times (virtual seconds), for the
-  /// deterministic backoff-schedule tests.
-  std::map<NodeId, std::vector<double>> rpcAttemptTimes;
 
   // Cluster health (sanity).
   long jobsSubmitted = 0;
@@ -206,9 +202,11 @@ struct ExperimentSummary {
 /// Step 1: trains the black-box model on a fault-free run.
 analysis::BlackBoxModel trainModel(const ExperimentSpec& spec);
 
-/// Steps 2: runs the monitored experiment with the given model.
+/// Steps 2: runs the monitored experiment with the given model; a
+/// non-null `attempts` sees every attempt of the control node's client.
 ExperimentResult runExperiment(const ExperimentSpec& spec,
-                               const analysis::BlackBoxModel& model);
+                               const analysis::BlackBoxModel& model,
+                               rpc::AttemptSink* attempts = nullptr);
 
 /// Step 3: evaluates recorded alarms against the ground truth.
 ExperimentSummary summarize(const ExperimentResult& result);
@@ -234,6 +232,8 @@ struct Plane {
   rpc::SummaryBoard* board = nullptr;
   /// Runs once fpt-core is configured, before the pipeline is pumped.
   std::function<void(rpc::RpcClient&)> arm;
+  /// Sees every attempt of the client; null = none.
+  rpc::AttemptSink* attempts = nullptr;
   /// Advances the pipeline through spec.duration.
   std::function<void()> drive;
   /// Cluster-side accounting after the run: daemon costs (Table 3),

@@ -18,7 +18,6 @@ void chargeNode(hadoop::Node& node, double cpuSeconds, double txBytes) {
 SadcDaemon::SadcDaemon(hadoop::Node& node) : node_(node) {}
 
 const metrics::SadcSnapshot& SadcDaemon::fetch(std::size_t& responseBytes) {
-  BusyMeter::Scope scope(busy_);
   const metrics::SadcSnapshot& snap = node_.sadcCollect();
   responseBytes = encodedSize(snap);
   chargeNode(node_, 2.0e-5, static_cast<double>(responseBytes));
@@ -44,7 +43,6 @@ HadoopLogDaemon::HadoopLogDaemon(hadoop::Node& node, SimTime attachTime)
 void HadoopLogDaemon::fetch(CollectKind kind, SimTime watermark,
                             std::vector<hadooplog::StateSample>& out,
                             std::size_t& responseBytes) {
-  BusyMeter::Scope scope(busy_);
   // This daemon is the log's one tail reader: lines it has parsed are
   // freed, so the buffer holds only what arrived since the last poll.
   if (kind == CollectKind::kTt) {
@@ -75,7 +73,6 @@ StraceDaemon::StraceDaemon(hadoop::Node& node) : node_(node) {}
 
 const syscalls::TraceSecond& StraceDaemon::fetch(
     std::size_t& responseBytes) {
-  BusyMeter::Scope scope(busy_);
   const syscalls::TraceSecond& trace = node_.lastSyscallTrace();
   // Wire format: one byte per event plus a length prefix.
   responseBytes = 4 + trace.size();
@@ -118,65 +115,37 @@ int RpcHub::slaves() const { return static_cast<int>(daemons_.size()); }
 
 void RpcHub::collect(std::span<const CollectRequest> requests,
                      std::span<CollectResult> results) {
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const CollectRequest& req = requests[i];
-    CollectResult& result = results[i];
-    NodeDaemons& d = daemons(req.node);
-    switch (req.kind) {
-      case CollectKind::kSadc:
-        // Copy-assignment reuses the capacity of the caller's snapshot.
-        *std::get<metrics::SadcSnapshot*>(result.out) =
-            d.sadc.fetch(result.responseBytes);
-        break;
-      case CollectKind::kTt:
-      case CollectKind::kDn:
-        d.log.fetch(req.kind, req.watermark,
-                    *std::get<std::vector<hadooplog::StateSample>*>(result.out),
-                    result.responseBytes);
-        break;
-      case CollectKind::kStrace:
-        *std::get<syscalls::TraceSecond*>(result.out) =
-            d.strace.fetch(result.responseBytes);
-        break;
+  std::size_t i = 0;
+  while (i < requests.size()) {
+    const Daemon daemon = daemonOf(requests[i].kind);
+    BusyMeter::Scope scope(busy_[static_cast<int>(daemon)]);
+    for (; i < requests.size() && daemonOf(requests[i].kind) == daemon;
+         ++i) {
+      serve(requests[i], results[i]);
     }
-    result.ok = true;
   }
 }
 
-double RpcHub::sadcCpuSeconds() const {
-  double total = 0.0;
-  for (const auto& d : daemons_) total += d->sadc.cpuSeconds();
-  return total;
-}
-
-double RpcHub::hadoopLogCpuSeconds() const {
-  double total = 0.0;
-  for (const auto& d : daemons_) total += d->log.cpuSeconds();
-  return total;
-}
-
-double RpcHub::straceCpuSeconds() const {
-  double total = 0.0;
-  for (const auto& d : daemons_) total += d->strace.cpuSeconds();
-  return total;
-}
-
-std::size_t RpcHub::sadcMemoryBytes() const {
-  std::size_t total = 0;
-  for (const auto& d : daemons_) total += d->sadc.memoryFootprintBytes();
-  return total;
-}
-
-std::size_t RpcHub::hadoopLogMemoryBytes() const {
-  std::size_t total = 0;
-  for (const auto& d : daemons_) total += d->log.memoryFootprintBytes();
-  return total;
-}
-
-std::size_t RpcHub::straceMemoryBytes() const {
-  std::size_t total = 0;
-  for (const auto& d : daemons_) total += d->strace.memoryFootprintBytes();
-  return total;
+void RpcHub::serve(const CollectRequest& req, CollectResult& result) {
+  NodeDaemons& d = daemons(req.node);
+  switch (req.kind) {
+    case CollectKind::kSadc:
+      // Copy-assignment reuses the capacity of the caller's snapshot.
+      *std::get<metrics::SadcSnapshot*>(result.out) =
+          d.sadc.fetch(result.responseBytes);
+      break;
+    case CollectKind::kTt:
+    case CollectKind::kDn:
+      d.log.fetch(req.kind, req.watermark,
+                  *std::get<std::vector<hadooplog::StateSample>*>(result.out),
+                  result.responseBytes);
+      break;
+    case CollectKind::kStrace:
+      *std::get<syscalls::TraceSecond*>(result.out) =
+          d.strace.fetch(result.responseBytes);
+      break;
+  }
+  result.ok = true;
 }
 
 }  // namespace asdf::rpc

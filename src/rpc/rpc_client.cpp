@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <stdexcept>
+#include <numeric>
 #include <thread>
 #include <type_traits>
 
@@ -12,21 +12,14 @@
 namespace asdf::rpc {
 namespace {
 
-// Per-node attempt logs are bounded so week-long runs cannot grow them
-// without limit; the determinism tests only need the early schedule.
-constexpr std::size_t kMaxLoggedAttempts = 65536;
-
 // The simulated fault gate's healthy round-trip time; under PacketLoss
 // an attempt fails with probability lossRate^kLossFailureExponent.
 constexpr double kBaseLatencySeconds = 0.002;
 constexpr double kLossFailureExponent = 2.0;
 
-// Channel names (Table 4's RPC types) and target daemons by
-// CollectKind.
+// Channel names (Table 4's RPC types) by CollectKind.
 constexpr const char* kChannelNames[kCollectKindCount] = {
     "sadc-tcp", "hl-tt-tcp", "hl-dn-tcp", "strace-tcp"};
-constexpr Daemon kDaemonOf[kCollectKindCount] = {
-    Daemon::kSadc, Daemon::kHadoopLog, Daemon::kHadoopLog, Daemon::kStrace};
 
 std::uint64_t mixSeed(std::uint64_t seed, NodeId node) {
   return seed + 0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(node + 1);
@@ -133,51 +126,36 @@ void CircuitBreaker::onRoundFailure(SimTime now) {
 // ---------------------------------------------------------------------------
 // NodeHealthRegistry
 
-NodeHealthRegistry::NodeEntry& NodeHealthRegistry::entry(NodeId node) {
-  if (node < 1) throw std::out_of_range("node health: node id < 1");
-  const auto slot = static_cast<std::size_t>(node) - 1;
-  if (slot >= entries_.size()) entries_.resize(slot + 1);
-  NodeEntry& e = entries_[slot];
-  e.known = true;
-  return e;
-}
+NodeHealthRegistry::NodeHealthRegistry(int nodes)
+    : entries_(static_cast<std::size_t>(std::max(0, nodes))) {}
 
 const NodeHealthRegistry::NodeEntry* NodeHealthRegistry::find(
     NodeId node) const {
   const auto slot = static_cast<std::size_t>(node) - 1;
-  if (node < 1 || slot >= entries_.size() || !entries_[slot].known) {
-    return nullptr;
+  return node >= 1 && slot < entries_.size() ? &entries_[slot] : nullptr;
+}
+
+void NodeHealthRegistry::mark(std::span<const HealthMark> marks) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (const HealthMark& m : marks) {
+    // at() refuses a node outside 1..N (the index wraps below 1).
+    ChannelEntry& e = entries_.at(static_cast<std::size_t>(m.node) - 1)
+                          [static_cast<int>(m.daemon)];
+    e.health = m.health;
+    if (m.health == NodeHealth::kUnmonitorable) {
+      ++e.failures;
+    } else {
+      e.lastSuccess = m.now;
+      ++e.successes;
+    }
   }
-  return &entries_[slot];
-}
-
-void NodeHealthRegistry::registerNode(NodeId node) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  entry(node);
-}
-
-void NodeHealthRegistry::markSuccess(NodeId node, Daemon d, SimTime now,
-                                     bool degraded) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ChannelEntry& e = entry(node).channels[static_cast<int>(d)];
-  e.health = degraded ? NodeHealth::kDegraded : NodeHealth::kHealthy;
-  e.lastSuccess = now;
-  ++e.successes;
-}
-
-void NodeHealthRegistry::markFailure(NodeId node, Daemon d, SimTime now) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ChannelEntry& e = entry(node).channels[static_cast<int>(d)];
-  e.health = NodeHealth::kUnmonitorable;
-  (void)now;
-  ++e.failures;
 }
 
 NodeHealth NodeHealthRegistry::channelHealth(NodeId node, Daemon d) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const NodeEntry* e = find(node);
   if (e == nullptr) return NodeHealth::kHealthy;
-  return e->channels[static_cast<int>(d)].health;
+  return (*e)[static_cast<int>(d)].health;
 }
 
 NodeHealth NodeHealthRegistry::aggregate(NodeId node) const {
@@ -185,7 +163,7 @@ NodeHealth NodeHealthRegistry::aggregate(NodeId node) const {
   const NodeEntry* entry = find(node);
   if (entry == nullptr) return NodeHealth::kHealthy;
   NodeHealth worst = NodeHealth::kHealthy;
-  for (const ChannelEntry& e : entry->channels) {
+  for (const ChannelEntry& e : *entry) {
     // Channels that have never been polled (e.g. strace without an
     // strace module) carry no signal.
     if (e.successes == 0 && e.failures == 0) continue;
@@ -202,7 +180,7 @@ double NodeHealthRegistry::staleness(NodeId node, Daemon d,
   std::lock_guard<std::mutex> lock(mutex_);
   const NodeEntry* entry = find(node);
   if (entry == nullptr) return 0.0;
-  const ChannelEntry& e = entry->channels[static_cast<int>(d)];
+  const ChannelEntry& e = (*entry)[static_cast<int>(d)];
   if (e.lastSuccess == kNoTime) {
     return e.failures > 0 ? now : 0.0;
   }
@@ -210,12 +188,8 @@ double NodeHealthRegistry::staleness(NodeId node, Daemon d,
 }
 
 std::vector<NodeId> NodeHealthRegistry::nodes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<NodeId> out;
-  out.reserve(entries_.size());
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].known) out.push_back(static_cast<NodeId>(i + 1));
-  }
+  std::vector<NodeId> out(entries_.size());
+  std::iota(out.begin(), out.end(), NodeId{1});
   return out;
 }
 
@@ -224,14 +198,16 @@ std::vector<NodeId> NodeHealthRegistry::nodes() const {
 
 RpcClient::RpcClient(LiveCollector& collector, RpcPolicy policy,
                      std::uint64_t seed, bool realBackoff)
-    : collector_(collector), realBackoff_(realBackoff), policy_(policy) {
+    : collector_(collector),
+      realBackoff_(realBackoff),
+      policy_(policy),
+      registry_(collector.slaves()) {
   for (int k = 0; k < kCollectKindCount; ++k) {
     channels_[k] = &transports_.channel(kChannelNames[k]);
   }
   states_.reserve(static_cast<std::size_t>(std::max(0, collector.slaves())));
   for (NodeId node = 1; node <= collector.slaves(); ++node) {
     states_.emplace_back(mixSeed(seed, node), policy_);
-    registry_.registerNode(node);
     // One connection per node per channel (Table 4 static overhead).
     for (RpcChannelStats* channel : channels_) channel->recordConnect();
   }
@@ -251,8 +227,11 @@ const RpcClient::NodeState& RpcClient::state(NodeId node) const {
   return states_.at(static_cast<std::size_t>(node) - 1);
 }
 
-bool RpcClient::attemptSucceeds(NodeState& st, NodeId node, Daemon d,
-                                double& costSeconds) {
+bool RpcClient::admit(NodeState& st, const CollectRequest& req,
+                      double& costSeconds) {
+  if (cluster_ == nullptr) return true;
+  const NodeId node = req.node;
+  const Daemon d = daemonOf(req.kind);
   if (board_.partitioned(node) || board_.crashed(node, d)) {
     // Connection refused / unreachable: fails within one RTT.
     costSeconds = kBaseLatencySeconds;
@@ -280,20 +259,14 @@ bool RpcClient::attemptSucceeds(NodeState& st, NodeId node, Daemon d,
   return true;
 }
 
-bool RpcClient::admit(NodeState& st, const CollectRequest& req,
-                      double& costSeconds) {
-  return cluster_ == nullptr ||
-         attemptSucceeds(st, req.node, kDaemonOf[static_cast<int>(req.kind)],
-                         costSeconds);
-}
-
-int RpcClient::openRound(NodeState& st, const CollectRequest& req) {
+int RpcClient::openRound(NodeState& st, const CollectRequest& req,
+                         BatchBook& book) {
   ++st.rounds;
   if (!st.breaker.allowRound(req.now)) {
     ++st.fastFails;
     ++st.failedRounds;
-    registry_.markFailure(req.node, kDaemonOf[static_cast<int>(req.kind)],
-                          req.now);
+    book.marks.push_back({req.node, daemonOf(req.kind), req.now,
+                          NodeHealth::kUnmonitorable});
     return 0;  // never touches the wire
   }
   // A HALF_OPEN breaker sends exactly one probe; retrying a probe would
@@ -306,12 +279,12 @@ int RpcClient::openRound(NodeState& st, const CollectRequest& req) {
 template <typename T>
 void RpcClient::settleRound(const CollectRequest& req, Fetched<T>& out,
                             const Round& round, bool firstOk,
-                            std::size_t firstResponseBytes) {
+                            std::size_t firstResponseBytes, BatchBook& book) {
   const NodeId node = req.node;
   const SimTime now = req.now;
-  const Daemon d = kDaemonOf[static_cast<int>(req.kind)];
+  const Daemon d = daemonOf(req.kind);
   NodeState& st = *round.st;
-  RpcChannelStats& channel = *channels_[static_cast<int>(req.kind)];
+  ChannelTally& channel = book.channels[static_cast<int>(req.kind)];
   SimTime t = now;
   bool ok = firstOk;
   std::size_t responseBytes = firstResponseBytes;
@@ -324,8 +297,8 @@ void RpcClient::settleRound(const CollectRequest& req, Fetched<T>& out,
       ok = admit(st, req, cost) &&
            collectOne(collector_, req, &out.value, responseBytes);
     }
-    if (st.log.size() < kMaxLoggedAttempts) {
-      st.log.push_back(AttemptRecord{t, d, i, ok});
+    if (attemptSink_ != nullptr) {
+      attemptSink_->onAttempt(AttemptRecord{node, t, d, i, ok});
     }
     out.attempts = i + 1;
     if (ok) {
@@ -338,13 +311,17 @@ void RpcClient::settleRound(const CollectRequest& req, Fetched<T>& out,
       out.retried = i > 0;
       st.retries += i;
       st.breaker.onRoundSuccess(now);
-      registry_.markSuccess(node, d, now, out.retried);
-      channel.recordCall(kCollectRequestBytes, responseBytes);
+      book.marks.push_back({node, d, now,
+                            out.retried ? NodeHealth::kDegraded
+                                        : NodeHealth::kHealthy});
+      ++channel.calls;
+      channel.payloadBytes += kCollectRequestBytes + responseBytes;
       return;
     }
     // A failed attempt still put the request (+ framing overhead) on
     // the wire.
-    channel.recordFailedCall(kCollectRequestBytes);
+    ++channel.failedCalls;
+    channel.payloadBytes += kCollectRequestBytes;
     t += cost;
     if (i + 1 < round.maxAttempts) {
       const double backoff =
@@ -358,7 +335,17 @@ void RpcClient::settleRound(const CollectRequest& req, Fetched<T>& out,
   st.retries += round.maxAttempts - 1;
   ++st.failedRounds;
   st.breaker.onRoundFailure(now);
-  registry_.markFailure(node, d, now);
+  book.marks.push_back({node, d, now, NodeHealth::kUnmonitorable});
+}
+
+void RpcClient::apply(BatchBook& book) {
+  for (int k = 0; k < kCollectKindCount; ++k) {
+    const ChannelTally& tally = book.channels[k];
+    if (tally.calls + tally.failedCalls > 0) channels_[k]->add(tally);
+  }
+  book.channels = {};
+  registry_.mark(book.marks);
+  book.marks.clear();
 }
 
 template <typename T>
@@ -387,8 +374,15 @@ void RpcClient::fetchBatch(std::span<const CollectRequest> requests,
     std::vector<Round> rounds;
     std::vector<CollectRequest> firsts;
     std::vector<CollectResult> results;
+    BatchBook book;
   };
   static thread_local Scratch scratch;
+  // Applied on every exit, so a throwing collector leaves no stale tally.
+  struct ApplyOnExit {
+    RpcClient& client;
+    BatchBook& book;
+    ~ApplyOnExit() { client.apply(book); }
+  } applyOnExit{*this, scratch.book};
 
   std::size_t begin = 0;
   while (begin < requests.size()) {
@@ -409,7 +403,7 @@ void RpcClient::fetchBatch(std::span<const CollectRequest> requests,
       out.attempts = 0;
       Round& round = scratch.rounds.emplace_back();
       round.st = &st;
-      round.maxAttempts = openRound(st, req);
+      round.maxAttempts = openRound(st, req, scratch.book);
       if (round.maxAttempts > 0 && admit(st, req, round.firstCost)) {
         round.slot = scratch.firsts.size();
         scratch.firsts.push_back(req);
@@ -428,7 +422,7 @@ void RpcClient::fetchBatch(std::span<const CollectRequest> requests,
         const CollectResult* first =
             admitted ? &scratch.results[round.slot] : nullptr;
         settleRound(requests[i], *outs[i], round, admitted && first->ok,
-                    admitted ? first->responseBytes : 0);
+                    admitted ? first->responseBytes : 0, scratch.book);
       }
       report(requests[i], *outs[i]);
     }
@@ -482,31 +476,9 @@ CircuitBreaker::State RpcClient::breakerState(NodeId node,
   return state(node).breaker.state(now);
 }
 
-const std::vector<AttemptRecord>& RpcClient::attemptLog(NodeId node) const {
-  return state(node).log;
-}
-
-long RpcClient::totalRounds() const {
+long RpcClient::sum(long NodeState::*counter) const {
   long total = 0;
-  for (const NodeState& st : states_) total += st.rounds;
-  return total;
-}
-
-long RpcClient::totalRetries() const {
-  long total = 0;
-  for (const NodeState& st : states_) total += st.retries;
-  return total;
-}
-
-long RpcClient::totalFailedRounds() const {
-  long total = 0;
-  for (const NodeState& st : states_) total += st.failedRounds;
-  return total;
-}
-
-long RpcClient::totalFastFails() const {
-  long total = 0;
-  for (const NodeState& st : states_) total += st.fastFails;
+  for (const NodeState& st : states_) total += st.*counter;
   return total;
 }
 

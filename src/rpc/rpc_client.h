@@ -63,6 +63,14 @@ enum class Daemon : int { kSadc = 0, kHadoopLog = 1, kStrace = 2 };
 inline constexpr int kDaemonCount = 3;
 const char* daemonName(Daemon d);
 
+/// The daemon that answers a channel: hadoop_log_rpcd serves both the
+/// TaskTracker and the DataNode channel.
+constexpr Daemon daemonOf(CollectKind kind) {
+  constexpr Daemon kOf[kCollectKindCount] = {
+      Daemon::kSadc, Daemon::kHadoopLog, Daemon::kHadoopLog, Daemon::kStrace};
+  return kOf[static_cast<int>(kind)];
+}
+
 /// Monitoring-plane health of a node (or of one of its channels):
 ///   kHealthy       — last fetch succeeded on the first attempt;
 ///   kDegraded      — last fetch succeeded but needed retries;
@@ -150,17 +158,27 @@ class CircuitBreaker {
   long opens_ = 0;
 };
 
-/// Shared health bulletin: written by RpcClient after every fetch round,
+/// One fetch round's outcome for the health registry: kHealthy or
+/// kDegraded for a success at `now`, kUnmonitorable for a failure.
+struct HealthMark {
+  NodeId node = kInvalidNode;
+  Daemon daemon = Daemon::kSadc;
+  SimTime now = kNoTime;
+  NodeHealth health = NodeHealth::kHealthy;
+};
+
+/// Shared health bulletin: written by RpcClient once per fetch batch,
 /// read by the analysis modules (quorum / survivor selection), the
 /// node_health module, and the harness. Internally locked — writers run
 /// under per-node exclusivity domains but readers (analysis instances)
 /// may run on other pool threads.
 class NodeHealthRegistry {
  public:
-  void registerNode(NodeId node);
+  /// Tracks nodes 1..nodes.
+  explicit NodeHealthRegistry(int nodes);
 
-  void markSuccess(NodeId node, Daemon d, SimTime now, bool degraded);
-  void markFailure(NodeId node, Daemon d, SimTime now);
+  /// Applies `marks` in order under one lock.
+  void mark(std::span<const HealthMark> marks);
 
   /// Health of one daemon channel; kHealthy for unknown nodes.
   NodeHealth channelHealth(NodeId node, Daemon d) const;
@@ -171,7 +189,7 @@ class NodeHealthRegistry {
   /// never been polled or just succeeded).
   double staleness(NodeId node, Daemon d, SimTime now) const;
 
-  /// Registered nodes in id order.
+  /// The tracked nodes in id order.
   std::vector<NodeId> nodes() const;
 
  private:
@@ -181,17 +199,12 @@ class NodeHealthRegistry {
     long successes = 0;
     long failures = 0;
   };
-  struct NodeEntry {
-    bool known = false;  // registered or ever marked
-    std::array<ChannelEntry, kDaemonCount> channels{};
-  };
-  /// The node's entry, created on first use (node ids are >= 1).
-  NodeEntry& entry(NodeId node);
-  /// Null for a node never registered or marked.
+  using NodeEntry = std::array<ChannelEntry, kDaemonCount>;
+  /// Null for a node outside 1..N.
   const NodeEntry* find(NodeId node) const;
 
   mutable std::mutex mutex_;
-  std::vector<NodeEntry> entries_;  // by NodeId - 1
+  std::vector<NodeEntry> entries_;  // by NodeId - 1; sized once
 };
 
 /// One fetch-round outcome. `value` is meaningful only when ok.
@@ -203,13 +216,23 @@ struct Fetched {
   T value{};
 };
 
-/// One RPC attempt, for the deterministic backoff-schedule tests: the
-/// virtual time the attempt was issued and whether it succeeded.
+/// One RPC attempt: the virtual time it was issued and whether it
+/// succeeded.
 struct AttemptRecord {
+  NodeId node = kInvalidNode;
   SimTime at = kNoTime;
   Daemon daemon = Daemon::kSadc;
   int attempt = 0;
   bool success = false;
+};
+
+/// Receives every attempt as it settles (the client keeps no attempt
+/// history). Nodes polled on different pool threads report
+/// concurrently; one node's attempts arrive in a deterministic order.
+class AttemptSink {
+ public:
+  virtual ~AttemptSink() = default;
+  virtual void onAttempt(const AttemptRecord& attempt) = 0;
 };
 
 class RpcClient {
@@ -247,8 +270,10 @@ class RpcClient {
   /// batch order; the first attempts of every admitted node then go to
   /// the collector in one collect() call; each node's outcome then
   /// settles in batch order, a failed first attempt continuing in the
-  /// node's retry loop, and is reported to the observer. Per node, the
-  /// outcome, attempt log, breaker, health registry, channel counters,
+  /// node's retry loop, and is reported to the observer. Channel
+  /// counters and health marks are booked before it returns, with one
+  /// lock per touched channel and one registry lock. Per node, the
+  /// outcome, attempts, breaker, health registry, channel counters,
   /// Rng draws and observer samples are exactly those of fetching the
   /// requests one at a time (a node asked twice in one batch starts a
   /// second collect() call at its second request). Every request's
@@ -266,6 +291,8 @@ class RpcClient {
   /// before the run starts.
   void setObserver(CollectionObserver* observer) { observer_ = observer; }
   CollectionObserver* observer() const { return observer_; }
+  /// Attempts go to `sink` (null detaches); set it like the observer.
+  void setAttemptSink(AttemptSink* sink) { attemptSink_ = sink; }
 
   MonitoringFaultBoard& faults() { return board_; }
   NodeHealthRegistry& health() { return registry_; }
@@ -276,22 +303,18 @@ class RpcClient {
 
   CircuitBreaker::State breakerState(NodeId node, SimTime now) const;
 
-  /// Per-node attempt log (bounded; per-node order is deterministic).
-  const std::vector<AttemptRecord>& attemptLog(NodeId node) const;
-
   // Aggregate robustness counters, summed over nodes on demand (no
   // shared mutable counters — nodes may be polled concurrently).
-  long totalRounds() const;
-  long totalRetries() const;
-  long totalFailedRounds() const;
-  long totalFastFails() const;
+  long totalRounds() const { return sum(&NodeState::rounds); }
+  long totalRetries() const { return sum(&NodeState::retries); }
+  long totalFailedRounds() const { return sum(&NodeState::failedRounds); }
+  long totalFastFails() const { return sum(&NodeState::fastFails); }
   long totalBreakerOpens() const;
 
  private:
   struct NodeState {
     Rng rng;
     CircuitBreaker breaker;
-    std::vector<AttemptRecord> log;
     long rounds = 0;
     long retries = 0;
     long failedRounds = 0;
@@ -309,35 +332,40 @@ class RpcClient {
     std::size_t slot = kNotAdmitted;  // the first attempt's collect slot
   };
   static constexpr std::size_t kNotAdmitted = static_cast<std::size_t>(-1);
+  /// One batch's channel counters and health marks, in request order.
+  struct BatchBook {
+    std::array<ChannelTally, kCollectKindCount> channels{};
+    std::vector<HealthMark> marks;
+  };
+  void apply(BatchBook& book);  // and clears it
 
   NodeState& state(NodeId node);
   const NodeState& state(NodeId node) const;
+  long sum(long NodeState::*counter) const;
   /// Opens a round: counts it and checks the breaker. Returns the
   /// attempts the round may make — 0 when an open breaker fast-failed
   /// it (the failure is already booked), 1 for a HALF_OPEN probe.
-  int openRound(NodeState& st, const CollectRequest& req);
-  /// The retry loop, from the first attempt's outcome on: attempt log,
+  int openRound(NodeState& st, const CollectRequest& req, BatchBook& book);
+  /// The retry loop, from the first attempt's outcome on: attempt sink,
   /// byte charges, backoff plus jitter, then one fault-gated collect
   /// per further try, and the round's success or failure booking. Sets
   /// out.ok/retried/attempts.
   template <typename T>
   void settleRound(const CollectRequest& req, Fetched<T>& out,
                    const Round& round, bool firstOk,
-                   std::size_t firstResponseBytes);
+                   std::size_t firstResponseBytes, BatchBook& book);
   /// Reports a finished round to the observer, if any.
   template <typename T>
   void report(const CollectRequest& req, Fetched<T>& out);
   /// The fault gate of one attempt: always passes without a Cluster;
-  /// otherwise attemptSucceeds().
+  /// otherwise the simulated gate's success flag, plus the virtual
+  /// seconds the attempt consumed (timeout or refusal cost on failure).
   bool admit(NodeState& st, const CollectRequest& req, double& costSeconds);
-  /// The simulated fault gate for one attempt: success flag plus the
-  /// virtual seconds a failure consumed (timeout or refusal cost).
-  bool attemptSucceeds(NodeState& st, NodeId node, Daemon d,
-                       double& costSeconds);
 
   LiveCollector& collector_;
   hadoop::Cluster* cluster_ = nullptr;  // fault gate; null = fault-free
   CollectionObserver* observer_ = nullptr;
+  AttemptSink* attemptSink_ = nullptr;
   bool realBackoff_;
   RpcPolicy policy_;
   MonitoringFaultBoard board_;

@@ -8,7 +8,7 @@ namespace {
 // Wire costs shared by all channels: 3-way handshake + protocol
 // negotiation at connect, and per-message TCP/IP + RPC header overhead.
 constexpr double kConnectBytes = 2028.0;  // handshake + validation + proxy
-constexpr double kPerMessageOverheadBytes = 78.0;  // TCP/IP + RPC header
+constexpr std::size_t kPerMessageOverheadBytes = 78;  // TCP/IP + RPC header
 
 }  // namespace
 
@@ -19,20 +19,15 @@ void RpcChannelStats::recordConnect() {
   ++connects_;
 }
 
-void RpcChannelStats::recordCall(std::size_t requestPayload,
-                                 std::size_t responsePayload) {
+void RpcChannelStats::add(const ChannelTally& tally) {
+  // A call is two messages (request and response), a failed call one.
+  const auto messages =
+      static_cast<std::size_t>(2 * tally.calls + tally.failedCalls);
   std::lock_guard<std::mutex> lock(mutex_);
-  ++calls_;
-  payloadBytes_ += static_cast<double>(requestPayload) +
-                   static_cast<double>(responsePayload) +
-                   2.0 * kPerMessageOverheadBytes;
-}
-
-void RpcChannelStats::recordFailedCall(std::size_t requestPayload) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++failedCalls_;
-  payloadBytes_ += static_cast<double>(requestPayload) +
-                   kPerMessageOverheadBytes;
+  calls_ += tally.calls;
+  failedCalls_ += tally.failedCalls;
+  payloadBytes_ += static_cast<double>(tally.payloadBytes +
+                                       messages * kPerMessageOverheadBytes);
 }
 
 void RpcChannelStats::setTier(int tier) {

@@ -16,6 +16,14 @@
 
 namespace asdf::rpc {
 
+/// Calls and payload bytes tallied without a lock, then added to an
+/// RpcChannelStats in one step, which charges the framing.
+struct ChannelTally {
+  long calls = 0;
+  long failedCalls = 0;
+  std::size_t payloadBytes = 0;  // requests plus responses
+};
+
 /// Thread-safe: one channel is shared by every node's daemon of that
 /// RPC type, and fpt-core's parallel executors may poll several nodes
 /// concurrently. Counter updates are serialized internally.
@@ -29,11 +37,19 @@ class RpcChannelStats {
   void recordConnect();
 
   /// Records one call: request payload out, response payload back.
-  void recordCall(std::size_t requestPayload, std::size_t responsePayload);
+  void recordCall(std::size_t requestPayload, std::size_t responsePayload) {
+    add(ChannelTally{1, 0, requestPayload + responsePayload});
+  }
 
   /// Records a failed attempt: the request (plus framing) went out but
   /// no response came back — timeouts still cost request bandwidth.
-  void recordFailedCall(std::size_t requestPayload);
+  void recordFailedCall(std::size_t requestPayload) {
+    add(ChannelTally{0, 1, requestPayload});
+  }
+
+  /// Records every call of `tally` under one lock. Every byte count is
+  /// whole, so the total equals that of recording the calls one by one.
+  void add(const ChannelTally& tally);
 
   /// Topology tier the channel belongs to: 1 = leaf collection
   /// (daemon -> analysis/aggregator), 2 = summary (aggregator -> root).

@@ -273,14 +273,16 @@ TEST_F(DaemonTest, HadoopLogSamplesAreContiguousSeconds) {
 TEST_F(DaemonTest, DaemonsMeterTheirCpu) {
   RpcHub hub(cluster_, 0.0);
   engine_.runUntil(5.0);
-  std::size_t bytes = 0;
-  std::vector<hadooplog::StateSample> rows;
+  // The hub meters each collect() batch, per daemon kind.
+  Fetched<metrics::SadcSnapshot> snap;
+  Fetched<std::vector<hadooplog::StateSample>> rows;
   for (int i = 0; i < 100; ++i) {
-    hub.sadc(1).fetch(bytes);
-    hub.hadoopLog(1).fetch(CollectKind::kTt, 5.0, rows, bytes);
+    hub.client().fetchSadc(1, 5.0, snap);
+    hub.client().fetchTt(1, 5.0, 5.0, rows);
   }
   EXPECT_GT(hub.sadcCpuSeconds(), 0.0);
   EXPECT_GT(hub.hadoopLogCpuSeconds(), 0.0);
+  EXPECT_EQ(hub.straceCpuSeconds(), 0.0);
   EXPECT_GT(hub.sadcMemoryBytes(), 0u);
   EXPECT_GT(hub.hadoopLogMemoryBytes(), 0u);
 }

@@ -79,7 +79,7 @@ TEST_F(ExtensionTest, StraceDaemonShipsTraces) {
   hub_->client().fetchStrace(1, 30.0, fetched);
   EXPECT_TRUE(fetched.ok);
   EXPECT_GT(hub_->transports().channel("strace-tcp").calls(), 0);
-  EXPECT_GT(hub_->strace(1).cpuSeconds(), 0.0);
+  EXPECT_GT(hub_->straceCpuSeconds(), 0.0);
 }
 
 TEST_F(ExtensionTest, StracePipelineFlagsHungNode) {

@@ -9,10 +9,12 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "attempt_log.h"
 #include "harness/experiment.h"
 #include "harness/scenario_matrix.h"
 #include "modules/modules.h"
@@ -199,16 +201,23 @@ TEST(Robustness, DeterministicAcrossExecutorsUnderMonitoringFaults) {
   spec.monitoringFaults.push_back(crashCollectors(4, 70.0, 100.0));
   const analysis::BlackBoxModel model = trainModel(spec);
 
+  rpc::AttemptLog attempts1;
+  rpc::AttemptLog attempts2;
+  rpc::AttemptLog attemptsPooled;
   spec.threads = 1;
-  const ExperimentResult serial1 = runExperiment(spec, model);
-  const ExperimentResult serial2 = runExperiment(spec, model);
+  const ExperimentResult serial1 = runExperiment(spec, model, &attempts1);
+  const ExperimentResult serial2 = runExperiment(spec, model, &attempts2);
   spec.threads = 4;
-  const ExperimentResult pooled = runExperiment(spec, model);
+  const ExperimentResult pooled = runExperiment(spec, model, &attemptsPooled);
+  const std::map<NodeId, std::vector<double>> times1 = attempts1.times();
+  EXPECT_EQ(static_cast<std::size_t>(spec.slaves), times1.size());
 
   EXPECT_FALSE(serial1.blackBox.empty());
   EXPECT_GT(serial1.rpcRetries + serial1.rpcFailedRounds, 0);
 
-  for (const ExperimentResult* other : {&serial2, &pooled}) {
+  const std::pair<const ExperimentResult*, const rpc::AttemptLog*> others[] =
+      {{&serial2, &attempts2}, {&pooled, &attemptsPooled}};
+  for (const auto& [other, otherAttempts] : others) {
     expectIdenticalSeries(serial1.blackBox, other->blackBox, "black-box");
     expectIdenticalSeries(serial1.whiteBox, other->whiteBox, "white-box");
 
@@ -232,12 +241,12 @@ TEST(Robustness, DeterministicAcrossExecutorsUnderMonitoringFaults) {
     }
 
     // The full virtual retry timetable matches, node by node.
-    ASSERT_EQ(serial1.rpcAttemptTimes.size(),
-              other->rpcAttemptTimes.size());
-    for (const auto& [node, times] : serial1.rpcAttemptTimes) {
-      const auto it = other->rpcAttemptTimes.find(node);
-      ASSERT_NE(it, other->rpcAttemptTimes.end()) << node;
-      EXPECT_EQ(times, it->second) << "node " << node;
+    const std::map<NodeId, std::vector<double>> times = otherAttempts->times();
+    ASSERT_EQ(times1.size(), times.size());
+    for (const auto& [node, series] : times1) {
+      const auto it = times.find(node);
+      ASSERT_NE(it, times.end()) << node;
+      EXPECT_EQ(series, it->second) << "node " << node;
     }
   }
 }
@@ -252,7 +261,8 @@ TEST(Robustness, FaultTolerantScheduleMatchesPinnedReference) {
   spec.fault.type = faults::FaultType::kPacketLoss;
   spec.monitoringFaults.push_back(crashCollectors(4, 70.0, 100.0));
   const analysis::BlackBoxModel model = trainModel(spec);
-  const ExperimentResult r = runExperiment(spec, model);
+  rpc::AttemptLog attempts;
+  const ExperimentResult r = runExperiment(spec, model, &attempts);
 
   EXPECT_EQ(0x5feb5d03b5827ceaULL, fingerprintAlarms(r.blackBox));
   EXPECT_EQ(0xa1586a7ba2ca1695ULL, fingerprintAlarms(r.whiteBox));
@@ -261,7 +271,7 @@ TEST(Robustness, FaultTolerantScheduleMatchesPinnedReference) {
   EXPECT_EQ(62, r.rpcFailedRounds);
   EXPECT_EQ(57, r.rpcFastFails);
   EXPECT_EQ(1, r.rpcBreakerOpens);
-  EXPECT_EQ(0xef030df4f3b141c0ULL, digestAttemptTimes(r.rpcAttemptTimes));
+  EXPECT_EQ(0xef030df4f3b141c0ULL, digestAttemptTimes(attempts.times()));
 }
 
 // Opting into the fault gate on a healthy cluster is free: with no

@@ -5,14 +5,17 @@
 // TaskTracker for every node, then DataNode for the nodes whose
 // TaskTracker round succeeded, as the collector modules do — and the
 // other one round at a time in the same per-node order. Every per-node
-// outcome must be the same: fetched values, attempt logs, breakers,
+// outcome must be the same: fetched values, attempts, breakers,
 // the health registry, channel counters and observer samples.
 #include <map>
+#include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "attempt_log.h"
 #include "hadoop/cluster.h"
 #include "rpc/daemons.h"
 #include "rpc/payloads.h"
@@ -44,6 +47,7 @@ struct World {
             client(cluster, hub, RpcPolicy{}, 77) {
     cluster.start();
     client.setObserver(&observer);
+    client.setAttemptSink(&attempts);
     cluster.node(kRepeated).nic().setLossRate(0.6);  // PacketLoss
   }
   static hadoop::HadoopParams params() {
@@ -65,6 +69,7 @@ struct World {
   RpcHub hub;
   RpcClient client;
   RecordingObserver observer;
+  AttemptLog attempts;
 };
 
 /// One second's outcomes: per round, in the same order in both worlds.
@@ -75,27 +80,32 @@ struct Second {
   std::vector<Fetched<Rows>> dn = std::vector<Fetched<Rows>>(kSlaves);
 };
 
-void fetchBatched(World& w, SimTime t, Second& out) {
+/// One second's batches for nodes first..last (kRepeated asked twice
+/// when in range).
+void fetchBatched(World& w, SimTime t, Second& out, NodeId first = 1,
+                  NodeId last = kSlaves) {
   std::vector<CollectRequest> requests;
   std::vector<Fetched<metrics::SadcSnapshot>*> sadcOuts;
-  for (NodeId n = 1; n <= kSlaves; ++n) {
+  for (NodeId n = first; n <= last; ++n) {
     requests.push_back({CollectKind::kSadc, n, t, kNoTime});
     sadcOuts.push_back(&out.sadc[n - 1]);
   }
-  requests.push_back({CollectKind::kSadc, kRepeated, t, kNoTime});
-  sadcOuts.push_back(&out.sadc[kSlaves]);
+  if (kRepeated >= first && kRepeated <= last) {
+    requests.push_back({CollectKind::kSadc, kRepeated, t, kNoTime});
+    sadcOuts.push_back(&out.sadc[kSlaves]);
+  }
   w.client.fetchBatch<metrics::SadcSnapshot>(requests, sadcOuts);
 
   requests.clear();
   std::vector<Fetched<Rows>*> rowOuts;
-  for (NodeId n = 1; n <= kSlaves; ++n) {
+  for (NodeId n = first; n <= last; ++n) {
     requests.push_back({CollectKind::kTt, n, t, t});
     rowOuts.push_back(&out.tt[n - 1]);
   }
   w.client.fetchBatch<Rows>(requests, rowOuts);
   requests.clear();
   rowOuts.clear();
-  for (NodeId n = 1; n <= kSlaves; ++n) {
+  for (NodeId n = first; n <= last; ++n) {
     if (!out.tt[n - 1].ok) continue;
     requests.push_back({CollectKind::kDn, n, t, t});
     rowOuts.push_back(&out.dn[n - 1]);
@@ -111,6 +121,44 @@ void fetchOneByOne(World& w, SimTime t, Second& out) {
   for (NodeId n = 1; n <= kSlaves; ++n) {
     w.client.fetchTt(n, t, t, out.tt[n - 1]);
     if (out.tt[n - 1].ok) w.client.fetchDn(n, t, t, out.dn[n - 1]);
+  }
+}
+
+/// The Table 4 counters and the robustness totals of both clients.
+void expectSameCounters(RpcClient& a, RpcClient& b,
+                        const std::string& label) {
+  EXPECT_EQ(a.totalRounds(), b.totalRounds()) << label;
+  EXPECT_EQ(a.totalRetries(), b.totalRetries()) << label;
+  EXPECT_EQ(a.totalFailedRounds(), b.totalFailedRounds()) << label;
+  EXPECT_EQ(a.totalFastFails(), b.totalFastFails()) << label;
+  EXPECT_EQ(a.totalBreakerOpens(), b.totalBreakerOpens()) << label;
+  const auto ca = a.transports().channels();
+  const auto cb = b.transports().channels();
+  ASSERT_EQ(ca.size(), cb.size()) << label;
+  for (std::size_t i = 0; i < ca.size(); ++i) {
+    const std::string at = label + " " + ca[i]->name();
+    EXPECT_EQ(ca[i]->name(), cb[i]->name()) << at;
+    EXPECT_EQ(ca[i]->connects(), cb[i]->connects()) << at;
+    EXPECT_EQ(ca[i]->calls(), cb[i]->calls()) << at;
+    EXPECT_EQ(ca[i]->failedCalls(), cb[i]->failedCalls()) << at;
+    EXPECT_EQ(ca[i]->totalCallBytes(), cb[i]->totalCallBytes()) << at;
+  }
+}
+
+/// Every node's registry entry in both clients, read at `now`.
+void expectSameHealth(RpcClient& a, RpcClient& b, SimTime now,
+                      const std::string& label) {
+  for (NodeId n = 1; n <= kSlaves; ++n) {
+    const std::string at = label + " node " + std::to_string(n);
+    EXPECT_EQ(a.health().aggregate(n), b.health().aggregate(n)) << at;
+    for (const Daemon d : {Daemon::kSadc, Daemon::kHadoopLog}) {
+      EXPECT_EQ(a.health().channelHealth(n, d),
+                b.health().channelHealth(n, d))
+          << at;
+      EXPECT_EQ(a.health().staleness(n, d, now),
+                b.health().staleness(n, d, now))
+          << at;
+    }
   }
 }
 
@@ -163,8 +211,8 @@ TEST(RpcClientBatch, BatchEqualsOneAtATimeUnderMonitoringFaults) {
 
   const SimTime end = 61.0;
   for (NodeId n = 1; n <= kSlaves; ++n) {
-    const std::vector<AttemptRecord>& la = batched.client.attemptLog(n);
-    const std::vector<AttemptRecord>& lb = single.client.attemptLog(n);
+    const std::vector<AttemptRecord> la = batched.attempts.of(n);
+    const std::vector<AttemptRecord> lb = single.attempts.of(n);
     ASSERT_EQ(la.size(), lb.size()) << n;
     for (std::size_t i = 0; i < la.size(); ++i) {
       EXPECT_EQ(la[i].at, lb[i].at) << n << " " << i;
@@ -175,34 +223,71 @@ TEST(RpcClientBatch, BatchEqualsOneAtATimeUnderMonitoringFaults) {
     EXPECT_EQ(batched.client.breakerState(n, end),
               single.client.breakerState(n, end))
         << n;
-    for (const Daemon d : {Daemon::kSadc, Daemon::kHadoopLog}) {
-      EXPECT_EQ(batched.client.health().channelHealth(n, d),
-                single.client.health().channelHealth(n, d))
-          << n;
-      EXPECT_EQ(batched.client.health().staleness(n, d, end),
-                single.client.health().staleness(n, d, end))
-          << n;
-    }
     EXPECT_EQ(batched.observer.byNode[n], single.observer.byNode[n]) << n;
   }
-  EXPECT_EQ(batched.client.totalRounds(), single.client.totalRounds());
-  EXPECT_EQ(batched.client.totalRetries(), single.client.totalRetries());
-  EXPECT_EQ(batched.client.totalFailedRounds(),
-            single.client.totalFailedRounds());
-  EXPECT_EQ(batched.client.totalFastFails(), single.client.totalFastFails());
-  EXPECT_EQ(batched.client.totalBreakerOpens(),
-            single.client.totalBreakerOpens());
-  const auto ca = batched.client.transports().channels();
-  const auto cb = single.client.transports().channels();
-  ASSERT_EQ(ca.size(), cb.size());
-  for (std::size_t i = 0; i < ca.size(); ++i) {
-    EXPECT_EQ(ca[i]->name(), cb[i]->name());
-    EXPECT_EQ(ca[i]->connects(), cb[i]->connects()) << ca[i]->name();
-    EXPECT_EQ(ca[i]->calls(), cb[i]->calls()) << ca[i]->name();
-    EXPECT_EQ(ca[i]->failedCalls(), cb[i]->failedCalls()) << ca[i]->name();
-    EXPECT_EQ(ca[i]->totalCallBytes(), cb[i]->totalCallBytes())
-        << ca[i]->name();
+  expectSameHealth(batched.client, single.client, end, "end");
+  expectSameCounters(batched.client, single.client, "end");
+}
+
+// Channel counters and health marks are booked once per batch. Read
+// after every batch — under retries (PacketLoss), a collector crash and
+// an open breaker (a partition) — they equal the books of the same
+// polls made one at a time.
+TEST(RpcClientBatch, BatchBooksEqualOneAtATimeAfterEveryBatch) {
+  World batched;
+  World single;
+  bool sawOpenBreaker = false;
+  for (int second = 1; second <= 45; ++second) {
+    const SimTime t = second;
+    batched.engine.runUntil(t);
+    single.engine.runUntil(t);
+    batched.applyFaults(t);
+    single.applyFaults(t);
+    Second a;
+    Second b;
+    fetchBatched(batched, t, a);
+    fetchOneByOne(single, t, b);
+    const std::string label = "t=" + std::to_string(second);
+    expectSameCounters(batched.client, single.client, label);
+    expectSameHealth(batched.client, single.client, t + 0.5, label);
+    for (NodeId n = 1; n <= kSlaves; ++n) {
+      sawOpenBreaker |= batched.client.breakerState(n, t) ==
+                        CircuitBreaker::State::kOpen;
+    }
   }
+  EXPECT_TRUE(sawOpenBreaker);  // node 3's partition trips it
+  EXPECT_GT(batched.client.totalRetries(), 0);
+  EXPECT_GT(batched.client.totalFastFails(), 0);
+  EXPECT_GT(batched.client.transports().channel("sadc-tcp").failedCalls(),
+            0);
+}
+
+// Two threads batching disjoint nodes through one hub-backed client
+// book the same totals as one thread making every batch in turn: each
+// batch takes the channel and registry locks once, and no update is
+// lost between them.
+TEST(RpcClientBatch, ConcurrentBatchesSumToSerialTotals) {
+  World concurrent;
+  World serial;
+  concurrent.client.setObserver(nullptr);  // the recording one is serial
+  constexpr NodeId kSplit = kSlaves / 2;
+  for (int second = 1; second <= 30; ++second) {
+    const SimTime t = second;
+    concurrent.engine.runUntil(t);
+    serial.engine.runUntil(t);
+    Second a;
+    Second b;
+    std::thread low([&] { fetchBatched(concurrent, t, a, 1, kSplit); });
+    std::thread high(
+        [&] { fetchBatched(concurrent, t, a, kSplit + 1, kSlaves); });
+    low.join();
+    high.join();
+    fetchBatched(serial, t, b, 1, kSplit);
+    fetchBatched(serial, t, b, kSplit + 1, kSlaves);
+  }
+  EXPECT_GT(serial.client.totalRetries(), 0);
+  expectSameCounters(concurrent.client, serial.client, "end");
+  expectSameHealth(concurrent.client, serial.client, 31.0, "end");
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "attempt_log.h"
 #include "hadoop/cluster.h"
 #include "rpc/daemons.h"
 #include "sim/engine.h"
@@ -178,13 +179,15 @@ TEST_F(RpcClientTest, HalfOpenProbeRecoversAfterDaemonRestart) {
 
 TEST_F(RpcClientTest, HungDaemonCostsTimeoutPerAttempt) {
   RpcClient client = makeClient();
+  AttemptLog attempts;
+  client.setAttemptSink(&attempts);
   engine_.runUntil(5.0);
   client.faults().setHung(2, Daemon::kSadc, true);
 
   Fetched<metrics::SadcSnapshot> got;
   client.fetchSadc(2, 5.0, got);
   EXPECT_FALSE(got.ok);
-  const auto& log = client.attemptLog(2);
+  const std::vector<AttemptRecord> log = attempts.of(2);
   ASSERT_EQ(log.size(), static_cast<std::size_t>(got.attempts));
   EXPECT_EQ(log.front().at, 5.0);
   for (std::size_t i = 1; i < log.size(); ++i) {
@@ -264,6 +267,8 @@ TEST_F(RpcClientTest, PartitionBlocksEveryChannel) {
 
 TEST_F(RpcClientTest, PacketLossCouplesIntoMonitoringPlane) {
   RpcClient client = makeClient();
+  AttemptLog attempts;
+  client.setAttemptSink(&attempts);
   engine_.runUntil(5.0);
   cluster_.node(1).nic().setLossRate(0.5);
 
@@ -287,7 +292,8 @@ TEST_F(RpcClientTest, PacketLossCouplesIntoMonitoringPlane) {
     client.fetchSadc(2, 5.0 + t, got);
     EXPECT_TRUE(got.ok);
   }
-  const auto& cleanLog = client.attemptLog(2);
+  const std::vector<AttemptRecord> cleanLog = attempts.of(2);
+  EXPECT_EQ(cleanLog.size(), 50u);
   for (const AttemptRecord& rec : cleanLog) {
     EXPECT_TRUE(rec.success);
     EXPECT_EQ(rec.attempt, 0);
@@ -300,9 +306,11 @@ TEST_F(RpcClientTest, BackoffScheduleIsSeedDeterministic) {
 
   auto runSchedule = [&](std::uint64_t seed) {
     RpcClient client = makeClient(seed);
+    AttemptLog attempts;
+    client.setAttemptSink(&attempts);
     Fetched<metrics::SadcSnapshot> got;
     for (int t = 0; t < 200; ++t) client.fetchSadc(1, 5.0 + t, got);
-    return client.attemptLog(1);
+    return attempts.of(1);
   };
   const auto a = runSchedule(7);
   const auto b = runSchedule(7);

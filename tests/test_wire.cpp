@@ -291,6 +291,31 @@ TEST(Transport, ChannelAccounting) {
   EXPECT_DOUBLE_EQ(ch.bytesPerCall(), ch.totalCallBytes() / 2.0);
 }
 
+// A tally added in one step books exactly what the same calls booked
+// one at a time: counts and (whole) bytes, framing included.
+TEST(Transport, TallyEqualsCallByCall) {
+  TransportRegistry registry;
+  RpcChannelStats& byCall = registry.channel("by-call");
+  RpcChannelStats& byTally = registry.channel("by-tally");
+  ChannelTally tally;
+  for (std::size_t i = 0; i < 1000; ++i) {
+    byCall.recordCall(48, 900 + i);
+    ++tally.calls;
+    tally.payloadBytes += 48 + 900 + i;
+    if (i % 7 == 0) {
+      byCall.recordFailedCall(48);
+      ++tally.failedCalls;
+      tally.payloadBytes += 48;
+    }
+  }
+  byTally.add(tally);
+  EXPECT_EQ(byTally.calls(), byCall.calls());
+  EXPECT_EQ(byTally.failedCalls(), byCall.failedCalls());
+  EXPECT_EQ(byTally.totalCallBytes(), byCall.totalCallBytes());
+  EXPECT_EQ(byTally.calls(), 1000);
+  EXPECT_EQ(byTally.failedCalls(), 143);
+}
+
 TEST(Transport, RegistryKeysChannelsByName) {
   TransportRegistry registry;
   registry.channel("a").recordConnect();

@@ -387,18 +387,16 @@ TEST(ZeroAlloc, WarmBatchedSadcWavefrontAllocatesNothing) {
   core::FptCore fpt(engine, env, &registry);
   fpt.configureFromText(config);
 
-  // The client's per-node attempt log grows by doubling: one attempt a
-  // second fills capacity 128 from second 65 to second 128.
-  engine.runUntil(70.0);
+  engine.runUntil(30.0);
   const std::uint64_t runsBefore = fpt.totalRuns();
   const long callsBefore = hub.transports().channel("sadc-tcp").calls();
   allochook::reset();
-  engine.runUntil(120.0);
+  engine.runUntil(140.0);
   EXPECT_EQ(allochook::totals().allocs, 0u)
       << "a warm batched sadc wavefront allocated";
-  EXPECT_EQ(fpt.totalRuns() - runsBefore, 50u * 2u * kSlaves);
+  EXPECT_EQ(fpt.totalRuns() - runsBefore, 110u * 2u * kSlaves);
   EXPECT_EQ(hub.transports().channel("sadc-tcp").calls() - callsBefore,
-            50 * kSlaves);
+            110 * kSlaves);
 }
 
 // The net-plane claim (DESIGN.md §15): once a connection's decode
